@@ -437,7 +437,7 @@ def _cmd_sweep(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
         {
             "eps": [e.eps.real, e.eps.imag],
             "status": e.report.status,
-            "sol_norm": e.sol_norm if math.isfinite(e.sol_norm) else repr(e.sol_norm),
+            "sol_norm": e.sol_norm,
             "iterations": e.report.iterations,
         }
         for e in entries
@@ -494,7 +494,7 @@ def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict
             for s in res.s_grid
         },
     }
-    return EXIT_OK, result
+    return (EXIT_OK if res.report.status == "converged" else EXIT_NOCONV), result
 
 
 def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
@@ -570,7 +570,6 @@ def run(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    np.random.seed(cfg.seed % (2 ** 32))
 
     try:
         prob = None
@@ -616,8 +615,7 @@ def run(cfg: RunConfig) -> int:
     result["solver"] = {
         "tol": cfg.solver.tol,
         "max_iter": cfg.solver.max_iter,
-        "ball_radius": cfg.solver.ball_radius if math.isfinite(cfg.solver.ball_radius)
-        else "inf",
+        "ball_radius": cfg.solver.ball_radius,
         "norm": {"rho": cfg.norm_spec.rho, "m": cfg.norm_spec.m},
     }
     if prob is not None:

@@ -291,14 +291,14 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
         div = -eps * P[0] * a * a + 1j * Q[0] * a + eps * lam
         bad = np.abs(div) == 0.0
         if np.any(bad):
-            k = _first_bad_mode(lat, bad)
+            k = lat.mode_of_index(np.argmax(bad))
             raise ResonanceError(f"singular scalar divisor at k={k}", mode=k)
         return FourierField(lat, eps * f.coeffs / div[..., None])
     M = _mode_matrices(eps, linear, lat)
     det = np.linalg.det(M)
     bad = np.abs(det) == 0.0
     if np.any(bad):
-        k = _first_bad_mode(lat, bad)
+        k = lat.mode_of_index(np.argmax(bad))
         raise ResonanceError(f"singular mode matrix at k={k}", mode=k)
     sol = np.linalg.solve(M, f.coeffs[..., None])[..., 0]
     return FourierField(lat, eps * sol)
@@ -317,7 +317,7 @@ def _apply_scaled_inverse_jordan(eps: complex, linear: LinearPart,
         l = -eps * b.p * a * a + 1j * b.q * a + eps * b.lam
         bad = np.abs(l) == 0.0
         if np.any(bad):
-            k = _first_bad_mode(lat, bad)
+            k = lat.mode_of_index(np.argmax(bad))
             raise ResonanceError(f"singular divisor at k={k}", mode=k)
         inv_l = 1.0 / l
         block = tilde[..., at:at + b.size]
@@ -341,21 +341,21 @@ def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierF
     return FourierField(lat, out)
 
 
-def _first_bad_mode(lat: SpectralLattice, bad: np.ndarray) -> tuple[int, ...]:
-    idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return tuple(
-        int(i) - (lat.K if axis < lat.d else lat.J) for axis, i in enumerate(idx)
-    )
+def _mode_singular_values(eps: complex, linear: LinearPart,
+                          lat: SpectralLattice) -> np.ndarray:
+    """Singular values of every mode matrix, shape (modes, n), largest first."""
+    M = _mode_matrices(eps, linear, lat).reshape(-1, linear.n, linear.n)
+    sv = np.linalg.svd(M, compute_uv=False)
+    if np.any(sv[:, -1] == 0.0):
+        raise ResonanceError("singular mode matrix on lattice")
+    return sv
 
 
 def operator_norms(eps: complex, linear: LinearPart, lat: SpectralLattice) -> dict:
     """Spectral norms of the mode matrices and their inverses over the lattice."""
-    M = _mode_matrices(eps, linear, lat).reshape(-1, linear.n, linear.n)
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = _mode_singular_values(eps, linear, lat)
     smax = sv[:, 0]
     smin = sv[:, -1]
-    if np.any(smin == 0.0):
-        raise ResonanceError("singular mode matrix on lattice")
     return {
         "forward_sup": float(np.max(smax)),
         "inverse_sup": float(np.max(1.0 / smin)),
@@ -491,17 +491,9 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     """
     if linear.jordan is None:
         raise ValueError("certified bound needs declared Jordan data")
-    norms = operator_norms(eps, linear, lat)
-    empirical = norms["inverse_sup"] * fault_scale
-
-    # argmax mode (recomputed cheaply from the svd path)
-    M = _mode_matrices(eps, linear, lat)
-    sv = np.linalg.svd(M.reshape(-1, linear.n, linear.n), compute_uv=False)[:, -1]
-    flat = int(np.argmin(sv))
-    idx = np.unravel_index(flat, lat.mode_shape)
-    argmax_mode = tuple(
-        int(i) - (lat.K if axis < lat.d else lat.J) for axis, i in enumerate(idx)
-    )
+    smin = _mode_singular_values(eps, linear, lat)[:, -1]
+    empirical = float(np.max(1.0 / smin)) * fault_scale
+    argmax_mode = lat.mode_of_index(np.argmin(smin))
 
     real_eps = abs(eps.imag) <= 1e-14 * abs(eps)
     a_lattice = np.unique(np.abs(lat.k_dot_omega()).ravel())

@@ -30,6 +30,7 @@ from .multipliers import (
 from .spectral import (
     FourierField,
     NonlinearitySpec,
+    NormOverflowError,
     NormSpec,
     SpectralLattice,
     compose,
@@ -88,7 +89,7 @@ class SolveReport:
     """Per-solve iteration trace and termination status."""
 
     eps: complex
-    status: str = "pending"          # converged | max_iter | left_ball | resonant
+    status: str = "pending"          # converged | max_iter | left_ball | resonant | diverged
     iterations: int = 0
     ratios: list[float] = dc_field(default_factory=list)
     increments: list[float] = dc_field(default_factory=list)
@@ -105,17 +106,12 @@ class SolveReport:
             "iterations": self.iterations,
             "ratios": [float(r) for r in self.ratios],
             "increments": [float(x) for x in self.increments],
-            "fp_residual": _json_float(self.fp_residual),
-            "residual": _json_float(self.residual),
-            "sol_norm": _json_float(self.sol_norm),
-            "kappa": _json_float(self.kappa),
+            "fp_residual": float(self.fp_residual),
+            "residual": float(self.residual),
+            "sol_norm": float(self.sol_norm),
+            "kappa": float(self.kappa),
             "diagnostics": self.diagnostics,
         }
-
-
-def _json_float(x: float):
-    x = float(x)
-    return x if math.isfinite(x) else repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +161,7 @@ def solve_fixed_point(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         report.status = "resonant"
         report.diagnostics["error"] = str(exc)
         return U, report
-    kappa = 1.0 + norms["forward_sup"]
-    report.kappa = kappa
+    report.kappa = 1.0 + norms["forward_sup"]
     c_emp = norms["scaled_inverse_sup"]
     report.diagnostics["c_emp"] = c_emp
 
@@ -190,39 +185,68 @@ def solve_fixed_point(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         report.diagnostics["aliasing_estimate"] = \
             spectral.composition_aliasing_estimate(first, prob.g_hat)
 
-    prev_inc = None
     enforce_ball = prob.smallness == "local" and math.isfinite(cfg.ball_radius)
+    return contract(lambda V: picard_step(V, eps, prob),
+                    lambda V: residual(V, eps, prob, cfg.norm),
+                    U, cfg, report, enforce_ball)
+
+
+def contract(step: Callable[[FourierField], FourierField],
+             eq_residual: Callable[[FourierField], float],
+             U: FourierField, cfg: SolverConfig, report: SolveReport,
+             enforce_ball: bool,
+             check: Callable[[FourierField, int], None] | None = None,
+             ) -> tuple[FourierField, SolveReport]:
+    """Picard iteration U <- step(U) from U, shared by both equations.
+
+    Records every increment ||step(U) - U|| and the ratio of consecutive
+    increments in ``report``.  Exits, by ``report.status``:
+
+    - ``converged``: increment <= tol and eq_residual <= kappa tol, with
+      ``report.kappa`` set by the caller;
+    - ``left_ball``: ``enforce_ball`` and the iterate left ball_radius;
+    - ``resonant``: a step met a singular mode matrix;
+    - ``diverged``: a step or a norm overflowed, or an increment was not
+      finite; U is the last finite iterate;
+    - ``max_iter``: none of the above within cfg.max_iter steps.
+
+    ``check(U, it)`` runs on every accepted iterate and raises to abort.
+    """
+    prev_inc = None
     try:
         for it in range(1, cfg.max_iter + 1):
-            U_next = picard_step(U, eps, prob)
+            U_next = step(U)
             inc = norm(U_next - U, cfg.norm)
+            if not math.isfinite(inc):
+                raise FloatingPointError(f"non-finite increment at step {it}")
+            sol_norm = norm(U_next, cfg.norm)
             report.increments.append(inc)
             if prev_inc is not None and prev_inc > 0:
                 report.ratios.append(inc / prev_inc)
             prev_inc = inc
             U = U_next
             report.iterations = it
-            sol_norm = norm(U, cfg.norm)
+            if check is not None:
+                check(U, it)
             if enforce_ball and sol_norm > cfg.ball_radius:
                 report.status = "left_ball"
                 report.sol_norm = sol_norm
                 return U, report
             if inc <= cfg.tol:
-                eq_res = residual(U, eps, prob, cfg.norm)
-                if eq_res <= kappa * cfg.tol:
+                eq_res = eq_residual(U)
+                if eq_res <= report.kappa * cfg.tol:
                     report.status = "converged"
                     report.fp_residual = inc
                     report.residual = eq_res
                     report.sol_norm = sol_norm
                     return U, report
-    except ResonanceError as exc:
-        report.status = "resonant"
+        report.status = "max_iter"
+        report.fp_residual = prev_inc
+        report.residual = eq_residual(U)
+        report.sol_norm = sol_norm
+    except (ResonanceError, FloatingPointError, NormOverflowError) as exc:
+        report.status = "resonant" if isinstance(exc, ResonanceError) else "diverged"
         report.diagnostics["error"] = str(exc)
-        return U, report
-    report.status = "max_iter"
-    report.fp_residual = prev_inc if prev_inc is not None else math.nan
-    report.residual = residual(U, eps, prob, cfg.norm)
-    report.sol_norm = norm(U, cfg.norm)
     return U, report
 
 
@@ -441,7 +465,8 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         if inc_l2 <= cfg.tol:
             break
 
-    report = SolveReport(eps=eps, status="converged", iterations=len(l2_increments))
+    status = "converged" if l2_increments[-1] <= cfg.tol else "max_iter"
+    report = SolveReport(eps=eps, status=status, iterations=len(l2_increments))
     report.increments = l2_increments
     report.ratios = [
         b / a for a, b in zip(l2_increments, l2_increments[1:]) if a > 0

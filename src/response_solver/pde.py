@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multipliers import ResonanceError
-from .ode import SolveReport, SolverConfig
+from .ode import SolveReport, SolverConfig, contract
 from .spectral import (
     FourierField,
     NormSpec,
@@ -142,15 +142,11 @@ def apply_n_inverse(eps: complex, prob: PdeProblem, V: FourierField,
     if V.lattice != lat:
         raise ValueError("field lives on a different lattice")
     symbol = _symbol_array(eps, prob)
-    jslice = (slice(None),) * lat.d + (lat.J,)
     mask = np.zeros(lat.mode_shape, dtype=bool)
-    mask[jslice] = True
+    mask[lat.space_average_slab] = True
     bad = (np.abs(symbol) == 0.0) & ~mask
     if np.any(bad):
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        mode = tuple(
-            int(i) - (lat.K if axis < lat.d else lat.J) for axis, i in enumerate(idx)
-        )
+        mode = lat.mode_of_index(np.argmax(bad))
         raise ResonanceError(f"resonant PDE mode at (k, j)={mode}", mode=mode)
     mult = np.where(mask, 0.0, (fault_scale * eps) / np.where(mask, 1.0, symbol))
     out = V.coeffs * mult[..., None]
@@ -172,8 +168,7 @@ def smoothing_constant(eps: complex, prob: PdeProblem, m_gain: float = 2.0) -> f
     lat = prob.lattice
     symbol = np.abs(_symbol_array(eps, prob))
     weight = (lat.k_sq() + 1.0) ** (m_gain / 2.0)
-    jslice = (slice(None),) * lat.d + (lat.J,)
-    symbol[jslice] = np.inf
+    symbol[lat.space_average_slab] = np.inf
     return float(np.max(np.abs(eps) / symbol * weight))
 
 
@@ -223,13 +218,10 @@ def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
     so the ball radius is enforced whenever it is finite.
     """
     report = SolveReport(eps=eps)
-    U = FourierField.zeros(prob.lattice) if u0 is None else u0.copy()
     symbol = _symbol_array(eps, prob)
-    lat = prob.lattice
-    jslice = (slice(None),) * lat.d + (lat.J,)
-    off = np.abs(symbol).copy()
-    off[jslice] = np.inf
-    report.kappa = 1.0 + float(np.max(np.where(np.isinf(off), 0.0, np.abs(symbol))))
+    mag = np.abs(symbol)
+    mag[prob.lattice.space_average_slab] = 0.0
+    report.kappa = 1.0 + float(np.max(mag))
     c_smooth = smoothing_constant(eps, prob)
     report.diagnostics["c_emp_smoothing"] = c_smooth
     report.diagnostics["smallness"] = "local"
@@ -242,50 +234,24 @@ def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
         )
 
     real_eps = abs(complex(eps).imag) <= 1e-14 * abs(eps)
-    prev_inc = None
-    try:
-        for it in range(1, cfg.max_iter + 1):
-            U_next = pde_picard_step(U, eps, prob)
-            inc = norm(U_next - U, cfg.norm)
-            report.increments.append(inc)
-            if prev_inc is not None and prev_inc > 0:
-                report.ratios.append(inc / prev_inc)
-            prev_inc = inc
-            U = U_next
-            report.iterations = it
 
-            avg = np.max(np.abs(U.space_average_slice()))
-            if avg > 1e-12 * (1 + U.max_abs()):
-                raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
-            if real_eps:
-                sym = U.hermitian_defect()
-                if sym > 1e-10 * (1 + U.max_abs()):
-                    raise AssertionError(
-                        f"Hermitian symmetry lost at step {it}: {sym:.2e}"
-                    )
+    def check_invariants(V: FourierField, it: int) -> None:
+        avg = np.max(np.abs(V.space_average_slice()))
+        if avg > 1e-12 * (1 + V.max_abs()):
+            raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
+        if real_eps:
+            sym = V.hermitian_defect()
+            if sym > 1e-10 * (1 + V.max_abs()):
+                raise AssertionError(
+                    f"Hermitian symmetry lost at step {it}: {sym:.2e}"
+                )
 
-            sol_norm = norm(U, cfg.norm)
-            if math.isfinite(cfg.ball_radius) and sol_norm > cfg.ball_radius:
-                report.status = "left_ball"
-                report.sol_norm = sol_norm
-                return U, report
-            if inc <= cfg.tol:
-                eq_res = pde_residual(U, eps, prob, cfg.norm)
-                if eq_res <= report.kappa * cfg.tol:
-                    report.status = "converged"
-                    report.fp_residual = inc
-                    report.residual = eq_res
-                    report.sol_norm = sol_norm
-                    return U, report
-    except ResonanceError as exc:
-        report.status = "resonant"
-        report.diagnostics["error"] = str(exc)
-        return U, report
-    report.status = "max_iter"
-    report.fp_residual = prev_inc if prev_inc is not None else math.nan
-    report.residual = pde_residual(U, eps, prob, cfg.norm)
-    report.sol_norm = norm(U, cfg.norm)
-    return U, report
+    # the start field is built in the call so that no name here keeps it
+    # alive through the iteration
+    return contract(lambda V: pde_picard_step(V, eps, prob),
+                    lambda V: pde_residual(V, eps, prob, cfg.norm),
+                    FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
+                    cfg, report, math.isfinite(cfg.ball_radius), check_invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +309,24 @@ def pde_certification_scan(eps: complex, beta: float, a_window: float = 50.0,
 
 
 def imaginary_axis_blowup(sigma: float, beta: float, j: int = 1) -> float:
-    """sup |N^-1| near the real root of the symbol for eps = i sigma.
+    """sup |N^-1| near the real roots of the symbol for eps = i sigma.
 
     On the imaginary axis the symbol i(a - sigma a^2 - sigma (beta t^2 - t))
     has real roots in a, so the inverse multiplier is unbounded; this probes
-    a neighborhood of the small root and returns the largest |1/N| found.
+    a neighborhood of the roots and returns the largest |1/N| found.
+    """
+    t = float(j * j)
+    return imaginary_root_blowup(sigma, beta * t * t - t)
+
+
+def imaginary_root_blowup(sigma: float, c: float) -> float:
+    """Largest |1/s(a)| found near the real roots of s(a) = -eps a^2 + i a - eps c
+    at eps = i sigma; inf when s vanishes on a sample point.
+
+    The oscillator divisor l(a) = -eps a^2 + i a + eps lambda is the case
+    c = -lambda.
     """
     eps = 1j * sigma
-    t = float(j * j)
-    c = beta * t * t - t
     disc = 1.0 - 4.0 * sigma * sigma * c
     roots = []
     if disc >= 0:

@@ -73,8 +73,25 @@ class SpectralLattice:
     def n_axes(self) -> int:
         return self.d + (1 if self.has_space else 0)
 
+    @property
+    def cutoffs(self) -> tuple[int, ...]:
+        """Per-axis cutoff: K on each torus axis, then J on the spatial one."""
+        return (self.K,) * self.d + ((self.J,) if self.has_space else ())
+
+    @property
+    def space_average_slab(self) -> tuple:
+        """Index of the j = 0 slab (all torus modes) of a spatial lattice."""
+        if not self.has_space:
+            raise ValueError("lattice has no spatial axis")
+        return (slice(None),) * self.d + (self.J,)
+
+    def mode_of_index(self, flat: int) -> tuple[int, ...]:
+        """Signed mode (k[, j]) at a flat index into ``mode_shape``."""
+        idx = np.unravel_index(int(flat), self.mode_shape)
+        return tuple(int(i) - cut for i, cut in zip(idx, self.cutoffs))
+
     def axis_modes(self, axis: int) -> np.ndarray:
-        cut = self.K if axis < self.d else self.J
+        cut = self.cutoffs[axis]
         return np.arange(-cut, cut + 1)
 
     def k_dot_omega(self) -> np.ndarray:
@@ -274,9 +291,6 @@ class FourierField:
         """max |coeff(-k) - conj(coeff(k))| over the lattice."""
         return float(np.max(np.abs(self.coeffs - self.reflected_conj())))
 
-    def is_real_symmetric(self, tol: float = 1e-12) -> bool:
-        return self.hermitian_defect() <= tol
-
     def hermitian_part(self) -> "FourierField":
         return FourierField(self.lattice, 0.5 * (self.coeffs + self.reflected_conj()))
 
@@ -288,16 +302,12 @@ class FourierField:
 
     def space_average_slice(self) -> np.ndarray:
         """The j = 0 slab of a spatial field."""
-        lat = self.lattice
-        if not lat.has_space:
-            raise ValueError("field has no spatial axis")
-        return self.coeffs[(slice(None),) * lat.d + (lat.J,)]
+        return self.coeffs[self.lattice.space_average_slab]
 
     def project_zero_space_average(self) -> "FourierField":
-        lat = self.lattice
         out = self.coeffs.copy()
-        out[(slice(None),) * lat.d + (lat.J,)] = 0.0
-        return FourierField(lat, out)
+        out[self.lattice.space_average_slab] = 0.0
+        return FourierField(self.lattice, out)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -308,13 +318,9 @@ def lattice_index(lat: SpectralLattice, k: Sequence[int]) -> tuple[int, ...]:
     k = tuple(int(c) for c in k)
     if len(k) != lat.n_axes:
         raise ValueError(f"mode {k} has {len(k)} entries, lattice has {lat.n_axes} axes")
-    idx = []
-    for axis, c in enumerate(k):
-        cut = lat.K if axis < lat.d else lat.J
-        if abs(c) > cut:
-            raise ValueError(f"mode {k} outside lattice cutoff")
-        idx.append(c + cut)
-    return tuple(idx)
+    if any(abs(c) > cut for c, cut in zip(k, lat.cutoffs)):
+        raise ValueError(f"mode {k} outside lattice cutoff")
+    return tuple(c + cut for c, cut in zip(k, lat.cutoffs))
 
 
 def mode_coefficient(f: FourierField, k: Sequence[int]) -> np.ndarray:
@@ -371,20 +377,14 @@ def _grid_shape(lat: SpectralLattice, min_sizes: Sequence[int]) -> tuple[int, ..
 
 
 def default_grid(lat: SpectralLattice, oversample: float = 1.0) -> tuple[int, ...]:
-    sizes = []
-    for axis in range(lat.n_axes):
-        cut = lat.K if axis < lat.d else lat.J
-        sizes.append(max(int(math.ceil(oversample * (2 * cut + 1))), 2 * cut + 1))
+    sizes = [max(int(math.ceil(oversample * (2 * cut + 1))), 2 * cut + 1)
+             for cut in lat.cutoffs]
     return _grid_shape(lat, sizes)
 
 
 def dealias_grid(lat: SpectralLattice, degree: int = 2) -> tuple[int, ...]:
     """Grid large enough that a degree-p product is alias-free on the lattice."""
-    sizes = []
-    for axis in range(lat.n_axes):
-        cut = lat.K if axis < lat.d else lat.J
-        sizes.append((degree + 1) * cut + 1)
-    return _grid_shape(lat, sizes)
+    return _grid_shape(lat, [(degree + 1) * cut + 1 for cut in lat.cutoffs])
 
 
 def synthesize(f: FourierField, grid: Sequence[int] | None = None) -> np.ndarray:
@@ -397,10 +397,7 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None) -> np.ndarray
     if grid is None:
         grid = default_grid(lat)
     grid = tuple(int(g) for g in grid)
-    for axis, g in enumerate(grid):
-        cut = lat.K if axis < lat.d else lat.J
-        if g < 2 * cut + 1:
-            raise GridTooSmallError(f"grid {g} < {2 * cut + 1} along axis {axis}")
+    _check_grid(lat, grid)
     work = np.zeros(grid + (lat.n,), dtype=complex)
     work[_bin_index(lat, grid)] = f.coeffs
     axes = tuple(range(len(grid)))
@@ -409,11 +406,14 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None) -> np.ndarray
 
 def _bin_index(lat: SpectralLattice, grid: tuple[int, ...]):
     """FFT-bin positions (k mod N per axis) of the lattice modes."""
-    per_axis = []
-    for axis, g in enumerate(grid):
-        cut = lat.K if axis < lat.d else lat.J
-        per_axis.append(np.mod(np.arange(-cut, cut + 1), g))
-    return tuple(np.ix_(*per_axis))
+    return np.ix_(*(np.mod(np.arange(-cut, cut + 1), g)
+                    for g, cut in zip(grid, lat.cutoffs)))
+
+
+def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
+    for axis, (g, cut) in enumerate(zip(grid, lat.cutoffs)):
+        if g < 2 * cut + 1:
+            raise GridTooSmallError(f"grid {g} < {2 * cut + 1} along axis {axis}")
 
 
 def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
@@ -422,10 +422,7 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
     grid = values.shape[:-1]
     if values.shape[-1] != lat.n or len(grid) != lat.n_axes:
         raise ValueError("value array shape does not match lattice")
-    for axis, g in enumerate(grid):
-        cut = lat.K if axis < lat.d else lat.J
-        if g < 2 * cut + 1:
-            raise GridTooSmallError(f"grid {g} < {2 * cut + 1} along axis {axis}")
+    _check_grid(lat, grid)
     axes = tuple(range(len(grid)))
     spec = sfft.fftn(values, axes=axes, workers=-1) / np.prod(grid)
     return FourierField(lat, spec[_bin_index(lat, grid)])
@@ -671,14 +668,6 @@ def spatial_derivative(u: FourierField, order: int) -> FourierField:
     return FourierField(lat, u.coeffs * mult.reshape(shape))
 
 
-def apply_multiplier(u: FourierField, mult: np.ndarray) -> FourierField:
-    """Scalar Fourier multiplier: coefficient-wise product over the modes."""
-    mult = np.asarray(mult)
-    if mult.shape != u.lattice.mode_shape:
-        raise ValueError("multiplier shape does not match lattice")
-    return FourierField(u.lattice, u.coeffs * mult[..., None])
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -724,8 +713,7 @@ def truncation_tail_norm(f: FourierField, spec: NormSpec, margin: int = 1) -> fl
     """Weighted norm of the outermost shells: a finite-cutoff diagnostic."""
     lat = f.lattice
     linf = np.zeros(lat.mode_shape)
-    for axis in range(lat.n_axes):
-        cut = lat.K if axis < lat.d else lat.J
+    for axis, cut in enumerate(lat.cutoffs):
         shape = [1] * lat.n_axes
         shape[axis] = 2 * cut + 1
         frac = np.abs(lat.axis_modes(axis)) / cut

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from .pde import (
     PdeProblem,
     boussinesq_nonlinearity,
     imaginary_axis_blowup,
+    imaginary_root_blowup,
     pde_certification_scan,
 )
 from .spectral import (
@@ -49,23 +51,14 @@ FAULT_NAMES = ("ode-mode-inverse", "pde-mode-inverse")
 # Newton oracle
 
 
-def _restrict(field: FourierField, small: SpectralLattice) -> FourierField:
+def restrict_field(field: FourierField, small: SpectralLattice) -> FourierField:
     """Copy the coefficients of the shared modes onto a smaller lattice."""
-    big = field.lattice
-    out = np.zeros(small.field_shape, dtype=complex)
     slices = []
-    for axis in range(small.n_axes):
-        cut_b = big.K if axis < big.d else big.J
-        cut_s = small.K if axis < small.d else small.J
+    for cut_b, cut_s in zip(field.lattice.cutoffs, small.cutoffs):
         if cut_s > cut_b:
             raise ValueError("target lattice is larger than the source")
         slices.append(slice(cut_b - cut_s, cut_b + cut_s + 1))
-    out[...] = field.coeffs[tuple(slices)]
-    return FourierField(small, out)
-
-
-def restrict_field(field: FourierField, small: SpectralLattice) -> FourierField:
-    return _restrict(field, small)
+    return FourierField(small, field.coeffs[tuple(slices)].copy())
 
 
 def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
@@ -89,7 +82,7 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
     ):
         raise ValueError("the oracle does not model generalized p, q coefficients")
 
-    f_small = _restrict(prob.forcing, small)
+    f_small = restrict_field(prob.forcing, small)
     n = lat.n
     a = small.k_dot_omega().ravel()
     M = a.size
@@ -122,21 +115,32 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
         for i in range(n):
             for jj in range(n):
                 J[idx * n + i, idx * n + jj] += L_blocks[:, i, jj]
-        return J
-
-    x = np.zeros(M * n, dtype=complex)
-    fx = F(x)
-    for _ in range(max_iter):
-        res = float(np.max(np.abs(fx)))
-        if res <= tol:
-            break
-        J = jacobian(x)
         sv_min = np.linalg.svd(J, compute_uv=False)[-1]
         if sv_min < 1e-14:
             raise np.linalg.LinAlgError(
                 f"oracle Jacobian singular (smallest singular value {sv_min:.2e})"
             )
-        step = np.linalg.solve(J, fx)
+        return J
+
+    return gather(_damped_newton(F, jacobian, np.zeros(M * n, dtype=complex),
+                                 tol, max_iter))
+
+
+def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
+                   jacobian: Callable[[np.ndarray], np.ndarray],
+                   x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Newton's method on F(x) = 0 from x0, halving each step until max|F| drops.
+
+    Stops once max|F| <= tol; raises RuntimeError when no step of length at
+    least 1e-4 lowers max|F| or when max_iter steps do not reach tol.
+    """
+    x = x0
+    fx = F(x)
+    for _ in range(max_iter):
+        res = float(np.max(np.abs(fx)))
+        if res <= tol:
+            return x
+        step = np.linalg.solve(jacobian(x), fx)
         alpha = 1.0
         while alpha > 1e-4:
             x_try = x - alpha * step
@@ -147,9 +151,7 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
             alpha /= 2
         else:
             raise RuntimeError("oracle line search stalled")
-    else:
-        raise RuntimeError("oracle did not reach tolerance")
-    return gather(x)
+    raise RuntimeError("oracle did not reach tolerance")
 
 
 def _polynomial_derivative(g: NonlinearitySpec) -> NonlinearitySpec:
@@ -168,19 +170,13 @@ def _convolution_matrix(W: FourierField) -> np.ndarray:
     makes every difference k - k' addressable.
     """
     lat = W.lattice
+    cuts = lat.cutoffs
     big = SpectralLattice(d=lat.d, K=2 * lat.K, omega=lat.omega, n=lat.n,
-                          has_space=lat.has_space, J=2 * lat.J if lat.has_space else 0)
+                          has_space=lat.has_space, J=2 * lat.J)
     W_big = np.zeros(big.field_shape, dtype=complex)
-    emb = []
-    for axis in range(lat.n_axes):
-        cut = lat.K if axis < lat.d else lat.J
-        bigcut = 2 * cut
-        emb.append(slice(bigcut - cut, bigcut + cut + 1))
-    W_big[tuple(emb)] = W.coeffs
-    axes = [np.arange(-(lat.K if ax < lat.d else lat.J),
-                      (lat.K if ax < lat.d else lat.J) + 1)
-            for ax in range(lat.n_axes)]
-    grids = np.meshgrid(*axes, indexing="ij")
+    W_big[tuple(slice(cut, 3 * cut + 1) for cut in cuts)] = W.coeffs
+    grids = np.meshgrid(*(lat.axis_modes(ax) for ax in range(lat.n_axes)),
+                        indexing="ij")
     flat_modes = np.stack([g.ravel() for g in grids], axis=1)   # (M, n_axes)
     M = flat_modes.shape[0]
     out = np.zeros((lat.n, M, M), dtype=complex)
@@ -188,10 +184,7 @@ def _convolution_matrix(W: FourierField) -> np.ndarray:
         Wc = W_big[..., c]
         for row in range(M):
             diff = flat_modes[row][None, :] - flat_modes        # k - k'
-            idx = tuple(
-                diff[:, ax] + (2 * (lat.K if ax < lat.d else lat.J))
-                for ax in range(lat.n_axes)
-            )
+            idx = tuple(diff[:, ax] + 2 * cut for ax, cut in enumerate(cuts))
             out[c, row, :] = Wc[idx]
     return out
 
@@ -206,7 +199,7 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
     small = SpectralLattice(d=lat.d, K=K_small, omega=lat.omega, n=1,
                             has_space=True, J=J_small)
     small_prob = PdeProblem(lattice=small, beta=prob.beta,
-                            forcing=_restrict(prob.forcing, small),
+                            forcing=restrict_field(prob.forcing, small),
                             nonlinear=prob.nonlinear)
     axes = [np.arange(-K_small, K_small + 1)] * lat.d + [np.arange(-J_small, J_small + 1)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -237,26 +230,7 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
         J[zero_row, zero_row] = 1.0
         return J
 
-    x = np.zeros(M, dtype=complex)
-    fx = F(x)
-    for _ in range(max_iter):
-        res = float(np.max(np.abs(fx)))
-        if res <= tol:
-            break
-        J = jacobian(x)
-        step = np.linalg.solve(J, fx)
-        alpha = 1.0
-        while alpha > 1e-4:
-            x_try = x - alpha * step
-            f_try = F(x_try)
-            if np.max(np.abs(f_try)) < res:
-                x, fx = x_try, f_try
-                break
-            alpha /= 2
-        else:
-            raise RuntimeError("oracle line search stalled")
-    else:
-        raise RuntimeError("oracle did not reach tolerance")
+    x = _damped_newton(F, jacobian, np.zeros(M, dtype=complex), tol, max_iter)
     return FourierField(small, x.reshape(small.field_shape))
 
 
@@ -319,75 +293,75 @@ def build_liouville(spec: LiouvilleSpec) -> LiouvilleFrequency:
             alpha_fraction=(0, 0), notes=["no levels requested: sqrt(2) fallback"],
         )
 
-    mp.mp.dps = 60
-    # convergent recurrences; a0 = 1 so alpha sits in (1, 2)
-    p_prev, q_prev = 1, 0          # p_{-1}, q_{-1}
-    p_cur, q_cur = 1, 1            # p_0 / q_0 = a0 = 1
-    quotients = [1]
-    notes: list[str] = []
-    witnesses_raw: list[tuple[int, int, int]] = []   # (p_n, q_n, n)
-    truncated_at = None
+    with mp.workdps(60):
+        # convergent recurrences; a0 = 1 so alpha sits in (1, 2)
+        p_prev, q_prev = 1, 0          # p_{-1}, q_{-1}
+        p_cur, q_cur = 1, 1            # p_0 / q_0 = a0 = 1
+        quotients = [1]
+        notes: list[str] = []
+        witnesses_raw: list[tuple[int, int, int]] = []   # (p_n, q_n, n)
+        truncated_at = None
 
-    for level in range(1, spec.levels + 1):
-        if level == 1:
-            a_next = max(spec.first_quotient, 1)
-        else:
-            # q_next >= e^{growth q^2}; judge feasibility in log space first,
-            # since q itself can be far beyond float range
-            log10_q = float(mp.log10(mp.mpf(q_cur)))
-            if 2 * log10_q > math.log10(spec.max_digits) + 2:
-                truncated_at = level
+        for level in range(1, spec.levels + 1):
+            if level == 1:
+                a_next = max(spec.first_quotient, 1)
+            else:
+                # q_next >= e^{growth q^2}; judge feasibility in log space first,
+                # since q itself can be far beyond float range
+                log10_q = float(mp.log10(mp.mpf(q_cur)))
+                if 2 * log10_q > math.log10(spec.max_digits) + 2:
+                    truncated_at = level
+                    notes.append(
+                        f"level {level} needs ~1e{2 * log10_q:.0f}-digit denominators; "
+                        "truncated"
+                    )
+                    break
+                target_log = spec.growth * float(q_cur) ** 2
+                digits = target_log / math.log(10.0)
+                if digits > spec.max_digits:
+                    truncated_at = level
+                    notes.append(
+                        f"level {level} needs ~{digits:.3g}-digit denominators; truncated"
+                    )
+                    break
+                a_next = int(mp.ceil(mp.exp(target_log) / q_cur)) + 1
+            p_next = a_next * p_cur + p_prev
+            q_next = a_next * q_cur + q_prev
+            quotients.append(a_next)
+            witnesses_raw.append((p_cur, q_cur, level))
+            p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
+
+        # realized alpha: the deepest convergent built; mpf rounds the huge
+        # integers to working precision, which is all the ratio needs
+        alpha_p, alpha_q = p_cur, q_cur
+        alpha = mp.mpf(alpha_p) / mp.mpf(alpha_q)
+        alpha_float = float(alpha)
+        omega = (1.0, alpha_float)
+
+        witnesses = []
+        for p_n, q_n, level in witnesses_raw:
+            # exact: |q_n alpha - p_n| = |q_n p_L - p_n q_L| / q_L, pure bigint
+            num = abs(q_n * alpha_p - p_n * alpha_q)
+            log10_exact = float(mp.log10(mp.mpf(num)) - mp.log10(mp.mpf(alpha_q)))
+            div_float = abs(-p_n * 1.0 + q_n * alpha_float)
+            log10_bound = -spec.growth * q_n * q_n / math.log(10.0)
+            if log10_exact > log10_bound + 1e-9:
                 notes.append(
-                    f"level {level} needs ~1e{2 * log10_q:.0f}-digit denominators; "
-                    "truncated"
+                    f"witness level {level}: exact divisor 1e{log10_exact:.2f} "
+                    f"above advertised bound 1e{log10_bound:.2f}"
                 )
-                break
-            target_log = spec.growth * float(q_cur) ** 2
-            digits = target_log / math.log(10.0)
-            if digits > spec.max_digits:
-                truncated_at = level
-                notes.append(
-                    f"level {level} needs ~{digits:.3g}-digit denominators; truncated"
-                )
-                break
-            a_next = int(mp.ceil(mp.exp(target_log) / q_cur)) + 1
-        p_next = a_next * p_cur + p_prev
-        q_next = a_next * q_cur + q_prev
-        quotients.append(a_next)
-        witnesses_raw.append((p_cur, q_cur, level))
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
-
-    # realized alpha: the deepest convergent built; mpf rounds the huge
-    # integers to working precision, which is all the ratio needs
-    alpha_p, alpha_q = p_cur, q_cur
-    alpha = mp.mpf(alpha_p) / mp.mpf(alpha_q)
-    alpha_float = float(alpha)
-    omega = (1.0, alpha_float)
-
-    witnesses = []
-    for p_n, q_n, level in witnesses_raw:
-        # exact: |q_n alpha - p_n| = |q_n p_L - p_n q_L| / q_L, pure bigint
-        num = abs(q_n * alpha_p - p_n * alpha_q)
-        log10_exact = float(mp.log10(mp.mpf(num)) - mp.log10(mp.mpf(alpha_q)))
-        div_float = abs(-p_n * 1.0 + q_n * alpha_float)
-        log10_bound = -spec.growth * q_n * q_n / math.log(10.0)
-        if log10_exact > log10_bound + 1e-9:
-            notes.append(
-                f"witness level {level}: exact divisor 1e{log10_exact:.2f} "
-                f"above advertised bound 1e{log10_bound:.2f}"
-            )
-        witnesses.append(Witness(
-            k=(-p_n, q_n),
-            divisor_exact=10.0 ** log10_exact if log10_exact > -300 else 0.0,
-            divisor_log10=log10_exact,
-            divisor_float=div_float,
-            bound=math.exp(max(-spec.growth * q_n * q_n, -700.0)),
-            q=q_n,
-        ))
-    return LiouvilleFrequency(
-        omega=omega, witnesses=witnesses, truncated_at=truncated_at,
-        alpha_fraction=(alpha_p, alpha_q), notes=notes,
-    )
+            witnesses.append(Witness(
+                k=(-p_n, q_n),
+                divisor_exact=10.0 ** log10_exact if log10_exact > -300 else 0.0,
+                divisor_log10=log10_exact,
+                divisor_float=div_float,
+                bound=math.exp(max(-spec.growth * q_n * q_n, -700.0)),
+                q=q_n,
+            ))
+        return LiouvilleFrequency(
+            omega=omega, witnesses=witnesses, truncated_at=truncated_at,
+            alpha_fraction=(alpha_p, alpha_q), notes=notes,
+        )
 
 
 def scan_for_witnesses(omega: tuple[float, float], K: int,
@@ -541,7 +515,8 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
                 "certified": gb.certified,
                 "exact": gb.exact,
             })
-        blowup = _ode_imaginary_blowup(domain.sigma, problem.linear)
+        lam = float(np.real(problem.linear.eigenvalues()[0]))
+        blowup = imaginary_root_blowup(domain.sigma, -lam)
         details = {
             "per_eps": per_eps,
             "scaled_inverse_sup": worst,
@@ -578,21 +553,3 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
         violations=violations,
     )
 
-
-def _ode_imaginary_blowup(sigma: float, linear: LinearPart) -> float:
-    """sup |l^-1| near a real root of the divisor for eps = i sigma."""
-    lam = float(np.real(linear.eigenvalues()[0]))
-    disc = 1.0 + 4.0 * sigma * sigma * lam
-    if disc < 0:
-        return 0.0
-    best = 0.0
-    for sign in (-1.0, 1.0):
-        root = (1.0 + sign * math.sqrt(disc)) / (2.0 * sigma)
-        local = root + np.linspace(-1e-6, 1e-6, 2001) * max(abs(root), 1.0)
-        vals = np.abs(-1j * sigma * local ** 2 + 1j * local + 1j * sigma * lam)
-        vals = vals[vals > 0]
-        if vals.size:
-            best = max(best, float(1.0 / np.min(vals)))
-        else:
-            best = math.inf
-    return best

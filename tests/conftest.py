@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import response_solver as rs
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture
@@ -98,3 +103,12 @@ def manufactured_pde(K, eps=0.02, beta=2.0, amplitude=0.01, nonlinear=True):
     f = manufactured_forcing(W, eps, template)
     prob = PdeProblem(lattice=lat, beta=beta, forcing=f, nonlinear=nonlinear)
     return prob, W, eps
+
+
+def diverging_cubic_problem(path):
+    """The shipped cubic problem with coefficient 5 and forcing amplitude 200."""
+    doc = json.loads((PROBLEMS / "cubic_ode.json").read_text())
+    doc["nonlinearity"]["coeffs"] = [[0.0, 0.0, 0.0, 5.0]]
+    doc["forcing"][0]["amplitude"] = 200.0
+    path.write_text(json.dumps(doc))
+    return path

@@ -19,6 +19,8 @@ from response_solver.cli import (
 from response_solver.ode import OdeProblem
 from response_solver.pde import PdeProblem
 
+from conftest import diverging_cubic_problem
+
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
 CONFIGS = REPO / "configs"
@@ -240,6 +242,40 @@ class TestRun:
         doc["solver"]["tol"] = 1e-16
         cfg = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
         assert run(cfg) == EXIT_NOCONV
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_solve_reports_its_trace(self, tmp_path):
+        prob = diverging_cubic_problem(tmp_path / "p.json")
+        doc = config_doc("solve-ode", str(prob), tmp_path / "out", epsilon=0.5)
+        del doc["solver"]["ball_radius"]
+        cfg = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
+        assert run(cfg) == EXIT_NOCONV
+        report = json.loads((tmp_path / "out" / "result.json").read_text())["report"]
+        assert report["status"] == "diverged"
+        assert len(report["increments"]) == report["iterations"] >= 1
+        assert len(report["ratios"]) == len(report["increments"]) - 1
+        assert report["diagnostics"]["error"]
+
+    def test_low_reg_budget_exhausted_exit_code(self, tmp_path):
+        doc = config_doc("low-reg", str(PROBLEMS / "lowreg_ode.json"),
+                         tmp_path / "out", epsilon=0.05, s_grid=[0.0, 0.5])
+        doc["solver"]["tol"] = 1e-12
+        doc["solver"]["max_iter"] = 2
+        cfg = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
+        assert run(cfg) == EXIT_NOCONV
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["report"]["status"] == "max_iter"
+
+    def test_numpy_global_rng_untouched(self, tmp_path):
+        import numpy as np
+
+        np.random.random()      # leave any freshly seeded state
+        before = np.random.get_state()
+        assert cli.main(["--config", str(CONFIGS / "solve_cubic.json"),
+                         "--out", str(tmp_path / "out")]) == EXIT_OK
+        after = np.random.get_state()
+        assert before[0] == after[0] and before[2:] == after[2:]
+        assert (before[1] == after[1]).all()
 
     def test_determinism_byte_identical(self, tmp_path):
         doc = config_doc("solve-ode", str(PROBLEMS / "cubic_ode.json"),

@@ -6,12 +6,13 @@ from numpy.testing import assert_allclose
 
 import response_solver as rs
 from response_solver import ode as ode_mod
+from response_solver.cli import parse_problem
 from response_solver.multipliers import EpsilonDomain, operator_norms
 from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
 from response_solver.spectral import mode_coefficient
 from response_solver.verification import newton_oracle_ode, restrict_field
 
-from conftest import cos_forcing
+from conftest import PROBLEMS, cos_forcing, diverging_cubic_problem, manufactured_pde
 
 
 def exact_linear_solution(lat, eps):
@@ -277,7 +278,66 @@ class TestAnalyticityProbe:
             assert max(probe.decay_ratios) <= 0.5
 
 
+def _ode_cubic(cubic_problem):
+    return rs.solve_fixed_point, cubic_problem, 0.05
+
+
+def _pde_manufactured(cubic_problem):
+    prob, _, eps = manufactured_pde(K=8)
+    return rs.pde_solve_fixed_point, prob, eps
+
+
+def _ode_resonant(cubic_problem):
+    # k = 1 divisor -eps + i + 2 eps vanishes exactly at eps = -i
+    lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
+    prob = rs.OdeProblem(lattice=lat, linear=rs.LinearPart.scalar(2.0),
+                         g_hat=rs.NonlinearitySpec.zero(),
+                         forcing=cos_forcing(lat, 1.0))
+    return rs.solve_fixed_point, prob, -1j
+
+
+class TestContractExits:
+    """Every exit of the shared Picard driver, reached through both solvers."""
+
+    @pytest.mark.parametrize("case, cfg, status, iterations", [
+        (_ode_cubic, rs.SolverConfig(tol=1e-12, ball_radius=1e-9), "left_ball", 1),
+        (_pde_manufactured, rs.SolverConfig(tol=1e-12, ball_radius=1e-9),
+         "left_ball", 1),
+        (_ode_cubic, rs.SolverConfig(tol=1e-15, max_iter=1, ball_radius=1.0),
+         "max_iter", 1),
+        (_pde_manufactured, rs.SolverConfig(tol=1e-15, max_iter=1), "max_iter", 1),
+        (_ode_resonant, rs.SolverConfig(tol=1e-12), "resonant", 0),
+    ], ids=["ode-left_ball", "pde-left_ball", "ode-max_iter", "pde-max_iter",
+            "ode-resonant"])
+    def test_exit_status_and_trace(self, cubic_problem, case, cfg, status,
+                                   iterations):
+        solve, prob, eps = case(cubic_problem)
+        _, rep = solve(eps, prob, cfg)
+        assert rep.status == status
+        assert rep.iterations == iterations == len(rep.increments)
+        assert len(rep.ratios) == max(len(rep.increments) - 1, 0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_keeps_the_trace(self, tmp_path):
+        prob = parse_problem(diverging_cubic_problem(tmp_path / "p.json"))
+        U, rep = rs.solve_fixed_point(0.5, prob, rs.SolverConfig(tol=1e-11))
+        assert rep.status == "diverged"
+        assert rep.iterations == len(rep.increments) >= 1
+        assert len(rep.ratios) == len(rep.increments) - 1
+        assert all(math.isfinite(x) for x in rep.increments)
+        assert np.all(np.isfinite(U.coeffs))
+        assert rep.diagnostics["error"]
+
+
 class TestLowRegularity:
+    def test_iteration_budget_exhausted_is_not_converged(self):
+        prob = parse_problem(PROBLEMS / "lowreg_ode.json")
+        res = rs.low_regularity_solve(0.05, prob,
+                                      rs.SolverConfig(tol=1e-12, max_iter=2), [0.0])
+        assert res.report.status == "max_iter"
+        assert res.report.iterations == 2
+        assert res.report.fp_residual > 1e-12
+
     def test_zero_lipschitz_single_step(self, linear_problem):
         res = rs.low_regularity_solve(0.05, linear_problem,
                                       rs.SolverConfig(tol=1e-12), [0.0, 0.5])

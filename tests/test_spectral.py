@@ -11,6 +11,7 @@ from response_solver.spectral import (
     dealias_grid,
     evaluate_at,
     hs_norm,
+    lattice_index,
     mode_coefficient,
 )
 
@@ -19,6 +20,21 @@ def single_mode(lat, k, value=1.0 + 0j):
     vec = np.zeros(lat.n, dtype=complex)
     vec[0] = value
     return rs.FourierField.from_modes(lat, {tuple(k): vec})
+
+
+class TestLatticeGeometry:
+    def test_mode_of_index_inverts_lattice_index(self, pde_lattice):
+        assert pde_lattice.cutoffs == (8, 8, 8)
+        for k in [(0, 0, 0), (-8, 3, 8), (8, -8, -1)]:
+            flat = np.ravel_multi_index(lattice_index(pde_lattice, k),
+                                        pde_lattice.mode_shape)
+            assert pde_lattice.mode_of_index(flat) == k
+
+    def test_space_average_slab_is_j_zero(self, pde_lattice, lat1d):
+        slab = np.zeros(pde_lattice.mode_shape)[pde_lattice.space_average_slab]
+        assert slab.shape == (17, 17)
+        with pytest.raises(ValueError):
+            lat1d.space_average_slab
 
 
 class TestNorm:

@@ -101,6 +101,13 @@ class TestLiouville:
         assert freq.witnesses == []
         assert freq.omega == (1.0, math.sqrt(2.0))
 
+    def test_working_precision_restored(self):
+        import mpmath
+
+        with mpmath.workdps(20):
+            build_liouville(LiouvilleSpec())
+            assert mpmath.mp.dps == 20
+
     def test_unreachable_level_truncates_with_note(self):
         freq = build_liouville(LiouvilleSpec(levels=4, max_digits=10_000))
         assert freq.truncated_at == 3
