@@ -18,7 +18,9 @@ import logging
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,6 @@ from .spectral import (
     NonlinearitySpec,
     NormSpec,
     SpectralLattice,
-    check_nonresonance,
     log_weights,
     norm,
     truncation_tail_norm,
@@ -69,12 +70,6 @@ SYMBOLIC_OMEGA = {
     "sqrt5": math.sqrt(5.0),
     "golden": (1.0 + math.sqrt(5.0)) / 2.0,
 }
-
-COMMANDS = (
-    "solve-ode", "solve-pde", "sweep", "probe-analytic", "low-reg",
-    "verify", "demo-liouville",
-)
-
 
 class InputError(ValueError):
     """Schema or invariant violation in a problem/config document."""
@@ -160,83 +155,73 @@ def _parse_forcing(terms: list, lat: SpectralLattice, path: str) -> FourierField
     return out
 
 
+def _load_json(path: Path, what: str) -> dict:
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} file {path} does not exist") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
     """Load and validate a problem document.
 
     All invariants are checked at load time: zero-mean forcing, real nonzero
     spectrum, beta admissibility, and non-resonance on the working lattice
-    (decimal omega entries are accepted but still must pass the scan).
+    (decimal omega entries are accepted but still must pass the scan, which
+    the problem classes run).
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise InputError(f"problem file {path} does not exist") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
-
+    doc = _load_json(path, "problem")
     kind = _require(doc, "kind", str(path))
+    if kind not in ("ode", "pde"):
+        raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
     d = int(_require(doc, "d", str(path)))
     K = int(_require(doc, "K", str(path)))
     omega = _parse_omega(_require(doc, "omega", str(path)), str(path))
-
-    if kind == "ode":
-        n = int(doc.get("n", 1))
-        lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
-        value, kmin = check_nonresonance(lat.omega_array, 2 * K)
-        if value <= 0.0:
-            raise InputError(
-                f"{path}: omega is resonant on the lattice, k={kmin} gives k.omega=0"
-            )
-        raw_a = np.asarray(_require(doc, "A", str(path)), dtype=float)
-        if raw_a.size != n * n:
-            raise InputError(f"{path}.A: expected {n * n} row-major entries, "
-                             f"got {raw_a.size}")
-        A = raw_a.reshape(n, n)
-        jordan = None
-        phi = None
-        if "jordan" in doc:
-            try:
-                jordan = tuple(
-                    JordanBlock(float(b["lambda"]), int(b["size"]),
-                                float(b.get("p", 1.0)), float(b.get("q", 1.0)))
-                    for b in doc["jordan"]
-                )
-            except (KeyError, ValueError) as exc:
-                raise InputError(f"{path}.jordan: {exc}") from exc
-        if "phi" in doc:
-            raw_phi = np.asarray(doc["phi"], dtype=float)
-            if raw_phi.size != n * n:
-                raise InputError(f"{path}.phi: expected {n * n} row-major entries")
-            phi = tuple(map(tuple, raw_phi.reshape(n, n)))
-        try:
+    try:
+        if kind == "ode":
+            n = int(doc.get("n", 1))
+            lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
+            raw_a = np.asarray(_require(doc, "A", str(path)), dtype=float)
+            if raw_a.size != n * n:
+                raise InputError(f"{path}.A: expected {n * n} row-major entries, "
+                                 f"got {raw_a.size}")
+            A = raw_a.reshape(n, n)
+            jordan = None
+            phi = None
+            if "jordan" in doc:
+                try:
+                    jordan = tuple(
+                        JordanBlock(float(b["lambda"]), int(b["size"]),
+                                    float(b.get("p", 1.0)), float(b.get("q", 1.0)))
+                        for b in doc["jordan"]
+                    )
+                except (KeyError, ValueError) as exc:
+                    raise InputError(f"{path}.jordan: {exc}") from exc
+            if "phi" in doc:
+                raw_phi = np.asarray(doc["phi"], dtype=float)
+                if raw_phi.size != n * n:
+                    raise InputError(f"{path}.phi: expected {n * n} row-major entries")
+                phi = tuple(map(tuple, raw_phi.reshape(n, n)))
             linear = LinearPart(tuple(map(tuple, A.tolist())), jordan, phi)
             g_hat = _parse_nonlinearity(doc.get("nonlinearity", {"kind": "zero"}),
                                         f"{path}.nonlinearity")
             forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
                                      f"{path}.forcing")
             return OdeProblem(lattice=lat, linear=linear, g_hat=g_hat, forcing=forcing)
-        except (ValueError, ArithmeticError) as exc:
-            raise InputError(f"{path}: {exc}") from exc
-
-    if kind == "pde":
         J = int(_require(doc, "J", str(path)))
         beta = float(_require(doc, "beta", str(path)))
         lat = SpectralLattice(d=d, K=K, omega=omega, n=1, has_space=True, J=J)
-        value, kmin = check_nonresonance(lat.omega_array, 2 * K)
-        if value <= 0.0:
-            raise InputError(
-                f"{path}: omega is resonant on the lattice, k={kmin} gives k.omega=0"
-            )
-        try:
-            forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
-                                     f"{path}.forcing")
-            return PdeProblem(lattice=lat, beta=beta, forcing=forcing,
-                              nonlinear=bool(doc.get("nonlinear", True)))
-        except (ValueError, ArithmeticError) as exc:
-            raise InputError(f"{path}: {exc}") from exc
-
-    raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
+        forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
+                                 f"{path}.forcing")
+        return PdeProblem(lattice=lat, beta=beta, forcing=forcing,
+                          nonlinear=bool(doc.get("nonlinear", True)))
+    except InputError:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
@@ -258,7 +243,6 @@ class RunConfig:
     command: str
     problem: str | None
     solver: SolverConfig
-    norm_spec: NormSpec
     output_dir: str
     seed: int
     jobs: int = 1
@@ -268,24 +252,18 @@ class RunConfig:
     @staticmethod
     def load(path: str | Path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text())
-        except FileNotFoundError as exc:
-            raise InputError(f"config file {path} does not exist") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+        doc = _load_json(path, "config")
         overrides = overrides or {}
         command = _require(doc, "command", str(path))
         if command not in COMMANDS:
             raise InputError(f"{path}.command: unknown command {command!r}")
         solver_doc = doc.get("solver", {})
         nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
-        norm_spec = NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0)))
         solver = SolverConfig(
             tol=float(solver_doc.get("tol", 1e-10)),
             max_iter=int(solver_doc.get("max_iter", 200)),
             ball_radius=float(solver_doc.get("ball_radius", math.inf)),
-            norm=norm_spec,
+            norm=NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0))),
         )
         problem = doc.get("problem")
         if problem is not None:
@@ -296,7 +274,6 @@ class RunConfig:
             command=command,
             problem=problem,
             solver=solver,
-            norm_spec=norm_spec,
             output_dir=str(out_dir),
             seed=int(overrides.get("seed") if overrides.get("seed") is not None
                      else doc.get("seed", 0)),
@@ -316,14 +293,14 @@ def _problem_hash(path: str | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
+def _lattice_record(lat: SpectralLattice) -> dict:
+    return {"d": lat.d, "K": lat.K, "n": lat.n, "has_space": lat.has_space,
+            "J": lat.J, "omega": list(lat.omega)}
+
+
 def _field_summary(field: FourierField, spec: NormSpec) -> dict:
-    lat = field.lattice
     return {
-        "lattice": {
-            "d": lat.d, "K": lat.K, "n": lat.n,
-            "has_space": lat.has_space, "J": lat.J,
-            "omega": list(lat.omega),
-        },
+        "lattice": _lattice_record(field.lattice),
         "norm": {"rho": spec.rho, "m": spec.m, "value": norm(field, spec)},
         "max_abs_coefficient": field.max_abs(),
         "truncation_tail": truncation_tail_norm(field, spec),
@@ -332,26 +309,24 @@ def _field_summary(field: FourierField, spec: NormSpec) -> dict:
 
 def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
                        stem: str = "spectrum") -> None:
-    """Index-sorted and magnitude-sorted coefficient tables."""
+    """Index-sorted and magnitude-sorted coefficient tables.
+
+    One row per mode: the mode numbers, re/im of the first component, the
+    mode's magnitude over all components and its norm weight.  Rows come out
+    in C order, which is index order; the magnitude table is a stable sort,
+    so equal magnitudes (the +-k pairs of Hermitian fields) keep index order.
+    """
     lat = field.lattice
-    logw = log_weights(lat, spec)
-    axes = [lat.axis_modes(i) for i in range(lat.n_axes)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    rows = []
-    mags = np.sqrt(np.sum(np.abs(field.coeffs) ** 2, axis=-1))
-    it = np.nditer(mags, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        c = field.coeffs[idx + (0,)]
-        rows.append(
-            [int(g[idx]) for g in grids]
-            + [float(c.real), float(c.imag), float(mags[idx]),
-               float(math.exp(min(logw[idx], 700.0)))]
-        )
+    first = field.coeffs[..., 0].ravel()
+    mags = np.sqrt(np.sum(np.abs(field.coeffs) ** 2, axis=-1)).ravel()
+    # math.exp per entry: numpy's exp is not guaranteed to round the same way
+    weights = map(math.exp, np.minimum(log_weights(lat, spec), 700.0).ravel().tolist())
+    modes = np.meshgrid(*(lat.axis_modes(i) for i in range(lat.n_axes)), indexing="ij")
+    by_index = list(zip(*(g.ravel().tolist() for g in modes), first.real.tolist(),
+                        first.imag.tolist(), mags.tolist(), weights))
+    by_mag = [by_index[i] for i in np.argsort(-mags, kind="stable").tolist()]
     header = [f"k{i+1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
         + ["re", "im", "abs", "weight_rho_m"]
-    by_index = sorted(rows, key=lambda r: r[:lat.n_axes])
-    by_mag = sorted(rows, key=lambda r: -r[lat.n_axes + 2])
     for suffix, data in (("by_index", by_index), ("by_magnitude", by_mag)):
         with open(out_dir / f"{stem}_{suffix}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -387,16 +362,27 @@ def _sanitize(obj):
 # commands
 
 
+@contextmanager
+def _parallel_map(jobs: int):
+    """A thread-pool ``map`` for jobs > 1; None otherwise, which is the one
+    case where sweeps warm-start each solve from the previous one."""
+    if jobs <= 1:
+        yield None
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
+
+
 def _cmd_solve_ode(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
     eps = complex(cfg.params.get("epsilon", 0.05))
     U, rep = solve_fixed_point(eps, prob, cfg.solver)
     result = {
         "command": cfg.command,
         "report": rep.to_dict(),
-        "solution": _field_summary(U, cfg.norm_spec),
+        "solution": _field_summary(U, cfg.solver.norm),
         "ratio_fit_r2": geometric_fit_r2(rep.increments),
     }
-    write_spectrum_csv(U, cfg.norm_spec, out)
+    write_spectrum_csv(U, cfg.solver.norm, out)
     code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
     return code, result
 
@@ -407,9 +393,9 @@ def _cmd_solve_pde(cfg: RunConfig, prob: PdeProblem, out: Path) -> tuple[int, di
     result = {
         "command": cfg.command,
         "report": rep.to_dict(),
-        "solution": _field_summary(U, cfg.norm_spec),
+        "solution": _field_summary(U, cfg.solver.norm),
     }
-    write_spectrum_csv(U, cfg.norm_spec, out)
+    write_spectrum_csv(U, cfg.solver.norm, out)
     code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
     return code, result
 
@@ -424,15 +410,10 @@ def _cmd_sweep(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
         )
     else:
         dom = epsilon_domain_from(_require(params, "domain", "params"), "params.domain")
-        pool = ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
-        try:
+        with _parallel_map(cfg.jobs) as map_fn:
             entries = sweep_epsilon(dom, prob, cfg.solver,
                                     count=int(params.get("count", 8)),
-                                    keep_solutions=False,
-                                    map_fn=pool.map if pool else None)
-        finally:
-            if pool:
-                pool.shutdown()
+                                    keep_solutions=False, map_fn=map_fn)
     rows = [
         {
             "eps": [e.eps.real, e.eps.imag],
@@ -456,15 +437,10 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     center = complex(params.get("center", 1.5 * sigma))
     radius = float(params.get("radius", 0.2 * sigma))
     solve_fn = pde_solve_fixed_point if isinstance(prob, PdeProblem) else None
-    pool = ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
-    try:
+    with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver,
                                   points=int(params.get("points", 16)), domain=dom,
-                                  map_fn=pool.map if pool else None,
-                                  solve_fn=solve_fn)
-    finally:
-        if pool:
-            pool.shutdown()
+                                  map_fn=map_fn, solve_fn=solve_fn)
     result = {
         "command": cfg.command,
         "center": [probe.center.real, probe.center.imag],
@@ -516,7 +492,7 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     return (EXIT_OK if cert.passed else EXIT_CERT), result
 
 
-def _cmd_demo_liouville(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dict]:
     params = cfg.params
     spec = LiouvilleSpec(
         levels=int(params.get("levels", 2)),
@@ -566,6 +542,20 @@ def _cmd_demo_liouville(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     return EXIT_OK, result
 
 
+# command -> (handler, accepted problem classes); () means no problem file
+COMMANDS = {
+    "solve-ode": (_cmd_solve_ode, (OdeProblem,)),
+    "solve-pde": (_cmd_solve_pde, (PdeProblem,)),
+    "sweep": (_cmd_sweep, (OdeProblem,)),
+    "probe-analytic": (_cmd_probe_analytic, (OdeProblem, PdeProblem)),
+    "low-reg": (_cmd_low_reg, (OdeProblem,)),
+    "verify": (_cmd_verify, (OdeProblem, PdeProblem)),
+    "demo-liouville": (_cmd_demo_liouville, ()),
+}
+
+_KIND_NAMES = {OdeProblem: "an ODE", PdeProblem: "a PDE"}
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     out = Path(cfg.output_dir)
@@ -573,35 +563,15 @@ def run(cfg: RunConfig) -> int:
 
     try:
         prob = None
-        if cfg.command != "demo-liouville":
+        handler, kinds = COMMANDS[cfg.command]
+        if kinds:
             if cfg.problem is None:
                 raise InputError(f"command {cfg.command} needs a problem file")
             prob = parse_problem(cfg.problem)
-
-        if cfg.command == "solve-ode":
-            if not isinstance(prob, OdeProblem):
-                raise InputError("solve-ode needs an ODE problem")
-            code, result = _cmd_solve_ode(cfg, prob, out)
-        elif cfg.command == "solve-pde":
-            if not isinstance(prob, PdeProblem):
-                raise InputError("solve-pde needs a PDE problem")
-            code, result = _cmd_solve_pde(cfg, prob, out)
-        elif cfg.command == "sweep":
-            if not isinstance(prob, OdeProblem):
-                raise InputError("sweep needs an ODE problem")
-            code, result = _cmd_sweep(cfg, prob, out)
-        elif cfg.command == "probe-analytic":
-            code, result = _cmd_probe_analytic(cfg, prob, out)
-        elif cfg.command == "low-reg":
-            if not isinstance(prob, OdeProblem):
-                raise InputError("low-reg needs an ODE problem")
-            code, result = _cmd_low_reg(cfg, prob, out)
-        elif cfg.command == "verify":
-            code, result = _cmd_verify(cfg, prob, out)
-        elif cfg.command == "demo-liouville":
-            code, result = _cmd_demo_liouville(cfg, out)
-        else:  # unreachable: RunConfig.load validates
-            raise InputError(f"unknown command {cfg.command}")
+            if not isinstance(prob, kinds):
+                raise InputError(f"{cfg.command} needs "
+                                 f"{' or '.join(_KIND_NAMES[k] for k in kinds)} problem")
+        code, result = handler(cfg, prob, out)
     except InputError as exc:
         _emit_error(cfg, out, str(exc), EXIT_INPUT)
         return EXIT_INPUT
@@ -616,14 +586,10 @@ def run(cfg: RunConfig) -> int:
         "tol": cfg.solver.tol,
         "max_iter": cfg.solver.max_iter,
         "ball_radius": cfg.solver.ball_radius,
-        "norm": {"rho": cfg.norm_spec.rho, "m": cfg.norm_spec.m},
+        "norm": {"rho": cfg.solver.norm.rho, "m": cfg.solver.norm.m},
     }
     if prob is not None:
-        lat = prob.lattice
-        result["lattice"] = {
-            "d": lat.d, "K": lat.K, "n": lat.n, "has_space": lat.has_space,
-            "J": lat.J, "omega": list(lat.omega),
-        }
+        result["lattice"] = _lattice_record(prob.lattice)
     metadata = _metadata(cfg)
     emit(out, _sanitize(result), metadata)
     return code
@@ -636,8 +602,6 @@ def _emit_error(cfg: RunConfig, out: Path, message: str, code: int) -> None:
 
 
 def _metadata(cfg: RunConfig) -> dict:
-    import time
-
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "version": __version__,
@@ -653,7 +617,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed recorded in result.json")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--inject-fault", default=None, choices=list(FAULT_NAMES),
                         help="test hook: perturb a certified multiplier by 2x")

@@ -241,14 +241,14 @@ def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarra
 
 
 def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray,
-               backend: str = "auto") -> np.ndarray:
+               backend: str = "dense") -> np.ndarray:
     """Solve L(a) x = rhs for one mode.
 
     backend "dense" solves with A directly; "jordan" applies the closed-form
-    block inverse through the basis phi; "auto" prefers dense.
+    block inverse through the basis phi.
     """
     rhs = np.asarray(rhs, dtype=complex)
-    if backend not in ("auto", "dense", "jordan"):
+    if backend not in ("dense", "jordan"):
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "jordan":
         return jordan_mode_inverse(eps, a, linear) @ rhs
@@ -273,7 +273,7 @@ def _mode_matrices(eps: complex, linear: LinearPart, lat: SpectralLattice) -> np
 
 
 def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
-                         backend: str = "auto") -> FourierField:
+                         backend: str = "dense") -> FourierField:
     """eps L^-1 f, inverted mode by mode.
 
     Aborts with the offending k when a mode matrix is singular.  Hermitian
@@ -282,6 +282,8 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
     lat = f.lattice
     if linear.n != lat.n:
         raise ValueError("linear part dimension differs from lattice value dimension")
+    if backend not in ("dense", "jordan"):
+        raise ValueError(f"unknown backend {backend!r}")
     if backend == "jordan":
         return _apply_scaled_inverse_jordan(eps, linear, f)
     if lat.n == 1:

@@ -264,7 +264,7 @@ class SweepEntry:
 
 def sweep_epsilon(dom: EpsilonDomain, prob: OdeProblem, cfg: SolverConfig,
                   count: int = 8, eps_values: Sequence[complex] | None = None,
-                  warm_start: bool = True, keep_solutions: bool = True,
+                  keep_solutions: bool = True,
                   map_fn: Callable | None = None) -> list[SweepEntry]:
     """Solve across an epsilon domain, largest |eps| first.
 
@@ -288,8 +288,7 @@ def sweep_epsilon(dom: EpsilonDomain, prob: OdeProblem, cfg: SolverConfig,
     warm: dict[int, FourierField] = {}
     for e in eps_values:
         branch = 0 if abs(e.imag) > 1e-14 * abs(e) else (1 if e.real >= 0 else -1)
-        u0 = warm.get(branch) if warm_start else None
-        U, rep = solve_fixed_point(e, prob, cfg, u0=u0)
+        U, rep = solve_fixed_point(e, prob, cfg, u0=warm.get(branch))
         if rep.status == "converged":
             warm[branch] = U
         else:
@@ -338,14 +337,14 @@ class AnalyticityProbe:
 def analyticity_probe(center_eps: complex, radius: float, prob,
                       cfg: SolverConfig, points: int = 16,
                       domain: EpsilonDomain | None = None,
-                      fd_step_factor: float = 0.05,
                       map_fn: Callable | None = None,
                       solve_fn: Callable | None = None) -> AnalyticityProbe:
     """Taylor coefficients of eps -> U_eps from a discrete Cauchy transform.
 
     Solves on ``points`` equispaced circle points, recovers the coefficients
     c_m = (1/P) sum_p U(eps_p) e^{-2 pi i m p / P} / radius^m, and compares
-    the first derivative against a real-axis central difference.
+    the first derivative against a real-axis central difference with step
+    radius / 20.
 
     ``solve_fn(eps, prob, cfg, u0=...)`` defaults to the oscillator solver;
     pass the Boussinesq fixed-point solver to probe a PDE problem with the
@@ -399,7 +398,7 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
 
     # first Taylor coefficient (dU/deps) vs a real-axis central difference
     c1 = np.tensordot(phases[1], stack, axes=(0, 0)) / points / radius
-    h = fd_step_factor * radius
+    h = 0.05 * radius
     Up, rp = solve_fn(center_eps + h, prob, cfg, u0=center_U)
     Um, rm = solve_fn(center_eps - h, prob, cfg, u0=center_U)
     if rp.status != "converged" or rm.status != "converged":
@@ -494,14 +493,15 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
     )
 
 
-def _fit_window(increments: Sequence[float], floor_rel: float = 1e-13) -> tuple[int, int]:
-    """Index range [lo, hi) skipping the first step and the roundoff floor."""
+def _fit_window(increments: Sequence[float]) -> tuple[int, int]:
+    """Index range [lo, hi) skipping the first step and the roundoff floor
+    (increments at or below 1e-13 of the largest)."""
     if len(increments) < 3:
         return 0, len(increments)
     top = max(increments)
     hi = len(increments)
     for i, v in enumerate(increments):
-        if v <= top * floor_rel:
+        if v <= top * 1e-13:
             hi = i
             break
     lo = 1 if hi - 1 >= 3 else 0

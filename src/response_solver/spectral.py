@@ -94,6 +94,12 @@ class SpectralLattice:
         cut = self.cutoffs[axis]
         return np.arange(-cut, cut + 1)
 
+    def axis_modes_along(self, axis: int) -> np.ndarray:
+        """axis_modes(axis) shaped to broadcast against mode_shape."""
+        shape = [1] * self.n_axes
+        shape[axis] = -1
+        return self.axis_modes(axis).reshape(shape)
+
     def k_dot_omega(self) -> np.ndarray:
         """Array of k.omega over the torus axes, broadcast to mode_shape."""
         return _k_dot_omega(self)
@@ -296,9 +302,7 @@ class FourierField:
 
     def mean_coefficient(self) -> np.ndarray:
         """Coefficient at k = 0 (and j = 0 on spatial lattices)."""
-        lat = self.lattice
-        idx = (lat.K,) * lat.d + ((lat.J,) if lat.has_space else ())
-        return self.coeffs[idx]
+        return self.coeffs[self.lattice.cutoffs]
 
     def space_average_slice(self) -> np.ndarray:
         """The j = 0 slab of a spatial field."""
@@ -340,19 +344,29 @@ def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
     return 2.0 * spec.rho * lat.k_l1() + spec.m * np.log1p(lat.k_sq())
 
 
+# below this magnitude a sum of squared coefficients cannot overflow
+_SQUARE_SAFE = 1e150
+
+
 def norm(f: FourierField, spec: NormSpec) -> float:
     """Weighted l2 norm sqrt( sum |u_k|^2 e^{2 rho |k|}(|k|^2+1)^m ).
 
     |k| in the exponential is the l1 norm, |k|^2 in the polynomial factor is
     Euclidean; spatial lattices use |k|_1 + |j| and |k|^2 + j^2.  Raises
-    NormOverflowError when the result leaves the double range.
+    NormOverflowError when the result leaves the double range and
+    FloatingPointError on NaN coefficients.
     """
     logw = log_weights(f.lattice, spec)
-    mag2 = np.sum(np.abs(f.coeffs) ** 2, axis=-1)
-    nonzero = mag2 > 0.0
-    if not np.any(nonzero):
-        return 0.0
-    logterms = np.log(mag2[nonzero]) + logw[nonzero]
+    mags = np.abs(f.coeffs)
+    if mags.max() < _SQUARE_SAFE:     # false for NaN too
+        mag2 = np.sum(mags ** 2, axis=-1)
+        nonzero = mag2 > 0.0
+        if not np.any(nonzero):
+            return 0.0
+        log_mag2 = np.log(mag2[nonzero])
+    else:
+        nonzero, log_mag2 = _scaled_log_mag2(mags)
+    logterms = log_mag2 + logw[nonzero]
     peak = float(np.max(logterms))
     total = math.sqrt(float(np.sum(np.exp(logterms - peak))))
     log_result = 0.5 * peak + math.log(total)
@@ -361,6 +375,20 @@ def norm(f: FourierField, spec: NormSpec) -> float:
             f"norm exceeds float range (log value {log_result:.1f})"
         )
     return math.exp(log_result)
+
+
+def _scaled_log_mag2(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero-mode mask and log sum_c |u_k,c|^2 over those modes, computed
+    without squaring magnitudes whose square may leave the double range."""
+    if np.any(np.isnan(mags)):
+        raise FloatingPointError("norm of a field with NaN coefficients")
+    if np.any(np.isinf(mags)):
+        raise NormOverflowError("norm of a field with infinite coefficients")
+    peak = np.max(mags, axis=-1)
+    nonzero = peak > 0.0
+    peak = peak[nonzero]
+    rel2 = np.sum((mags[nonzero] / peak[:, None]) ** 2, axis=-1)
+    return nonzero, 2.0 * np.log(peak) + np.log(rel2)
 
 
 def hs_norm(f: FourierField, s: float) -> float:
@@ -433,15 +461,11 @@ def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None)
     lat = f.lattice
     phase = np.zeros(lat.mode_shape)
     for axis in range(lat.d):
-        shape = [1] * lat.n_axes
-        shape[axis] = 2 * lat.K + 1
-        phase = phase + (lat.axis_modes(axis) * float(theta[axis])).reshape(shape)
+        phase = phase + lat.axis_modes_along(axis) * float(theta[axis])
     if lat.has_space:
         if x is None:
             raise ValueError("spatial field needs x")
-        shape = [1] * lat.n_axes
-        shape[-1] = 2 * lat.J + 1
-        phase = phase + (lat.axis_modes(lat.d) * float(x)).reshape(shape)
+        phase = phase + lat.axis_modes_along(lat.d) * float(x)
     weights = np.exp(1j * phase)
     return np.tensordot(weights, f.coeffs, axes=(tuple(range(lat.n_axes)),) * 2)
 
@@ -661,11 +685,8 @@ def spatial_derivative(u: FourierField, order: int) -> FourierField:
     lat = u.lattice
     if not lat.has_space:
         raise ValueError("spatial derivative needs a spatial lattice")
-    j = lat.axis_modes(lat.d).astype(float)
-    mult = (1j * j) ** order
-    shape = [1] * lat.n_axes + [1]
-    shape[lat.d] = 2 * lat.J + 1
-    return FourierField(lat, u.coeffs * mult.reshape(shape))
+    j = lat.axis_modes_along(lat.d).astype(float)
+    return FourierField(lat, u.coeffs * ((1j * j) ** order)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +730,13 @@ def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec) -> float
     return float(np.max(np.abs(base.coeffs - refined.coeffs)))
 
 
-def truncation_tail_norm(f: FourierField, spec: NormSpec, margin: int = 1) -> float:
+def truncation_tail_norm(f: FourierField, spec: NormSpec) -> float:
     """Weighted norm of the outermost shells: a finite-cutoff diagnostic."""
     lat = f.lattice
     linf = np.zeros(lat.mode_shape)
     for axis, cut in enumerate(lat.cutoffs):
-        shape = [1] * lat.n_axes
-        shape[axis] = 2 * cut + 1
-        frac = np.abs(lat.axis_modes(axis)) / cut
-        linf = np.maximum(linf, frac.reshape(shape))
-    cutfrac = 1.0 - margin / max(lat.K, 1)
+        linf = np.maximum(linf, np.abs(lat.axis_modes_along(axis)) / cut)
+    cutfrac = 1.0 - 1 / max(lat.K, 1)
     mask = (linf >= cutfrac)[..., None]
     tail = FourierField(lat, np.where(mask, f.coeffs, 0.0))
     return norm(tail, spec)

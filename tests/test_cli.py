@@ -1,8 +1,10 @@
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import response_solver.cli as cli
@@ -18,6 +20,7 @@ from response_solver.cli import (
 )
 from response_solver.ode import OdeProblem
 from response_solver.pde import PdeProblem
+from response_solver.spectral import FourierField, NormSpec, SpectralLattice, log_weights
 
 from conftest import diverging_cubic_problem
 
@@ -151,6 +154,30 @@ def config_doc(command, problem, out, **params):
     }
 
 
+def reference_spectrum_tables(u: FourierField, spec: NormSpec) -> dict:
+    """Both spectrum CSV texts, built one row at a time and sorted."""
+    lat = u.lattice
+    logw = log_weights(lat, spec)
+    mags = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=-1))
+    rows = []
+    for idx in np.ndindex(lat.mode_shape):
+        c = u.coeffs[idx + (0,)]
+        rows.append([i - cut for i, cut in zip(idx, lat.cutoffs)]
+                    + [float(c.real), float(c.imag), float(mags[idx]),
+                       math.exp(min(logw[idx], 700.0))])
+    header = [f"k{i + 1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
+        + ["re", "im", "abs", "weight_rho_m"]
+    tables = {}
+    for suffix, key in (("by_index", lambda r: r[:lat.n_axes]),
+                        ("by_magnitude", lambda r: -r[lat.n_axes + 2])):
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(header)
+        w.writerows(sorted(rows, key=key))
+        tables[suffix] = text.getvalue()
+    return tables
+
+
 class TestRun:
     def test_solve_ode_on_shipped_cubic(self, tmp_path):
         cfg_path = write_json(
@@ -185,6 +212,28 @@ class TestRun:
             rows = list(csv.reader(fh))
         mags = [float(r[3]) for r in rows[1:]]
         assert mags == sorted(mags, reverse=True)
+
+    @pytest.mark.parametrize("spec", [NormSpec(0.3, 1.5), NormSpec(150.0, 0.0)],
+                             ids=["rho0.3-m1.5", "weights-clipped"])
+    @pytest.mark.parametrize("field", ["jordan-forcing", "jordan-random", "pde-random"])
+    def test_spectrum_csv_matches_row_by_row_reference(self, tmp_path, rng, field, spec):
+        if field.startswith("jordan"):
+            prob = parse_problem(PROBLEMS / "jordan_ode.json")
+            assert prob.lattice.n == 2
+            u = (prob.forcing if field == "jordan-forcing"
+                 else FourierField.random_real(prob.lattice, rng))
+        else:
+            lat = SpectralLattice(d=1, K=3, omega=(1.0,), has_space=True, J=3)
+            u = FourierField.random_real(lat, rng)
+        cli.write_spectrum_csv(u, spec, tmp_path, "s")
+        expected = reference_spectrum_tables(u, spec)
+        for suffix in ("by_index", "by_magnitude"):
+            with open(tmp_path / f"s_{suffix}.csv", newline="") as fh:
+                assert fh.read() == expected[suffix]
+        # the magnitude table has ties, whose order the stable sort fixes
+        mags = [float(line.split(",")[-2])
+                for line in expected["by_magnitude"].splitlines()[1:]]
+        assert any(a == b > 0 for a, b in zip(mags, mags[1:]))
 
     def test_verify_clean_and_faulted(self, tmp_path):
         base = config_doc("verify", str(PROBLEMS / "cubic_ode.json"),
@@ -256,6 +305,33 @@ class TestRun:
         assert len(report["ratios"]) == len(report["increments"]) - 1
         assert report["diagnostics"]["error"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_resonant_pde_eps_reports_its_status(self, tmp_path):
+        # eps = i/2 zeroes the (k, j) = (1, -1) symbol of beta = 2 exactly
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "pde", "d": 1, "K": 4, "J": 4, "omega": ["1"], "beta": 2.0,
+            "forcing": [{"k": [1], "j": 1, "amplitude": 0.01, "waveform": "cos"}],
+        })
+        doc = config_doc("solve-pde", str(prob), tmp_path / "out", epsilon="0.5j")
+        cfg = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
+        assert run(cfg) == EXIT_NOCONV
+        report = json.loads((tmp_path / "out" / "result.json").read_text())["report"]
+        assert report["status"] == "resonant"
+        assert "(1, -1)" in report["diagnostics"]["error"]
+
+    @pytest.mark.parametrize("command, problem", [
+        ("solve-ode", "boussinesq_pde.json"), ("solve-pde", "cubic_ode.json"),
+        ("sweep", "boussinesq_pde.json"), ("low-reg", "boussinesq_pde.json"),
+    ])
+    def test_wrong_problem_kind_names_the_command(self, tmp_path, command, problem):
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json",
+            config_doc(command, str(PROBLEMS / problem), tmp_path / "out"),
+        ))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["error"].startswith(f"{command} needs")
+
     def test_low_reg_budget_exhausted_exit_code(self, tmp_path):
         doc = config_doc("low-reg", str(PROBLEMS / "lowreg_ode.json"),
                          tmp_path / "out", epsilon=0.05, s_grid=[0.0, 0.5])
@@ -267,8 +343,6 @@ class TestRun:
         assert result["report"]["status"] == "max_iter"
 
     def test_numpy_global_rng_untouched(self, tmp_path):
-        import numpy as np
-
         np.random.random()      # leave any freshly seeded state
         before = np.random.get_state()
         assert cli.main(["--config", str(CONFIGS / "solve_cubic.json"),
@@ -309,7 +383,6 @@ class TestRun:
             assert cfg.command in cli.COMMANDS
 
     def test_jordan_problem_loads_and_solves(self, tmp_path):
-        import numpy as np
         import response_solver as rs
 
         prob = parse_problem(PROBLEMS / "jordan_ode.json")

@@ -172,6 +172,11 @@ class TestApplyScaledInverse:
         jord = rs.apply_scaled_inverse(eps, lin, f, backend="jordan")
         assert np.max(np.abs(dense.coeffs - jord.coeffs)) <= 1e-10
 
+    def test_unknown_backend_rejected(self, lat2d, rng):
+        f = rs.FourierField.random_real(lat2d, rng)
+        with pytest.raises(ValueError, match="bogus"):
+            rs.apply_scaled_inverse(0.05, rs.LinearPart.scalar(1.0), f, backend="bogus")
+
     def test_hermitian_preserved_for_real_eps(self, lat2d, rng):
         f = rs.FourierField.random_real(lat2d, rng)
         out = rs.apply_scaled_inverse(0.05, rs.LinearPart.scalar(1.0), f)

@@ -296,6 +296,15 @@ def _ode_resonant(cubic_problem):
     return rs.solve_fixed_point, prob, -1j
 
 
+def _pde_resonant(cubic_problem):
+    # the (k, j) = (1, -1) symbol -eps + i - eps (2 - 1) vanishes exactly at eps = i/2
+    lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,), has_space=True, J=4)
+    prob = rs.PdeProblem(lattice=lat, beta=2.0,
+                         forcing=rs.FourierField.from_modes(lat, {(1, 1): 0.5,
+                                                                  (-1, -1): 0.5}))
+    return rs.pde_solve_fixed_point, prob, 0.5j
+
+
 class TestContractExits:
     """Every exit of the shared Picard driver, reached through both solvers."""
 
@@ -307,8 +316,10 @@ class TestContractExits:
          "max_iter", 1),
         (_pde_manufactured, rs.SolverConfig(tol=1e-15, max_iter=1), "max_iter", 1),
         (_ode_resonant, rs.SolverConfig(tol=1e-12), "resonant", 0),
+        (_pde_resonant, rs.SolverConfig(tol=1e-12), "resonant", 0),
     ], ids=["ode-left_ball", "pde-left_ball", "ode-max_iter", "pde-max_iter",
-            "ode-resonant"])
+            "ode-resonant", "pde-resonant"])
+    @pytest.mark.filterwarnings("error")
     def test_exit_status_and_trace(self, cubic_problem, case, cfg, status,
                                    iterations):
         solve, prob, eps = case(cubic_problem)
@@ -316,6 +327,7 @@ class TestContractExits:
         assert rep.status == status
         assert rep.iterations == iterations == len(rep.increments)
         assert len(rep.ratios) == max(len(rep.increments) - 1, 0)
+        assert ("error" in rep.diagnostics) == (status == "resonant")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_the_trace(self, tmp_path):

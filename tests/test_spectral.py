@@ -30,6 +30,12 @@ class TestLatticeGeometry:
                                         pde_lattice.mode_shape)
             assert pde_lattice.mode_of_index(flat) == k
 
+    def test_axis_modes_along_broadcasts_one_axis(self, pde_lattice):
+        for axis in range(pde_lattice.n_axes):
+            along = pde_lattice.axis_modes_along(axis)
+            assert along.shape == tuple(17 if a == axis else 1 for a in range(3))
+            assert np.array_equal(along.ravel(), pde_lattice.axis_modes(axis))
+
     def test_space_average_slab_is_j_zero(self, pde_lattice, lat1d):
         slab = np.zeros(pde_lattice.mode_shape)[pde_lattice.space_average_slab]
         assert slab.shape == (17, 17)
@@ -74,6 +80,26 @@ class TestNorm:
             rs.norm(f, rs.NormSpec(50.0, 0))
         # log-space evaluation survives where naive exp(2 rho K) would not
         assert rs.norm(f, rs.NormSpec(25.0, 0)) == pytest.approx(math.exp(25.0 * 16))
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficients_whose_square_overflows(self):
+        lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
+        f = rs.FourierField.from_modes(lat, {(1,): 1e200, (-1,): 1e200})
+        assert_allclose(rs.norm(f, rs.NormSpec()), math.sqrt(2) * 1e200, rtol=1e-14)
+        with pytest.raises(NormOverflowError):
+            rs.norm(f, rs.NormSpec(300.0, 0))
+        with pytest.raises(NormOverflowError):
+            rs.norm(rs.FourierField.from_modes(lat, {(1,): math.inf}), rs.NormSpec())
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_coefficients_raise(self, lat2d, rng):
+        nan = rs.FourierField(lat2d, np.full(lat2d.field_shape, np.nan + 0j))
+        with pytest.raises(FloatingPointError):
+            rs.norm(nan, rs.NormSpec())
+        one_nan = rs.FourierField.random_real(lat2d, rng)
+        one_nan.coeffs[1, 2, 0] = complex(np.nan, 0.0)
+        with pytest.raises(FloatingPointError):
+            rs.norm(one_nan, rs.NormSpec(0.2, 1))
 
     def test_pde_weight_uses_k_and_j(self, pde_lattice):
         f = single_mode(pde_lattice, (1, 0, 2))
