@@ -10,7 +10,6 @@ failure, 4 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -315,6 +314,8 @@ def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
     mode's magnitude over all components and its norm weight.  Rows come out
     in C order, which is index order; the magnitude table is a stable sort,
     so equal magnitudes (the +-k pairs of Hermitian fields) keep index order.
+    Each row is formatted once, as ``csv`` would (``repr`` of floats, CRLF),
+    and the lines are written in both orders.
     """
     lat = field.lattice
     first = field.coeffs[..., 0].ravel()
@@ -322,16 +323,16 @@ def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
     # math.exp per entry: numpy's exp is not guaranteed to round the same way
     weights = map(math.exp, np.minimum(log_weights(lat, spec), 700.0).ravel().tolist())
     modes = np.meshgrid(*(lat.axis_modes(i) for i in range(lat.n_axes)), indexing="ij")
-    by_index = list(zip(*(g.ravel().tolist() for g in modes), first.real.tolist(),
-                        first.imag.tolist(), mags.tolist(), weights))
-    by_mag = [by_index[i] for i in np.argsort(-mags, kind="stable").tolist()]
+    columns = [g.ravel().tolist() for g in modes] \
+        + [first.real.tolist(), first.imag.tolist(), mags.tolist(), weights]
+    lines = [",".join(row) + "\r\n" for row in zip(*(map(repr, c) for c in columns))]
     header = [f"k{i+1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
         + ["re", "im", "abs", "weight_rho_m"]
-    for suffix, data in (("by_index", by_index), ("by_magnitude", by_mag)):
+    by_mag = map(lines.__getitem__, np.argsort(-mags, kind="stable").tolist())
+    for suffix, rows in (("by_index", lines), ("by_magnitude", by_mag)):
         with open(out_dir / f"{stem}_{suffix}.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(data)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(rows)
 
 
 def emit(out_dir: str | Path, result: dict, metadata: dict) -> None:

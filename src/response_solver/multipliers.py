@@ -1,9 +1,12 @@
 """Per-mode inversion of the damped linear operator and its certified bounds.
 
 The operator acts diagonally in Fourier space: mode k sees the n x n matrix
-L(a) = -eps a^2 p + i a q + eps A at a = k.omega.  With Jordan data for A the
-inverse has a closed lower-triangular Toeplitz form per block; without it a
-dense solve is used.  Real eps admits an exact lower bound on the scalar
+L(a) = -eps a^2 P + i a Q + eps A at a = k.omega.  ``l_eps`` (the scalar
+divisor) and ``mode_matrices`` are the only places that build it; the
+lattice inverse solves with them directly.  With Jordan data for A the
+inverse also has a closed lower-triangular Toeplitz form per block
+(``jordan_mode_inverse``), kept as the per-mode reference the solve is
+checked against.  Real eps admits an exact lower bound on the scalar
 divisor, |l(a)| >= |eps lambda|; complex-cone bounds are certified from a
 dense scan of the a-line.
 """
@@ -59,17 +62,23 @@ class LinearPart:
     ``jordan`` lists (eigenvalue, block size) with real nonzero eigenvalues;
     ``phi`` is the generalized-eigenvector basis with A phi = phi J, where J
     is the lower-bidiagonal Jordan form built from the blocks.  Jordan data
-    is supplied, never computed numerically; when absent only the dense
-    solve backend is available.  Optional per-block p, q generalize the
-    second- and first-order diagonal coefficients.
+    is supplied, never computed numerically.  Optional per-block p, q scale
+    the second- and first-order terms of the block's components; they need
+    phi = I, the one basis in which diag(P, Q) and the blocks share
+    coordinates.  ``array``, ``phi_array`` and the diagonals ``p_diagonal``,
+    ``q_diagonal`` are built once, read-only.
     """
 
     a_matrix: tuple[tuple[float, ...], ...]
     jordan: tuple[JordanBlock, ...] | None = None
     phi: tuple[tuple[float, ...], ...] | None = None
+    array: np.ndarray = field(init=False, repr=False, compare=False)
+    phi_array: np.ndarray | None = field(init=False, repr=False, compare=False)
+    p_diagonal: np.ndarray = field(init=False, repr=False, compare=False)
+    q_diagonal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = np.asarray(self.a_matrix, dtype=float)
+        A = np.array(self.a_matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         object.__setattr__(self, "a_matrix", tuple(map(tuple, A.tolist())))
@@ -87,10 +96,11 @@ class LinearPart:
             object.__setattr__(self, "jordan", tuple(self.jordan))
             if sum(b.size for b in self.jordan) != A.shape[0]:
                 raise ValueError("Jordan block sizes must sum to n")
+        phi = None
         if self.phi is not None:
             if self.jordan is None:
                 raise ValueError("phi without jordan blocks is meaningless")
-            phi = np.asarray(self.phi, dtype=float)
+            phi = np.array(self.phi, dtype=float)
             if phi.shape != A.shape:
                 raise ValueError("phi must be n x n")
             object.__setattr__(self, "phi", tuple(map(tuple, phi.tolist())))
@@ -99,6 +109,19 @@ class LinearPart:
                 raise ValueError(
                     f"A phi != phi J (defect {defect:.2e}); basis does not match blocks"
                 )
+            if any(b.p != 1.0 or b.q != 1.0 for b in self.jordan) \
+                    and not np.array_equal(phi, np.eye(A.shape[0])):
+                raise ValueError("Jordan blocks with p or q != 1 need phi = I")
+        n = A.shape[0]
+        P, Q = np.ones(n), np.ones(n)
+        if self.jordan is not None:
+            P = np.concatenate([[b.p] * b.size for b in self.jordan])
+            Q = np.concatenate([[b.q] * b.size for b in self.jordan])
+        for name, value in (("array", A), ("phi_array", phi),
+                            ("p_diagonal", P), ("q_diagonal", Q)):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def scalar(lam: float) -> "LinearPart":
@@ -123,14 +146,6 @@ class LinearPart:
     def n(self) -> int:
         return len(self.a_matrix)
 
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.a_matrix, dtype=float)
-
-    @property
-    def phi_array(self) -> np.ndarray | None:
-        return None if self.phi is None else np.asarray(self.phi, dtype=float)
-
     def jordan_matrix(self) -> np.ndarray:
         if self.jordan is None:
             raise ValueError("no Jordan data declared")
@@ -150,7 +165,8 @@ class LinearPart:
         if np.min(np.abs(ev.real)) <= tol * scale:
             raise ValueError("spectrum of A must not contain zero")
 
-    def has_jordan_backend(self) -> bool:
+    def has_jordan_basis(self) -> bool:
+        """Jordan blocks and phi are both declared: the closed form applies."""
         return self.jordan is not None and self.phi is not None
 
 
@@ -171,8 +187,14 @@ def _jordan_matrix(blocks: Sequence[JordanBlock]) -> np.ndarray:
 # scalar divisor and block inverse
 
 
-def l_eps(eps: complex, lam: float, a: float, p: float = 1.0, q: float = 1.0) -> complex:
-    """Scalar mode divisor -eps p a^2 + i q a + eps lambda."""
+def l_eps(eps: complex, lam: float | np.ndarray, a: float | np.ndarray,
+          p: float = 1.0, q: float = 1.0) -> complex | np.ndarray:
+    """Scalar mode divisor -eps p a^2 + i q a + eps lambda.
+
+    ``lam`` and ``a`` may be arrays that broadcast: this is the one
+    evaluation of the divisor, for the scalar ODE and for the Boussinesq
+    symbol (lambda_j = j^2 - beta j^4) alike.
+    """
     return -eps * p * a * a + 1j * q * a + eps * lam
 
 
@@ -208,26 +230,20 @@ def block_inverse(eps: complex, lam: float, size: int, a: float,
     return out
 
 
-def mode_matrix(eps: complex, a: float, linear: LinearPart) -> np.ndarray:
-    """Dense mode matrix -eps a^2 P + i a Q + eps A."""
-    n = linear.n
-    P, Q = _pq_diagonals(linear)
-    return (-eps * a * a) * np.diag(P) + (1j * a) * np.diag(Q) + eps * linear.array
-
-
-def _pq_diagonals(linear: LinearPart) -> tuple[np.ndarray, np.ndarray]:
-    n = linear.n
-    if linear.jordan is None:
-        return np.ones(n), np.ones(n)
-    P = np.concatenate([[b.p] * b.size for b in linear.jordan])
-    Q = np.concatenate([[b.q] * b.size for b in linear.jordan])
-    return P, Q
+def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np.ndarray:
+    """Mode matrices -eps a^2 P + i a Q + eps A at every frequency in ``a``,
+    shape (*a.shape, n, n)."""
+    a = np.asarray(a, dtype=float)[..., None, None]
+    return (-eps) * a ** 2 * np.diag(linear.p_diagonal) \
+        + 1j * a * np.diag(linear.q_diagonal) \
+        + eps * linear.array
 
 
 def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarray:
-    """phi (block-diagonal closed-form inverse) phi^-1."""
-    if not linear.has_jordan_backend():
-        raise ValueError("Jordan backend needs jordan blocks and phi")
+    """phi (block-diagonal closed-form inverse) phi^-1: the per-mode
+    reference for the dense solve."""
+    if not linear.has_jordan_basis():
+        raise ValueError("the closed form needs jordan blocks and phi")
     blocks = [block_inverse(eps, b.lam, b.size, a, b.p, b.q) for b in linear.jordan]
     n = linear.n
     inv = np.zeros((n, n), dtype=complex)
@@ -240,21 +256,11 @@ def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarra
     return phi @ inv @ np.linalg.inv(phi)
 
 
-def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray,
-               backend: str = "dense") -> np.ndarray:
-    """Solve L(a) x = rhs for one mode.
-
-    backend "dense" solves with A directly; "jordan" applies the closed-form
-    block inverse through the basis phi.
-    """
+def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray) -> np.ndarray:
+    """Solve L(a) x = rhs for one mode."""
     rhs = np.asarray(rhs, dtype=complex)
-    if backend not in ("dense", "jordan"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "jordan":
-        return jordan_mode_inverse(eps, a, linear) @ rhs
-    M = mode_matrix(eps, a, linear)
     try:
-        return np.linalg.solve(M, rhs)
+        return np.linalg.solve(mode_matrices(eps, linear, a), rhs)
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"singular mode matrix at a={a}: {exc}") from exc
 
@@ -263,17 +269,8 @@ def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray,
 # lattice-wide application
 
 
-def _mode_matrices(eps: complex, linear: LinearPart, lat: SpectralLattice) -> np.ndarray:
-    """Stack of mode matrices over the lattice, shape (*mode_shape, n, n)."""
-    a = lat.k_dot_omega()
-    P, Q = _pq_diagonals(linear)
-    return (-eps) * a[..., None, None] ** 2 * np.diag(P) \
-        + 1j * a[..., None, None] * np.diag(Q) \
-        + eps * linear.array
-
-
-def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
-                         backend: str = "dense") -> FourierField:
+def apply_scaled_inverse(eps: complex, linear: LinearPart,
+                         f: FourierField) -> FourierField:
     """eps L^-1 f, inverted mode by mode.
 
     Aborts with the offending k when a mode matrix is singular.  Hermitian
@@ -282,21 +279,15 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
     lat = f.lattice
     if linear.n != lat.n:
         raise ValueError("linear part dimension differs from lattice value dimension")
-    if backend not in ("dense", "jordan"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "jordan":
-        return _apply_scaled_inverse_jordan(eps, linear, f)
     if lat.n == 1:
-        a = lat.k_dot_omega()
-        lam = linear.array[0, 0]
-        P, Q = _pq_diagonals(linear)
-        div = -eps * P[0] * a * a + 1j * Q[0] * a + eps * lam
+        div = l_eps(eps, linear.array[0, 0], lat.k_dot_omega(),
+                    linear.p_diagonal[0], linear.q_diagonal[0])
         bad = np.abs(div) == 0.0
         if np.any(bad):
             k = lat.mode_of_index(np.argmax(bad))
             raise ResonanceError(f"singular scalar divisor at k={k}", mode=k)
         return FourierField(lat, eps * f.coeffs / div[..., None])
-    M = _mode_matrices(eps, linear, lat)
+    M = mode_matrices(eps, linear, lat.k_dot_omega())
     det = np.linalg.det(M)
     bad = np.abs(det) == 0.0
     if np.any(bad):
@@ -306,39 +297,10 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart, f: FourierField,
     return FourierField(lat, eps * sol)
 
 
-def _apply_scaled_inverse_jordan(eps: complex, linear: LinearPart,
-                                 f: FourierField) -> FourierField:
-    lat = f.lattice
-    a = lat.k_dot_omega()
-    phi = linear.phi_array
-    phi_inv = np.linalg.inv(phi)
-    tilde = np.einsum("ij,...j->...i", phi_inv, f.coeffs)
-    out = np.empty_like(tilde)
-    at = 0
-    for b in linear.jordan:
-        l = -eps * b.p * a * a + 1j * b.q * a + eps * b.lam
-        bad = np.abs(l) == 0.0
-        if np.any(bad):
-            k = lat.mode_of_index(np.argmax(bad))
-            raise ResonanceError(f"singular divisor at k={k}", mode=k)
-        inv_l = 1.0 / l
-        block = tilde[..., at:at + b.size]
-        acc = np.zeros_like(block)
-        # r-th subdiagonal of the Toeplitz inverse shifts components down by r
-        entry = inv_l.copy()
-        for r in range(b.size):
-            acc[..., r:] += entry[..., None] * block[..., : b.size - r]
-            entry = entry * (-eps * inv_l)
-        out[..., at:at + b.size] = acc
-        at += b.size
-    back = np.einsum("ij,...j->...i", phi, out)
-    return FourierField(lat, eps * back)
-
-
 def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierField:
     """L u: the forward damped operator, mode by mode."""
     lat = u.lattice
-    M = _mode_matrices(eps, linear, lat)
+    M = mode_matrices(eps, linear, lat.k_dot_omega())
     out = np.einsum("...ij,...j->...i", M, u.coeffs)
     return FourierField(lat, out)
 
@@ -346,7 +308,7 @@ def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierF
 def _mode_singular_values(eps: complex, linear: LinearPart,
                           lat: SpectralLattice) -> np.ndarray:
     """Singular values of every mode matrix, shape (modes, n), largest first."""
-    M = _mode_matrices(eps, linear, lat).reshape(-1, linear.n, linear.n)
+    M = mode_matrices(eps, linear, lat.k_dot_omega()).reshape(-1, linear.n, linear.n)
     sv = np.linalg.svd(M, compute_uv=False)
     if np.any(sv[:, -1] == 0.0):
         raise ResonanceError("singular mode matrix on lattice")
@@ -466,14 +428,6 @@ class GammaBound:
             )
 
 
-def scan_divisor_infimum(eps: complex, lam: float, a_values: np.ndarray,
-                         p: float = 1.0, q: float = 1.0) -> float:
-    """min |l(a)| over a sample of the a-line."""
-    a = np.asarray(a_values, dtype=float)
-    vals = np.abs(-eps * p * a * a + 1j * q * a + eps * lam)
-    return float(np.min(vals))
-
-
 def default_a_window(linear: LinearPart, lat: SpectralLattice) -> float:
     lam_max = float(np.max(np.abs(linear.eigenvalues().real)))
     kdw_max = float(np.max(np.abs(lat.k_dot_omega())))
@@ -512,7 +466,7 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
         if real_eps:
             m_b = abs(eps.real * b.lam)
         else:
-            m_b = scan_divisor_infimum(eps, b.lam, scan, b.p, b.q)
+            m_b = float(np.min(np.abs(l_eps(eps, b.lam, scan, b.p, b.q))))
         minima.append(m_b)
         total = sum(abs(eps) ** r / m_b ** (r + 1) for r in range(b.size))
         worst = max(worst, total)

@@ -28,6 +28,7 @@ from .multipliers import (
     operator_norms,
 )
 from .spectral import (
+    L2,
     FourierField,
     NonlinearitySpec,
     NormOverflowError,
@@ -35,7 +36,6 @@ from .spectral import (
     SpectralLattice,
     compose,
     directional_derivative,
-    evaluate_at,
     norm,
 )
 
@@ -77,7 +77,7 @@ class SolverConfig:
     tol: float = 1e-10
     max_iter: int = 200
     ball_radius: float = math.inf
-    norm: NormSpec = NormSpec(0.0, 0.0)
+    norm: NormSpec = L2
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1 or self.ball_radius <= 0:
@@ -125,15 +125,12 @@ def picard_step(U: FourierField, eps: complex, prob: OdeProblem) -> FourierField
 
 
 def residual(U: FourierField, eps: complex, prob: OdeProblem,
-             normspec: NormSpec | None = None) -> float:
-    """Norm of eps (w.d)^2 U + (w.d) U + eps g(U) - eps f."""
-    if normspec is None:
-        normspec = NormSpec(0.0, 0.0)
-    d1 = directional_derivative(U, 1)
-    d2 = directional_derivative(U, 2)
-    AU = FourierField(
-        U.lattice, np.einsum("ij,...j->...i", prob.linear.array, U.coeffs)
-    )
+             normspec: NormSpec = L2) -> float:
+    """Norm of eps P (w.d)^2 U + Q (w.d) U + eps (A U + g(U)) - eps f."""
+    lin = prob.linear
+    d1 = FourierField(U.lattice, directional_derivative(U, 1).coeffs * lin.q_diagonal)
+    d2 = FourierField(U.lattice, directional_derivative(U, 2).coeffs * lin.p_diagonal)
+    AU = FourierField(U.lattice, np.einsum("ij,...j->...i", lin.array, U.coeffs))
     gU = compose(U, prob.g_hat)
     res = eps * d2 + d1 + eps * (AU + gU) - eps * prob.forcing
     return norm(res, normspec)
@@ -449,14 +446,13 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
             f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
         )
 
-    l2 = NormSpec(0.0, 0.0)
     U = FourierField.zeros(prob.lattice)
     per_s: dict[float, list[float]] = {float(s): [] for s in s_grid}
     l2_increments: list[float] = []
     for it in range(cfg.max_iter):
         U_next = picard_step(U, eps, prob)
         delta = U_next - U
-        inc_l2 = norm(delta, l2)
+        inc_l2 = norm(delta, L2)
         l2_increments.append(inc_l2)
         for s in per_s:
             per_s[s].append(spectral.hs_norm(delta, s))
@@ -471,8 +467,8 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         b / a for a, b in zip(l2_increments, l2_increments[1:]) if a > 0
     ]
     report.fp_residual = l2_increments[-1]
-    report.residual = residual(U, eps, prob, l2)
-    report.sol_norm = norm(U, l2)
+    report.residual = residual(U, eps, prob, L2)
+    report.sol_norm = norm(U, L2)
     report.diagnostics["c_emp"] = c_emp
     report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
 
@@ -559,29 +555,29 @@ def time_integration_crosscheck(eps: float, prob: OdeProblem, U: FourierField,
         raise ValueError("time integration needs real eps")
     eps = float(np.real(eps))
     lat = prob.lattice
-    omega = lat.omega_array
+    n = lat.n
+    lin = prob.linear
+    freqs = lat.k_dot_omega().ravel()
 
-    def hull(t: float) -> np.ndarray:
-        return evaluate_at(U, omega * t).real
+    def sampler(field: FourierField) -> Callable[[np.ndarray], np.ndarray]:
+        """t -> Re field(omega t) from the field's nonzero modes; an array of
+        times gives one row per time."""
+        c = field.coeffs.reshape(-1, n)
+        keep = np.any(c != 0, axis=1)
+        freq, c = freqs[keep], c[keep]
+        return lambda t: (np.exp(1j * np.multiply.outer(t, freq)) @ c).real
 
-    dU = directional_derivative(U, 1)
-
-    def hull_rate(t: float) -> np.ndarray:
-        return evaluate_at(dU, omega * t).real
-
-    def g_full(x: np.ndarray) -> np.ndarray:
-        return prob.linear.array @ x + prob.g_hat(x[None, :])[0]
-
-    def f_eval(t: float) -> np.ndarray:
-        return evaluate_at(prob.forcing, omega * t).real
+    hull = sampler(U)
+    forcing = sampler(prob.forcing)
 
     def rhs(t, y):
-        n = lat.n
         x, v = y[:n], y[n:]
-        return np.concatenate([v, f_eval(t) - g_full(x) - v / eps])
+        g = lin.array @ x + prob.g_hat(x[None, :])[0]
+        return np.concatenate([v, (forcing(t) - g - lin.q_diagonal * v / eps)
+                               / lin.p_diagonal])
 
     x0 = hull(0.0)
-    v0 = hull_rate(0.0)
+    v0 = sampler(directional_derivative(U, 1))(0.0)
     if perturbation:
         x0 = x0 + perturbation * np.ones_like(x0)
     sol = solve_ivp(rhs, (0.0, horizon), np.concatenate([x0, v0]),
@@ -590,11 +586,7 @@ def time_integration_crosscheck(eps: float, prob: OdeProblem, U: FourierField,
         raise RuntimeError(f"integrator failed: {sol.message}")
 
     ts = np.linspace(t_skip, horizon, 2001)
-    n = lat.n
-    errs = [
-        float(np.max(np.abs(sol.sol(t)[:n] - hull(t)))) for t in ts
-    ]
-    tracking = max(errs)
+    tracking = float(np.max(np.abs(sol.sol(ts)[:n].T - hull(ts))))
     attraction = float(np.max(np.abs(sol.sol(horizon)[:n] - hull(horizon))))
     return TimeCrossCheck(
         tracking_error=tracking,

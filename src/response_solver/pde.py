@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ResonanceError
+from .multipliers import ResonanceError, l_eps
 from .ode import SolveReport, SolverConfig, contract
 from .spectral import (
+    L2,
     FourierField,
     NormSpec,
     SpectralLattice,
@@ -114,18 +115,17 @@ class PdeProblem:
 
 
 def n_multiplier(eps: complex, a: float, j: int, beta: float) -> complex:
-    """Mode symbol -eps a^2 + i a - eps (beta j^4 - j^2) for j != 0."""
+    """Mode symbol -eps a^2 + i a - eps (beta j^4 - j^2) for j != 0: the
+    oscillator divisor l_eps with lambda_j = j^2 - beta j^4."""
     if j == 0:
         raise ValueError("the j = 0 mode is projected out")
-    return -eps * a * a + 1j * a - eps * (beta * j ** 4 - j ** 2)
+    return l_eps(eps, j ** 2 - beta * j ** 4, a)
 
 
 def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
     lat = prob.lattice
-    a = lat.k_dot_omega()
     j = lat.axis_modes_along(lat.d).astype(float)
-    spatial = prob.beta * j ** 4 - j ** 2
-    return -eps * a * a + 1j * a - eps * spatial
+    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
 
 
 def apply_n_inverse(eps: complex, prob: PdeProblem, V: FourierField,
@@ -190,11 +190,9 @@ def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierF
 
 
 def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
-                 normspec: NormSpec | None = None) -> float:
+                 normspec: NormSpec = L2) -> float:
     """Norm of eps (w.d)^2 U + (w.d) U - eps beta U_xxxx - eps U_xx
     - eps (U^2)_xx - eps f."""
-    if normspec is None:
-        normspec = NormSpec(0.0, 0.0)
     d1 = directional_derivative(U, 1)
     d2 = directional_derivative(U, 2)
     x2 = spatial_derivative(U, 2)

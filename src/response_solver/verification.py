@@ -24,11 +24,13 @@ from .multipliers import (
     EpsilonDomain,
     LinearPart,
     gamma_bound,
+    mode_matrices,
     sample_domain,
 )
 from .ode import OdeProblem, SolverConfig, solve_fixed_point
 from .pde import (
     PdeProblem,
+    _symbol_array,
     boussinesq_nonlinearity,
     imaginary_axis_blowup,
     imaginary_root_blowup,
@@ -77,20 +79,13 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
         raise ValueError(f"{count} unknowns exceed the oracle budget")
     if prob.g_hat.kind not in ("zero", "polynomial"):
         raise ValueError("the Newton oracle handles polynomial nonlinearities")
-    if prob.linear.jordan is not None and any(
-        b.p != 1.0 or b.q != 1.0 for b in prob.linear.jordan
-    ):
-        raise ValueError("the oracle does not model generalized p, q coefficients")
 
     f_small = restrict_field(prob.forcing, small)
     n = lat.n
     a = small.k_dot_omega().ravel()
     M = a.size
 
-    # per-mode forward matrices, (M, n, n)
-    A = prob.linear.array
-    L_blocks = (-eps) * a[:, None, None] ** 2 * np.eye(n) \
-        + 1j * a[:, None, None] * np.eye(n) + eps * A
+    L_blocks = mode_matrices(eps, prob.linear, a)     # (M, n, n)
 
     deriv = _polynomial_derivative(prob.g_hat)
 
@@ -201,14 +196,10 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
     small_prob = PdeProblem(lattice=small, beta=prob.beta,
                             forcing=restrict_field(prob.forcing, small),
                             nonlinear=prob.nonlinear)
-    axes = [np.arange(-K_small, K_small + 1)] * lat.d + [np.arange(-J_small, J_small + 1)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat_modes = np.stack([g.ravel() for g in grids], axis=1)
-    M = flat_modes.shape[0]
-    a = small.k_dot_omega().ravel()
-    j = grids[-1].ravel().astype(float)
-    symbol = -eps * a ** 2 + 1j * a - eps * (prob.beta * j ** 4 - j ** 2)
-    zero_row = j == 0.0
+    symbol = _symbol_array(eps, small_prob).ravel()
+    M = symbol.size
+    j = np.broadcast_to(small.axis_modes_along(small.d), small.mode_shape).ravel()
+    zero_row = j == 0
 
     def F(x: np.ndarray) -> np.ndarray:
         U = FourierField(small, x.reshape(small.field_shape))

@@ -49,6 +49,19 @@ def linear_problem(lat1d):
 
 
 @pytest.fixture
+def pq_problem():
+    """A = 1 whose block scales the second-order term by p = 2 and the
+    first-order term by q = 3; g-hat = 0.1 x^3, f = 0.1 cos, d = 1, K = 8."""
+    lat = rs.SpectralLattice(d=1, K=8, omega=(1.0,))
+    return rs.OdeProblem(
+        lattice=lat,
+        linear=rs.LinearPart(((1.0,),), (rs.JordanBlock(1.0, 1, p=2.0, q=3.0),)),
+        g_hat=rs.NonlinearitySpec.cubic(0.1),
+        forcing=cos_forcing(lat, 0.1),
+    )
+
+
+@pytest.fixture
 def cubic_problem(lat1d):
     """The reference nonlinear example: A=1, g-hat = 0.1 x^3, f = 0.2 cos."""
     return rs.OdeProblem(

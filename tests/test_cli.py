@@ -386,15 +386,21 @@ class TestRun:
         import response_solver as rs
 
         prob = parse_problem(PROBLEMS / "jordan_ode.json")
-        assert prob.linear.has_jordan_backend()
+        assert prob.linear.has_jordan_basis()
         U, rep = rs.solve_fixed_point(0.04, prob,
                                       rs.SolverConfig(tol=1e-12, ball_radius=1.0))
         assert rep.status == "converged"
-        jord = rs.apply_scaled_inverse(0.04, prob.linear, prob.forcing,
-                                       backend="jordan")
-        dense = rs.apply_scaled_inverse(0.04, prob.linear, prob.forcing,
-                                        backend="dense")
-        assert np.max(np.abs(jord.coeffs - dense.coeffs)) <= 1e-10
+
+    def test_pq_with_nonidentity_phi_is_input_error(self, tmp_path):
+        doc = json.loads((PROBLEMS / "jordan_ode.json").read_text())
+        doc["jordan"][0]["p"] = 2.0
+        prob = write_json(tmp_path / "p.json", doc)
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json", config_doc("solve-ode", str(prob), tmp_path / "out")))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["exit_code"] == EXIT_INPUT
+        assert "phi = I" in err["error"]
 
     def test_probe_on_pde_problem(self, tmp_path):
         pde_doc = {

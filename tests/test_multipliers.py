@@ -15,9 +15,11 @@ from response_solver.multipliers import (
     gamma_bound,
     jordan_mode_inverse,
     l_eps,
-    mode_matrix,
+    mode_matrices,
     operator_norms,
 )
+
+from conftest import PROBLEMS
 
 
 class TestScalarDivisor:
@@ -76,22 +78,23 @@ class TestModeSolve:
         x = rs.mode_solve(eps, 0.0, lin, rhs)
         assert_allclose(x, np.linalg.solve(eps * A, rhs), rtol=1e-13)
 
-    def test_backends_agree_jordan_block(self, rng):
+    def test_dense_solve_matches_jordan_closed_form(self, rng):
         phi = np.array([[2.0, 1.0], [1.0, 1.0]])
         lin = rs.LinearPart.from_jordan([(1.0, 2)], phi=phi)
         eps = 0.04 + 0.002j
         for _ in range(20):
             a = float(rng.uniform(-10, 10))
             rhs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            dense = rs.mode_solve(eps, a, lin, rhs, backend="dense")
-            jord = rs.mode_solve(eps, a, lin, rhs, backend="jordan")
-            assert np.max(np.abs(dense - jord)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+            dense = rs.mode_solve(eps, a, lin, rhs)
+            closed = jordan_mode_inverse(eps, a, lin) @ rhs
+            assert np.max(np.abs(dense - closed)) \
+                <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
     def test_jordan_inverse_is_true_inverse(self):
         phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
         lin = rs.LinearPart.from_jordan([(0.5, 2), (-2.0, 1)], phi=phi)
         eps, a = 0.02, 1.7
-        M = mode_matrix(eps, a, lin)
+        M = mode_matrices(eps, lin, a)
         Minv = jordan_mode_inverse(eps, a, lin)
         assert np.max(np.abs(M @ Minv - np.eye(3))) <= 1e-12
 
@@ -101,7 +104,7 @@ class TestLinearPart:
         lin = rs.LinearPart(((2.0, 0.0), (0.0, -1.0)))
         assert lin.jordan is not None
         assert [b.lam for b in lin.jordan] == [2.0, -1.0]
-        assert lin.has_jordan_backend()
+        assert lin.has_jordan_basis()
 
     def test_mismatched_phi_rejected(self):
         A = ((1.0, 0.0), (1.0, 1.0))
@@ -128,8 +131,22 @@ class TestLinearPart:
         lin = rs.LinearPart.from_jordan([(1.0, 1)])
         lin_pq = rs.LinearPart(lin.a_matrix, (rs.JordanBlock(1.0, 1, p=2.0, q=3.0),),
                                lin.phi)
-        M = mode_matrix(0.1, 2.0, lin_pq)
+        M = mode_matrices(0.1, lin_pq, 2.0)
         assert_allclose(M[0, 0], -0.1 * 2.0 * 4.0 + 3j * 2.0 + 0.1, rtol=1e-15)
+
+    def test_pq_need_identity_phi(self):
+        # with phi != I, diag(P, Q) and the blocks live in different coordinates
+        phi = np.array([[2.0, 1.0], [1.0, 1.0]])
+        base = rs.LinearPart.from_jordan([(1.0, 2)], phi=phi)
+        for block in (rs.JordanBlock(1.0, 2, p=2.0), rs.JordanBlock(1.0, 2, q=3.0)):
+            with pytest.raises(ValueError, match="phi = I"):
+                rs.LinearPart(base.a_matrix, (block,), base.phi)
+        ident = rs.LinearPart.from_jordan([(1.0, 2)])
+        for phi in (ident.phi, None):
+            block = rs.JordanBlock(1.0, 2, p=2.0, q=3.0)
+            lin = rs.LinearPart(ident.a_matrix, (block,), phi)
+            assert lin.p_diagonal.tolist() == [2.0, 2.0]
+            assert lin.q_diagonal.tolist() == [3.0, 3.0]
 
 
 class TestApplyScaledInverse:
@@ -162,20 +179,27 @@ class TestApplyScaledInverse:
         spec = rs.NormSpec(0.1, 2)
         assert rs.norm(out, spec) <= c_emp * rs.norm(f, spec) * (1 + 1e-12)
 
-    def test_jordan_backend_matches_dense_on_fields(self, rng):
-        phi = np.array([[2.0, 1.0], [1.0, 1.0]])
-        lin = rs.LinearPart.from_jordan([(1.5, 2)], phi=phi)
-        lat = rs.SpectralLattice(d=2, K=5, omega=(1.0, math.sqrt(2)), n=2)
-        f = rs.FourierField.random_real(lat, rng)
-        eps = 0.02
-        dense = rs.apply_scaled_inverse(eps, lin, f, backend="dense")
-        jord = rs.apply_scaled_inverse(eps, lin, f, backend="jordan")
-        assert np.max(np.abs(dense.coeffs - jord.coeffs)) <= 1e-10
+    def test_matches_jordan_closed_form_at_every_mode(self, rng):
+        from response_solver.cli import parse_problem
 
-    def test_unknown_backend_rejected(self, lat2d, rng):
-        f = rs.FourierField.random_real(lat2d, rng)
-        with pytest.raises(ValueError, match="bogus"):
-            rs.apply_scaled_inverse(0.05, rs.LinearPart.scalar(1.0), f, backend="bogus")
+        lat2 = rs.SpectralLattice(d=2, K=5, omega=(1.0, math.sqrt(2)), n=2)
+        phi = np.array([[2.0, 1.0], [1.0, 1.0]])
+        chain = rs.LinearPart.from_jordan([(1.5, 2)], phi=phi)
+        ident = rs.LinearPart.from_jordan([(1.5, 2), (-0.5, 1)])
+        blocks = (rs.JordanBlock(1.5, 2, p=2.0, q=3.0), rs.JordanBlock(-0.5, 1, p=0.5))
+        scaled = rs.LinearPart(ident.a_matrix, blocks, ident.phi)
+        lat3 = rs.SpectralLattice(d=1, K=6, omega=(1.0,), n=3)
+        shipped = parse_problem(PROBLEMS / "jordan_ode.json")
+        cases = [(chain, lat2), (scaled, lat3), (shipped.linear, shipped.lattice)]
+        for lin, lat in cases:
+            f = rs.FourierField.random_real(lat, rng)
+            a = lat.k_dot_omega()
+            for eps in (0.02, 0.03 + 0.0003j):
+                out = rs.apply_scaled_inverse(eps, lin, f)
+                for idx in np.ndindex(lat.mode_shape):
+                    ref = eps * jordan_mode_inverse(eps, a[idx], lin) @ f.coeffs[idx]
+                    assert np.max(np.abs(out.coeffs[idx] - ref)) \
+                        <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_hermitian_preserved_for_real_eps(self, lat2d, rng):
         f = rs.FourierField.random_real(lat2d, rng)

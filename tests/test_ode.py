@@ -426,6 +426,24 @@ class TestTimeIntegration:
             rs.time_integration_crosscheck(0.05 + 0.01j, linear_problem, U)
 
 
+class TestGeneralizedPQ:
+    """p = 2, q = 3: the inverse, the residual and the integrator share one operator."""
+
+    def test_solve_converges_with_small_residual(self, pq_problem):
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        U, rep = rs.solve_fixed_point(0.05, pq_problem, cfg)
+        assert rep.status == "converged"
+        assert rs.residual(U, 0.05, pq_problem) <= rep.kappa * cfg.tol
+
+    def test_crosscheck_tracks_the_hull(self, pq_problem):
+        U, rep = rs.solve_fixed_point(0.05, pq_problem,
+                                      rs.SolverConfig(tol=1e-12, ball_radius=1.0))
+        assert rep.status == "converged"
+        chk = rs.time_integration_crosscheck(0.05, pq_problem, U, horizon=20.0,
+                                             t_skip=2.0)
+        assert chk.tracking_error <= 1e-6
+
+
 class TestSolveReportSerialization:
     def test_to_dict_round_trips_json(self, cubic_problem):
         import json

@@ -61,6 +61,15 @@ class TestNewtonOracle:
         diff = restrict_field(U, W.lattice) - W
         assert np.max(np.abs(diff.coeffs)) <= 1e-10
 
+    def test_generalized_pq_agreement(self, pq_problem):
+        eps = 0.05
+        U, rep = rs.solve_fixed_point(eps, pq_problem,
+                                      rs.SolverConfig(tol=1e-12, ball_radius=1.0))
+        assert rep.status == "converged"
+        W = newton_oracle_ode(eps, pq_problem, K_small=8)
+        diff = restrict_field(U, W.lattice) - W
+        assert np.max(np.abs(diff.coeffs)) <= 1e-8
+
     def test_budget_guard(self, lowreg_problem):
         with pytest.raises(ValueError):
             newton_oracle_ode(0.05, lowreg_problem, K_small=80)
