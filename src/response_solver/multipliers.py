@@ -6,8 +6,8 @@ divisor) and ``mode_matrices`` are the only places that build it; the
 lattice inverse solves with them directly.  With Jordan data for A the
 inverse also has a closed lower-triangular Toeplitz form per block
 (``jordan_mode_inverse``), kept as the per-mode reference the solve is
-checked against.  Real eps admits an exact lower bound on the scalar
-divisor, |l(a)| >= |eps lambda|; complex-cone bounds are certified from a
+checked against.  Real eps admits the exact infimum of the scalar divisor
+over the a-line in closed form; complex-cone bounds are certified from a
 dense scan of the a-line.
 """
 
@@ -62,7 +62,8 @@ class LinearPart:
     ``jordan`` lists (eigenvalue, block size) with real nonzero eigenvalues;
     ``phi`` is the generalized-eigenvector basis with A phi = phi J, where J
     is the lower-bidiagonal Jordan form built from the blocks.  Jordan data
-    is supplied, never computed numerically.  Optional per-block p, q scale
+    is supplied, never computed numerically; without ``phi`` it must give
+    A = J exactly, and phi = I is filled in.  Optional per-block p, q scale
     the second- and first-order terms of the block's components; they need
     phi = I, the one basis in which diag(P, Q) and the blocks share
     coordinates.  ``array``, ``phi_array`` and the diagonals ``p_diagonal``,
@@ -88,14 +89,16 @@ class LinearPart:
             # exactly diagonal A: trivial Jordan data, no numerics involved
             jordan = tuple(JordanBlock(float(l), 1) for l in np.diag(A))
             object.__setattr__(self, "jordan", jordan)
-            if self.phi is None:
-                object.__setattr__(
-                    self, "phi", tuple(map(tuple, np.eye(A.shape[0]).tolist()))
-                )
         if self.jordan is not None:
             object.__setattr__(self, "jordan", tuple(self.jordan))
             if sum(b.size for b in self.jordan) != A.shape[0]:
                 raise ValueError("Jordan block sizes must sum to n")
+            if self.phi is None:
+                if not np.array_equal(A, self.jordan_matrix()):
+                    raise ValueError("Jordan blocks without phi need A = J")
+                object.__setattr__(
+                    self, "phi", tuple(map(tuple, np.eye(A.shape[0]).tolist()))
+                )
         phi = None
         if self.phi is not None:
             if self.jordan is None:
@@ -438,9 +441,9 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
                 a_step: float = 1e-2, fault_scale: float = 1.0) -> GammaBound:
     """Empirical sup of |L^-1| over the lattice against its certified bound.
 
-    For real eps the certified bound uses the exact divisor inequality
-    |l(a)| >= |eps lambda|; on the complex cone the divisor infimum is
-    estimated by a dense a-scan (always including the lattice values).
+    For real eps the certified bound uses the exact infimum of each block's
+    divisor over the real a-line; on the complex cone the divisor infimum
+    is estimated by a dense a-scan (always including the lattice values).
     ``fault_scale`` is a test hook multiplying the empirical value.
 
     Raises BoundViolationError when the empirical value exceeds the bound.
@@ -457,14 +460,17 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     scan = np.arange(-a_max, a_max + a_step, a_step)
     scan = np.concatenate([scan, a_lattice, -a_lattice])
 
-    phi = linear.phi_array if linear.phi is not None else np.eye(linear.n)
-    cond_phi = float(np.linalg.cond(phi, 2))
+    cond_phi = float(np.linalg.cond(linear.phi_array, 2))
 
     worst = 0.0
     minima = []
     for b in linear.jordan:
         if real_eps:
-            m_b = abs(eps.real * b.lam)
+            # |l|^2 = eps^2 (lam - p s)^2 + q^2 s with s = a^2 dips to its
+            # infimum at s = lam/p - q^2/(2 eps^2 p^2) when that is positive
+            e2, q2 = eps.real ** 2, b.q ** 2
+            m_b = math.sqrt(q2 * b.lam / b.p - q2 * q2 / (4.0 * e2 * b.p ** 2)) \
+                if q2 < 2.0 * e2 * b.p * b.lam else abs(eps.real * b.lam)
         else:
             m_b = float(np.min(np.abs(l_eps(eps, b.lam, scan, b.p, b.q))))
         minima.append(m_b)

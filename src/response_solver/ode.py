@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -192,28 +192,31 @@ def contract(step: Callable[[FourierField], FourierField],
              eq_residual: Callable[[FourierField], float],
              U: FourierField, cfg: SolverConfig, report: SolveReport,
              enforce_ball: bool,
-             check: Callable[[FourierField, int], None] | None = None,
+             observe: Callable[[int, FourierField, FourierField], None] | None = None,
              ) -> tuple[FourierField, SolveReport]:
-    """Picard iteration U <- step(U) from U, shared by both equations.
+    """Picard iteration U <- step(U) from U, shared by every solver.
 
-    Records every increment ||step(U) - U|| and the ratio of consecutive
-    increments in ``report``.  Exits, by ``report.status``:
+    Records every increment ||step(U) - U|| (in cfg.norm) and the ratio of
+    consecutive increments in ``report``.  Exits, by ``report.status``:
 
     - ``converged``: increment <= tol and eq_residual <= kappa tol, with
-      ``report.kappa`` set by the caller;
+      ``report.kappa`` set by the caller (kappa = inf stops on the
+      increment alone);
     - ``left_ball``: ``enforce_ball`` and the iterate left ball_radius;
     - ``resonant``: a step met a singular mode matrix;
     - ``diverged``: a step or a norm overflowed, or an increment was not
       finite; U is the last finite iterate;
     - ``max_iter``: none of the above within cfg.max_iter steps.
 
-    ``check(U, it)`` runs on every accepted iterate and raises to abort.
+    ``observe(it, U, delta)`` sees every accepted iterate with its increment
+    field delta = U - U_prev; it may record per-step data or raise to abort.
     """
     prev_inc = None
     try:
         for it in range(1, cfg.max_iter + 1):
             U_next = step(U)
-            inc = norm(U_next - U, cfg.norm)
+            delta = U_next - U
+            inc = norm(delta, cfg.norm)
             if not math.isfinite(inc):
                 raise FloatingPointError(f"non-finite increment at step {it}")
             sol_norm = norm(U_next, cfg.norm)
@@ -223,8 +226,9 @@ def contract(step: Callable[[FourierField], FourierField],
             prev_inc = inc
             U = U_next
             report.iterations = it
-            if check is not None:
-                check(U, it)
+            if observe is not None:
+                observe(it, U, delta)
+            del delta   # one field less held through the next step
             if enforce_ball and sol_norm > cfg.ball_radius:
                 report.status = "left_ball"
                 report.sol_norm = sol_norm
@@ -349,20 +353,18 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
     """
     if solve_fn is None:
         solve_fn = solve_fixed_point
+    eps_points = [
+        center_eps + radius * cmath.exp(2j * math.pi * p / points)
+        for p in range(points)
+    ]
     if domain is not None:
-        for p in range(points):
-            e = center_eps + radius * cmath.exp(2j * math.pi * p / points)
+        for e in eps_points:
             if not domain.contains(e, rtol=1e-9):
                 raise ValueError(f"circle point {e} leaves the epsilon domain")
 
     center_U, center_rep = solve_fn(center_eps, prob, cfg)
     if center_rep.status != "converged":
         raise RuntimeError(f"center solve failed: {center_rep.status}")
-
-    eps_points = [
-        center_eps + radius * cmath.exp(2j * math.pi * p / points)
-        for p in range(points)
-    ]
 
     def _solve(e):
         return solve_fn(e, prob, cfg, u0=center_U)
@@ -432,7 +434,9 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
     Requires a globally Lipschitz nonlinear part with measured contraction
     product below one.  For each s the geometric decay exponent of
     ||T^{n+1}u - T^n u||_{H^s} is fitted and compared with the prediction
-    (1 - s) log(measured L^2 ratio).
+    (1 - s) log(measured L^2 ratio).  The iteration is ``contract`` in the
+    L^2 norm with kappa = inf, so it stops on the L^2 increment alone and
+    ends with the solvers' statuses; an observer records the H^s norms.
     """
     for s in s_grid:
         if not 0.0 <= s < 1.0:
@@ -446,37 +450,25 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
             f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
         )
 
-    U = FourierField.zeros(prob.lattice)
-    per_s: dict[float, list[float]] = {float(s): [] for s in s_grid}
-    l2_increments: list[float] = []
-    for it in range(cfg.max_iter):
-        U_next = picard_step(U, eps, prob)
-        delta = U_next - U
-        inc_l2 = norm(delta, L2)
-        l2_increments.append(inc_l2)
-        for s in per_s:
-            per_s[s].append(spectral.hs_norm(delta, s))
-        U = U_next
-        if inc_l2 <= cfg.tol:
-            break
-
-    status = "converged" if l2_increments[-1] <= cfg.tol else "max_iter"
-    report = SolveReport(eps=eps, status=status, iterations=len(l2_increments))
-    report.increments = l2_increments
-    report.ratios = [
-        b / a for a, b in zip(l2_increments, l2_increments[1:]) if a > 0
-    ]
-    report.fp_residual = l2_increments[-1]
-    report.residual = residual(U, eps, prob, L2)
-    report.sol_norm = norm(U, L2)
+    report = SolveReport(eps=eps, kappa=math.inf)
     report.diagnostics["c_emp"] = c_emp
     report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
+    per_s: dict[float, list[float]] = {float(s): [] for s in s_grid}
+
+    def observe(it: int, V: FourierField, delta: FourierField) -> None:
+        for s, seq in per_s.items():
+            seq.append(spectral.hs_norm(delta, s))
+
+    U, report = contract(lambda V: picard_step(V, eps, prob),
+                         lambda V: residual(V, eps, prob, L2),
+                         FourierField.zeros(prob.lattice),
+                         replace(cfg, norm=L2), report, False, observe)
 
     fitted, predicted = {}, {}
-    window = _fit_window(l2_increments)
-    slope_l2 = _geometric_slope(l2_increments, window)
+    window = _fit_window(report.increments)
+    slope_l2 = _log_linear_fit(report.increments, window)[0]
     for s, seq in per_s.items():
-        fitted[s] = _geometric_slope(seq, window)
+        fitted[s] = _log_linear_fit(seq, window)[0]
         predicted[s] = (1.0 - s) * slope_l2
     return LowRegularityResult(
         solution=U,
@@ -504,25 +496,25 @@ def _fit_window(increments: Sequence[float]) -> tuple[int, int]:
     return lo, max(hi, lo + 2)
 
 
-def _geometric_slope(seq: Sequence[float], window: tuple[int, int]) -> float:
+def _log_linear_fit(seq: Sequence[float], window: tuple[int, int]
+                    ) -> tuple[float, float, np.ndarray]:
+    """(slope, intercept, ys): the least-squares line through (i, ys) with
+    ys = log seq[i] over the window; nan slope and intercept below two points."""
     lo, hi = window
     ys = np.log([max(v, 1e-300) for v in seq[lo:hi]])
-    xs = np.arange(lo, hi)
-    if len(xs) < 2:
-        return math.nan
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    if len(ys) < 2:
+        return math.nan, math.nan, ys
+    slope, intercept = np.polyfit(np.arange(lo, hi), ys, 1)
+    return float(slope), float(intercept), ys
 
 
 def geometric_fit_r2(increments: Sequence[float]) -> float:
     """R^2 of the log-linear fit to an increment sequence (above roundoff)."""
     lo, hi = _fit_window(increments)
-    ys = np.log([max(v, 1e-300) for v in increments[lo:hi]])
-    xs = np.arange(lo, hi, dtype=float)
-    if len(xs) < 3:
+    if hi - lo < 3:
         return 1.0
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
+    slope, intercept, ys = _log_linear_fit(increments, (lo, hi))
+    pred = slope * np.arange(lo, hi) + intercept
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0

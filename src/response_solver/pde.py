@@ -235,7 +235,7 @@ def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
 
     real_eps = abs(complex(eps).imag) <= 1e-14 * abs(eps)
 
-    def check_invariants(V: FourierField, it: int) -> None:
+    def check_invariants(it: int, V: FourierField, delta: FourierField) -> None:
         avg = np.max(np.abs(V.space_average_slice()))
         if avg > 1e-12 * (1 + V.max_abs()):
             raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
@@ -293,7 +293,7 @@ def pde_certification_scan(eps: complex, beta: float, a_step: float = 1e-2,
     js = np.arange(1, j_max + 1, dtype=float)
     t = (js ** 2)[None, :]
     aa = a[:, None]
-    symbol = -eps * aa ** 2 + 1j * aa - eps * (beta * t ** 2 - t)
+    symbol = l_eps(eps, t - beta * t ** 2, aa)
     quantity = np.abs(eps) * (aa ** 2 + t) / np.abs(symbol)
     c_emp = float(np.max(quantity)) * fault_scale
     idx = np.unravel_index(int(np.argmax(quantity)), quantity.shape)
@@ -335,7 +335,7 @@ def imaginary_root_blowup(sigma: float, c: float) -> float:
     best = 0.0
     for r in roots:
         local = r + np.linspace(-1e-6, 1e-6, 2001) * max(abs(r), 1.0)
-        vals = np.abs(-eps * local ** 2 + 1j * local - eps * c)
+        vals = np.abs(l_eps(eps, -c, local))
         vals = vals[vals > 0]
         if vals.size:
             best = max(best, float(1.0 / np.min(vals)))

@@ -24,6 +24,7 @@ from .multipliers import (
     EpsilonDomain,
     LinearPart,
     gamma_bound,
+    l_eps,
     mode_matrices,
     sample_domain,
 )
@@ -433,6 +434,7 @@ def nondiff_probe(prob: OdeProblem, eps_ladder: list[float],
         decade_growth.append(ratio ** (1.0 / decades) if decades > 0 else math.nan)
 
     preds = []
+    mismatch = math.nan
     if prob.g_hat.kind == "zero":
         kdw = prob.lattice.k_dot_omega()
         mags = np.sqrt(np.sum(np.abs(prob.forcing.coeffs) ** 2, axis=-1))
@@ -440,14 +442,10 @@ def nondiff_probe(prob: OdeProblem, eps_ladder: list[float],
         preds = sorted(
             float(m / abs(d)) for m, d in zip(mags[nz].ravel(), kdw[nz].ravel())
         )
-
-    mismatch = math.nan
-    if prob.g_hat.kind == "zero":
         lam = prob.linear.array[0, 0]
         mismatch = 0.0
         for e, U in zip(eps_ladder, fields):
-            kdw = prob.lattice.k_dot_omega()
-            div = -e * kdw ** 2 + 1j * kdw + e * lam
+            div = l_eps(e, lam, kdw)
             expect = e * prob.forcing.coeffs / div[..., None]
             mismatch = max(mismatch, float(np.max(np.abs(expect - U.coeffs))))
 

@@ -8,6 +8,16 @@ import response_solver as rs
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
+try:
+    from hypothesis import settings
+except ImportError:     # the property tests skip themselves without it
+    pass
+else:
+    # the same examples on every run, and no example database on disk
+    settings.register_profile("derandomized", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("derandomized")
+
 
 @pytest.fixture
 def rng():

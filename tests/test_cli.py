@@ -402,6 +402,16 @@ class TestRun:
         assert err["exit_code"] == EXIT_INPUT
         assert "phi = I" in err["error"]
 
+    def test_jordan_without_phi_is_input_error(self, tmp_path):
+        doc = json.loads((PROBLEMS / "jordan_ode.json").read_text())
+        del doc["phi"]
+        prob = write_json(tmp_path / "p.json", doc)
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json", config_doc("verify", str(prob), tmp_path / "out")))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert "need A = J" in err["error"]
+
     def test_probe_on_pde_problem(self, tmp_path):
         pde_doc = {
             "kind": "pde", "d": 2, "K": 6, "J": 6, "omega": ["1", "sqrt2"],

@@ -106,6 +106,13 @@ class TestLinearPart:
         assert [b.lam for b in lin.jordan] == [2.0, -1.0]
         assert lin.has_jordan_basis()
 
+    def test_jordan_without_phi_needs_a_equal_j(self):
+        # the shipped jordan_ode.json matrix is similar to J, not equal to it
+        with pytest.raises(ValueError, match="without phi need A = J"):
+            rs.LinearPart(((2.0, -1.0), (1.0, 0.0)), (rs.JordanBlock(1.0, 2),))
+        lin = rs.LinearPart(((1.0, 0.0), (1.0, 1.0)), (rs.JordanBlock(1.0, 2),))
+        assert lin.phi_array.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_mismatched_phi_rejected(self):
         A = ((1.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):
@@ -253,6 +260,22 @@ class TestGammaBound:
         a = np.linspace(root - 1e-4, root + 1e-4, 20001)
         vals = np.abs(-1j * sigma * a ** 2 + 1j * a + 1j * sigma * 1.0)
         assert 1.0 / np.min(vals[vals > 0]) > 1e6
+
+    @pytest.mark.parametrize("linear, omega, eps, empirical", [
+        (rs.LinearPart(((1.0,),), (rs.JordanBlock(1.0, 1, p=2.0, q=0.1),)),
+         0.7036, 0.5, 14.1776),
+        (rs.LinearPart(((1.0,),), (rs.JordanBlock(1.0, 1, p=2.0, q=0.01),)),
+         0.7071, 0.05, 141.423),
+        (rs.LinearPart.scalar(1.0), 0.7071, 1.0, 1.1547),
+    ])
+    def test_real_eps_interior_divisor_minimum(self, linear, omega, eps, empirical):
+        # q^2 < 2 eps^2 p lambda: |l(a)| dips below |eps lambda| near
+        # a^2 = lambda / p, which a lattice point nearly hits
+        lat = rs.SpectralLattice(d=1, K=4, omega=(omega,))
+        gb = gamma_bound(eps, linear, lat)
+        assert gb.exact
+        assert_allclose(gb.empirical, empirical, rtol=1e-5)
+        assert gb.empirical <= gb.certified <= 1.01 * gb.empirical
 
     def test_jordan_case_certified(self):
         lat = rs.SpectralLattice(d=1, K=8, omega=(1.0,), n=2)

@@ -350,6 +350,34 @@ class TestLowRegularity:
         assert res.report.iterations == 2
         assert res.report.fp_residual > 1e-12
 
+    def test_hs_increments_follow_the_l2_iterations(self, lowreg_problem):
+        res = rs.low_regularity_solve(0.05, lowreg_problem,
+                                      rs.SolverConfig(tol=1e-12, max_iter=60),
+                                      [0.0, 0.5])
+        assert res.report.status == "converged"
+        assert res.report.kappa == math.inf
+        for seq in res.increments.values():
+            assert len(seq) == res.report.iterations
+
+    def test_nan_nonlinearity_diverges_with_trace(self, lat1d):
+        # finite at the zero start, NaN from the second step on
+        def g(x):
+            return np.full_like(x, np.nan) if np.any(x != 0) else np.zeros_like(x)
+
+        prob = rs.OdeProblem(
+            lattice=lat1d, linear=rs.LinearPart.scalar(1.0),
+            g_hat=rs.NonlinearitySpec(kind="callable", fn=g, lip_hat=0.05,
+                                      smallness="global"),
+            forcing=cos_forcing(lat1d, 0.5),
+        )
+        res = rs.low_regularity_solve(0.05, prob, rs.SolverConfig(tol=1e-12),
+                                      [0.0, 0.5])
+        assert res.report.status == "diverged"
+        assert res.report.diagnostics["error"]
+        assert res.report.iterations == len(res.report.increments) == 1
+        for seq in res.increments.values():
+            assert len(seq) == 1 and math.isfinite(seq[0])
+
     def test_zero_lipschitz_single_step(self, linear_problem):
         res = rs.low_regularity_solve(0.05, linear_problem,
                                       rs.SolverConfig(tol=1e-12), [0.0, 0.5])
