@@ -212,12 +212,19 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
         return out
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        U = FourierField(small, x.reshape(small.field_shape))
-        J = np.diag(symbol.astype(complex))
+        # diag(symbol) - (eps 2 jw) conv, built in one (M, M) array.  The
+        # multiply keeps that operand order (complex FMA rounding depends on
+        # it) and 0 - x keeps zero entries at +0, so J equals that
+        # expression bit for bit.
         if prob.nonlinear:
-            conv = _convolution_matrix(U)[0]
+            U = FourierField(small, x.reshape(small.field_shape))
+            J = _convolution_matrix(U)[0]
             jw = (1j * j) ** 2      # d^2/dx^2 on the row mode
-            J = J - eps * 2.0 * jw[:, None] * conv
+            np.multiply(eps * 2.0 * jw[:, None], J, out=J)
+            np.subtract(0.0, J, out=J)
+        else:
+            J = np.zeros((M, M), dtype=complex)
+        J.flat[::M + 1] += symbol
         J[zero_row, :] = 0.0
         J[zero_row, zero_row] = 1.0
         return J

@@ -448,6 +448,21 @@ class TestTimeIntegration:
                                              horizon=40.0, t_skip=5.0)
         assert chk.tracking_error <= 1e-8
 
+    @pytest.mark.parametrize("problem, eps", [("cubic_ode.json", 0.05),
+                                              ("cubic_ode.json", 0.005),
+                                              ("jordan_ode.json", 0.05)])
+    def test_default_method_agrees_with_radau(self, problem, eps):
+        prob = parse_problem(PROBLEMS / problem)
+        U, rep = rs.solve_fixed_point(eps, prob,
+                                      rs.SolverConfig(tol=1e-12, ball_radius=1.0))
+        assert rep.status == "converged"
+        for perturbation in (0.0, 0.1):
+            got, ref = (rs.time_integration_crosscheck(
+                eps, prob, U, horizon=20.0, t_skip=2.0, perturbation=perturbation,
+                **method) for method in ({}, {"method": "Radau"}))
+            assert abs(got.tracking_error - ref.tracking_error) <= 1e-8
+            assert abs(got.attraction_error - ref.attraction_error) <= 1e-8
+
     def test_complex_eps_rejected(self, linear_problem):
         U = exact_linear_solution(linear_problem.lattice, 0.05)
         with pytest.raises(ValueError):

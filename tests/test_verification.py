@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import response_solver as rs
+from response_solver.cli import parse_problem
 from response_solver.multipliers import EpsilonDomain
 from response_solver.verification import (
     FAULT_NAMES,
@@ -19,7 +21,7 @@ from response_solver.verification import (
     scan_for_witnesses,
 )
 
-from conftest import manufactured_pde
+from conftest import PROBLEMS, manufactured_pde
 
 
 class TestNewtonOracle:
@@ -44,6 +46,19 @@ class TestNewtonOracle:
         got = newton_oracle_pde(eps, prob, K_small=6)
         diff = restrict_field(W, got.lattice) - got
         assert np.max(np.abs(diff.coeffs)) <= 1e-10
+
+    def test_pde_jacobian_peak_is_one_matrix(self):
+        """The dense PDE Jacobian is built in place: the traced peak stays
+        near one M x M complex matrix (M = 9^3 at K_small = 4)."""
+        pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
+        M = 9 ** 3
+        tracemalloc.start()
+        try:
+            newton_oracle_pde(0.02, pde, K_small=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * M * M * 16
 
     def test_multicomponent_jordan_agreement(self):
         from pathlib import Path
