@@ -190,6 +190,11 @@ def _jordan_matrix(blocks: Sequence[JordanBlock]) -> np.ndarray:
 # scalar divisor and block inverse
 
 
+def is_real_eps(eps: complex) -> bool:
+    """eps is real up to rounding: |Im eps| <= 1e-14 |eps|."""
+    return abs(complex(eps).imag) <= 1e-14 * abs(eps)
+
+
 def l_eps(eps: complex, lam: float | np.ndarray, a: float | np.ndarray,
           p: float = 1.0, q: float = 1.0) -> complex | np.ndarray:
     """Scalar mode divisor -eps p a^2 + i q a + eps lambda.
@@ -454,7 +459,7 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     empirical = float(np.max(1.0 / smin)) * fault_scale
     argmax_mode = lat.mode_of_index(np.argmin(smin))
 
-    real_eps = abs(eps.imag) <= 1e-14 * abs(eps)
+    real_eps = is_real_eps(eps)
     a_lattice = np.unique(np.abs(lat.k_dot_omega()).ravel())
     a_max = default_a_window(linear, lat)
     scan = np.arange(-a_max, a_max + a_step, a_step)

@@ -25,6 +25,7 @@ from .multipliers import (
     LinearPart,
     ResonanceError,
     apply_scaled_inverse,
+    is_real_eps,
     operator_norms,
 )
 from .spectral import (
@@ -61,8 +62,7 @@ class OdeProblem:
         mean = np.max(np.abs(self.forcing.mean_coefficient()))
         if mean > 1e-13:
             raise ValueError(f"forcing must have zero average (|f_0| = {mean:.2e})")
-        defect = self.forcing.hermitian_defect()
-        if defect > 1e-12 * (1 + self.forcing.max_abs()):
+        if not self.forcing.is_hermitian():
             raise ValueError("forcing must be real-symmetric")
         self.linear.validate_spectrum()
         self.lattice.validate_nonresonance()
@@ -176,8 +176,7 @@ def solve_fixed_point(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         report.diagnostics["contraction_product"] = c_emp * lip
         report.diagnostics["contraction_below_half"] = bool(c_emp * lip <= 0.5)
     report.diagnostics["smallness"] = prob.smallness
-    if prob.g_hat.kind in ("callable", "piecewise_linear") \
-            and first.hermitian_defect() <= 1e-9 * (1.0 + first.max_abs()):
+    if prob.g_hat.kind in ("callable", "piecewise_linear") and first.is_hermitian():
         # inexact dealiasing: record the measured aliasing residual
         report.diagnostics["aliasing_estimate"] = \
             spectral.composition_aliasing_estimate(first, prob.g_hat)
@@ -288,7 +287,7 @@ def sweep_epsilon(dom: EpsilonDomain, prob: OdeProblem, cfg: SolverConfig,
     entries: list[SweepEntry] = []
     warm: dict[int, FourierField] = {}
     for e in eps_values:
-        branch = 0 if abs(e.imag) > 1e-14 * abs(e) else (1 if e.real >= 0 else -1)
+        branch = (1 if e.real >= 0 else -1) if is_real_eps(e) else 0
         U, rep = solve_fixed_point(e, prob, cfg, u0=warm.get(branch))
         if rep.status == "converged":
             warm[branch] = U

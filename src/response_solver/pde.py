@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ResonanceError, l_eps
+from .multipliers import ResonanceError, is_real_eps, l_eps
 from .ode import SolveReport, SolverConfig, contract
 from .spectral import (
     L2,
@@ -104,8 +104,7 @@ class PdeProblem:
         avg = np.max(np.abs(self.forcing.space_average_slice()))
         if avg > 1e-13:
             raise ValueError(f"forcing must have zero spatial average ({avg:.2e})")
-        defect = self.forcing.hermitian_defect()
-        if defect > 1e-12 * (1 + self.forcing.max_abs()):
+        if not self.forcing.is_hermitian():
             raise ValueError("forcing must be real-symmetric")
         self.lattice.validate_nonresonance()
 
@@ -233,7 +232,7 @@ def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
             first_norm <= cfg.ball_radius / 2
         )
 
-    real_eps = abs(complex(eps).imag) <= 1e-14 * abs(eps)
+    real_eps = is_real_eps(eps)
 
     def check_invariants(it: int, V: FourierField, delta: FourierField) -> None:
         avg = np.max(np.abs(V.space_average_slice()))
@@ -303,7 +302,7 @@ def pde_certification_scan(eps: complex, beta: float, a_step: float = 1e-2,
         "argmax_j": int(js[idx[1]]),
         "exact_bound": None,
     }
-    if abs(complex(eps).imag) <= 1e-14 * abs(eps) and beta > 1:
+    if is_real_eps(eps) and beta > 1:
         out["exact_bound"] = max(1.0, 1.0 / (beta - 1.0))
     return out
 

@@ -4,17 +4,37 @@ Fields live on a symmetric lattice |k_i| <= K over the d-torus, optionally
 extended by a spatial axis |j| <= J.  Coefficient arrays are indexed in
 natural signed order (axis index i  <->  mode i - K), and every operation
 returns a new field; nothing is mutated in place.
+
+Transforms run on a uniform collocation grid.  A field that is real on the
+torus (Hermitian: coeff(-k) = conj(coeff(k)), decided by
+``FourierField.is_hermitian`` to a roundoff-level tolerance) is synthesized
+from the j >= 0 half of its last axis by a real inverse FFT, and a real
+value array is analyzed by a real forward FFT, the j < 0 half following
+from the conjugate mirror.  ``product`` and ``compose`` pick that real path
+from their input; any other field keeps the complex transforms.  FFTs use
+as many workers as the process may run on (its CPU affinity).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sfft
+
+
+def _affinity_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+FFT_WORKERS = _affinity_cpus()
 
 
 class LatticeMismatchError(ValueError):
@@ -297,6 +317,10 @@ class FourierField:
         """max |coeff(-k) - conj(coeff(k))| over the lattice."""
         return float(np.max(np.abs(self.coeffs - self.reflected_conj())))
 
+    def is_hermitian(self) -> bool:
+        """Real on the torus to roundoff: hermitian_defect() <= 1e-12 (1 + max_abs())."""
+        return self.hermitian_defect() <= 1e-12 * (1.0 + self.max_abs())
+
     def hermitian_part(self) -> "FourierField":
         return FourierField(self.lattice, 0.5 * (self.coeffs + self.reflected_conj()))
 
@@ -415,27 +439,38 @@ def dealias_grid(lat: SpectralLattice, degree: int = 2) -> tuple[int, ...]:
     return _grid_shape(lat, [(degree + 1) * cut + 1 for cut in lat.cutoffs])
 
 
-def synthesize(f: FourierField, grid: Sequence[int] | None = None) -> np.ndarray:
+def synthesize(f: FourierField, grid: Sequence[int] | None = None,
+               real: bool = False) -> np.ndarray:
     """Values of the field on the uniform collocation grid.
 
     Node i along an axis of size N sits at angle 2*pi*i/N.  Grid must hold
-    the lattice (N >= 2*cutoff + 1 per axis).
+    the lattice (N >= 2*cutoff + 1 per axis).  With ``real`` the field is
+    taken as Hermitian: only the j >= 0 half of its last axis is read, and
+    the values come back real from one inverse real FFT.
     """
     lat = f.lattice
     if grid is None:
         grid = default_grid(lat)
     grid = tuple(int(g) for g in grid)
     _check_grid(lat, grid)
+    axes = tuple(range(len(grid)))
+    if real:
+        work = np.zeros(grid[:-1] + (grid[-1] // 2 + 1, lat.n), dtype=complex)
+        work[_bin_index(lat, grid, half=True)] = f.coeffs[..., lat.cutoffs[-1]:, :]
+        return sfft.irfftn(work, s=grid, axes=axes, norm="forward",
+                           workers=FFT_WORKERS)
     work = np.zeros(grid + (lat.n,), dtype=complex)
     work[_bin_index(lat, grid)] = f.coeffs
-    axes = tuple(range(len(grid)))
-    return sfft.ifftn(work, axes=axes, workers=-1) * np.prod(grid)
+    return sfft.ifftn(work, axes=axes, workers=FFT_WORKERS) * np.prod(grid)
 
 
-def _bin_index(lat: SpectralLattice, grid: tuple[int, ...]):
-    """FFT-bin positions (k mod N per axis) of the lattice modes."""
-    return np.ix_(*(np.mod(np.arange(-cut, cut + 1), g)
-                    for g, cut in zip(grid, lat.cutoffs)))
+def _bin_index(lat: SpectralLattice, grid: tuple[int, ...], half: bool = False):
+    """FFT-bin positions (k mod N per axis) of the lattice modes; ``half``
+    keeps the modes 0..cutoff of the last axis (a real FFT's bins)."""
+    ranges = [np.mod(np.arange(-cut, cut + 1), g) for g, cut in zip(grid, lat.cutoffs)]
+    if half:
+        ranges[-1] = np.arange(lat.cutoffs[-1] + 1)
+    return np.ix_(*ranges)
 
 
 def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
@@ -445,15 +480,29 @@ def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
 
 
 def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
-    """Project grid values back onto the lattice coefficients."""
-    values = np.asarray(values, dtype=complex)
+    """Project grid values back onto the lattice coefficients.
+
+    A real array goes through a forward real FFT; its j < 0 coefficients
+    are the conjugate mirror of the j > 0 ones, which is exact for real
+    values.
+    """
+    values = np.asarray(values)
     grid = values.shape[:-1]
     if values.shape[-1] != lat.n or len(grid) != lat.n_axes:
         raise ValueError("value array shape does not match lattice")
     _check_grid(lat, grid)
     axes = tuple(range(len(grid)))
-    spec = sfft.fftn(values, axes=axes, workers=-1) / np.prod(grid)
-    return FourierField(lat, spec[_bin_index(lat, grid)])
+    if np.iscomplexobj(values):
+        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS) / np.prod(grid)
+        return FourierField(lat, spec[_bin_index(lat, grid)])
+    spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
+    cut = lat.cutoffs[-1]
+    coeffs = np.empty(lat.field_shape, dtype=complex)
+    coeffs[..., cut:, :] = spec[_bin_index(lat, grid, half=True)]
+    # coeff(-k, -j) = conj(coeff(k, j)): flip every mode axis, then conjugate
+    mirror = coeffs[(slice(None, None, -1),) * (lat.n_axes - 1) + (slice(-1, cut, -1),)]
+    np.conjugate(mirror, out=coeffs[..., :cut, :])
+    return FourierField(lat, coeffs)
 
 
 def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None) -> np.ndarray:
@@ -479,12 +528,15 @@ def product(u: FourierField, v: FourierField) -> FourierField:
 
     Uses 3/2-rule zero padding, which is exact for a quadratic product: the
     returned coefficients are the true convolution truncated to the lattice.
+    Two Hermitian factors take the real transforms.
     """
     u._check(v)
     grid = dealias_grid(u.lattice, degree=2)
-    pu = synthesize(u, grid)
-    # squaring is the common hot path: skip the second transform
-    pv = pu if v is u or v.coeffs is u.coeffs else synthesize(v, grid)
+    # squaring is the common hot path: skip the second check and transform
+    square = v is u or v.coeffs is u.coeffs
+    real = u.is_hermitian() and (square or v.is_hermitian())
+    pu = synthesize(u, grid, real=real)
+    pv = pu if square else synthesize(v, grid, real=real)
     return analyze(pu * pv, u.lattice)
 
 
@@ -643,28 +695,27 @@ class NonlinearitySpec:
         return math.inf
 
 
+def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec) -> tuple[int, ...]:
+    if g.kind == "polynomial":
+        return dealias_grid(lat, degree=max(g.degree, 1))
+    return default_grid(lat, oversample=g.oversample)
+
+
 def compose(u: FourierField, g: NonlinearitySpec) -> FourierField:
     """Pseudo-spectral composition: analyze(g(synthesize(u))).
 
     Polynomial kinds pad the grid to the exact alias-free size for their
-    degree; other kinds use the declared oversample factor.  Real symmetry
-    is preserved because g is evaluated on the (real) grid values.
+    degree; other kinds use the declared oversample factor.  A Hermitian u
+    takes the real transforms, so g is evaluated on real grid values and
+    real symmetry is preserved.
     """
     lat = u.lattice
     if g.kind == "zero":
         return FourierField.zeros(lat)
-    if g.kind == "polynomial":
-        grid = dealias_grid(lat, degree=max(g.degree, 1))
-    else:
-        grid = default_grid(lat, oversample=g.oversample)
-    vals = synthesize(u, grid)
-    if u.hermitian_defect() <= 1e-9 * (1.0 + u.max_abs()):
-        gv = g(vals.real)
-    else:
-        if g.kind == "piecewise_linear":
-            raise ValueError("piecewise-linear composition needs a real-symmetric field")
-        gv = g(vals)
-    gv = np.asarray(gv, dtype=complex)
+    real = u.is_hermitian()
+    if not real and g.kind == "piecewise_linear":
+        raise ValueError("piecewise-linear composition needs a real-symmetric field")
+    gv = np.asarray(g(synthesize(u, _composition_grid(lat, g), real=real)))
     if not np.all(np.isfinite(gv)):
         raise FloatingPointError("nonlinearity returned non-finite grid values")
     return analyze(gv, lat)
@@ -719,14 +770,9 @@ def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec) -> float
     if g.kind == "zero":
         return 0.0
     base = compose(u, g)
-    grid = tuple(2 * s for s in (
-        dealias_grid(u.lattice, degree=max(g.degree, 1))
-        if g.kind == "polynomial" else default_grid(u.lattice, g.oversample)
-    ))
-    vals = synthesize(u, grid)
-    if u.hermitian_defect() <= 1e-9 * (1.0 + u.max_abs()):
-        vals = vals.real
-    refined = analyze(np.asarray(g(vals), dtype=complex), u.lattice)
+    grid = tuple(2 * s for s in _composition_grid(u.lattice, g))
+    vals = synthesize(u, grid, real=u.is_hermitian())
+    refined = analyze(np.asarray(g(vals)), u.lattice)
     return float(np.max(np.abs(base.coeffs - refined.coeffs)))
 
 

@@ -32,6 +32,7 @@ from .ode import OdeProblem, SolverConfig, solve_fixed_point
 from .pde import (
     PdeProblem,
     _symbol_array,
+    apply_n_inverse,
     boussinesq_nonlinearity,
     imaginary_axis_blowup,
     imaginary_root_blowup,
@@ -229,7 +230,10 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
         J[zero_row, zero_row] = 1.0
         return J
 
-    x = _damped_newton(F, jacobian, np.zeros(M, dtype=complex), tol, max_iter)
+    # from x = 0 the Jacobian is diag(symbol) with pinned rows, so the first
+    # Newton step lands on eps N^-1 f: start there instead of solving for it
+    x0 = apply_n_inverse(eps, small_prob, small_prob.forcing).coeffs.ravel()
+    x = _damped_newton(F, jacobian, x0, tol, max_iter)
     return FourierField(small, x.reshape(small.field_shape))
 
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import response_solver as rs  # noqa: E402
 from response_solver.multipliers import gamma_bound  # noqa: E402
-from response_solver.spectral import L2  # noqa: E402
+from response_solver.pde import PdeProblem, pde_picard_step  # noqa: E402
+from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
 
 def nonzero(lo, hi):
@@ -52,3 +53,117 @@ def test_product_is_the_truncated_convolution(K, n, square, data):
     scale = np.sum(np.abs(u.coeffs)) * np.sum(np.abs(v.coeffs))
     np.testing.assert_allclose(rs.product(u, v).coeffs, direct, rtol=0,
                                atol=1e-14 * scale)
+
+
+# -- real-data transforms for Hermitian fields --------------------------------
+
+def lattices(max_cut=4):
+    """d = 1, 2 with and without a spatial axis, n = 1, 2."""
+    return st.builds(
+        lambda d, K, n, J: rs.SpectralLattice(d=d, K=K, omega=(1.0, np.sqrt(2.0))[:d],
+                                              n=n, has_space=J > 0, J=J),
+        st.integers(1, 2), st.integers(1, max_cut), st.integers(1, 2),
+        st.integers(0, max_cut))
+
+
+def hermitian(lat, data):
+    return rs.FourierField(lat, data.draw(coefficients(lat, 1.0))).hermitian_part()
+
+
+def scale(*fields):
+    return np.prod([np.sum(np.abs(f.coeffs)) for f in fields])
+
+
+def complex_oracle(fields, grid, fn=np.multiply):
+    """The complex path: full ifftn of each field, full fftn back."""
+    vals = [rs.synthesize(f, grid) for f in fields]
+    return rs.analyze(np.asarray(fn(*vals), dtype=complex), fields[0].lattice)
+
+
+@settings(max_examples=40)
+@given(lat=lattices(), extra=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       data=st.data())
+def test_real_round_trip_matches_the_complex_path(lat, extra, data):
+    # extra points per axis give odd and even grid sizes
+    grid = tuple(2 * cut + 1 + e for cut, e in zip(lat.cutoffs, extra))
+    f = hermitian(lat, data)
+    real, full = rs.synthesize(f, grid, real=True), rs.synthesize(f, grid)
+    assert real.dtype == float
+    np.testing.assert_allclose(real, full.real, rtol=0, atol=1e-14 * scale(f))
+    back = rs.analyze(real, lat)
+    np.testing.assert_allclose(back.coeffs, rs.analyze(full, lat).coeffs,
+                               rtol=0, atol=1e-14 * scale(f))
+    np.testing.assert_allclose(back.coeffs, f.coeffs, rtol=0, atol=1e-14 * scale(f))
+
+
+@settings(max_examples=40)
+@given(lat=lattices(), square=st.booleans(), data=st.data())
+def test_real_product_matches_the_complex_path(lat, square, data):
+    u = hermitian(lat, data)
+    v = u if square else hermitian(lat, data)
+    got = rs.product(u, v)
+    oracle = complex_oracle((u, v), dealias_grid(lat, 2))
+    np.testing.assert_allclose(got.coeffs, oracle.coeffs, rtol=0,
+                               atol=1e-14 * scale(u, v))
+
+
+@settings(max_examples=40)
+@given(lat=lattices(), c=st.floats(-2.0, 2.0), data=st.data())
+def test_real_cubic_compose_matches_the_complex_path(lat, c, data):
+    u = hermitian(lat, data)
+    g = rs.NonlinearitySpec.cubic(c, lat.n)
+    oracle = complex_oracle((u,), dealias_grid(lat, 3), g)
+    np.testing.assert_allclose(rs.compose(u, g).coeffs, oracle.coeffs, rtol=0,
+                               atol=1e-14 * (1 + abs(c)) * scale(u, u, u))
+
+
+@settings(max_examples=40)
+@given(lat=lattices(), extra=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+       data=st.data())
+def test_analyze_of_real_values_equals_the_complex_transform(lat, extra, data):
+    grid = tuple(2 * cut + 1 + e for cut, e in zip(lat.cutoffs, extra))
+    x = data.draw(arrays(float, grid + (lat.n,),
+                         elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    np.testing.assert_allclose(rs.analyze(x, lat).coeffs,
+                               rs.analyze(x.astype(complex), lat).coeffs,
+                               rtol=0, atol=1e-14 * (1 + np.max(np.abs(x))))
+
+
+@settings(max_examples=40)
+@given(lat=lattices(), data=st.data())
+def test_anti_hermitian_part_keeps_the_complex_path(lat, data):
+    base = hermitian(lat, data)
+    anti = 1j * hermitian(lat, data)
+    assume(base.max_abs() > 0.1 and anti.max_abs() > 0.1)
+    u = base + 1e-10 * anti
+    assert not u.is_hermitian()
+    assert np.array_equal(rs.product(u, u).coeffs,
+                          complex_oracle((u, u), dealias_grid(lat, 2)).coeffs)
+    g = rs.NonlinearitySpec.cubic(0.5, lat.n)
+    assert np.array_equal(rs.compose(u, g).coeffs,
+                          complex_oracle((u,), dealias_grid(lat, 3), g).coeffs)
+
+
+@settings(max_examples=40)
+@given(d=st.integers(1, 2), K=st.integers(1, 4), n=st.integers(1, 2),
+       eps=nonzero(1e-3, 0.5), data=st.data())
+def test_picard_step_keeps_hermitian_symmetry(d, K, n, eps, data):
+    lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, np.sqrt(2.0))[:d], n=n)
+    forcing = hermitian(lat, data)
+    forcing.coeffs[lat.cutoffs] = 0.0          # zero mean
+    prob = rs.OdeProblem(lattice=lat, linear=rs.LinearPart.from_jordan([(1.0, n)]),
+                         g_hat=rs.NonlinearitySpec.cubic(0.3, n), forcing=forcing)
+    U = rs.picard_step(hermitian(lat, data), eps, prob)
+    assert U.hermitian_defect() <= 1e-14 * (1 + U.max_abs())
+
+
+@settings(max_examples=40)
+@given(d=st.integers(1, 2), K=st.integers(1, 4), J=st.integers(1, 4),
+       eps=nonzero(1e-3, 0.5), data=st.data())
+def test_pde_picard_step_keeps_hermitian_symmetry(d, K, J, eps, data):
+    lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, np.sqrt(2.0))[:d], has_space=True,
+                             J=J)
+    forcing = hermitian(lat, data).project_zero_space_average()
+    prob = PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
+    U = pde_picard_step(hermitian(lat, data), eps, prob)
+    assert U.hermitian_defect() <= 1e-14 * (1 + U.max_abs())

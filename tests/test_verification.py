@@ -60,6 +60,27 @@ class TestNewtonOracle:
             tracemalloc.stop()
         assert peak <= 1.5 * M * M * 16
 
+    @pytest.mark.parametrize("nonlinear, solves", [(True, 2), (False, 0)])
+    def test_pde_newton_skips_the_diagonal_step(self, monkeypatch, nonlinear, solves):
+        """Newton starts at eps N^-1 f, where its first step from 0 lands, so
+        no dense solve is spent on the diagonal Jacobian at 0; a linear
+        problem needs none at all.  The result still agrees with Picard."""
+        prob, W, eps = manufactured_pde(K=4, nonlinear=nonlinear)
+        diagonal = []
+        solve = np.linalg.solve
+
+        def counting(a, b):
+            diagonal.append(np.array_equal(a, np.diag(np.diag(a))))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        got = newton_oracle_pde(eps, prob, K_small=4)
+        assert diagonal == [False] * solves
+        U, rep = rs.pde_solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-13))
+        assert rep.status == "converged"
+        assert np.max(np.abs((U - got).coeffs)) <= 1e-12
+        assert np.max(np.abs((W - got).coeffs)) <= 1e-12
+
     def test_multicomponent_jordan_agreement(self):
         from pathlib import Path
 
