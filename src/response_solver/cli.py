@@ -378,7 +378,6 @@ def _cmd_solve_ode(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, di
     eps = complex(cfg.params.get("epsilon", 0.05))
     U, rep = solve_fixed_point(eps, prob, cfg.solver)
     result = {
-        "command": cfg.command,
         "report": rep.to_dict(),
         "solution": _field_summary(U, cfg.solver.norm),
         "ratio_fit_r2": geometric_fit_r2(rep.increments),
@@ -392,7 +391,6 @@ def _cmd_solve_pde(cfg: RunConfig, prob: PdeProblem, out: Path) -> tuple[int, di
     eps = complex(cfg.params.get("epsilon", 0.02))
     U, rep = pde_solve_fixed_point(eps, prob, cfg.solver)
     result = {
-        "command": cfg.command,
         "report": rep.to_dict(),
         "solution": _field_summary(U, cfg.solver.norm),
     }
@@ -425,8 +423,7 @@ def _cmd_sweep(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
         for e in entries
     ]
     flagged = [r for r in rows if r["status"] != "converged"]
-    result = {"command": cfg.command, "entries": rows,
-              "flagged_count": len(flagged)}
+    result = {"entries": rows, "flagged_count": len(flagged)}
     return EXIT_OK, result
 
 
@@ -443,7 +440,6 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
                                   points=int(params.get("points", 16)), domain=dom,
                                   map_fn=map_fn, solve_fn=solve_fn)
     result = {
-        "command": cfg.command,
         "center": [probe.center.real, probe.center.imag],
         "radius": probe.radius,
         "harmonic_norms": probe.coefficient_norms,
@@ -460,7 +456,6 @@ def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict
     s_grid = [float(s) for s in params.get("s_grid", [0.0, 0.25, 0.5, 0.75])]
     res = low_regularity_solve(eps, prob, cfg.solver, s_grid)
     result = {
-        "command": cfg.command,
         "report": res.report.to_dict(),
         "l2_ratio": res.l2_ratio,
         "rates": {
@@ -482,7 +477,6 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     cert = certify_bounds(prob, dom, samples=int(params.get("samples", 8)),
                           fault=cfg.inject_fault)
     result = {
-        "command": cfg.command,
         "kind": cert.kind,
         "passed": cert.passed,
         "c_emp": cert.c_emp,
@@ -516,7 +510,6 @@ def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dic
     control_scan = scan_for_witnesses(golden, 50)
 
     result = {
-        "command": cfg.command,
         "omega": list(freq.omega),
         "witnesses": [
             {
@@ -581,6 +574,7 @@ def run(cfg: RunConfig) -> int:
         _emit_error(cfg, out, f"{type(exc).__name__}: {exc}", EXIT_NOCONV)
         return EXIT_NOCONV
 
+    result["command"] = cfg.command
     result["seed"] = cfg.seed
     result["problem_hash"] = _problem_hash(cfg.problem)
     result["solver"] = {

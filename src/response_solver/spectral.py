@@ -132,13 +132,10 @@ class SpectralLattice:
         """Euclidean |k|^2 (+j^2) per mode."""
         return _k_sq(self)
 
-    def min_divisor(self, multiple: int = 2) -> tuple[float, tuple[int, ...]]:
-        """Min |k.omega| over 0 < |k_i| <= multiple*K, with the argmin k."""
-        return check_nonresonance(self.omega_array, multiple * self.K)
-
-    def validate_nonresonance(self, tol: float = 0.0) -> None:
-        value, kmin = self.min_divisor()
-        if value <= tol:
+    def validate_nonresonance(self) -> None:
+        """Reject omega when some 0 < |k_i| <= 2K gives k.omega = 0."""
+        value, kmin = check_nonresonance(self.omega_array, 2 * self.K)
+        if value <= 0.0:
             raise ValueError(
                 f"resonant frequency vector: k={kmin} gives |k.omega|={value:.3e}"
             )

@@ -20,6 +20,7 @@ import mpmath as mp
 import numpy as np
 
 from .multipliers import (
+    BOUND_RTOL,
     BoundViolationError,
     EpsilonDomain,
     LinearPart,
@@ -65,8 +66,7 @@ def restrict_field(field: FourierField, small: SpectralLattice) -> FourierField:
     return FourierField(small, field.coeffs[tuple(slices)].copy())
 
 
-def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
-                      tol: float = 1e-12, max_iter: int = 40) -> FourierField:
+def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8) -> FourierField:
     """Damped Newton on the full truncated coefficient system.
 
     Brute force and independent of the Picard path: the unknown is the whole
@@ -106,12 +106,11 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
         W = compose(U, deriv)          # Dg-hat(U) per component via collocation
         conv = _convolution_matrix(W)  # (M, M) per component
         J = np.zeros((M * n, M * n), dtype=complex)
-        for c in range(n):
-            J[c::n, c::n] = eps * conv[c]
+        J4 = J.reshape(M, n, M, n)     # J4[m, i, m', i'] = J[m n + i, m' n + i']
+        comp = np.arange(n)
+        J4[:, comp, :, comp] = eps * conv
         idx = np.arange(M)
-        for i in range(n):
-            for jj in range(n):
-                J[idx * n + i, idx * n + jj] += L_blocks[:, i, jj]
+        J4[idx, :, idx, :] += L_blocks
         sv_min = np.linalg.svd(J, compute_uv=False)[-1]
         if sv_min < 1e-14:
             raise np.linalg.LinAlgError(
@@ -119,23 +118,22 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8,
             )
         return J
 
-    return gather(_damped_newton(F, jacobian, np.zeros(M * n, dtype=complex),
-                                 tol, max_iter))
+    return gather(_damped_newton(F, jacobian, np.zeros(M * n, dtype=complex)))
 
 
 def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
                    jacobian: Callable[[np.ndarray], np.ndarray],
-                   x0: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+                   x0: np.ndarray) -> np.ndarray:
     """Newton's method on F(x) = 0 from x0, halving each step until max|F| drops.
 
-    Stops once max|F| <= tol; raises RuntimeError when no step of length at
-    least 1e-4 lowers max|F| or when max_iter steps do not reach tol.
+    Stops once max|F| <= 1e-12; raises RuntimeError when no step of length
+    at least 1e-4 lowers max|F| or when 40 steps do not get there.
     """
     x = x0
     fx = F(x)
-    for _ in range(max_iter):
+    for _ in range(40):
         res = float(np.max(np.abs(fx)))
-        if res <= tol:
+        if res <= 1e-12:
             return x
         step = np.linalg.solve(jacobian(x), fx)
         alpha = 1.0
@@ -186,15 +184,11 @@ def _convolution_matrix(W: FourierField) -> np.ndarray:
     return out
 
 
-def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
-                      J_small: int | None = None, tol: float = 1e-12,
-                      max_iter: int = 40) -> FourierField:
-    """Newton on the truncated Boussinesq coefficient system."""
+def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6) -> FourierField:
+    """Newton on the Boussinesq coefficient system truncated at K = J = K_small."""
     lat = prob.lattice
-    if J_small is None:
-        J_small = K_small
     small = SpectralLattice(d=lat.d, K=K_small, omega=lat.omega, n=1,
-                            has_space=True, J=J_small)
+                            has_space=True, J=K_small)
     small_prob = PdeProblem(lattice=small, beta=prob.beta,
                             forcing=restrict_field(prob.forcing, small),
                             nonlinear=prob.nonlinear)
@@ -233,7 +227,7 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6,
     # from x = 0 the Jacobian is diag(symbol) with pinned rows, so the first
     # Newton step lands on eps N^-1 f: start there instead of solving for it
     x0 = apply_n_inverse(eps, small_prob, small_prob.forcing).coeffs.ravel()
-    x = _damped_newton(F, jacobian, x0, tol, max_iter)
+    x = _damped_newton(F, jacobian, x0)
     return FourierField(small, x.reshape(small.field_shape))
 
 
@@ -277,7 +271,6 @@ class LiouvilleFrequency:
     omega: tuple[float, float]
     witnesses: list[Witness]
     truncated_at: int | None    # level at which precision ran out, if any
-    alpha_fraction: tuple  # (p, q) of the realized rational alpha
     notes: list[str] = dc_field(default_factory=list)
 
 
@@ -293,7 +286,7 @@ def build_liouville(spec: LiouvilleSpec) -> LiouvilleFrequency:
     if spec.levels == 0:
         return LiouvilleFrequency(
             omega=(1.0, math.sqrt(2.0)), witnesses=[], truncated_at=None,
-            alpha_fraction=(0, 0), notes=["no levels requested: sqrt(2) fallback"],
+            notes=["no levels requested: sqrt(2) fallback"],
         )
 
     with mp.workdps(60):
@@ -362,21 +355,20 @@ def build_liouville(spec: LiouvilleSpec) -> LiouvilleFrequency:
                 q=q_n,
             ))
         return LiouvilleFrequency(
-            omega=omega, witnesses=witnesses, truncated_at=truncated_at,
-            alpha_fraction=(alpha_p, alpha_q), notes=notes,
+            omega=omega, witnesses=witnesses, truncated_at=truncated_at, notes=notes,
         )
 
 
-def scan_for_witnesses(omega: tuple[float, float], K: int,
-                       rate: float = 1.0) -> list[tuple[tuple[int, int], float]]:
-    """All k with |k.omega| <= e^{-rate |k|_1} on the box |k_i| <= K."""
+def scan_for_witnesses(omega: tuple[float, float], K: int
+                       ) -> list[tuple[tuple[int, int], float]]:
+    """All k with |k.omega| <= e^{-|k|_1} on the box |k_i| <= K."""
     hits = []
     for k1 in range(-K, K + 1):
         for k2 in range(-K, K + 1):
             if k1 == 0 and k2 == 0:
                 continue
             val = abs(k1 * omega[0] + k2 * omega[1])
-            if val <= math.exp(-rate * (abs(k1) + abs(k2))):
+            if val <= math.exp(-(abs(k1) + abs(k2))):
                 hits.append(((k1, k2), val))
     return hits
 
@@ -487,8 +479,9 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
                    samples: int = 8, fault: str | None = None) -> Certification:
     """Run the multiplier bound checks over sampled epsilon.
 
-    Exact (real-eps) bounds are asserted with 1e-9 relative slack and any
-    violation fails the certification; complex-cone bounds are empirical.
+    Exact (real-eps) bounds are asserted with ``BOUND_RTOL`` relative slack
+    and any violation fails the certification; complex-cone bounds are
+    empirical.
     ``fault`` perturbs the named multiplier by 2x -- a test hook that must
     make certification fail.
     """
@@ -537,7 +530,7 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
         entry = {"eps": [e.real, e.imag], "c_emp": scan["c_emp"],
                  "exact_bound": scan["exact_bound"]}
         if scan["exact_bound"] is not None and \
-                scan["c_emp"] > scan["exact_bound"] * (1 + 1e-9):
+                scan["c_emp"] > scan["exact_bound"] * (1 + BOUND_RTOL):
             msg = (f"pde scan constant {scan['c_emp']:.6e} exceeds exact bound "
                    f"{scan['exact_bound']:.6e} at eps={e}")
             violations.append(msg)

@@ -12,6 +12,7 @@ from response_solver.pde import (
     check_beta,
     illposed_log_growth,
     imaginary_axis_blowup,
+    imaginary_root_blowup,
     manufactured_forcing,
     pde_certification_scan,
     smoothing_constant,
@@ -298,6 +299,33 @@ class TestCertification:
     def test_illposed_forward_growth(self):
         # frictionless semigroup factor at j = 32 passes 1e6 within t = 1
         assert illposed_log_growth(2.0, 32, 1.0) > math.log(1e6)
+
+
+class TestImaginaryAxisSupremum:
+    # at eps = i sigma the divisor is i (a - sigma a^2 - sigma c): sup |1/s|
+    # is inf with a real root and 4 sigma / (4 sigma^2 c - 1) without one
+
+    @pytest.mark.parametrize("sigma, beta, j", [
+        (0.6, 2.0, 1),     # c = beta j^4 - j^2 = 1
+        (0.3, 0.5, 2),     # c = 4
+        (0.5, 3.0, 1),     # c = 2
+    ])
+    def test_no_real_root_matches_dense_scan(self, sigma, beta, j):
+        a = np.linspace(-50.0, 50.0, 1_000_001)
+        symbol = rs.l_eps(1j * sigma, j ** 2 - beta * j ** 4, a)
+        got = imaginary_axis_blowup(sigma, beta, j)
+        assert math.isfinite(got)
+        assert got == pytest.approx(float(np.max(1.0 / np.abs(symbol))), rel=1e-6)
+
+    @pytest.mark.parametrize("sigma, c", [
+        (0.5, 1.0),    # 1 - 4 sigma^2 c == 0: double root at a = 1/(2 sigma)
+        (0.5, 0.5),
+        (0.01, -1.0),  # the oscillator at lambda = 1
+        (0.01, 14.0),  # beta = 2, j = 2
+    ])
+    def test_inf_at_and_past_zero_discriminant(self, sigma, c):
+        assert 1.0 - 4.0 * sigma * sigma * c >= 0.0
+        assert imaginary_root_blowup(sigma, c) == math.inf
 
 
 class TestProblemValidation:
