@@ -36,7 +36,7 @@ from .ode import (
     sweep_epsilon,
     sweep_sigma_ladder,
 )
-from .pde import PdeProblem, pde_solve_fixed_point
+from .pde import PdeProblem
 from .spectral import (
     FourierField,
     NonlinearitySpec,
@@ -374,32 +374,22 @@ def _parallel_map(jobs: int):
         yield pool.map
 
 
-def _cmd_solve_ode(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
-    eps = complex(cfg.params.get("epsilon", 0.05))
+def _cmd_solve(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
+    is_ode = isinstance(prob, OdeProblem)
+    eps = complex(cfg.params.get("epsilon", 0.05 if is_ode else 0.02))
     U, rep = solve_fixed_point(eps, prob, cfg.solver)
     result = {
         "report": rep.to_dict(),
         "solution": _field_summary(U, cfg.solver.norm),
-        "ratio_fit_r2": geometric_fit_r2(rep.increments),
     }
+    if is_ode:
+        result["ratio_fit_r2"] = geometric_fit_r2(rep.increments)
     write_spectrum_csv(U, cfg.solver.norm, out)
     code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
     return code, result
 
 
-def _cmd_solve_pde(cfg: RunConfig, prob: PdeProblem, out: Path) -> tuple[int, dict]:
-    eps = complex(cfg.params.get("epsilon", 0.02))
-    U, rep = pde_solve_fixed_point(eps, prob, cfg.solver)
-    result = {
-        "report": rep.to_dict(),
-        "solution": _field_summary(U, cfg.solver.norm),
-    }
-    write_spectrum_csv(U, cfg.solver.norm, out)
-    code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
-    return code, result
-
-
-def _cmd_sweep(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
+def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
     if "sigmas" in params:
         entries = sweep_sigma_ladder(
@@ -434,11 +424,10 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     dom = EpsilonDomain.cone(sigma, mu)
     center = complex(params.get("center", 1.5 * sigma))
     radius = float(params.get("radius", 0.2 * sigma))
-    solve_fn = pde_solve_fixed_point if isinstance(prob, PdeProblem) else None
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver,
                                   points=int(params.get("points", 16)), domain=dom,
-                                  map_fn=map_fn, solve_fn=solve_fn)
+                                  map_fn=map_fn)
     result = {
         "center": [probe.center.real, probe.center.imag],
         "radius": probe.radius,
@@ -538,9 +527,9 @@ def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dic
 
 # command -> (handler, accepted problem classes); () means no problem file
 COMMANDS = {
-    "solve-ode": (_cmd_solve_ode, (OdeProblem,)),
-    "solve-pde": (_cmd_solve_pde, (PdeProblem,)),
-    "sweep": (_cmd_sweep, (OdeProblem,)),
+    "solve-ode": (_cmd_solve, (OdeProblem,)),
+    "solve-pde": (_cmd_solve, (PdeProblem,)),
+    "sweep": (_cmd_sweep, (OdeProblem, PdeProblem)),
     "probe-analytic": (_cmd_probe_analytic, (OdeProblem, PdeProblem)),
     "low-reg": (_cmd_low_reg, (OdeProblem,)),
     "verify": (_cmd_verify, (OdeProblem, PdeProblem)),

@@ -1,11 +1,14 @@
-"""Contraction iteration for the damped oscillator hull-function equation.
+"""Contraction iteration for the damped oscillator, and the fixed-point driver
+both equations share.
 
 The unknown is the hull function U on the d-torus with x(t) = U(omega t).
 One Picard step applies U -> eps L^-1 [f - g_hat(U)]; with strong damping
-this map contracts and the fixed point is the response solution.  The module
-also provides epsilon sweeps with warm starts, an analyticity probe on
-circles in the complex epsilon plane, the low-regularity (L^2 / H^s)
-iteration, and a time-domain cross check against a stiff integrator.
+this map contracts and the fixed point is the response solution.
+``solve_fixed_point`` iterates the map that a problem's ``fixed_point_map``
+gives, for ``OdeProblem`` and ``pde.PdeProblem`` alike; the epsilon sweeps
+with warm starts and the analyticity probe on complex-epsilon circles run
+on it.  The low-regularity (L^2 / H^s) iteration and the time-domain cross
+check against a stiff integrator are oscillator-only.
 """
 
 from __future__ import annotations
@@ -70,6 +73,40 @@ class OdeProblem:
     @property
     def smallness(self) -> str:
         return self.g_hat.smallness
+
+    def fixed_point_map(self, eps: complex, cfg: SolverConfig, report: SolveReport):
+        """(step, residual, first iterate, enforce_ball, observer) for
+        ``solve_fixed_point``; sets kappa and records the measured smallness
+        checks, which inform and are not enforced.  Locally small
+        nonlinearities must stay inside a finite ball radius; globally
+        Lipschitz-small ones run unconstrained.  A singular mode matrix
+        raises ``ResonanceError``."""
+        if self.g_hat.kind == "piecewise_linear" and abs(complex(eps).imag) > 0:
+            raise ValueError(
+                "piecewise-linear nonlinearities admit real eps only; "
+                "complex continuation needs an analytic nonlinear part"
+            )
+        norms = operator_norms(eps, self.linear, self.lattice)
+        report.kappa = 1.0 + norms["forward_sup"]
+        c_emp = norms["scaled_inverse_sup"]
+        report.diagnostics["c_emp"] = c_emp
+        first = apply_scaled_inverse(eps, self.linear, self.forcing)
+        if math.isfinite(cfg.ball_radius):
+            lip = self.g_hat.lipschitz_on_ball(cfg.ball_radius)
+        else:
+            lip = self.g_hat.lip_hat if self.g_hat.lip_hat is not None else math.nan
+        if not math.isnan(lip) and math.isfinite(lip):
+            report.diagnostics["contraction_product"] = c_emp * lip
+            report.diagnostics["contraction_below_half"] = bool(c_emp * lip <= 0.5)
+        report.diagnostics["smallness"] = self.smallness
+        if self.g_hat.kind in ("callable", "piecewise_linear") and first.is_hermitian():
+            # inexact dealiasing: record the measured aliasing residual
+            report.diagnostics["aliasing_estimate"] = \
+                spectral.composition_aliasing_estimate(first, self.g_hat)
+        enforce_ball = self.smallness == "local" and math.isfinite(cfg.ball_radius)
+        return (lambda V: picard_step(V, eps, self),
+                lambda V: residual(V, eps, self, cfg.norm),
+                first, enforce_ball, None)
 
 
 @dataclass(frozen=True)
@@ -141,55 +178,34 @@ def residual(U: FourierField, eps: complex, prob: OdeProblem,
     return norm(res, normspec)
 
 
-def solve_fixed_point(eps: complex, prob: OdeProblem, cfg: SolverConfig,
+def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
                       u0: FourierField | None = None) -> tuple[FourierField, SolveReport]:
-    """Iterate the contraction map to a fixed point.
+    """Iterate a problem's contraction map to its fixed point.
 
-    Stops when both the Picard increment and the equation residual pass the
-    dual criterion ||dU|| <= tol, residual <= kappa tol with kappa measured
-    on the lattice.  Locally small nonlinearities must keep the iterates
-    inside ball_radius; globally Lipschitz-small ones run unconstrained.
+    ``prob`` (an ``OdeProblem`` or a ``pde.PdeProblem``) gives the map through
+    ``fixed_point_map``, which also sets ``report.kappa`` and its own
+    diagnostics.  A resonant eps ends the solve ``resonant``; otherwise
+    ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
+    residual <= kappa tol.
     """
     report = SolveReport(eps=eps)
-    if prob.g_hat.kind == "piecewise_linear" and abs(complex(eps).imag) > 0:
-        raise ValueError(
-            "piecewise-linear nonlinearities admit real eps only; "
-            "complex continuation needs an analytic nonlinear part"
-        )
-    U = FourierField.zeros(prob.lattice) if u0 is None else u0.copy()
     try:
-        norms = operator_norms(eps, prob.linear, prob.lattice)
+        step, eq_residual, first, enforce_ball, observe = \
+            prob.fixed_point_map(eps, cfg, report)
     except ResonanceError as exc:
         report.status = "resonant"
         report.diagnostics["error"] = str(exc)
-        return U, report
-    report.kappa = 1.0 + norms["forward_sup"]
-    c_emp = norms["scaled_inverse_sup"]
-    report.diagnostics["c_emp"] = c_emp
-
-    # measured smallness checks; informative, not enforced
-    first = apply_scaled_inverse(eps, prob.linear, prob.forcing)
-    first_norm = norm(first, cfg.norm)
+        return FourierField.zeros(prob.lattice) if u0 is None else u0.copy(), report
     if math.isfinite(cfg.ball_radius):
         report.diagnostics["first_iterate_in_half_ball"] = bool(
-            first_norm <= cfg.ball_radius / 2
+            norm(first, cfg.norm) <= cfg.ball_radius / 2
         )
-        lip = prob.g_hat.lipschitz_on_ball(cfg.ball_radius)
-    else:
-        lip = prob.g_hat.lip_hat if prob.g_hat.lip_hat is not None else math.nan
-    if not math.isnan(lip) and math.isfinite(lip):
-        report.diagnostics["contraction_product"] = c_emp * lip
-        report.diagnostics["contraction_below_half"] = bool(c_emp * lip <= 0.5)
-    report.diagnostics["smallness"] = prob.smallness
-    if prob.g_hat.kind in ("callable", "piecewise_linear") and first.is_hermitian():
-        # inexact dealiasing: record the measured aliasing residual
-        report.diagnostics["aliasing_estimate"] = \
-            spectral.composition_aliasing_estimate(first, prob.g_hat)
-
-    enforce_ball = prob.smallness == "local" and math.isfinite(cfg.ball_radius)
-    return contract(lambda V: picard_step(V, eps, prob),
-                    lambda V: residual(V, eps, prob, cfg.norm),
-                    U, cfg, report, enforce_ball)
+    # neither the first iterate nor the start field is held by a name here
+    # through the iteration
+    del first
+    return contract(step, eq_residual,
+                    FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
+                    cfg, report, enforce_ball, observe)
 
 
 def contract(step: Callable[[FourierField], FourierField],
@@ -267,11 +283,11 @@ class SweepEntry:
     solution: FourierField | None = None
 
 
-def sweep_epsilon(dom: EpsilonDomain, prob: OdeProblem, cfg: SolverConfig,
+def sweep_epsilon(dom: EpsilonDomain, prob, cfg: SolverConfig,
                   count: int = 8, eps_values: Sequence[complex] | None = None,
                   keep_solutions: bool = True,
                   map_fn: Callable | None = None) -> list[SweepEntry]:
-    """Solve across an epsilon domain, largest |eps| first.
+    """Solve either problem kind across an epsilon domain, largest |eps| first.
 
     Sequential sweeps warm-start each solve from the previous solution on
     the same sign branch.  With ``map_fn`` (a parallel map) all solves are
@@ -302,7 +318,7 @@ def sweep_epsilon(dom: EpsilonDomain, prob: OdeProblem, cfg: SolverConfig,
     return entries
 
 
-def sweep_sigma_ladder(prob: OdeProblem, cfg: SolverConfig, sigmas: Sequence[float],
+def sweep_sigma_ladder(prob, cfg: SolverConfig, sigmas: Sequence[float],
                        samples_per_sigma: int = 3, signs: tuple[int, ...] = (1,),
                        keep_solutions: bool = True) -> list[SweepEntry]:
     """Concatenated real-annulus sweeps over a decreasing sigma ladder."""
@@ -341,21 +357,14 @@ class AnalyticityProbe:
 def analyticity_probe(center_eps: complex, radius: float, prob,
                       cfg: SolverConfig, points: int = 16,
                       domain: EpsilonDomain | None = None,
-                      map_fn: Callable | None = None,
-                      solve_fn: Callable | None = None) -> AnalyticityProbe:
+                      map_fn: Callable | None = None) -> AnalyticityProbe:
     """Taylor coefficients of eps -> U_eps from a discrete Cauchy transform.
 
     Solves on ``points`` equispaced circle points, recovers the coefficients
     c_m = (1/P) sum_p U(eps_p) e^{-2 pi i m p / P} / radius^m, and compares
     the first derivative against a real-axis central difference with step
-    radius / 20.
-
-    ``solve_fn(eps, prob, cfg, u0=...)`` defaults to the oscillator solver;
-    pass the Boussinesq fixed-point solver to probe a PDE problem with the
-    same machinery.
+    radius / 20.  ``prob`` is an oscillator or a Boussinesq problem.
     """
-    if solve_fn is None:
-        solve_fn = solve_fixed_point
     eps_points = [
         center_eps + radius * cmath.exp(2j * math.pi * p / points)
         for p in range(points)
@@ -365,12 +374,12 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
             if not domain.contains(e, rtol=1e-9):
                 raise ValueError(f"circle point {e} leaves the epsilon domain")
 
-    center_U, center_rep = solve_fn(center_eps, prob, cfg)
+    center_U, center_rep = solve_fixed_point(center_eps, prob, cfg)
     if center_rep.status != "converged":
         raise RuntimeError(f"center solve failed: {center_rep.status}")
 
     def _solve(e):
-        return solve_fn(e, prob, cfg, u0=center_U)
+        return solve_fixed_point(e, prob, cfg, u0=center_U)
 
     mapper = map_fn if map_fn is not None else map
     solves = list(mapper(_solve, eps_points))
@@ -401,8 +410,8 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
     # first Taylor coefficient (dU/deps) vs a real-axis central difference
     c1 = np.tensordot(phases[1], stack, axes=(0, 0)) / points / radius
     h = 0.05 * radius
-    Up, rp = solve_fn(center_eps + h, prob, cfg, u0=center_U)
-    Um, rm = solve_fn(center_eps - h, prob, cfg, u0=center_U)
+    Up, rp = solve_fixed_point(center_eps + h, prob, cfg, u0=center_U)
+    Um, rm = solve_fixed_point(center_eps - h, prob, cfg, u0=center_U)
     if rp.status != "converged" or rm.status != "converged":
         raise RuntimeError("finite-difference solves failed")
     fd = (Up.coeffs - Um.coeffs) / (2 * h)

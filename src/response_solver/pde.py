@@ -6,9 +6,10 @@ The hull function U(theta, x) on T^d x T solves
 
 with zero spatial average.  The linear operator is a scalar Fourier
 multiplier over (k, j); its scaled inverse gains two x-derivatives, which is
-what tames the unbounded nonlinearity.  No initial-value integration exists
-here: beta > 0 makes the evolution problem ill posed, and only the
-fixed-point path is provided.
+what tames the unbounded nonlinearity.  ``PdeProblem.fixed_point_map``
+gives that contraction to ``ode.solve_fixed_point``, the driver both
+equations share.  No initial-value integration exists here: beta > 0 makes
+the evolution problem ill posed, and only the fixed-point path is provided.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multipliers import ResonanceError, is_real_eps, l_eps
-from .ode import SolveReport, SolverConfig, contract
+from .ode import SolveReport, SolverConfig, solve_fixed_point
 from .spectral import (
     L2,
     FourierField,
@@ -108,6 +109,38 @@ class PdeProblem:
         if not self.forcing.is_hermitian():
             raise ValueError("forcing must be real-symmetric")
         self.lattice.validate_nonresonance()
+
+    def fixed_point_map(self, eps: complex, cfg: SolverConfig, report: SolveReport):
+        """(step, residual, first iterate, enforce_ball, observer) of
+        U <- eps N^-1 [(U^2)_xx + f] for ``ode.solve_fixed_point``.
+
+        The quadratic term is locally contracting, so a finite ball radius is
+        enforced.  The observer asserts, cheaply, that every iterate keeps
+        zero spatial average and, at real eps, Hermitian symmetry.  A
+        vanishing symbol raises ``ResonanceError``.
+        """
+        first = apply_n_inverse(eps, self, self.forcing)
+        mag = np.abs(_symbol_array(eps, self))
+        mag[self.lattice.space_average_slab] = 0.0
+        report.kappa = 1.0 + float(np.max(mag))
+        report.diagnostics["c_emp_smoothing"] = smoothing_constant(eps, self)
+        report.diagnostics["smallness"] = "local"
+        real_eps = is_real_eps(eps)
+
+        def check_invariants(it: int, V: FourierField, delta: FourierField) -> None:
+            avg = np.max(np.abs(V.space_average_slice()))
+            if avg > 1e-12 * (1 + V.max_abs()):
+                raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
+            if real_eps:
+                sym = V.hermitian_defect()
+                if sym > 1e-10 * (1 + V.max_abs()):
+                    raise AssertionError(
+                        f"Hermitian symmetry lost at step {it}: {sym:.2e}"
+                    )
+
+        return (lambda V: pde_picard_step(V, eps, self),
+                lambda V: pde_residual(V, eps, self, cfg.norm),
+                first, math.isfinite(cfg.ball_radius), check_invariants)
 
 
 # ---------------------------------------------------------------------------
@@ -211,52 +244,8 @@ def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
 def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
                           u0: FourierField | None = None
                           ) -> tuple[FourierField, SolveReport]:
-    """Iterate U <- eps N^-1 [(U^2)_xx + f] to its fixed point.
-
-    Zero spatial average and Hermitian symmetry are preserved by every step
-    (asserted cheaply).  The quadratic nonlinearity is locally contracting,
-    so the ball radius is enforced whenever it is finite.
-    """
-    report = SolveReport(eps=eps)
-    try:
-        first = apply_n_inverse(eps, prob, prob.forcing)
-    except ResonanceError as exc:
-        report.status = "resonant"
-        report.diagnostics["error"] = str(exc)
-        return FourierField.zeros(prob.lattice) if u0 is None else u0.copy(), report
-    symbol = _symbol_array(eps, prob)
-    mag = np.abs(symbol)
-    mag[prob.lattice.space_average_slab] = 0.0
-    report.kappa = 1.0 + float(np.max(mag))
-    c_smooth = smoothing_constant(eps, prob)
-    report.diagnostics["c_emp_smoothing"] = c_smooth
-    report.diagnostics["smallness"] = "local"
-
-    first_norm = norm(first, cfg.norm)
-    if math.isfinite(cfg.ball_radius):
-        report.diagnostics["first_iterate_in_half_ball"] = bool(
-            first_norm <= cfg.ball_radius / 2
-        )
-
-    real_eps = is_real_eps(eps)
-
-    def check_invariants(it: int, V: FourierField, delta: FourierField) -> None:
-        avg = np.max(np.abs(V.space_average_slice()))
-        if avg > 1e-12 * (1 + V.max_abs()):
-            raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
-        if real_eps:
-            sym = V.hermitian_defect()
-            if sym > 1e-10 * (1 + V.max_abs()):
-                raise AssertionError(
-                    f"Hermitian symmetry lost at step {it}: {sym:.2e}"
-                )
-
-    # the start field is built in the call so that no name here keeps it
-    # alive through the iteration
-    return contract(lambda V: pde_picard_step(V, eps, prob),
-                    lambda V: pde_residual(V, eps, prob, cfg.norm),
-                    FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
-                    cfg, report, math.isfinite(cfg.ball_radius), check_invariants)
+    """``ode.solve_fixed_point`` on a Boussinesq problem, under its older name."""
+    return solve_fixed_point(eps, prob, cfg, u0)
 
 
 # ---------------------------------------------------------------------------

@@ -508,8 +508,14 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
                 "certified": gb.certified,
                 "exact": gb.exact,
             })
-        lam = float(np.real(problem.linear.eigenvalues()[0]))
-        blowup = imaginary_root_blowup(domain.sigma, -lam)
+        # at a = q b / p a block's divisor is q^2/p times the p = q = 1
+        # divisor of lam p / q^2; the supremum is the worst block's
+        lin = problem.linear
+        blowup = max(
+            abs(p) / q ** 2 * imaginary_root_blowup(domain.sigma, -lam * p / q ** 2)
+            for lam, p, q in zip(np.real(lin.eigenvalues()).tolist(),
+                                 lin.p_diagonal.tolist(), lin.q_diagonal.tolist())
+        )
         details = {
             "per_eps": per_eps,
             "scaled_inverse_sup": worst,

@@ -321,7 +321,7 @@ class TestRun:
 
     @pytest.mark.parametrize("command, problem", [
         ("solve-ode", "boussinesq_pde.json"), ("solve-pde", "cubic_ode.json"),
-        ("sweep", "boussinesq_pde.json"), ("low-reg", "boussinesq_pde.json"),
+        ("low-reg", "boussinesq_pde.json"),
     ])
     def test_wrong_problem_kind_names_the_command(self, tmp_path, command, problem):
         cfg = RunConfig.load(write_json(
@@ -441,6 +441,26 @@ class TestRun:
         result = json.loads((tmp_path / "out" / "result.json").read_text())
         assert result["flagged_count"] == 0
         assert len(result["entries"]) == 4
+
+    def test_sweep_on_pde_problem_serial_and_pooled(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "pde", "d": 1, "K": 4, "J": 4, "omega": ["1"], "beta": 2.0,
+            "forcing": [{"k": [1], "j": 1, "amplitude": 0.01, "waveform": "cos"}],
+        })
+        doc = config_doc("sweep", str(prob), tmp_path / "out",
+                         domain={"kind": "complex_cone", "sigma": 0.05, "mu": 5.0},
+                         count=6)
+        cfg_path = write_json(tmp_path / "cfg.json", doc)
+        entries = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert cli.main(["--config", str(cfg_path), "--jobs", jobs,
+                             "--out", str(out)]) == EXIT_OK
+            result = json.loads((out / "result.json").read_text())
+            assert result["flagged_count"] == 0
+            entries[jobs] = result["entries"]
+        assert len(entries["1"]) == 6
+        assert entries["1"] == entries["2"]
 
     def test_unknown_command_rejected(self, tmp_path):
         p = write_json(tmp_path / "cfg.json", {"command": "explode"})

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -209,6 +210,23 @@ class TestSweep:
         assert len(entries) == 3
         assert any(e.report.status != "converged" for e in entries)
 
+    def test_pde_sweep_warm_starts_and_converges(self, monkeypatch):
+        lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,), has_space=True, J=4)
+        prob = rs.PdeProblem(lattice=lat, beta=2.0, forcing=rs.FourierField.from_modes(
+            lat, {(1, 1): 0.005, (-1, -1): 0.005}))
+        solve, starts = ode_mod.solve_fixed_point, []
+
+        def recording_solve(eps, prob, cfg, u0=None):
+            starts.append(u0)
+            return solve(eps, prob, cfg, u0=u0)
+
+        monkeypatch.setattr(ode_mod, "solve_fixed_point", recording_solve)
+        entries = rs.sweep_epsilon(EpsilonDomain.cone(0.05, 5.0), prob,
+                                   rs.SolverConfig(tol=1e-11, ball_radius=1.0), count=6)
+        assert [e.report.status for e in entries] == ["converged"] * 6
+        # one cold start per branch (real, complex); the rest start warm
+        assert [u0 is None for u0 in starts] == [True, False, True, False, False, False]
+
     def test_parallel_map_cold_start(self, linear_problem):
         dom = EpsilonDomain.annulus(0.01)
         entries = rs.sweep_epsilon(dom, linear_problem, rs.SolverConfig(tol=1e-12),
@@ -305,8 +323,14 @@ def _pde_resonant(cubic_problem):
     return rs.pde_solve_fixed_point, prob, 0.5j
 
 
+def _one_solver(case):
+    """``case`` with its problem handed to ``solve_fixed_point`` itself."""
+    return lambda cubic_problem: (rs.solve_fixed_point,) + case(cubic_problem)[1:]
+
+
 class TestContractExits:
-    """Every exit of the shared Picard driver, reached through both solvers."""
+    """Every exit of the shared Picard driver, reached through both problem
+    kinds and both names of the solver."""
 
     @pytest.mark.parametrize("case, cfg, status, iterations", [
         (_ode_cubic, rs.SolverConfig(tol=1e-12, ball_radius=1e-9), "left_ball", 1),
@@ -317,8 +341,14 @@ class TestContractExits:
         (_pde_manufactured, rs.SolverConfig(tol=1e-15, max_iter=1), "max_iter", 1),
         (_ode_resonant, rs.SolverConfig(tol=1e-12), "resonant", 0),
         (_pde_resonant, rs.SolverConfig(tol=1e-12), "resonant", 0),
+        (_one_solver(_pde_manufactured), rs.SolverConfig(tol=1e-12, ball_radius=1e-9),
+         "left_ball", 1),
+        (_one_solver(_pde_manufactured), rs.SolverConfig(tol=1e-15, max_iter=1),
+         "max_iter", 1),
+        (_one_solver(_pde_resonant), rs.SolverConfig(tol=1e-12), "resonant", 0),
     ], ids=["ode-left_ball", "pde-left_ball", "ode-max_iter", "pde-max_iter",
-            "ode-resonant", "pde-resonant"])
+            "ode-resonant", "pde-resonant", "pde-left_ball-solve_fixed_point",
+            "pde-max_iter-solve_fixed_point", "pde-resonant-solve_fixed_point"])
     @pytest.mark.filterwarnings("error")
     def test_exit_status_and_trace(self, cubic_problem, case, cfg, status,
                                    iterations):
@@ -328,6 +358,19 @@ class TestContractExits:
         assert rep.iterations == iterations == len(rep.increments)
         assert len(rep.ratios) == max(len(rep.increments) - 1, 0)
         assert ("error" in rep.diagnostics) == (status == "resonant")
+
+    @pytest.mark.parametrize("case, cfg", [
+        (_pde_manufactured, rs.SolverConfig(tol=1e-12, ball_radius=1.0)),
+        (_pde_resonant, rs.SolverConfig(tol=1e-12)),
+    ], ids=["manufactured", "resonant"])
+    def test_pde_name_gives_what_solve_fixed_point_gives(self, cubic_problem, case,
+                                                         cfg):
+        _, prob, eps = case(cubic_problem)
+        U, rep = rs.solve_fixed_point(eps, prob, cfg)
+        V, rep_pde = rs.pde_solve_fixed_point(eps, prob, cfg)
+        assert np.array_equal(U.coeffs, V.coeffs)
+        # through JSON, so that the nan fields of a resonant report compare
+        assert json.dumps(rep.to_dict()) == json.dumps(rep_pde.to_dict())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_the_trace(self, tmp_path):

@@ -195,16 +195,14 @@ class TestFixedPoint:
 
 class TestEpsilonAnalyticity:
     def test_shared_circle_probe_on_pde(self):
-        # the ODE circle-probe machinery drives the PDE solver unchanged
+        # the ODE circle-probe machinery drives the PDE problem unchanged
         from response_solver.multipliers import EpsilonDomain
-        from response_solver.pde import pde_solve_fixed_point
 
         prob, _, _ = manufactured_pde(K=6)
         sigma = 0.02
         dom = EpsilonDomain.cone(sigma, 5.0)
         probe = rs.analyticity_probe(1.5 * sigma, 0.2 * sigma, prob,
-                                     rs.SolverConfig(tol=1e-12),
-                                     domain=dom, solve_fn=pde_solve_fixed_point)
+                                     rs.SolverConfig(tol=1e-12), domain=dom)
         assert probe.decay_ratios
         assert max(probe.decay_ratios) <= 0.5
         assert probe.cauchy_vs_fd <= 1e-6

@@ -1,0 +1,27 @@
+"""Each shipped config gives the exit code and the ``result.json`` bytes kept
+in ``tests/golden/``.
+
+The golden files are the outputs of ``response-solver --config
+configs/<name>.json --out <dir>``.  A change that means to move these bytes
+replaces the affected files from a run of the changed code and lists the
+moved fields in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from response_solver import cli
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (REPO / "configs").glob("*.json")))
+def test_shipped_config_matches_golden(tmp_path, name):
+    code = cli.main(["--config", str(REPO / "configs" / f"{name}.json"),
+                     "--out", str(tmp_path)])
+    assert code == EXIT_CODES[name]
+    assert (tmp_path / "result.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import response_solver as rs
 from response_solver.cli import parse_problem
-from response_solver.multipliers import EpsilonDomain
+from response_solver.multipliers import EpsilonDomain, JordanBlock, l_eps
 from response_solver.verification import (
     FAULT_NAMES,
     LiouvilleSpec,
@@ -250,3 +250,33 @@ class TestCertification:
                 vals.append(abs(e) * gb.empirical)
             worst[mu] = max(vals)
         assert worst[10.0] >= worst[100.0] * (1 - 1e-12)
+
+    @pytest.mark.parametrize("A, expected", [
+        ([[-2.0, 0.0], [0.0, -3.0]], 1.2765957446808511),
+        ([[-3.0, 0.0], [0.0, -2.0]], 1.2765957446808511),
+        ([[-2.0, 0.0], [0.0, 1.0]], math.inf),
+        ([[1.0, 0.0], [0.0, -2.0]], math.inf),
+    ], ids=["-2,-3", "-3,-2", "-2,1", "1,-2"])
+    def test_imaginary_axis_sup_is_the_worst_block(self, A, expected):
+        # at sigma = 0.6, lambda = -2 blows up to 4 sigma / (4 sigma^2 2 - 1),
+        # lambda = -3 to less, and lambda = 1 has a real root: inf
+        lin = rs.LinearPart(tuple(map(tuple, A)))
+        cert = certify_bounds(_forced(lin), EpsilonDomain.annulus(0.6), samples=2)
+        assert cert.details["imaginary_axis_sup"] == pytest.approx(expected, rel=1e-14)
+
+    def test_imaginary_axis_sup_of_a_pq_block_matches_a_dense_scan(self):
+        lam, p, q, sigma = -2.0, 2.0, 0.5, 0.6
+        lin = rs.LinearPart(((lam,),), (JordanBlock(lam, 1, p, q),))
+        cert = certify_bounds(_forced(lin), EpsilonDomain.annulus(sigma), samples=2)
+        a = np.linspace(-5.0, 5.0, 2_000_001)
+        scan = np.max(1.0 / np.abs(l_eps(1j * sigma, lam, a, p, q)))
+        assert cert.details["imaginary_axis_sup"] == pytest.approx(scan, rel=1e-9)
+
+
+def _forced(lin):
+    """``lin`` with zero nonlinearity and cos(theta) forcing in every component."""
+    lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,), n=lin.n)
+    half = np.full(lin.n, 0.5 + 0j)
+    return rs.OdeProblem(lattice=lat, linear=lin, g_hat=rs.NonlinearitySpec.zero(),
+                         forcing=rs.FourierField.from_modes(lat, {(1,): half,
+                                                                  (-1,): half.copy()}))
