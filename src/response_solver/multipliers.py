@@ -3,8 +3,9 @@
 The operator acts diagonally in Fourier space: mode k sees the n x n matrix
 L(a) = -eps a^2 P + i a Q + eps A at a = k.omega.  ``l_eps`` (the scalar
 divisor) and ``mode_matrices`` are the only places that build it; the
-lattice inverse solves with them directly.  With Jordan data for A the
-inverse also has a closed lower-triangular Toeplitz form per block
+lattice inverse (``ScaledInverse``) builds it once per eps, divides or
+solves with it and reads the operator norms off it.  With Jordan data for A
+the inverse also has a closed lower-triangular Toeplitz form per block
 (``jordan_mode_inverse``), kept as the per-mode reference the solve is
 checked against.  Real eps admits the exact infimum of the scalar divisor
 over the a-line in closed form; complex-cone bounds are certified from a
@@ -277,6 +278,67 @@ def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray) -> n
 # lattice-wide application
 
 
+class ScaledInverse:
+    """eps L^-1 at one eps on one lattice, with the mode operator built once.
+
+    For n = 1 the operator is the scalar divisor l_eps per mode, and the
+    singular value of a 1x1 mode matrix is |l_eps|, so ``norms`` are in
+    closed form; for n > 1 it is the stack of mode matrices, whose norms
+    come from one batched SVD.  A call applies the inverse with the cached
+    operator and no singularity check: ``check`` makes that once.  A solve
+    builds one per eps, so each Picard step only divides (n = 1) or solves
+    (n > 1); ``apply_scaled_inverse`` and ``operator_norms`` build one per
+    call.
+    """
+
+    def __init__(self, eps: complex, linear: LinearPart, lat: SpectralLattice):
+        if linear.n != lat.n:
+            raise ValueError("linear part dimension differs from lattice value dimension")
+        self.eps = eps
+        self.lattice = lat
+        if lat.n == 1:
+            self.operator = l_eps(eps, linear.array[0, 0], lat.k_dot_omega(),
+                                  linear.p_diagonal[0], linear.q_diagonal[0])[..., None]
+        else:
+            self.operator = mode_matrices(eps, linear, lat.k_dot_omega())
+
+    def norms(self) -> dict:
+        """Spectral norms of the mode matrices and their inverses over the
+        lattice; ResonanceError when a mode matrix is singular."""
+        if self.lattice.n == 1:
+            mag = np.abs(self.operator)
+            smax, smin = np.max(mag), np.min(mag)
+        else:
+            n = self.lattice.n
+            sv = np.linalg.svd(self.operator.reshape(-1, n, n), compute_uv=False)
+            smax, smin = np.max(sv[:, 0]), np.min(sv[:, -1])
+        if smin == 0.0:
+            raise ResonanceError("singular mode matrix on lattice")
+        # 1 / min equals max of 1 / each: division rounds monotonically
+        inverse_sup = float(1.0 / smin)
+        return {
+            "forward_sup": float(smax),
+            "inverse_sup": inverse_sup,
+            "scaled_inverse_sup": float(abs(self.eps) * inverse_sup),
+        }
+
+    def check(self) -> None:
+        """ResonanceError naming the first mode whose matrix is singular."""
+        if self.lattice.n == 1:
+            bad, what = np.abs(self.operator[..., 0]) == 0.0, "scalar divisor"
+        else:
+            bad, what = np.abs(np.linalg.det(self.operator)) == 0.0, "mode matrix"
+        if np.any(bad):
+            k = self.lattice.mode_of_index(np.argmax(bad))
+            raise ResonanceError(f"singular {what} at k={k}", mode=k)
+
+    def __call__(self, f: FourierField) -> FourierField:
+        if self.lattice.n == 1:
+            return FourierField(self.lattice, self.eps * f.coeffs / self.operator)
+        sol = np.linalg.solve(self.operator, f.coeffs[..., None])[..., 0]
+        return FourierField(self.lattice, self.eps * sol)
+
+
 def apply_scaled_inverse(eps: complex, linear: LinearPart,
                          f: FourierField) -> FourierField:
     """eps L^-1 f, inverted mode by mode.
@@ -284,25 +346,9 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart,
     Aborts with the offending k when a mode matrix is singular.  Hermitian
     symmetry of real fields is preserved for real eps.
     """
-    lat = f.lattice
-    if linear.n != lat.n:
-        raise ValueError("linear part dimension differs from lattice value dimension")
-    if lat.n == 1:
-        div = l_eps(eps, linear.array[0, 0], lat.k_dot_omega(),
-                    linear.p_diagonal[0], linear.q_diagonal[0])
-        bad = np.abs(div) == 0.0
-        if np.any(bad):
-            k = lat.mode_of_index(np.argmax(bad))
-            raise ResonanceError(f"singular scalar divisor at k={k}", mode=k)
-        return FourierField(lat, eps * f.coeffs / div[..., None])
-    M = mode_matrices(eps, linear, lat.k_dot_omega())
-    det = np.linalg.det(M)
-    bad = np.abs(det) == 0.0
-    if np.any(bad):
-        k = lat.mode_of_index(np.argmax(bad))
-        raise ResonanceError(f"singular mode matrix at k={k}", mode=k)
-    sol = np.linalg.solve(M, f.coeffs[..., None])[..., 0]
-    return FourierField(lat, eps * sol)
+    inverse = ScaledInverse(eps, linear, f.lattice)
+    inverse.check()
+    return inverse(f)
 
 
 def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierField:
@@ -324,15 +370,10 @@ def _mode_singular_values(eps: complex, linear: LinearPart,
 
 
 def operator_norms(eps: complex, linear: LinearPart, lat: SpectralLattice) -> dict:
-    """Spectral norms of the mode matrices and their inverses over the lattice."""
-    sv = _mode_singular_values(eps, linear, lat)
-    smax = sv[:, 0]
-    smin = sv[:, -1]
-    return {
-        "forward_sup": float(np.max(smax)),
-        "inverse_sup": float(np.max(1.0 / smin)),
-        "scaled_inverse_sup": float(abs(eps) * np.max(1.0 / smin)),
-    }
+    """Spectral norms of the mode matrices and their inverses over the lattice:
+    ``forward_sup``, ``inverse_sup`` and ``scaled_inverse_sup`` = |eps|
+    ``inverse_sup``.  Closed-form for n = 1 (see ``ScaledInverse``)."""
+    return ScaledInverse(eps, linear, lat).norms()
 
 
 # ---------------------------------------------------------------------------

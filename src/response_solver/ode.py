@@ -27,6 +27,7 @@ from .multipliers import (
     EpsilonDomain,
     LinearPart,
     ResonanceError,
+    ScaledInverse,
     apply_scaled_inverse,
     is_real_eps,
     operator_norms,
@@ -86,11 +87,15 @@ class OdeProblem:
                 "piecewise-linear nonlinearities admit real eps only; "
                 "complex continuation needs an analytic nonlinear part"
             )
-        norms = operator_norms(eps, self.linear, self.lattice)
+        # the solve's plan: the mode operator, its norms and its one
+        # singularity check, built once; every step reuses it
+        inverse = ScaledInverse(eps, self.linear, self.lattice)
+        norms = inverse.norms()
+        inverse.check()
         report.kappa = 1.0 + norms["forward_sup"]
         c_emp = norms["scaled_inverse_sup"]
         report.diagnostics["c_emp"] = c_emp
-        first = apply_scaled_inverse(eps, self.linear, self.forcing)
+        first = inverse(self.forcing)
         if math.isfinite(cfg.ball_radius):
             lip = self.g_hat.lipschitz_on_ball(cfg.ball_radius)
         else:
@@ -104,7 +109,7 @@ class OdeProblem:
             report.diagnostics["aliasing_estimate"] = \
                 spectral.composition_aliasing_estimate(first, self.g_hat)
         enforce_ball = self.smallness == "local" and math.isfinite(cfg.ball_radius)
-        return (lambda V: picard_step(V, eps, self),
+        return (lambda V: inverse(self.forcing - compose(V, self.g_hat)),
                 lambda V: residual(V, eps, self, cfg.norm),
                 first, enforce_ball, None)
 
@@ -156,7 +161,10 @@ class SolveReport:
 
 
 def picard_step(U: FourierField, eps: complex, prob: OdeProblem) -> FourierField:
-    """One application of T(U) = eps L^-1 [f - g_hat(U)]."""
+    """One application of T(U) = eps L^-1 [f - g_hat(U)].
+
+    ``OdeProblem.fixed_point_map``'s step gives the same bits from the
+    solve's one ``ScaledInverse``."""
     rhs = prob.forcing - compose(U, prob.g_hat)
     return apply_scaled_inverse(eps, prob.linear, rhs)
 
@@ -239,7 +247,8 @@ def contract(step: Callable[[FourierField], FourierField],
             inc = norm(delta, cfg.norm)
             if not math.isfinite(inc):
                 raise FloatingPointError(f"non-finite increment at step {it}")
-            sol_norm = norm(U_next, cfg.norm)
+            # the ball test needs ||U|| every step; without it, once at exit
+            sol_norm = norm(U_next, cfg.norm) if enforce_ball else None
             report.increments.append(inc)
             if prev_inc is not None and prev_inc > 0:
                 report.ratios.append(inc / prev_inc)
@@ -259,12 +268,12 @@ def contract(step: Callable[[FourierField], FourierField],
                     report.status = "converged"
                     report.fp_residual = inc
                     report.residual = eq_res
-                    report.sol_norm = sol_norm
+                    report.sol_norm = sol_norm if enforce_ball else norm(U, cfg.norm)
                     return U, report
         report.status = "max_iter"
         report.fp_residual = prev_inc
         report.residual = eq_residual(U)
-        report.sol_norm = sol_norm
+        report.sol_norm = sol_norm if enforce_ball else norm(U, cfg.norm)
     except (ResonanceError, FloatingPointError, NormOverflowError) as exc:
         report.status = "resonant" if isinstance(exc, ResonanceError) else "diverged"
         report.diagnostics["error"] = str(exc)

@@ -27,6 +27,7 @@ from .spectral import (
     FourierField,
     NormSpec,
     SpectralLattice,
+    dealiased_product,
     directional_derivative,
     norm,
     product,
@@ -119,27 +120,49 @@ class PdeProblem:
         zero spatial average and, at real eps, Hermitian symmetry.  A
         vanishing symbol raises ``ResonanceError``.
         """
-        first = apply_n_inverse(eps, self, self.forcing)
-        mag = np.abs(_symbol_array(eps, self))
-        mag[self.lattice.space_average_slab] = 0.0
+        # the solve's plan: one symbol gives the step's multiplier, kappa
+        # and the smoothing constant.  Only the multiplier outlives set-up:
+        # the symbol goes before the first iterate is allocated, so no freed
+        # set-up array is left as a hole under the iterates that the heap
+        # cannot hand back
+        lat = self.lattice
+        symbol = _symbol_array(eps, self)
+        inverse = NInverse(eps, lat, symbol)
+        mag = np.abs(symbol)
+        mag[lat.space_average_slab] = 0.0
         report.kappa = 1.0 + float(np.max(mag))
-        report.diagnostics["c_emp_smoothing"] = smoothing_constant(eps, self)
+        report.diagnostics["c_emp_smoothing"] = _smoothing_sup(eps, symbol, lat)
+        del symbol, mag
+        first = inverse(self.forcing)
         report.diagnostics["smallness"] = "local"
         real_eps = is_real_eps(eps)
+        # the last accepted iterate and whether it is Hermitian: the observer
+        # scans it once, and the step that squares it next reuses the verdict
+        hermitian: list = [None, False]
 
         def check_invariants(it: int, V: FourierField, delta: FourierField) -> None:
+            scale = 1 + V.max_abs()
             avg = np.max(np.abs(V.space_average_slice()))
-            if avg > 1e-12 * (1 + V.max_abs()):
+            if avg > 1e-12 * scale:
                 raise AssertionError(f"zero-average lost at step {it}: {avg:.2e}")
             if real_eps:
                 sym = V.hermitian_defect()
-                if sym > 1e-10 * (1 + V.max_abs()):
+                if sym > 1e-10 * scale:
                     raise AssertionError(
                         f"Hermitian symmetry lost at step {it}: {sym:.2e}"
                     )
+                # the FourierField.is_hermitian test, from this scan
+                hermitian[:] = [V, sym <= 1e-12 * scale]
 
-        return (lambda V: pde_picard_step(V, eps, self),
-                lambda V: pde_residual(V, eps, self, cfg.norm),
+        def step(V: FourierField) -> FourierField:
+            """``pde_picard_step`` through the plan."""
+            rhs = self.forcing
+            if self.nonlinear:
+                real = hermitian[1] if hermitian[0] is V else V.is_hermitian()
+                rhs = rhs + spatial_derivative(dealiased_product(V, V, real), 2)
+            return inverse(rhs)
+
+        return (step, lambda V: pde_residual(V, eps, self, cfg.norm),
                 first, math.isfinite(cfg.ball_radius), check_invariants)
 
 
@@ -161,6 +184,30 @@ def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
     return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
 
 
+class NInverse:
+    """eps N^-1 at one eps on one lattice, from the symbol N given.
+
+    A call multiplies by the cached eps / N (zero on the j = 0 slab), bit
+    for bit what ``apply_n_inverse`` gives; a solve builds one per eps, so
+    its steps only multiply.  Raises ``ResonanceError`` at a vanishing
+    symbol off the slab.
+    """
+
+    def __init__(self, eps: complex, lat: SpectralLattice, symbol: np.ndarray):
+        self.lattice = lat
+        mask = np.zeros(lat.mode_shape, dtype=bool)
+        mask[lat.space_average_slab] = True
+        bad = (np.abs(symbol) == 0.0) & ~mask
+        if np.any(bad):
+            mode = lat.mode_of_index(np.argmax(bad))
+            raise ResonanceError(f"resonant PDE mode at (k, j)={mode}", mode=mode)
+        scaled = eps / np.where(mask, 1.0, symbol)
+        self.multiplier = np.where(mask, 0.0, scaled)[..., None]
+
+    def __call__(self, V: FourierField) -> FourierField:
+        return FourierField(self.lattice, V.coeffs * self.multiplier)
+
+
 def apply_n_inverse(eps: complex, prob: PdeProblem, V: FourierField) -> FourierField:
     """eps N^-1 V on the j != 0 modes; the j = 0 slab stays zero.
 
@@ -168,19 +215,9 @@ def apply_n_inverse(eps: complex, prob: PdeProblem, V: FourierField) -> FourierF
     operator norm is the modewise supremum reported by
     ``smoothing_constant``.
     """
-    lat = prob.lattice
-    if V.lattice != lat:
+    if V.lattice != prob.lattice:
         raise ValueError("field lives on a different lattice")
-    symbol = _symbol_array(eps, prob)
-    mask = np.zeros(lat.mode_shape, dtype=bool)
-    mask[lat.space_average_slab] = True
-    bad = (np.abs(symbol) == 0.0) & ~mask
-    if np.any(bad):
-        mode = lat.mode_of_index(np.argmax(bad))
-        raise ResonanceError(f"resonant PDE mode at (k, j)={mode}", mode=mode)
-    mult = np.where(mask, 0.0, eps / np.where(mask, 1.0, symbol))
-    out = V.coeffs * mult[..., None]
-    return FourierField(lat, out)
+    return NInverse(eps, prob.lattice, _symbol_array(eps, prob))(V)
 
 
 def apply_n_forward(eps: complex, prob: PdeProblem, U: FourierField) -> FourierField:
@@ -195,10 +232,13 @@ def smoothing_constant(eps: complex, prob: PdeProblem) -> float:
     This is the measured (rho, m - 2) -> (rho, m) operator norm of the
     scaled inverse; finite uniformly in eps on the cone.
     """
-    lat = prob.lattice
-    symbol = np.abs(_symbol_array(eps, prob))
-    symbol[lat.space_average_slab] = np.inf
-    return float(np.max(np.abs(eps) / symbol * (lat.k_sq() + 1.0)))
+    return _smoothing_sup(eps, _symbol_array(eps, prob), prob.lattice)
+
+
+def _smoothing_sup(eps: complex, symbol: np.ndarray, lat: SpectralLattice) -> float:
+    mag = np.abs(symbol)
+    mag[lat.space_average_slab] = np.inf
+    return float(np.max(np.abs(eps) / mag * (lat.k_sq() + 1.0)))
 
 
 def boussinesq_nonlinearity(U: FourierField) -> FourierField:
@@ -215,6 +255,10 @@ def boussinesq_nonlinearity(U: FourierField) -> FourierField:
 
 
 def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierField:
+    """One application of U -> eps N^-1 [(U^2)_xx + f].
+
+    ``PdeProblem.fixed_point_map``'s step gives the same bits from the
+    solve's one ``NInverse``."""
     rhs = prob.forcing
     if prob.nonlinear:
         rhs = rhs + boussinesq_nonlinearity(U)

@@ -357,12 +357,21 @@ def mode_coefficient(f: FourierField, k: Sequence[int]) -> np.ndarray:
 
 
 def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
-    """log of the norm weight e^{2 rho |k|_1} (|k|^2 + 1)^m per mode.
+    """log of the norm weight e^{2 rho |k|_1} (|k|^2 + 1)^m per mode, cached
+    per (lattice, spec) and read-only.
 
     Kept in log space: rho*K can push e^{2 rho |k|} past float range long
     before the weighted sum itself overflows.
     """
-    return 2.0 * spec.rho * lat.k_l1() + spec.m * np.log1p(lat.k_sq())
+    return _log_weights(lat, spec)
+
+
+@lru_cache(maxsize=128)
+def _log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
+    if spec.rho == 0.0 and spec.m == 0.0:
+        # the unweighted norm: zeros, held as one broadcast scalar
+        return np.broadcast_to(0.0, lat.mode_shape)
+    return _frozen(2.0 * spec.rho * lat.k_l1() + spec.m * np.log1p(lat.k_sq()))
 
 
 # below this magnitude a sum of squared coefficients cannot overflow
@@ -528,13 +537,21 @@ def product(u: FourierField, v: FourierField) -> FourierField:
     Two Hermitian factors take the real transforms.
     """
     u._check(v)
-    grid = dealias_grid(u.lattice, degree=2)
     # squaring is the common hot path: skip the second check and transform
     square = v is u or v.coeffs is u.coeffs
     real = u.is_hermitian() and (square or v.is_hermitian())
+    return dealiased_product(u, u if square else v, real)
+
+
+def dealiased_product(u: FourierField, v: FourierField, real: bool) -> FourierField:
+    """``product`` with its transform choice given: ``real`` takes the real
+    transforms and needs both factors Hermitian.  For a caller that has
+    already scanned its factors' symmetry; ``v is u`` transforms once."""
+    grid = dealias_grid(u.lattice, degree=2)
     pu = synthesize(u, grid, real=real)
-    pv = pu if square else synthesize(v, grid, real=real)
-    return analyze(pu * pv, u.lattice)
+    pv = pu if v is u else synthesize(v, grid, real=real)
+    # in place: pu is this call's own array, and one padded grid less is live
+    return analyze(np.multiply(pu, pv, out=pu), u.lattice)
 
 
 @dataclass(frozen=True)

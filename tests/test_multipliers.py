@@ -19,7 +19,7 @@ from response_solver.multipliers import (
     operator_norms,
 )
 
-from conftest import PROBLEMS
+from conftest import PROBLEMS, manufactured_pde
 
 
 class TestScalarDivisor:
@@ -220,6 +220,66 @@ class TestApplyScaledInverse:
         out = rs.apply_scaled_inverse(eps, lin, f)
         back = apply_forward(eps, lin, out)
         assert np.max(np.abs(back.coeffs - eps * f.coeffs)) <= 1e-12
+
+
+class TestSolvePlan:
+    """A solve builds its inverse once (``ScaledInverse``, ``pde.NInverse``);
+    the step it hands to the driver gives the Picard map's bits."""
+
+    def test_exactly_vanishing_divisor_still_raises(self):
+        # at eps = -i the divisor -eps a^2 + i a + 2 eps is i (a + 2)(a - 1):
+        # it vanishes exactly at k = -2 and k = 1
+        lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
+        lin = rs.LinearPart.scalar(2.0)
+        assert l_eps(-1j, 2.0, 1.0) == l_eps(-1j, 2.0, -2.0) == 0
+        with pytest.raises(rs.ResonanceError, match="singular mode matrix on lattice"):
+            operator_norms(-1j, lin, lat)
+        with pytest.raises(rs.ResonanceError,
+                           match=r"singular scalar divisor at k=\(-2,\)") as exc:
+            rs.apply_scaled_inverse(-1j, lin, rs.FourierField.zeros(lat))
+        assert exc.value.mode == (-2,)
+
+    @staticmethod
+    def plan(prob, eps):
+        step, _, _, _, observe = prob.fixed_point_map(
+            eps, rs.SolverConfig(ball_radius=1.0), rs.SolveReport(eps=eps))
+        return step, observe
+
+    @pytest.mark.parametrize("eps", [0.05, -0.04, 0.04 + 0.0004j])
+    def test_ode_step_is_picard_step(self, cubic_problem, rng, eps):
+        from response_solver.cli import parse_problem
+
+        jordan = parse_problem(PROBLEMS / "jordan_ode.json")
+        assert jordan.linear.n == 2
+        for prob in (cubic_problem, jordan):
+            step, _ = self.plan(prob, eps)
+            U = 0.5 * rs.FourierField.random_real(prob.lattice, rng)
+            for _ in range(3):
+                V = step(U)
+                assert np.array_equal(V.coeffs, rs.picard_step(U, eps, prob).coeffs)
+                U = V
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
+    def test_pde_step_is_pde_picard_step(self, eps):
+        from response_solver.pde import pde_picard_step
+
+        prob, W, _ = manufactured_pde(K=6)
+        step, observe = self.plan(prob, eps)
+        U = W
+        for it in range(1, 4):
+            V = step(U)
+            assert np.array_equal(V.coeffs, pde_picard_step(U, eps, prob).coeffs)
+            observe(it, V, V - U)
+            U = V
+        # at real eps the observer's scan decides the next product's
+        # transforms: an iterate inside the invariant's 1e-10 but outside
+        # is_hermitian's 1e-12 takes the complex path in both
+        skew = U.copy()
+        skew.coeffs[(1,) * 3] += 1e-11j
+        assert not skew.is_hermitian()
+        observe(4, skew, skew - U)
+        assert np.array_equal(step(skew).coeffs,
+                              pde_picard_step(skew, eps, prob).coeffs)
 
 
 class TestGammaBound:

@@ -8,7 +8,11 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import response_solver as rs  # noqa: E402
-from response_solver.multipliers import gamma_bound  # noqa: E402
+from response_solver.multipliers import (  # noqa: E402
+    _mode_singular_values,
+    gamma_bound,
+    operator_norms,
+)
 from response_solver.pde import PdeProblem, pde_picard_step  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
@@ -32,6 +36,28 @@ def test_real_eps_bound_covers_the_lattice(lam, p, q, omega, eps):
     gb = gamma_bound(eps, linear, lat)
     assert gb.exact
     assert gb.certified >= gb.empirical * (1 - 1e-12)
+
+
+def cone_eps(max_radius):
+    """eps with 1e-3 <= |eps| <= max_radius in a cone Re eps >= mu |Im eps|."""
+    return st.builds(lambda r, mu, t: r * np.exp(1j * t * np.arctan2(1.0, mu)),
+                     st.floats(1e-3, max_radius), st.floats(0.5, 100.0),
+                     st.floats(-1.0, 1.0))
+
+
+@given(lam=nonzero(0.1, 10.0), p=nonzero(0.05, 5.0), q=nonzero(0.01, 5.0),
+       omega=st.floats(0.3, 3.0), eps=nonzero(1e-3, 2.0) | cone_eps(2.0))
+def test_scalar_operator_norms_are_the_singular_values(lam, p, q, omega, eps):
+    lat = rs.SpectralLattice(d=1, K=8, omega=(omega,))
+    linear = rs.LinearPart(((lam,),), (rs.JordanBlock(lam, 1, p=p, q=q),))
+    norms = operator_norms(eps, linear, lat)
+    sv = _mode_singular_values(eps, linear, lat)
+    inverse_sup = float(np.max(1.0 / sv[:, -1]))
+    expect = {"forward_sup": float(np.max(sv[:, 0])), "inverse_sup": inverse_sup,
+              "scaled_inverse_sup": abs(eps) * inverse_sup}
+    assert norms.keys() == expect.keys()
+    for key, value in expect.items():
+        assert abs(norms[key] - value) <= 1e-15 * value, key
 
 
 @given(d=st.integers(1, 2), K=st.integers(1, 5), n=st.integers(1, 2), data=st.data())
