@@ -12,7 +12,6 @@ from .multipliers import (
     gamma_bound,
     l_eps,
     mode_solve,
-    sample_domain,
 )
 from .ode import (
     OdeProblem,

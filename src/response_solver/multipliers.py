@@ -9,7 +9,9 @@ the inverse also has a closed lower-triangular Toeplitz form per block
 (``jordan_mode_inverse``), kept as the per-mode reference the solve is
 checked against.  Real eps admits the exact infimum of the scalar divisor
 over the a-line in closed form; complex-cone bounds are certified from a
-dense scan of the a-line.
+dense scan of the a-line.  On the imaginary axis, which the cone excludes,
+the supremum of the inverse divisor has a closed form too
+(``imaginary_root_blowup``, ``imaginary_axis_sup``).
 """
 
 from __future__ import annotations
@@ -207,6 +209,31 @@ def l_eps(eps: complex, lam: float | np.ndarray, a: float | np.ndarray,
     return -eps * p * a * a + 1j * q * a + eps * lam
 
 
+def imaginary_root_blowup(sigma: float, c: float) -> float:
+    """sup over real a of |1/s(a)| for s(a) = -eps a^2 + i a - eps c at
+    eps = i sigma, in closed form.
+
+    There s(a) = i (a - sigma a^2 - sigma c), a quadratic in a with
+    discriminant 1 - 4 sigma^2 c.  With real roots the supremum is inf;
+    otherwise |s| is smallest at the vertex a = 1/(2 sigma), where it is
+    (4 sigma^2 c - 1) / (4 |sigma|).  The oscillator divisor
+    l(a) = -eps a^2 + i a + eps lambda is the case c = -lambda.
+    """
+    disc = 1.0 - 4.0 * sigma * sigma * c
+    if disc >= 0.0:
+        return math.inf
+    return 4.0 * abs(sigma) / -disc
+
+
+def imaginary_axis_sup(linear: LinearPart, sigma: float) -> float:
+    """``imaginary_root_blowup`` of the worst block of ``linear``: at
+    a = q b / p a block's divisor is q^2/p times the p = q = 1 divisor of
+    lam p / q^2."""
+    return max(abs(p) / q ** 2 * imaginary_root_blowup(sigma, -lam * p / q ** 2)
+               for lam, p, q in zip(np.real(linear.eigenvalues()).tolist(),
+                                    linear.p_diagonal.tolist(), linear.q_diagonal.tolist()))
+
+
 def forward_block(eps: complex, lam: float, size: int, a: float,
                   p: float = 1.0, q: float = 1.0) -> np.ndarray:
     """Jordan-block mode matrix: divisor on the diagonal, eps below it."""
@@ -241,11 +268,15 @@ def block_inverse(eps: complex, lam: float, size: int, a: float,
 
 def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np.ndarray:
     """Mode matrices -eps a^2 P + i a Q + eps A at every frequency in ``a``,
-    shape (*a.shape, n, n)."""
-    a = np.asarray(a, dtype=float)[..., None, None]
-    return (-eps) * a ** 2 * np.diag(linear.p_diagonal) \
-        + 1j * a * np.diag(linear.q_diagonal) \
-        + eps * linear.array
+    shape (*a.shape, n, n).  The diagonal is ``l_eps`` at lambda = A_ii, so
+    a 1x1 mode matrix is the scalar divisor bit for bit."""
+    a = np.asarray(a, dtype=float)[..., None]
+    out = np.empty(a.shape[:-1] + linear.array.shape, dtype=complex)
+    out[...] = eps * linear.array
+    i = np.arange(linear.n)
+    out[..., i, i] = l_eps(eps, np.diag(linear.array), a,
+                           linear.p_diagonal, linear.q_diagonal)
+    return out
 
 
 def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarray:
@@ -296,28 +327,32 @@ class ScaledInverse:
             raise ValueError("linear part dimension differs from lattice value dimension")
         self.eps = eps
         self.lattice = lat
+        self.operator = mode_matrices(eps, linear, lat.k_dot_omega())
         if lat.n == 1:
-            self.operator = l_eps(eps, linear.array[0, 0], lat.k_dot_omega(),
-                                  linear.p_diagonal[0], linear.q_diagonal[0])[..., None]
+            self.operator = self.operator[..., 0]   # the scalar divisor per mode
+
+    def singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Largest and smallest singular value of every mode matrix, flat
+        over the lattice (both |l_eps| for n = 1); ResonanceError when a
+        mode matrix is singular."""
+        n = self.lattice.n
+        if n == 1:
+            smax = smin = np.abs(self.operator).ravel()
         else:
-            self.operator = mode_matrices(eps, linear, lat.k_dot_omega())
+            sv = np.linalg.svd(self.operator.reshape(-1, n, n), compute_uv=False)
+            smax, smin = sv[:, 0], sv[:, -1]
+        if np.any(smin == 0.0):
+            raise ResonanceError("singular mode matrix on lattice")
+        return smax, smin
 
     def norms(self) -> dict:
         """Spectral norms of the mode matrices and their inverses over the
-        lattice; ResonanceError when a mode matrix is singular."""
-        if self.lattice.n == 1:
-            mag = np.abs(self.operator)
-            smax, smin = np.max(mag), np.min(mag)
-        else:
-            n = self.lattice.n
-            sv = np.linalg.svd(self.operator.reshape(-1, n, n), compute_uv=False)
-            smax, smin = np.max(sv[:, 0]), np.min(sv[:, -1])
-        if smin == 0.0:
-            raise ResonanceError("singular mode matrix on lattice")
+        lattice, from ``singular_values``."""
+        smax, smin = self.singular_values()
         # 1 / min equals max of 1 / each: division rounds monotonically
-        inverse_sup = float(1.0 / smin)
+        inverse_sup = float(1.0 / np.min(smin))
         return {
-            "forward_sup": float(smax),
+            "forward_sup": float(np.max(smax)),
             "inverse_sup": inverse_sup,
             "scaled_inverse_sup": float(abs(self.eps) * inverse_sup),
         }
@@ -357,16 +392,6 @@ def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierF
     M = mode_matrices(eps, linear, lat.k_dot_omega())
     out = np.einsum("...ij,...j->...i", M, u.coeffs)
     return FourierField(lat, out)
-
-
-def _mode_singular_values(eps: complex, linear: LinearPart,
-                          lat: SpectralLattice) -> np.ndarray:
-    """Singular values of every mode matrix, shape (modes, n), largest first."""
-    M = mode_matrices(eps, linear, lat.k_dot_omega()).reshape(-1, linear.n, linear.n)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if np.any(sv[:, -1] == 0.0):
-        raise ResonanceError("singular mode matrix on lattice")
-    return sv
 
 
 def operator_norms(eps: complex, linear: LinearPart, lat: SpectralLattice) -> dict:
@@ -417,7 +442,8 @@ class EpsilonDomain:
         return eps.real >= self.mu * abs(eps.imag) * (1 - rtol) - rtol * r
 
     def sample(self, count: int) -> list[complex]:
-        """Deterministic sample set covering boundary rays and |eps| = 1.5 sigma."""
+        """Deterministic sample set covering boundary rays and |eps| = 1.5
+        sigma; asserts that every sample lies in the domain."""
         if count < 1:
             raise ValueError("count >= 1 required")
         s = self.sigma
@@ -427,31 +453,27 @@ class EpsilonDomain:
             fills = np.linspace(1.0, 2.0, extra_needed + 2)[1:-1]
             base += [float(t) * s * (1 if i % 2 == 0 else -1)
                      for i, t in enumerate(fills)]
-            return [complex(b) for b in base[:count]]
-        phi_max = math.atan2(1.0, self.mu)
-        rays = [0.0, phi_max, -phi_max, phi_max / 2, -phi_max / 2]
-        radii = [1.5 * s, s, 2 * s]
-        base = []
-        for i, ang in enumerate(rays):
-            for r in radii:
-                base.append(r * cmath.exp(1j * ang))
-        # order: center of the annulus on the real axis first, then rays
-        base.sort(key=lambda e: (abs(abs(e) - 1.5 * s), abs(cmath.phase(e))))
-        out = base[:count]
-        i = 0
-        while len(out) < count:
-            t = 1.0 + (i % 10) / 10.0
-            ang = phi_max * ((i % 7) / 7.0 * 2 - 1)
-            out.append(t * s * cmath.exp(1j * ang))
-            i += 1
+            out = [complex(b) for b in base[:count]]
+        else:
+            phi_max = math.atan2(1.0, self.mu)
+            rays = [0.0, phi_max, -phi_max, phi_max / 2, -phi_max / 2]
+            radii = [1.5 * s, s, 2 * s]
+            base = []
+            for i, ang in enumerate(rays):
+                for r in radii:
+                    base.append(r * cmath.exp(1j * ang))
+            # order: center of the annulus on the real axis first, then rays
+            base.sort(key=lambda e: (abs(abs(e) - 1.5 * s), abs(cmath.phase(e))))
+            out = base[:count]
+            i = 0
+            while len(out) < count:
+                t = 1.0 + (i % 10) / 10.0
+                ang = phi_max * ((i % 7) / 7.0 * 2 - 1)
+                out.append(t * s * cmath.exp(1j * ang))
+                i += 1
+        for e in out:
+            assert self.contains(e), f"sampler produced {e} outside the domain"
         return out
-
-
-def sample_domain(dom: EpsilonDomain, count: int) -> list[complex]:
-    samples = dom.sample(count)
-    for e in samples:
-        assert dom.contains(e), f"sampler produced {e} outside the domain"
-    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +521,7 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     """
     if linear.jordan is None:
         raise ValueError("certified bound needs declared Jordan data")
-    smin = _mode_singular_values(eps, linear, lat)[:, -1]
+    smin = ScaledInverse(eps, linear, lat).singular_values()[1]
     empirical = float(np.max(1.0 / smin)) * fault_scale
     argmax_mode = lat.mode_of_index(np.argmin(smin))
 

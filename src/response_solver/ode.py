@@ -30,7 +30,6 @@ from .multipliers import (
     ScaledInverse,
     apply_scaled_inverse,
     is_real_eps,
-    operator_norms,
 )
 from .spectral import (
     L2,
@@ -463,8 +462,8 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
             raise ValueError("s_grid must lie in [0, 1)")
     if prob.g_hat.lip_hat is None:
         raise ValueError("low-regularity mode needs a declared global Lipschitz bound")
-    norms = operator_norms(eps, prob.linear, prob.lattice)
-    c_emp = norms["scaled_inverse_sup"]
+    inverse = ScaledInverse(eps, prob.linear, prob.lattice)
+    c_emp = inverse.norms()["scaled_inverse_sup"]
     if c_emp * prob.g_hat.lip_hat >= 1.0:
         raise ValueError(
             f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
@@ -479,10 +478,16 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         for s, seq in per_s.items():
             seq.append(spectral.hs_norm(delta, s))
 
-    U, report = contract(lambda V: picard_step(V, eps, prob),
-                         lambda V: residual(V, eps, prob, L2),
-                         FourierField.zeros(prob.lattice),
-                         replace(cfg, norm=L2), report, False, observe)
+    U = FourierField.zeros(prob.lattice)
+    try:
+        inverse.check()
+    except ResonanceError as exc:   # ends the run as a step meeting it would
+        report.status = "resonant"
+        report.diagnostics["error"] = str(exc)
+    else:
+        U, report = contract(lambda V: inverse(prob.forcing - compose(V, prob.g_hat)),
+                             lambda V: residual(V, eps, prob, L2), U,
+                             replace(cfg, norm=L2), report, False, observe)
 
     fitted, predicted = {}, {}
     window = _fit_window(report.increments)

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ResonanceError, is_real_eps, l_eps
+from .multipliers import ResonanceError, imaginary_root_blowup, is_real_eps, l_eps
 from .ode import SolveReport, SolverConfig, solve_fixed_point
 from .spectral import (
+    HERMITIAN_RTOL,
     L2,
     FourierField,
     NormSpec,
@@ -152,7 +153,7 @@ class PdeProblem:
                         f"Hermitian symmetry lost at step {it}: {sym:.2e}"
                     )
                 # the FourierField.is_hermitian test, from this scan
-                hermitian[:] = [V, sym <= 1e-12 * scale]
+                hermitian[:] = [V, sym <= HERMITIAN_RTOL * scale]
 
         def step(V: FourierField) -> FourierField:
             """``pde_picard_step`` through the plan."""
@@ -356,18 +357,3 @@ def imaginary_axis_blowup(sigma: float, beta: float, j: int = 1) -> float:
     t = float(j * j)
     return imaginary_root_blowup(sigma, beta * t * t - t)
 
-
-def imaginary_root_blowup(sigma: float, c: float) -> float:
-    """sup over real a of |1/s(a)| for s(a) = -eps a^2 + i a - eps c at
-    eps = i sigma, in closed form.
-
-    There s(a) = i (a - sigma a^2 - sigma c), a quadratic in a with
-    discriminant 1 - 4 sigma^2 c.  With real roots the supremum is inf;
-    otherwise |s| is smallest at the vertex a = 1/(2 sigma), where it is
-    (4 sigma^2 c - 1) / (4 |sigma|).  The oscillator divisor
-    l(a) = -eps a^2 + i a + eps lambda is the case c = -lambda.
-    """
-    disc = 1.0 - 4.0 * sigma * sigma * c
-    if disc >= 0.0:
-        return math.inf
-    return 4.0 * abs(sigma) / -disc

@@ -36,6 +36,9 @@ def _affinity_cpus() -> int:
 
 FFT_WORKERS = _affinity_cpus()
 
+# Hermitian (real on the torus): defect <= HERMITIAN_RTOL (1 + max |coeff|)
+HERMITIAN_RTOL = 1e-12
+
 
 class LatticeMismatchError(ValueError):
     """Two fields built over different lattices were combined."""
@@ -315,8 +318,8 @@ class FourierField:
         return float(np.max(np.abs(self.coeffs - self.reflected_conj())))
 
     def is_hermitian(self) -> bool:
-        """Real on the torus to roundoff: hermitian_defect() <= 1e-12 (1 + max_abs())."""
-        return self.hermitian_defect() <= 1e-12 * (1.0 + self.max_abs())
+        """Real on the torus to roundoff (see ``HERMITIAN_RTOL``)."""
+        return self.hermitian_defect() <= HERMITIAN_RTOL * (1.0 + self.max_abs())
 
     def hermitian_part(self) -> "FourierField":
         return FourierField(self.lattice, 0.5 * (self.coeffs + self.reflected_conj()))

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
+from scipy import linalg as sla
 
 from .multipliers import (
     BOUND_RTOL,
@@ -25,18 +27,17 @@ from .multipliers import (
     EpsilonDomain,
     LinearPart,
     gamma_bound,
+    imaginary_axis_sup,
     l_eps,
     mode_matrices,
-    sample_domain,
 )
 from .ode import OdeProblem, SolverConfig, solve_fixed_point
 from .pde import (
+    NInverse,
     PdeProblem,
     _symbol_array,
-    apply_n_inverse,
     boussinesq_nonlinearity,
     imaginary_axis_blowup,
-    imaginary_root_blowup,
     pde_certification_scan,
 )
 from .spectral import (
@@ -127,7 +128,9 @@ def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
     """Newton's method on F(x) = 0 from x0, halving each step until max|F| drops.
 
     Stops once max|F| <= 1e-12; raises RuntimeError when no step of length
-    at least 1e-4 lowers max|F| or when 40 steps do not get there.
+    at least 1e-4 lowers max|F| or when 40 steps do not get there.  The
+    Jacobian is factored in place (its transpose is Fortran-ordered), and an
+    exactly singular one raises np.linalg.LinAlgError.
     """
     x = x0
     fx = F(x)
@@ -135,7 +138,12 @@ def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
         res = float(np.max(np.abs(fx)))
         if res <= 1e-12:
             return x
-        step = np.linalg.solve(jacobian(x), fx)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(jacobian(x).T, overwrite_a=True, check_finite=False)
+        if np.any(lu.diagonal() == 0.0):
+            raise np.linalg.LinAlgError("oracle Jacobian is singular")
+        step = sla.lu_solve((lu, piv), fx, trans=1, check_finite=False)
         alpha = 1.0
         while alpha > 1e-4:
             x_try = x - alpha * step
@@ -192,7 +200,11 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6) -> Fouri
     small_prob = PdeProblem(lattice=small, beta=prob.beta,
                             forcing=restrict_field(prob.forcing, small),
                             nonlinear=prob.nonlinear)
-    symbol = _symbol_array(eps, small_prob).ravel()
+    symbol = _symbol_array(eps, small_prob)
+    # from x = 0 the Jacobian is diag(symbol) with pinned rows, so the first
+    # Newton step lands on eps N^-1 f: start there instead of solving for it
+    x0 = NInverse(eps, small, symbol)(small_prob.forcing).coeffs.ravel()
+    symbol = symbol.ravel()
     M = symbol.size
     j = np.broadcast_to(small.axis_modes_along(small.d), small.mode_shape).ravel()
     zero_row = j == 0
@@ -224,9 +236,6 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6) -> Fouri
         J[zero_row, zero_row] = 1.0
         return J
 
-    # from x = 0 the Jacobian is diag(symbol) with pinned rows, so the first
-    # Newton step lands on eps N^-1 f: start there instead of solving for it
-    x0 = apply_n_inverse(eps, small_prob, small_prob.forcing).coeffs.ravel()
     x = _damped_newton(F, jacobian, x0)
     return FourierField(small, x.reshape(small.field_shape))
 
@@ -477,78 +486,52 @@ class Certification:
 
 def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
                    samples: int = 8, fault: str | None = None) -> Certification:
-    """Run the multiplier bound checks over sampled epsilon.
+    """Run the multiplier bound checks (``gamma_bound`` or
+    ``pde_certification_scan``) over sampled epsilon.
 
     Exact (real-eps) bounds are asserted with ``BOUND_RTOL`` relative slack
     and any violation fails the certification; complex-cone bounds are
-    empirical.
+    empirical.  ``c_emp`` of an ODE problem leaves out violating samples.
     ``fault`` perturbs the named multiplier by 2x -- a test hook that must
     make certification fail.
     """
     if fault is not None and fault not in FAULT_NAMES:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULT_NAMES}")
-    eps_list = sample_domain(domain, samples)
+    kind = "ode" if isinstance(problem, OdeProblem) else "pde"
+    scale = 2.0 if fault == f"{kind}-mode-inverse" else 1.0
     violations: list[str] = []
-    if isinstance(problem, OdeProblem):
-        scale = 2.0 if fault == "ode-mode-inverse" else 1.0
-        worst = 0.0
-        per_eps = []
-        for e in eps_list:
+    per_eps = []
+    worst = 0.0
+    for e in domain.sample(samples):
+        entry, value, violation = {"eps": [e.real, e.imag]}, 0.0, None
+        if kind == "ode":
             try:
                 gb = gamma_bound(e, problem.linear, problem.lattice,
                                  fault_scale=scale)
             except BoundViolationError as exc:
-                violations.append(str(exc))
-                per_eps.append({"eps": [e.real, e.imag], "violation": str(exc)})
-                continue
-            worst = max(worst, abs(e) * gb.empirical)
-            per_eps.append({
-                "eps": [e.real, e.imag],
-                "empirical": gb.empirical,
-                "certified": gb.certified,
-                "exact": gb.exact,
-            })
-        # at a = q b / p a block's divisor is q^2/p times the p = q = 1
-        # divisor of lam p / q^2; the supremum is the worst block's
-        lin = problem.linear
-        blowup = max(
-            abs(p) / q ** 2 * imaginary_root_blowup(domain.sigma, -lam * p / q ** 2)
-            for lam, p, q in zip(np.real(lin.eigenvalues()).tolist(),
-                                 lin.p_diagonal.tolist(), lin.q_diagonal.tolist())
-        )
-        details = {
-            "per_eps": per_eps,
-            "scaled_inverse_sup": worst,
-            "imaginary_axis_sup": blowup,
-        }
-        return Certification(
-            kind="ode", passed=not violations, c_emp=worst, details=details,
-            violations=violations,
-        )
-
-    scale = 2.0 if fault == "pde-mode-inverse" else 1.0
-    worst = 0.0
-    per_eps = []
-    for e in eps_list:
-        scan = pde_certification_scan(e, problem.beta, j_max=problem.lattice.J,
-                                      fault_scale=scale)
-        worst = max(worst, scan["c_emp"])
-        entry = {"eps": [e.real, e.imag], "c_emp": scan["c_emp"],
-                 "exact_bound": scan["exact_bound"]}
-        if scan["exact_bound"] is not None and \
-                scan["c_emp"] > scan["exact_bound"] * (1 + BOUND_RTOL):
-            msg = (f"pde scan constant {scan['c_emp']:.6e} exceeds exact bound "
-                   f"{scan['exact_bound']:.6e} at eps={e}")
-            violations.append(msg)
-            entry["violation"] = msg
+                violation = str(exc)
+            else:
+                entry.update(empirical=gb.empirical, certified=gb.certified,
+                             exact=gb.exact)
+                value = abs(e) * gb.empirical
+        else:
+            scan = pde_certification_scan(e, problem.beta, j_max=problem.lattice.J,
+                                          fault_scale=scale)
+            value, exact_bound = scan["c_emp"], scan["exact_bound"]
+            entry.update(c_emp=value, exact_bound=exact_bound)
+            if exact_bound is not None and value > exact_bound * (1 + BOUND_RTOL):
+                violation = (f"pde scan constant {value:.6e} exceeds exact bound "
+                             f"{exact_bound:.6e} at eps={e}")
+        worst = max(worst, value)
+        if violation is not None:
+            violations.append(violation)
+            entry["violation"] = violation
         per_eps.append(entry)
-    blowup = imaginary_axis_blowup(domain.sigma, problem.beta)
-    details = {
-        "per_eps": per_eps,
-        "imaginary_axis_sup": blowup,
-    }
-    return Certification(
-        kind="pde", passed=not violations, c_emp=worst, details=details,
-        violations=violations,
-    )
-
+    if kind == "ode":
+        details = {"per_eps": per_eps, "scaled_inverse_sup": worst,
+                   "imaginary_axis_sup": imaginary_axis_sup(problem.linear, domain.sigma)}
+    else:
+        details = {"per_eps": per_eps,
+                   "imaginary_axis_sup": imaginary_axis_blowup(domain.sigma, problem.beta)}
+    return Certification(kind=kind, passed=not violations, c_emp=worst,
+                         details=details, violations=violations)

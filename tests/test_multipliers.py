@@ -368,7 +368,7 @@ class TestEpsilonDomain:
 
     def test_samples_inside_and_cover(self):
         dom = EpsilonDomain.cone(0.01, 100.0)
-        samples = rs.sample_domain(dom, 9)
+        samples = dom.sample(9)
         assert len(samples) == 9
         assert any(abs(abs(e) - 0.015) < 1e-12 for e in samples)
         phi_max = math.atan2(1.0, 100.0)
@@ -376,7 +376,7 @@ class TestEpsilonDomain:
         assert any(abs(cmath.phase(e) + phi_max) < 1e-9 for e in samples)
 
     def test_real_annulus_sample_example(self):
-        samples = rs.sample_domain(EpsilonDomain.annulus(0.01), 5)
+        samples = EpsilonDomain.annulus(0.01).sample(5)
         for e in samples:
             assert e.imag == 0.0
             assert 0.01 <= abs(e) <= 0.02

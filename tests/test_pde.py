@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import response_solver as rs
+from response_solver.multipliers import imaginary_root_blowup
 from response_solver.pde import (
     BetaRejectedError,
     PdeProblem,
@@ -12,7 +13,6 @@ from response_solver.pde import (
     check_beta,
     illposed_log_growth,
     imaginary_axis_blowup,
-    imaginary_root_blowup,
     manufactured_forcing,
     pde_certification_scan,
     smoothing_constant,

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import response_solver as rs  # noqa: E402
 from response_solver.multipliers import (  # noqa: E402
-    _mode_singular_values,
     gamma_bound,
+    mode_matrices,
     operator_norms,
 )
 from response_solver.pde import PdeProblem, pde_picard_step  # noqa: E402
@@ -45,19 +45,26 @@ def cone_eps(max_radius):
                      st.floats(-1.0, 1.0))
 
 
+# eps (lam - p a^2) cancels at a lattice point here, so rounding shows:
+# mode_matrices must round its diagonal as l_eps does
+@example(lam=1.0, p=0.05, q=0.015625, omega=1.21875, eps=1.0)
 @given(lam=nonzero(0.1, 10.0), p=nonzero(0.05, 5.0), q=nonzero(0.01, 5.0),
        omega=st.floats(0.3, 3.0), eps=nonzero(1e-3, 2.0) | cone_eps(2.0))
 def test_scalar_operator_norms_are_the_singular_values(lam, p, q, omega, eps):
     lat = rs.SpectralLattice(d=1, K=8, omega=(omega,))
     linear = rs.LinearPart(((lam,),), (rs.JordanBlock(lam, 1, p=p, q=q),))
     norms = operator_norms(eps, linear, lat)
-    sv = _mode_singular_values(eps, linear, lat)
+    sv = np.linalg.svd(mode_matrices(eps, linear, lat.k_dot_omega()).reshape(-1, 1, 1),
+                       compute_uv=False)
     inverse_sup = float(np.max(1.0 / sv[:, -1]))
     expect = {"forward_sup": float(np.max(sv[:, 0])), "inverse_sup": inverse_sup,
               "scaled_inverse_sup": abs(eps) * inverse_sup}
     assert norms.keys() == expect.keys()
     for key, value in expect.items():
         assert abs(norms[key] - value) <= 1e-15 * value, key
+    # gamma_bound reads the same singular values
+    empirical = gamma_bound(eps, linear, lat).empirical
+    assert abs(empirical - inverse_sup) <= 1e-15 * inverse_sup
 
 
 @given(d=st.integers(1, 2), K=st.integers(1, 5), n=st.integers(1, 2), data=st.data())

@@ -2,9 +2,10 @@
 in ``tests/golden/``.
 
 The golden files are the outputs of ``response-solver --config
-configs/<name>.json --out <dir>``.  A change that means to move these bytes
-replaces the affected files from a run of the changed code and lists the
-moved fields in CHANGES.md.
+configs/<name>.json --out <dir>``, and ``<name>_fault_<fault>.json`` those
+of the same run with ``--inject-fault <fault>``.  A change that means to
+move these bytes replaces the affected files from a run of the changed code
+and lists the moved fields in CHANGES.md.
 """
 
 import json
@@ -25,3 +26,16 @@ def test_shipped_config_matches_golden(tmp_path, name):
                      "--out", str(tmp_path)])
     assert code == EXIT_CODES[name]
     assert (tmp_path / "result.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, fault", [("verify_ode", "ode-mode-inverse"),
+                                         ("verify_pde", "pde-mode-inverse")])
+def test_faulted_verify_matches_golden(tmp_path, name, fault):
+    """The fault-injection runs keep their exit code and ``result.json``
+    bytes, including the per-eps entries and ``c_emp`` of a failed
+    certification."""
+    code = cli.main(["--config", str(REPO / "configs" / f"{name}.json"),
+                     "--out", str(tmp_path), "--inject-fault", fault])
+    assert code == cli.EXIT_CERT == 3
+    assert (tmp_path / "result.json").read_bytes() == \
+        (GOLDEN / f"{name}_fault_{fault}.json").read_bytes()

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import response_solver as rs
@@ -11,6 +12,7 @@ from response_solver.multipliers import EpsilonDomain, JordanBlock, l_eps
 from response_solver.verification import (
     FAULT_NAMES,
     LiouvilleSpec,
+    _damped_newton,
     build_liouville,
     certify_bounds,
     make_witness_problem,
@@ -67,19 +69,27 @@ class TestNewtonOracle:
         problem needs none at all.  The result still agrees with Picard."""
         prob, W, eps = manufactured_pde(K=4, nonlinear=nonlinear)
         diagonal = []
-        solve = np.linalg.solve
+        factor = scipy.linalg.lu_factor
 
-        def counting(a, b):
+        def counting(a, **kwargs):
             diagonal.append(np.array_equal(a, np.diag(np.diag(a))))
-            return solve(a, b)
+            return factor(a, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
         got = newton_oracle_pde(eps, prob, K_small=4)
         assert diagonal == [False] * solves
         U, rep = rs.pde_solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-13))
         assert rep.status == "converged"
         assert np.max(np.abs((U - got).coeffs)) <= 1e-12
         assert np.max(np.abs((W - got).coeffs)) <= 1e-12
+
+    def test_singular_jacobian_raises(self):
+        """The in-place factorization only flags a zero pivot; Newton turns
+        it into LinAlgError."""
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _damped_newton(lambda x: x - 1.0,
+                           lambda x: np.zeros((2, 2), dtype=complex),
+                           np.zeros(2, dtype=complex))
 
     def test_multicomponent_jordan_agreement(self):
         from pathlib import Path
