@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import solve_ivp
 
 import response_solver as rs
 from response_solver import ode as ode_mod
@@ -483,12 +485,46 @@ class TestDecayFitOnSolverOutput:
         assert rho_est >= 0.5 - 0.1
 
 
+def radau_crosscheck(eps, prob, U, horizon, t_skip, perturbation):
+    """(tracking, attraction) from Radau on p x'' + (q / eps) x' + A x
+    + g_hat(x) = f(omega t), written here apart from the library's RHS."""
+    lin, n = prob.linear, prob.lattice.n
+    freqs = prob.lattice.k_dot_omega().ravel()
+
+    def at(field, t):
+        """Re sum_k field_k e^{i k.omega t}, one row per time."""
+        return (np.exp(1j * np.multiply.outer(t, freqs))
+                @ field.coeffs.reshape(-1, n)).real
+
+    def rhs(t, y):
+        x, v = y[:n], y[n:]
+        force = at(prob.forcing, t) - lin.array @ x - prob.g_hat(x[None, :])[0]
+        return np.concatenate([v, (force - lin.q_diagonal * v / eps) / lin.p_diagonal])
+
+    x0 = at(U, 0.0) + perturbation
+    v0 = at(rs.directional_derivative(U, 1), 0.0)
+    sol = solve_ivp(rhs, (0.0, horizon), np.concatenate([x0, v0]), method="Radau",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    assert sol.success
+    ts = np.linspace(t_skip, horizon, 2001)
+    errors = np.max(np.abs(sol.sol(ts)[:n].T - at(U, ts)), axis=1)
+    return np.max(errors), errors[-1]
+
+
 class TestTimeIntegration:
     def test_linear_tracks_exact_orbit(self, linear_problem):
         eps = 0.05
         U = exact_linear_solution(linear_problem.lattice, eps)
         chk = rs.time_integration_crosscheck(eps, linear_problem, U,
                                              horizon=40.0, t_skip=5.0)
+        assert chk.tracking_error <= 1e-8
+
+    def test_tracking_from_the_start_time(self, linear_problem):
+        # t_skip = 0: the first sample time is the start time itself
+        eps = 0.05
+        U = exact_linear_solution(linear_problem.lattice, eps)
+        chk = rs.time_integration_crosscheck(eps, linear_problem, U,
+                                             horizon=40.0, t_skip=0.0)
         assert chk.tracking_error <= 1e-8
 
     @pytest.mark.parametrize("problem, eps", [("cubic_ode.json", 0.05),
@@ -500,16 +536,45 @@ class TestTimeIntegration:
                                       rs.SolverConfig(tol=1e-12, ball_radius=1.0))
         assert rep.status == "converged"
         for perturbation in (0.0, 0.1):
-            got, ref = (rs.time_integration_crosscheck(
-                eps, prob, U, horizon=20.0, t_skip=2.0, perturbation=perturbation,
-                **method) for method in ({}, {"method": "Radau"}))
-            assert abs(got.tracking_error - ref.tracking_error) <= 1e-8
-            assert abs(got.attraction_error - ref.attraction_error) <= 1e-8
+            got = rs.time_integration_crosscheck(eps, prob, U, horizon=20.0,
+                                                 t_skip=2.0, perturbation=perturbation)
+            tracking, attraction = radau_crosscheck(eps, prob, U, horizon=20.0,
+                                                    t_skip=2.0,
+                                                    perturbation=perturbation)
+            assert abs(got.tracking_error - tracking) <= 1e-8
+            assert abs(got.attraction_error - attraction) <= 1e-8
 
     def test_complex_eps_rejected(self, linear_problem):
         U = exact_linear_solution(linear_problem.lattice, 0.05)
         with pytest.raises(ValueError):
             rs.time_integration_crosscheck(0.05 + 0.01j, linear_problem, U)
+
+    @pytest.fixture
+    def cubic_hull(self, cubic_problem):
+        U, _ = rs.solve_fixed_point(0.05, cubic_problem,
+                                    rs.SolverConfig(tol=1e-12, ball_radius=1.0))
+        return U
+
+    def test_non_finite_start_rejected(self, cubic_problem, cubic_hull):
+        U = rs.FourierField(cubic_problem.lattice, cubic_hull.coeffs * np.nan)
+        with pytest.raises(ValueError, match="initial state"):
+            rs.time_integration_crosscheck(0.05, cubic_problem, U)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_trajectory_raises(self, cubic_problem, cubic_hull):
+        nan_past = rs.NonlinearitySpec(
+            kind="callable", fn=lambda x: np.where(np.abs(x) > 0.005, np.nan, 0.0 * x),
+            lip_hat=0.1, smallness="global")
+        prob = replace(cubic_problem, g_hat=nan_past)
+        with pytest.raises(RuntimeError, match="integrator failed"):
+            rs.time_integration_crosscheck(0.05, prob, cubic_hull, horizon=20.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_exit_raises(self, cubic_problem, cubic_hull, monkeypatch):
+        monkeypatch.setattr(ode_mod, "CROSSCHECK_MXSTEP", 5)
+        with pytest.raises(RuntimeError, match="integrator failed: Excess work"):
+            rs.time_integration_crosscheck(0.05, cubic_problem, cubic_hull,
+                                           horizon=20.0)
 
 
 class TestGeneralizedPQ:
