@@ -75,6 +75,12 @@ class OdeProblem:
     def smallness(self) -> str:
         return self.g_hat.smallness
 
+    @property
+    def first_is_step_from_zero(self) -> bool:
+        """The map's first iterate eps L^-1 f is its step from zero: true
+        when the spec shows g_hat(0) = 0."""
+        return self.g_hat.vanishes_at_zero
+
     def fixed_point_map(self, eps: complex, cfg: SolverConfig, report: SolveReport):
         """(step, residual, first iterate, enforce_ball, observer) for
         ``solve_fixed_point``; sets kappa and records the measured smallness
@@ -194,7 +200,9 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
     ``fixed_point_map``, which also sets ``report.kappa`` and its own
     diagnostics.  A resonant eps ends the solve ``resonant``; otherwise
     ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
-    residual <= kappa tol.
+    residual <= kappa tol.  A cold solve of a problem whose
+    ``first_is_step_from_zero`` holds takes the map's first iterate as its
+    step 1, so it does not compute step(0) again.
     """
     report = SolveReport(eps=eps)
     try:
@@ -208,12 +216,22 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
         report.diagnostics["first_iterate_in_half_ball"] = bool(
             norm(first, cfg.norm) <= cfg.ball_radius / 2
         )
+    if u0 is None and prob.first_is_step_from_zero:
+        step = _first_then(first, step)
     # neither the first iterate nor the start field is held by a name here
     # through the iteration
     del first
     return contract(step, eq_residual,
                     FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
                     cfg, report, enforce_ball, observe)
+
+
+def _first_then(first: FourierField, step: Callable[[FourierField], FourierField]
+                 ) -> Callable[[FourierField], FourierField]:
+    """``step`` whose first call returns ``first``, its step(0), unchanged
+    and lets go of it; a cold start's iteration 1."""
+    pending = [first]
+    return lambda V: pending.pop() if pending else step(V)
 
 
 def contract(step: Callable[[FourierField], FourierField],

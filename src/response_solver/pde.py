@@ -90,6 +90,9 @@ class PdeProblem:
     forcing: FourierField
     nonlinear: bool = True
 
+    # h(0) = (0^2)_xx = 0, so the map's first iterate eps N^-1 f is step(0)
+    first_is_step_from_zero = True
+
     def __post_init__(self):
         if not self.lattice.has_space:
             raise ValueError("PDE problems need a spatial lattice (has_space)")
@@ -281,6 +284,8 @@ def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
     x2 = spatial_derivative(U, 2)
     x4 = spatial_derivative(U, 4)
     res = eps * d2 + d1 - eps * prob.beta * x4 - eps * x2 - eps * prob.forcing
+    # four fields less held through the padded product
+    del d1, d2, x2, x4
     if prob.nonlinear:
         res = res - eps * boussinesq_nonlinearity(U)
     return norm(res, normspec)

@@ -11,7 +11,11 @@ torus (Hermitian: coeff(-k) = conj(coeff(k)), decided by
 from the j >= 0 half of its last axis by a real inverse FFT, and a real
 value array is analyzed by a real forward FFT, the j < 0 half following
 from the conjugate mirror.  ``product`` and ``compose`` pick that real path
-from their input; any other field keeps the complex transforms.  FFTs use
+from their input; any other field keeps the complex transforms.  The real
+inverse runs as pocketfft's own two stages, which is irfftn bit for bit: a
+complex inverse over the other axes, in place on the padded array, then a
+real inverse along the last axis.  The complex inverse runs in place too,
+so no inverse transform allocates a second padded complex grid.  FFTs use
 as many workers as the process may run on (its CPU affinity).
 """
 
@@ -455,7 +459,7 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None,
     Node i along an axis of size N sits at angle 2*pi*i/N.  Grid must hold
     the lattice (N >= 2*cutoff + 1 per axis).  With ``real`` the field is
     taken as Hermitian: only the j >= 0 half of its last axis is read, and
-    the values come back real from one inverse real FFT.
+    the values come back real from an inverse real FFT.
     """
     lat = f.lattice
     if grid is None:
@@ -466,11 +470,17 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None,
     if real:
         work = np.zeros(grid[:-1] + (grid[-1] // 2 + 1, lat.n), dtype=complex)
         work[_bin_index(lat, grid, half=True)] = f.coeffs[..., lat.cutoffs[-1]:, :]
-        return sfft.irfftn(work, s=grid, axes=axes, norm="forward",
-                           workers=FFT_WORKERS)
+        # irfftn's own two stages, unscaled as irfftn runs them (so the same
+        # bits): the complex one in place on this call's array
+        if len(axes) > 1:
+            work = sfft.ifftn(work, axes=axes[:-1], norm="forward",
+                              overwrite_x=True, workers=FFT_WORKERS)
+        return sfft.irfft(work, n=grid[-1], axis=axes[-1], norm="forward",
+                          workers=FFT_WORKERS)
     work = np.zeros(grid + (lat.n,), dtype=complex)
     work[_bin_index(lat, grid)] = f.coeffs
-    return sfft.ifftn(work, axes=axes, workers=FFT_WORKERS) * np.prod(grid)
+    work = sfft.ifftn(work, axes=axes, overwrite_x=True, workers=FFT_WORKERS)
+    return np.multiply(work, np.prod(grid), out=work)
 
 
 def _bin_index(lat: SpectralLattice, grid: tuple[int, ...], half: bool = False):
@@ -502,8 +512,8 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
     _check_grid(lat, grid)
     axes = tuple(range(len(grid)))
     if np.iscomplexobj(values):
-        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS) / np.prod(grid)
-        return FourierField(lat, spec[_bin_index(lat, grid)])
+        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS)
+        return FourierField(lat, spec[_bin_index(lat, grid)] / np.prod(grid))
     spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
     cut = lat.cutoffs[-1]
     coeffs = np.empty(lat.field_shape, dtype=complex)
@@ -656,6 +666,15 @@ class NonlinearitySpec:
             nz = [p for p, c in enumerate(row) if c != 0.0]
             deg = max(deg, max(nz) if nz else 0)
         return deg
+
+    @property
+    def vanishes_at_zero(self) -> bool:
+        """g-hat(0) = 0 as the spec shows it: the zero and piecewise-linear
+        kinds, and polynomials whose constant terms are all 0.  A callable
+        is not evaluated and counts as False."""
+        if self.kind == "polynomial":
+            return all(not row or row[0] == 0.0 for row in self.coeffs)
+        return self.kind in ("zero", "piecewise_linear")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -126,6 +126,94 @@ class TestSolveFixedPoint:
         assert geometric_fit_r2(rep.increments) >= 0.99
 
 
+def hand_picard(step, lattice, cfg, stop):
+    """Picard from zero, written out: (U, increments, ratios); ends on an
+    increment <= tol whose iterate passes ``stop``, or after max_iter."""
+    U = rs.FourierField.zeros(lattice)
+    increments = []
+    for _ in range(cfg.max_iter):
+        V = step(U)
+        increments.append(rs.norm(V - U, cfg.norm))
+        U = V
+        if increments[-1] <= cfg.tol and stop(U):
+            break
+    return U, increments, [b / a for a, b in zip(increments, increments[1:])]
+
+
+def _pde_case(eps):
+    from response_solver.pde import pde_picard_step
+
+    prob, _, _ = manufactured_pde(K=8)
+    return (prob, eps, lambda V: pde_picard_step(V, eps, prob),
+            lambda V: rs.pde_residual(V, eps, prob))
+
+
+class TestColdStart:
+    """A cold solve takes the map's first iterate as step 1 where that is
+    step(0), and gives the bits of a Picard loop from zero."""
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j], ids=["real", "complex"])
+    def test_pde_equals_hand_loop(self, eps):
+        prob, eps, step, residual = _pde_case(eps)
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        U, rep = rs.solve_fixed_point(eps, prob, cfg)
+        assert rep.status == "converged"
+        V, increments, ratios = hand_picard(
+            step, prob.lattice, cfg, lambda W: residual(W) <= rep.kappa * cfg.tol)
+        assert np.array_equal(U.coeffs, V.coeffs)
+        assert rep.increments == increments and rep.ratios == ratios
+        assert rep.iterations == len(increments)
+
+    @pytest.mark.parametrize("g_hat", [
+        rs.NonlinearitySpec.cubic(0.1),
+        # g_hat(0) != 0: the first iterate eps L^-1 f is not step(0), so the
+        # solve must still take its step at iteration 1
+        rs.NonlinearitySpec.polynomial([(0.01, 0.0, 0.0, 0.1)], smallness="global"),
+    ], ids=["cubic", "constant-term"])
+    def test_ode_equals_hand_loop(self, cubic_problem, g_hat):
+        prob = replace(cubic_problem, g_hat=g_hat)
+        eps = 0.05
+        cfg = rs.SolverConfig(tol=1e-12)
+        U, rep = rs.solve_fixed_point(eps, prob, cfg)
+        assert rep.status == "converged"
+        V, increments, ratios = hand_picard(
+            lambda W: rs.picard_step(W, eps, prob), prob.lattice, cfg,
+            lambda W: rs.residual(W, eps, prob) <= rep.kappa * cfg.tol)
+        assert np.array_equal(U.coeffs, V.coeffs)
+        assert rep.increments == increments and rep.ratios == ratios
+        assert rep.iterations == len(increments)
+        first = rs.apply_scaled_inverse(eps, prob.linear, prob.forcing)
+        assert (increments[0] == rs.norm(first, cfg.norm)) == g_hat.vanishes_at_zero
+
+    @pytest.mark.parametrize("g_hat, vanishes", [
+        (rs.NonlinearitySpec.zero(), True),
+        (rs.NonlinearitySpec.piecewise([0.0], [-0.1, 0.1]), True),
+        (rs.NonlinearitySpec.cubic(0.1, n=2), True),
+        (rs.NonlinearitySpec.polynomial([(), (0.0, 0.0, 0.1)]), True),
+        (rs.NonlinearitySpec.polynomial([(0.0, 0.0, 0.1), (0.5, 0.1)],
+                                        smallness="global"), False),
+        (rs.NonlinearitySpec(kind="callable", fn=lambda x: x ** 3), False),
+    ], ids=["zero", "piecewise", "cubic", "empty-row", "constant-term", "callable"])
+    def test_vanishes_at_zero_reads_the_spec(self, g_hat, vanishes):
+        assert g_hat.vanishes_at_zero is vanishes
+
+    def test_pde_transforms_once_per_step_after_the_first(self, monkeypatch):
+        from response_solver import spectral
+
+        prob, eps, _, _ = _pde_case(0.02)
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        calls = []
+        synthesize = spectral.synthesize
+        monkeypatch.setattr(spectral, "synthesize",
+                            lambda *a, **k: calls.append(1) or synthesize(*a, **k))
+        _, rep = rs.solve_fixed_point(eps, prob, cfg)
+        assert rep.status == "converged"
+        # passed its first residual check: one increment at or below tol
+        assert sum(inc <= cfg.tol for inc in rep.increments) == 1
+        # n - 1 steps square an iterate, and the residual squares the last
+        assert len(calls) == rep.iterations
+
+
 class TestRandomizedContraction:
     def test_converged_runs_have_shrinking_ratios(self, rng):
         # randomized problem family: converged reports must show contraction

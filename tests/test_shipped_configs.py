@@ -3,11 +3,14 @@ in ``tests/golden/``.
 
 The golden files are the outputs of ``response-solver --config
 configs/<name>.json --out <dir>``, and ``<name>_fault_<fault>.json`` those
-of the same run with ``--inject-fault <fault>``.  A change that means to
-move these bytes replaces the affected files from a run of the changed code
-and lists the moved fields in CHANGES.md.
+of the same run with ``--inject-fault <fault>``.  ``spectrum_sha256.json``
+holds the sha256 of every spectrum CSV a config writes: those files keep
+the sign of a zero coefficient, which ``result.json`` does not show.  A
+change that means to move these bytes replaces the affected files from a
+run of the changed code and lists the moved fields in CHANGES.md.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from response_solver import cli
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+SPECTRUM_SHA256 = json.loads((GOLDEN / "spectrum_sha256.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in (REPO / "configs").glob("*.json")))
@@ -26,6 +30,8 @@ def test_shipped_config_matches_golden(tmp_path, name):
                      "--out", str(tmp_path)])
     assert code == EXIT_CODES[name]
     assert (tmp_path / "result.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.glob("*.csv")} == SPECTRUM_SHA256.get(name, {})
 
 
 @pytest.mark.parametrize("name, fault", [("verify_ode", "ode-mode-inverse"),

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy import fft as sfft
+
 import response_solver as rs
 from response_solver.spectral import (
+    FFT_WORKERS,
     GridTooSmallError,
     NormOverflowError,
     dealias_grid,
+    default_grid,
     evaluate_at,
     hs_norm,
     lattice_index,
@@ -140,6 +144,72 @@ class TestTransforms:
         theta = 0.37
         assert_allclose(evaluate_at(u, (theta,))[0], 2.0 * np.exp(3j * theta),
                         rtol=1e-14)
+
+
+def fft_bins(lat, grid, half=False):
+    """Index of the lattice modes among the FFT bins (k mod N per axis);
+    ``half`` keeps the last axis's modes 0..cutoff, a real FFT's bins."""
+    ranges = [np.arange(-c, c + 1) % g for g, c in zip(grid, lat.cutoffs)]
+    if half:
+        ranges[-1] = np.arange(lat.cutoffs[-1] + 1)
+    return np.ix_(*ranges)
+
+
+def padded(f, grid):
+    """f's coefficients in the FFT bins of a zero grid."""
+    out = np.zeros(tuple(grid) + (f.lattice.n,), dtype=complex)
+    out[fft_bins(f.lattice, grid)] = f.coeffs
+    return out
+
+
+class TestTransformBits:
+    """synthesize and analyze give the bits of scipy's one-call transforms:
+    irfftn, ifftn times N and fftn over N."""
+
+    LATTICES = {
+        "1axis-n1": rs.SpectralLattice(d=1, K=6, omega=(1.0,)),
+        "1axis-n2": rs.SpectralLattice(d=1, K=5, omega=(1.0,), n=2),
+        "2axis-n1": rs.SpectralLattice(d=2, K=4, omega=(1.0, math.sqrt(2))),
+        "2axis-space-n2": rs.SpectralLattice(d=1, K=3, omega=(1.0,), n=2,
+                                             has_space=True, J=4),
+        "3axis-space-n1": rs.SpectralLattice(d=2, K=4, omega=(1.0, math.sqrt(2)),
+                                             has_space=True, J=3),
+        "3axis-n2": rs.SpectralLattice(d=3, K=2, omega=(1.0, math.sqrt(2), math.pi),
+                                       n=2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("grid_of", [default_grid, dealias_grid],
+                             ids=["default", "dealias"])
+    def test_real_path(self, name, grid_of, rng):
+        lat = self.LATTICES[name]
+        grid = grid_of(lat)
+        axes = tuple(range(lat.n_axes))
+        u = rs.FourierField.random_real(lat, rng)
+        values = rs.synthesize(u, grid, real=True)
+        assert np.array_equal(values, sfft.irfftn(padded(u, grid), s=grid, axes=axes,
+                                                  norm="forward", workers=FFT_WORKERS))
+        spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
+        cut = lat.cutoffs[-1]
+        # the j >= 0 half is rfftn's; the rest is its conjugate mirror
+        assert np.array_equal(rs.analyze(values, lat).coeffs[..., cut:, :],
+                              spec[fft_bins(lat, grid, half=True)])
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("grid_of", [default_grid, dealias_grid],
+                             ids=["default", "dealias"])
+    def test_complex_path(self, name, grid_of, rng):
+        lat = self.LATTICES[name]
+        grid = grid_of(lat)
+        axes = tuple(range(lat.n_axes))
+        u = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
+                            + 1j * rng.standard_normal(lat.field_shape))
+        values = rs.synthesize(u, grid)
+        assert np.array_equal(values, sfft.ifftn(padded(u, grid), axes=axes,
+                                                 workers=FFT_WORKERS) * np.prod(grid))
+        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS) / np.prod(grid)
+        assert np.array_equal(rs.analyze(values, lat).coeffs,
+                              spec[fft_bins(lat, grid)])
 
 
 class TestProduct:
