@@ -1,7 +1,9 @@
 """Cross-cutting oracles: brute-force Newton, Liouville frequencies, bounds.
 
-The Newton oracle solves the full truncated coefficient system with a dense
-Jacobian at toy resolution, independently of the contraction path.  The
+The Newton oracle solves the full truncated coefficient system at toy
+resolution, independently of the contraction path: one matrix-free
+damped-Newton loop for both equations, with GMRES on Jacobian-vector
+products preconditioned by the inverse of the diagonal (linear) part.  The
 Liouville builder constructs frequency vectors with abnormally small
 divisors using exact big-integer continued fractions, and the
 non-differentiability probe demonstrates the resulting blow-up of epsilon
@@ -13,23 +15,22 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import mpmath as mp
 import numpy as np
-from scipy import linalg as sla
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .multipliers import (
     BOUND_RTOL,
     BoundViolationError,
     EpsilonDomain,
     LinearPart,
+    ScaledInverse,
     gamma_bound,
     imaginary_axis_sup,
     l_eps,
-    mode_matrices,
 )
 from .ode import OdeProblem, SolverConfig, solve_fixed_point
 from .pde import (
@@ -44,8 +45,13 @@ from .spectral import (
     FourierField,
     NonlinearitySpec,
     SpectralLattice,
+    _composition_grid,
+    analyze,
     compose,
     norm,
+    product,
+    spatial_derivative,
+    synthesize,
 )
 
 log = logging.getLogger(__name__)
@@ -68,13 +74,21 @@ def restrict_field(field: FourierField, small: SpectralLattice) -> FourierField:
 
 
 def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8) -> FourierField:
-    """Damped Newton on the full truncated coefficient system.
+    """Matrix-free damped Newton on the full truncated coefficient system.
 
     Brute force and independent of the Picard path: the unknown is the whole
-    coefficient tensor, the Jacobian couples modes through the convolution
-    with Dg-hat(U) sampled on a collocation grid.  Polynomial nonlinearities
-    only (the Jacobian needs a derivative).
+    coefficient tensor, and each Jacobian-vector product couples modes by
+    multiplying with Dg-hat(U) on the alias-free collocation grid.
+    Polynomial nonlinearities only (the Jacobian needs a derivative).
     """
+    small, *system = _ode_system(eps, prob, K_small)
+    return FourierField(small, _damped_newton(*system).reshape(small.field_shape))
+
+
+def _ode_system(eps: complex, prob: OdeProblem, K_small: int):
+    """(lattice, F, jvp, precondition, x0) of the ODE oracle: F(x) = L x +
+    eps g-hat(x) - eps f, F'(x) v = L v + eps Dg-hat(x) v, preconditioned
+    by the modewise L^-1, from x0 = 0."""
     lat = prob.lattice
     small = SpectralLattice(d=lat.d, K=K_small, omega=lat.omega, n=lat.n)
     count = lat.n * (2 * K_small + 1) ** lat.d
@@ -85,65 +99,60 @@ def newton_oracle_ode(eps: complex, prob: OdeProblem, K_small: int = 8) -> Fouri
 
     f_small = restrict_field(prob.forcing, small)
     n = lat.n
-    a = small.k_dot_omega().ravel()
-    M = a.size
-
-    L_blocks = mode_matrices(eps, prob.linear, a)     # (M, n, n)
-
+    inverse = ScaledInverse(eps, prob.linear, small)     # eps L^-1; its operator is L
+    L_blocks = inverse.operator.reshape(-1, n, n)
     deriv = _polynomial_derivative(prob.g_hat)
+    grid = _composition_grid(small, prob.g_hat)
 
     def gather(U_flat: np.ndarray) -> FourierField:
         return FourierField(small, U_flat.reshape(small.field_shape))
 
+    def forward(U_flat: np.ndarray) -> np.ndarray:
+        return np.einsum("mij,mj->mi", L_blocks, U_flat.reshape(-1, n)).ravel()
+
     def F(U_flat: np.ndarray) -> np.ndarray:
-        U = gather(U_flat)
-        gU = compose(U, prob.g_hat)
-        lhs = np.einsum("mij,mj->mi", L_blocks, U_flat.reshape(M, n))
-        return (lhs + eps * gU.coeffs.reshape(M, n)
-                - eps * f_small.coeffs.reshape(M, n)).ravel()
+        gU = compose(gather(U_flat), prob.g_hat)
+        return forward(U_flat) + eps * gU.coeffs.ravel() - eps * f_small.coeffs.ravel()
 
-    def jacobian(U_flat: np.ndarray) -> np.ndarray:
+    def jvp(U_flat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        # Dg-hat(U) v on compose's own grid, which is the exact derivative of
+        # compose; Dg-hat(U) truncated to the lattice first would not be.
         U = gather(U_flat)
-        W = compose(U, deriv)          # Dg-hat(U) per component via collocation
-        conv = _convolution_matrix(W)  # (M, M) per component
-        J = np.zeros((M * n, M * n), dtype=complex)
-        J4 = J.reshape(M, n, M, n)     # J4[m, i, m', i'] = J[m n + i, m' n + i']
-        comp = np.arange(n)
-        J4[:, comp, :, comp] = eps * conv
-        idx = np.arange(M)
-        J4[idx, :, idx, :] += L_blocks
-        sv_min = np.linalg.svd(J, compute_uv=False)[-1]
-        if sv_min < 1e-14:
-            raise np.linalg.LinAlgError(
-                f"oracle Jacobian singular (smallest singular value {sv_min:.2e})"
-            )
-        return J
+        dg = deriv(synthesize(U, grid, real=U.is_hermitian()))
+        return lambda v: forward(v) + eps * analyze(
+            dg * synthesize(gather(v), grid), small).coeffs.ravel()
 
-    return gather(_damped_newton(F, jacobian, np.zeros(M * n, dtype=complex)))
+    def precondition(v: np.ndarray) -> np.ndarray:
+        return inverse(gather(v)).coeffs.ravel() / eps
+
+    return small, F, jvp, precondition, np.zeros(count, dtype=complex)
 
 
 def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
-                   jacobian: Callable[[np.ndarray], np.ndarray],
+                   jvp: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+                   precondition: Callable[[np.ndarray], np.ndarray],
                    x0: np.ndarray) -> np.ndarray:
     """Newton's method on F(x) = 0 from x0, halving each step until max|F| drops.
 
-    Stops once max|F| <= 1e-12; raises RuntimeError when no step of length
-    at least 1e-4 lowers max|F| or when 40 steps do not get there.  The
-    Jacobian is factored in place (its transpose is Fortran-ordered), and an
-    exactly singular one raises np.linalg.LinAlgError.
+    Matrix-free: ``jvp(x)`` is the map v -> F'(x) v, and GMRES solves each
+    step F'(x) s = F(x), left-preconditioned by ``precondition``, an
+    approximate inverse of F'(x).  Stops once max|F| <= 1e-12; raises
+    RuntimeError when no step of length at least 1e-4 lowers max|F| or when
+    40 steps do not get there, and np.linalg.LinAlgError when a Krylov solve
+    fails or returns a zero or non-finite step.
     """
+    shape = (x0.size, x0.size)
+    M = LinearOperator(shape, matvec=precondition, dtype=complex)
     x = x0
     fx = F(x)
     for _ in range(40):
         res = float(np.max(np.abs(fx)))
         if res <= 1e-12:
             return x
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(jacobian(x).T, overwrite_a=True, check_finite=False)
-        if np.any(lu.diagonal() == 0.0):
-            raise np.linalg.LinAlgError("oracle Jacobian is singular")
-        step = sla.lu_solve((lu, piv), fx, trans=1, check_finite=False)
+        J = LinearOperator(shape, matvec=jvp(x), dtype=complex)
+        step, info = gmres(J, fx, rtol=1e-14, atol=0.0, restart=50, M=M)
+        if info != 0 or not np.all(np.isfinite(step)) or not np.any(step):
+            raise np.linalg.LinAlgError(f"oracle Jacobian is singular (GMRES info {info})")
         alpha = 1.0
         while alpha > 1e-4:
             x_try = x - alpha * step
@@ -166,34 +175,18 @@ def _polynomial_derivative(g: NonlinearitySpec) -> NonlinearitySpec:
     return NonlinearitySpec(kind="polynomial", coeffs=tuple(rows), smallness="global")
 
 
-def _convolution_matrix(W: FourierField) -> np.ndarray:
-    """Per-component matrices C[k, k'] = W-hat_{k - k'} over the lattice.
-
-    W is zero beyond its cutoff, so embedding it into the doubled lattice
-    makes every difference k - k' addressable.
-    """
-    lat = W.lattice
-    cuts = lat.cutoffs
-    big = SpectralLattice(d=lat.d, K=2 * lat.K, omega=lat.omega, n=lat.n,
-                          has_space=lat.has_space, J=2 * lat.J)
-    W_big = np.zeros(big.field_shape, dtype=complex)
-    W_big[tuple(slice(cut, 3 * cut + 1) for cut in cuts)] = W.coeffs
-    grids = np.meshgrid(*(lat.axis_modes(ax) for ax in range(lat.n_axes)),
-                        indexing="ij")
-    flat_modes = np.stack([g.ravel() for g in grids], axis=1)   # (M, n_axes)
-    M = flat_modes.shape[0]
-    out = np.zeros((lat.n, M, M), dtype=complex)
-    for c in range(lat.n):
-        Wc = W_big[..., c]
-        for row in range(M):
-            diff = flat_modes[row][None, :] - flat_modes        # k - k'
-            idx = tuple(diff[:, ax] + 2 * cut for ax, cut in enumerate(cuts))
-            out[c, row, :] = Wc[idx]
-    return out
-
-
 def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6) -> FourierField:
-    """Newton on the Boussinesq coefficient system truncated at K = J = K_small."""
+    """Matrix-free damped Newton on the Boussinesq coefficient system
+    truncated at K = J = K_small; each Jacobian-vector product is one
+    alias-free product."""
+    small, *system = _pde_system(eps, prob, K_small)
+    return FourierField(small, _damped_newton(*system).reshape(small.field_shape))
+
+
+def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
+    """(lattice, F, jvp, precondition, x0) of the PDE oracle: F(x) = N x -
+    eps (x^2)_xx - eps f and F'(x) v = N v - 2 eps (x v)_xx, both with the
+    j = 0 rows pinned to x and v, preconditioned by the inverse diagonal."""
     lat = prob.lattice
     small = SpectralLattice(d=lat.d, K=K_small, omega=lat.omega, n=1,
                             has_space=True, J=K_small)
@@ -205,39 +198,34 @@ def newton_oracle_pde(eps: complex, prob: PdeProblem, K_small: int = 6) -> Fouri
     # Newton step lands on eps N^-1 f: start there instead of solving for it
     x0 = NInverse(eps, small, symbol)(small_prob.forcing).coeffs.ravel()
     symbol = symbol.ravel()
-    M = symbol.size
     j = np.broadcast_to(small.axis_modes_along(small.d), small.mode_shape).ravel()
     zero_row = j == 0
+    diagonal = np.where(zero_row, 1.0, symbol)      # the Jacobian at x = 0
+
+    def gather(x: np.ndarray) -> FourierField:
+        return FourierField(small, x.reshape(small.field_shape))
 
     def F(x: np.ndarray) -> np.ndarray:
-        U = FourierField(small, x.reshape(small.field_shape))
         out = symbol * x
         if prob.nonlinear:
-            out = out - eps * boussinesq_nonlinearity(U).coeffs.ravel()
+            out = out - eps * boussinesq_nonlinearity(gather(x)).coeffs.ravel()
         out = out - eps * small_prob.forcing.coeffs.ravel()
         out[zero_row] = x[zero_row]     # pin the projected-out slab to zero
         return out
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        # diag(symbol) - (eps 2 jw) conv, built in one (M, M) array.  The
-        # multiply keeps that operand order (complex FMA rounding depends on
-        # it) and 0 - x keeps zero entries at +0, so J equals that
-        # expression bit for bit.
-        if prob.nonlinear:
-            U = FourierField(small, x.reshape(small.field_shape))
-            J = _convolution_matrix(U)[0]
-            jw = (1j * j) ** 2      # d^2/dx^2 on the row mode
-            np.multiply(eps * 2.0 * jw[:, None], J, out=J)
-            np.subtract(0.0, J, out=J)
-        else:
-            J = np.zeros((M, M), dtype=complex)
-        J.flat[::M + 1] += symbol
-        J[zero_row, :] = 0.0
-        J[zero_row, zero_row] = 1.0
-        return J
+    def jvp(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        U = gather(x)
 
-    x = _damped_newton(F, jacobian, x0)
-    return FourierField(small, x.reshape(small.field_shape))
+        def apply(v: np.ndarray) -> np.ndarray:
+            out = diagonal * v
+            if prob.nonlinear:
+                uv = spatial_derivative(product(U, gather(v)), 2)
+                out = out - 2.0 * eps * uv.coeffs.ravel()
+            out[zero_row] = v[zero_row]
+            return out
+        return apply
+
+    return small, F, jvp, lambda v: v / diagonal, x0
 
 
 # ---------------------------------------------------------------------------

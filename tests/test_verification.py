@@ -3,16 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import response_solver as rs
+from response_solver import verification
 from response_solver.cli import parse_problem
 from response_solver.multipliers import EpsilonDomain, JordanBlock, l_eps
 from response_solver.verification import (
     FAULT_NAMES,
     LiouvilleSpec,
     _damped_newton,
+    _ode_system,
+    _pde_system,
     build_liouville,
     certify_bounds,
     make_witness_problem,
@@ -49,47 +51,88 @@ class TestNewtonOracle:
         diff = restrict_field(W, got.lattice) - got
         assert np.max(np.abs(diff.coeffs)) <= 1e-10
 
-    def test_pde_jacobian_peak_is_one_matrix(self):
-        """The dense PDE Jacobian is built in place: the traced peak stays
-        near one M x M complex matrix (M = 9^3 at K_small = 4)."""
+    def test_pde_oracle_peak_is_linear_in_unknowns(self):
+        """The PDE oracle is matrix-free: the traced peak stays within a
+        hundred coefficient vectors (M = 13^3 at K_small = 6), where one
+        dense M x M Jacobian alone takes M^2 x 16 bytes (77 MB)."""
         pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
-        M = 9 ** 3
+        M = 13 ** 3
         tracemalloc.start()
         try:
-            newton_oracle_pde(0.02, pde, K_small=4)
+            newton_oracle_pde(0.02, pde, K_small=6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * M * M * 16
+        assert peak <= 100 * M * 16
 
     @pytest.mark.parametrize("nonlinear, solves", [(True, 2), (False, 0)])
     def test_pde_newton_skips_the_diagonal_step(self, monkeypatch, nonlinear, solves):
         """Newton starts at eps N^-1 f, where its first step from 0 lands, so
-        no dense solve is spent on the diagonal Jacobian at 0; a linear
+        no Krylov solve is spent on the diagonal Jacobian at 0; a linear
         problem needs none at all.  The result still agrees with Picard."""
         prob, W, eps = manufactured_pde(K=4, nonlinear=nonlinear)
-        diagonal = []
-        factor = scipy.linalg.lu_factor
+        infos = []
+        krylov = verification.gmres
 
-        def counting(a, **kwargs):
-            diagonal.append(np.array_equal(a, np.diag(np.diag(a))))
-            return factor(a, **kwargs)
+        def counting(*args, **kwargs):
+            step, info = krylov(*args, **kwargs)
+            infos.append(info)
+            return step, info
 
-        monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+        monkeypatch.setattr(verification, "gmres", counting)
         got = newton_oracle_pde(eps, prob, K_small=4)
-        assert diagonal == [False] * solves
+        assert infos == [0] * solves
         U, rep = rs.pde_solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-13))
         assert rep.status == "converged"
         assert np.max(np.abs((U - got).coeffs)) <= 1e-12
         assert np.max(np.abs((W - got).coeffs)) <= 1e-12
 
     def test_singular_jacobian_raises(self):
-        """The in-place factorization only flags a zero pivot; Newton turns
-        it into LinAlgError."""
+        """A zero Jacobian leaves GMRES without a step; Newton turns that
+        into LinAlgError."""
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            _damped_newton(lambda x: x - 1.0,
-                           lambda x: np.zeros((2, 2), dtype=complex),
-                           np.zeros(2, dtype=complex))
+            _damped_newton(lambda x: x - 1.0, lambda x: lambda v: 0 * v,
+                           lambda v: v, np.zeros(2, dtype=complex))
+
+    def test_stalled_line_search_raises(self):
+        """A Jacobian of the wrong sign points every step uphill."""
+        with pytest.raises(RuntimeError, match="oracle line search stalled"):
+            _damped_newton(lambda x: x - 1.0, lambda x: lambda v: -v,
+                           lambda v: v, np.zeros(1, dtype=complex))
+
+    def test_slow_convergence_raises(self):
+        """At the double root of x^2 each Newton step only halves x, so
+        from 1e8 forty steps leave max|F| near 1e-8."""
+        with pytest.raises(RuntimeError, match="did not reach tolerance"):
+            _damped_newton(lambda x: x * x, lambda x: lambda v: 2.0 * x * v,
+                           lambda v: v, np.full(1, 1e8, dtype=complex))
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 * np.exp(0.3j)])
+    def test_pde_jvp_is_the_derivative(self, rng, eps):
+        """F is quadratic, so the central difference over +-v is exact."""
+        pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
+        small, F, jvp, _, _ = _pde_system(eps, pde, K_small=4)
+        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = v + 1j * rng.standard_normal(v.size) * 1e-3     # not Hermitian
+        Jv = jvp(x)(v)
+        central = (F(x + v) - F(x - v)) / 2
+        assert np.max(np.abs(Jv - central)) <= 1e-15 * np.max(np.abs(Jv))
+
+    @pytest.mark.parametrize("name, eps", [("cubic_ode.json", 0.05),
+                                           ("jordan_ode.json", 0.04)])
+    def test_ode_jvp_is_the_derivative(self, rng, name, eps):
+        """F is cubic, so the central difference at step t is off by a
+        multiple of t^2: a quarter as much at t / 2."""
+        prob = parse_problem(PROBLEMS / name)
+        small, F, jvp, _, _ = _ode_system(eps, prob, K_small=6)
+        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        Jv = jvp(x)(v)
+        errors = [np.max(np.abs((F(x + t * v) - F(x - t * v)) / (2 * t) - Jv))
+                  for t in (1e-4, 5e-5)]
+        assert errors[0] <= 1e-6 * np.max(np.abs(Jv))
+        assert 3.0 <= errors[0] / errors[1] <= 5.0
 
     def test_multicomponent_jordan_agreement(self):
         from pathlib import Path
