@@ -8,10 +8,8 @@ from .multipliers import (
     LinearPart,
     ResonanceError,
     apply_scaled_inverse,
-    block_inverse,
     gamma_bound,
     l_eps,
-    mode_solve,
 )
 from .ode import (
     OdeProblem,
@@ -31,7 +29,6 @@ from .pde import (
     apply_n_inverse,
     boussinesq_nonlinearity,
     check_beta,
-    n_multiplier,
     pde_residual,
     pde_solve_fixed_point,
 )
@@ -41,7 +38,6 @@ from .spectral import (
     NormSpec,
     SpectralLattice,
     analyze,
-    cauchy_decay_fit,
     check_nonresonance,
     compose,
     directional_derivative,

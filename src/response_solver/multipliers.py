@@ -4,10 +4,9 @@ The operator acts diagonally in Fourier space: mode k sees the n x n matrix
 L(a) = -eps a^2 P + i a Q + eps A at a = k.omega.  ``l_eps`` (the scalar
 divisor) and ``mode_matrices`` are the only places that build it; the
 lattice inverse (``ScaledInverse``) builds it once per eps, divides or
-solves with it and reads the operator norms off it.  With Jordan data for A
-the inverse also has a closed lower-triangular Toeplitz form per block
-(``jordan_mode_inverse``), kept as the per-mode reference the solve is
-checked against.  Real eps admits the exact infimum of the scalar divisor
+solves with it and reads the operator norms off it.  Jordan data for A
+(blocks and the basis phi) is what the certified bound is built from.
+Real eps admits the exact infimum of the scalar divisor
 over the a-line in closed form; complex-cone bounds are certified from a
 dense scan of the a-line.  On the imaginary axis, which the cone excludes,
 the supremum of the inverse divisor has a closed form too
@@ -190,7 +189,7 @@ def _jordan_matrix(blocks: Sequence[JordanBlock]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar divisor and block inverse
+# scalar divisor
 
 
 def is_real_eps(eps: complex) -> bool:
@@ -234,38 +233,6 @@ def imaginary_axis_sup(linear: LinearPart, sigma: float) -> float:
                                     linear.p_diagonal.tolist(), linear.q_diagonal.tolist()))
 
 
-def forward_block(eps: complex, lam: float, size: int, a: float,
-                  p: float = 1.0, q: float = 1.0) -> np.ndarray:
-    """Jordan-block mode matrix: divisor on the diagonal, eps below it."""
-    l = l_eps(eps, lam, a, p, q)
-    M = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        M[i, i] = l
-        if i > 0:
-            M[i, i - 1] = eps
-    return M
-
-
-def block_inverse(eps: complex, lam: float, size: int, a: float,
-                  p: float = 1.0, q: float = 1.0) -> np.ndarray:
-    """Closed-form inverse of a Jordan mode block.
-
-    Lower-triangular Toeplitz with (-eps)^r l^-(r+1) on subdiagonal r.
-    Raises ResonanceError when the divisor vanishes.
-    """
-    l = l_eps(eps, lam, a, p, q)
-    if l == 0:
-        raise ResonanceError(f"vanishing divisor at a={a}, lambda={lam}, eps={eps}")
-    inv_l = 1.0 / l
-    out = np.zeros((size, size), dtype=complex)
-    entry = inv_l
-    for r in range(size):
-        for i in range(r, size):
-            out[i, i - r] = entry
-        entry *= -eps * inv_l
-    return out
-
-
 def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np.ndarray:
     """Mode matrices -eps a^2 P + i a Q + eps A at every frequency in ``a``,
     shape (*a.shape, n, n).  The diagonal is ``l_eps`` at lambda = A_ii, so
@@ -277,32 +244,6 @@ def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np
     out[..., i, i] = l_eps(eps, np.diag(linear.array), a,
                            linear.p_diagonal, linear.q_diagonal)
     return out
-
-
-def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarray:
-    """phi (block-diagonal closed-form inverse) phi^-1: the per-mode
-    reference for the dense solve."""
-    if not linear.has_jordan_basis():
-        raise ValueError("the closed form needs jordan blocks and phi")
-    blocks = [block_inverse(eps, b.lam, b.size, a, b.p, b.q) for b in linear.jordan]
-    n = linear.n
-    inv = np.zeros((n, n), dtype=complex)
-    at = 0
-    for B in blocks:
-        s = B.shape[0]
-        inv[at:at + s, at:at + s] = B
-        at += s
-    phi = linear.phi_array
-    return phi @ inv @ np.linalg.inv(phi)
-
-
-def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray) -> np.ndarray:
-    """Solve L(a) x = rhs for one mode."""
-    rhs = np.asarray(rhs, dtype=complex)
-    try:
-        return np.linalg.solve(mode_matrices(eps, linear, a), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"singular mode matrix at a={a}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +325,6 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart,
     inverse = ScaledInverse(eps, linear, f.lattice)
     inverse.check()
     return inverse(f)
-
-
-def apply_forward(eps: complex, linear: LinearPart, u: FourierField) -> FourierField:
-    """L u: the forward damped operator, mode by mode."""
-    lat = u.lattice
-    M = mode_matrices(eps, linear, lat.k_dot_omega())
-    out = np.einsum("...ij,...j->...i", M, u.coeffs)
-    return FourierField(lat, out)
 
 
 def operator_norms(eps: complex, linear: LinearPart, lat: SpectralLattice) -> dict:

@@ -346,19 +346,18 @@ def sweep_epsilon(dom: EpsilonDomain, prob, cfg: SolverConfig,
 
 
 def sweep_sigma_ladder(prob, cfg: SolverConfig, sigmas: Sequence[float],
-                       samples_per_sigma: int = 3, signs: tuple[int, ...] = (1,),
+                       samples_per_sigma: int = 3,
                        keep_solutions: bool = True) -> list[SweepEntry]:
-    """Concatenated real-annulus sweeps over a decreasing sigma ladder."""
-    eps_values: list[complex] = []
-    for s in sorted(sigmas, reverse=True):
-        for t in np.linspace(2.0, 1.0, samples_per_sigma):
-            for sign in signs:
-                eps_values.append(complex(sign * t * s))
-    # dedupe while preserving magnitude order
+    """Concatenated positive real-annulus sweeps over a decreasing sigma
+    ladder; eps equal to 12 significant digits are solved once."""
+    eps_values = [complex(t * s) for s in sorted(sigmas, reverse=True)
+                  for t in np.linspace(2.0, 1.0, samples_per_sigma)]
+    # dedupe while preserving magnitude order; a relative key, so tiny
+    # sigmas stay apart
     seen = set()
     ordered = []
     for e in sorted(eps_values, key=lambda e: -abs(e)):
-        key = (round(e.real, 18), round(e.imag, 18))
+        key = f"{e.real:.12e}"
         if key not in seen:
             seen.add(key)
             ordered.append(e)

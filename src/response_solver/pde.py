@@ -9,7 +9,9 @@ multiplier over (k, j); its scaled inverse gains two x-derivatives, which is
 what tames the unbounded nonlinearity.  ``PdeProblem.fixed_point_map``
 gives that contraction to ``ode.solve_fixed_point``, the driver both
 equations share.  No initial-value integration exists here: beta > 0 makes
-the evolution problem ill posed, and only the fixed-point path is provided.
+the evolution problem ill posed (without friction mode j grows like
+e^{t sqrt(beta j^4 - j^2)}, which is e^1448 at t = 1 for beta = 2, j = 32), and
+only the fixed-point path is provided.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ class PdeProblem:
                 hermitian[:] = [V, sym <= HERMITIAN_RTOL * scale]
 
         def step(V: FourierField) -> FourierField:
-            """``pde_picard_step`` through the plan."""
+            """U -> eps N^-1 [(U^2)_xx + f] through the plan."""
             rhs = self.forcing
             if self.nonlinear:
                 real = hermitian[1] if hermitian[0] is V else V.is_hermitian()
@@ -172,14 +174,6 @@ class PdeProblem:
 
 # ---------------------------------------------------------------------------
 # the multiplier
-
-
-def n_multiplier(eps: complex, a: float, j: int, beta: float) -> complex:
-    """Mode symbol -eps a^2 + i a - eps (beta j^4 - j^2) for j != 0: the
-    oscillator divisor l_eps with lambda_j = j^2 - beta j^4."""
-    if j == 0:
-        raise ValueError("the j = 0 mode is projected out")
-    return l_eps(eps, j ** 2 - beta * j ** 4, a)
 
 
 def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
@@ -216,8 +210,8 @@ def apply_n_inverse(eps: complex, prob: PdeProblem, V: FourierField) -> FourierF
     """eps N^-1 V on the j != 0 modes; the j = 0 slab stays zero.
 
     The inverse gains two spatial derivatives: its (rho, m-2) -> (rho, m)
-    operator norm is the modewise supremum reported by
-    ``smoothing_constant``.
+    operator norm is the modewise supremum a solve reports as
+    ``c_emp_smoothing``.
     """
     if V.lattice != prob.lattice:
         raise ValueError("field lives on a different lattice")
@@ -228,15 +222,6 @@ def apply_n_forward(eps: complex, prob: PdeProblem, U: FourierField) -> FourierF
     """N U: the forward operator (j = 0 slab passes through as zero)."""
     symbol = _symbol_array(eps, prob)
     return FourierField(prob.lattice, U.coeffs * symbol[..., None])
-
-
-def smoothing_constant(eps: complex, prob: PdeProblem) -> float:
-    """sup over j != 0 modes of |eps / N| (|k|^2 + j^2 + 1).
-
-    This is the measured (rho, m - 2) -> (rho, m) operator norm of the
-    scaled inverse; finite uniformly in eps on the cone.
-    """
-    return _smoothing_sup(eps, _symbol_array(eps, prob), prob.lattice)
 
 
 def _smoothing_sup(eps: complex, symbol: np.ndarray, lat: SpectralLattice) -> float:
@@ -256,17 +241,6 @@ def boussinesq_nonlinearity(U: FourierField) -> FourierField:
 
 # ---------------------------------------------------------------------------
 # fixed point
-
-
-def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierField:
-    """One application of U -> eps N^-1 [(U^2)_xx + f].
-
-    ``PdeProblem.fixed_point_map``'s step gives the same bits from the
-    solve's one ``NInverse``."""
-    rhs = prob.forcing
-    if prob.nonlinear:
-        rhs = rhs + boussinesq_nonlinearity(U)
-    return apply_n_inverse(eps, prob, rhs)
 
 
 def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
@@ -291,11 +265,11 @@ def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
     return norm(res, normspec)
 
 
-def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig,
-                          u0: FourierField | None = None
+def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig
                           ) -> tuple[FourierField, SolveReport]:
-    """``ode.solve_fixed_point`` on a Boussinesq problem, under its older name."""
-    return solve_fixed_point(eps, prob, cfg, u0)
+    """A cold ``ode.solve_fixed_point`` on a Boussinesq problem, under its
+    older name."""
+    return solve_fixed_point(eps, prob, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +284,6 @@ def manufactured_forcing(W: FourierField, eps: complex, prob_template: PdeProble
     if prob_template.nonlinear:
         f = f - boussinesq_nonlinearity(W)
     return f.project_zero_space_average()
-
-
-def illposed_log_growth(beta: float, j: int, t: float = 1.0) -> float:
-    """log of the frictionless semigroup factor e^{t sqrt(beta j^4 - j^2)}.
-
-    Documents why no initial-value solve exists here: the factor reaches
-    astronomic size within t = 1 already at moderate j.
-    """
-    sym = beta * j ** 4 - j ** 2
-    if sym <= 0:
-        return 0.0
-    return t * math.sqrt(sym)
 
 
 def pde_certification_scan(eps: complex, beta: float, j_max: int = 32,

@@ -355,10 +355,6 @@ def lattice_index(lat: SpectralLattice, k: Sequence[int]) -> tuple[int, ...]:
     return tuple(c + cut for c, cut in zip(k, lat.cutoffs))
 
 
-def mode_coefficient(f: FourierField, k: Sequence[int]) -> np.ndarray:
-    return f.coeffs[lattice_index(f.lattice, k)]
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -681,14 +677,18 @@ class NonlinearitySpec:
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "polynomial":
-            out = np.zeros_like(x)
+            # Horner, returned as a view when there is one component.  It
+            # starts from 0 * x + the top coefficient, not from the top
+            # coefficient alone, so signed zeros and non-finite x give the
+            # bits of Horner from a zero accumulator
+            out = None if len(self.coeffs) == x.shape[-1] == 1 else np.zeros_like(x)
             for c, row in enumerate(self.coeffs):
-                if len(row) == 0:
-                    continue
                 xc = x[..., c]
-                acc = np.zeros_like(xc)
-                for p in range(len(row) - 1, -1, -1):
-                    acc = acc * xc + row[p]
+                acc = xc * 0.0 + row[-1] if row else np.zeros_like(xc)
+                for coeff in row[-2::-1]:
+                    acc = acc * xc + coeff
+                if out is None:
+                    return acc[..., None]
                 out[..., c] = acc
             return out
         if self.kind == "callable":
@@ -778,23 +778,6 @@ def spatial_derivative(u: FourierField, order: int) -> FourierField:
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-def cauchy_decay_fit(u: FourierField, floor: float = 0.0) -> tuple[float, float]:
-    """Least-squares fit of |u_k| <= M e^{-rho |k|}; returns (M, rho_est).
-
-    Fits log|u_k| against |k|_1 over nonzero modes.  Needs at least three
-    contributing modes.
-    """
-    mag = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=-1)).ravel()
-    l1 = u.lattice.k_l1().ravel()
-    keep = mag > max(floor, 0.0)
-    if np.count_nonzero(keep) < 3:
-        raise ValueError("need at least 3 nonzero modes for a decay fit")
-    y = np.log(mag[keep])
-    x = l1[keep]
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(np.exp(intercept)), float(-slope)
 
 
 def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec) -> float:

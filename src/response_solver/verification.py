@@ -385,33 +385,33 @@ class NondiffProbe:
 
 
 def make_witness_problem(omega: tuple[float, float], witness_ks: list[tuple[int, int]],
-                         K: int, rho: float = 0.5, lam: float = 1.0) -> OdeProblem:
-    """Scalar linear problem with forcing concentrated on witness modes."""
+                         K: int) -> OdeProblem:
+    """Scalar linear problem (A = 1) with forcing e^{-|k|_1 / 2} / 2 on each
+    witness mode and its mirror."""
     lat = SpectralLattice(d=2, K=K, omega=omega, n=1)
     modes: dict[tuple, complex] = {}
     for k in witness_ks:
-        amp = math.exp(-rho * (abs(k[0]) + abs(k[1]))) / 2.0
+        amp = math.exp(-0.5 * (abs(k[0]) + abs(k[1]))) / 2.0
         modes[(k[0], k[1])] = modes.get((k[0], k[1]), 0.0) + amp
         modes[(-k[0], -k[1])] = modes.get((-k[0], -k[1]), 0.0) + amp
     forcing = FourierField.from_modes(lat, {k: np.array([v]) for k, v in modes.items()})
     return OdeProblem(
         lattice=lat,
-        linear=LinearPart.scalar(lam),
+        linear=LinearPart.scalar(1.0),
         g_hat=NonlinearitySpec.zero(),
         forcing=forcing,
     )
 
 
-def nondiff_probe(prob: OdeProblem, eps_ladder: list[float],
-                  cfg: SolverConfig | None = None) -> NondiffProbe:
+def nondiff_probe(prob: OdeProblem, eps_ladder: list[float]) -> NondiffProbe:
     """Difference quotients of eps -> U_eps along a ladder toward zero.
 
     With a Liouville frequency and forcing on the witness modes the
     quotients blow up as eps drops below the witness divisor; with a
-    Diophantine control frequency they stay bounded.
+    Diophantine control frequency they stay bounded.  Each solve runs to
+    tol 1e-13 in at most 400 steps.
     """
-    if cfg is None:
-        cfg = SolverConfig(tol=1e-13, max_iter=400)
+    cfg = SolverConfig(tol=1e-13, max_iter=400)
     eps_ladder = sorted((float(e) for e in eps_ladder), reverse=True)
     fields = []
     for e in eps_ladder:

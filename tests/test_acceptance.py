@@ -18,12 +18,7 @@ from numpy.testing import assert_allclose
 
 import response_solver as rs
 import response_solver.cli as cli
-from response_solver.multipliers import (
-    EpsilonDomain,
-    block_inverse,
-    forward_block,
-    gamma_bound,
-)
+from response_solver.multipliers import EpsilonDomain
 from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
 from response_solver.pde import imaginary_axis_blowup, pde_certification_scan
 from response_solver.verification import (
@@ -37,6 +32,7 @@ from response_solver.verification import (
 )
 
 from conftest import manufactured_pde
+from reference import block_inverse, forward_block
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -132,7 +128,7 @@ def test_criterion_05_sigma_overlap_uniqueness(cubic_problem):
 def test_criterion_06_continuity_ladder(cubic_problem):
     cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
     sigmas = list(np.geomspace(1e-1, 1e-4, 13))
-    entries = sweep_sigma_ladder(cubic_problem, cfg, sigmas, signs=(1,))
+    entries = sweep_sigma_ladder(cubic_problem, cfg, sigmas)
     assert all(e.report.status == "converged" for e in entries)
     norms = [e.sol_norm for e in entries]
     monotone = all(a > b for a, b in zip(norms, norms[1:]))

@@ -9,17 +9,21 @@ import response_solver as rs
 from response_solver.multipliers import (
     BoundViolationError,
     EpsilonDomain,
-    apply_forward,
-    block_inverse,
-    forward_block,
     gamma_bound,
-    jordan_mode_inverse,
     l_eps,
     mode_matrices,
     operator_norms,
 )
 
 from conftest import PROBLEMS, manufactured_pde
+from reference import (
+    apply_forward,
+    block_inverse,
+    forward_block,
+    jordan_mode_inverse,
+    mode_solve,
+    pde_picard_step,
+)
 
 
 class TestScalarDivisor:
@@ -67,7 +71,7 @@ class TestBlockInverse:
 
 class TestModeSolve:
     def test_scalar_cancellation_case(self):
-        x = rs.mode_solve(0.05, 1.0, rs.LinearPart.scalar(1.0), np.array([1.0]))
+        x = mode_solve(0.05, 1.0, rs.LinearPart.scalar(1.0), np.array([1.0]))
         assert_allclose(x[0], -1j, atol=1e-15)
 
     def test_a_zero_is_scaled_matrix_inverse(self):
@@ -75,7 +79,7 @@ class TestModeSolve:
         lin = rs.LinearPart(tuple(map(tuple, A)))
         eps = 0.03
         rhs = np.array([1.0, 0.0], dtype=complex)
-        x = rs.mode_solve(eps, 0.0, lin, rhs)
+        x = mode_solve(eps, 0.0, lin, rhs)
         assert_allclose(x, np.linalg.solve(eps * A, rhs), rtol=1e-13)
 
     def test_dense_solve_matches_jordan_closed_form(self, rng):
@@ -85,7 +89,7 @@ class TestModeSolve:
         for _ in range(20):
             a = float(rng.uniform(-10, 10))
             rhs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            dense = rs.mode_solve(eps, a, lin, rhs)
+            dense = mode_solve(eps, a, lin, rhs)
             closed = jordan_mode_inverse(eps, a, lin) @ rhs
             assert np.max(np.abs(dense - closed)) \
                 <= 1e-10 * max(1.0, np.max(np.abs(dense)))
@@ -261,8 +265,6 @@ class TestSolvePlan:
 
     @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
     def test_pde_step_is_pde_picard_step(self, eps):
-        from response_solver.pde import pde_picard_step
-
         prob, W, _ = manufactured_pde(K=6)
         step, observe = self.plan(prob, eps)
         U = W

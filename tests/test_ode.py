@@ -12,10 +12,10 @@ from response_solver import ode as ode_mod
 from response_solver.cli import parse_problem
 from response_solver.multipliers import EpsilonDomain, operator_norms
 from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
-from response_solver.spectral import mode_coefficient
 from response_solver.verification import newton_oracle_ode, restrict_field
 
 from conftest import PROBLEMS, cos_forcing, diverging_cubic_problem, manufactured_pde
+from reference import cauchy_decay_fit, pde_picard_step
 
 
 def exact_linear_solution(lat, eps):
@@ -141,8 +141,6 @@ def hand_picard(step, lattice, cfg, stop):
 
 
 def _pde_case(eps):
-    from response_solver.pde import pde_picard_step
-
     prob, _, _ = manufactured_pde(K=8)
     return (prob, eps, lambda V: pde_picard_step(V, eps, prob),
             lambda V: rs.pde_residual(V, eps, prob))
@@ -271,7 +269,7 @@ class TestSweep:
     def test_sigma_ladder_descends_and_contracts(self, cubic_problem):
         cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
         entries = sweep_sigma_ladder(cubic_problem, cfg,
-                                     sigmas=[1e-1, 1e-2, 1e-3], signs=(1,))
+                                     sigmas=[1e-1, 1e-2, 1e-3])
         norms = [e.sol_norm for e in entries]
         assert all(e.report.status == "converged" for e in entries)
         assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -280,6 +278,18 @@ class TestSweep:
             assert b.sol_norm / a.sol_norm == pytest.approx(
                 abs(b.eps) / abs(a.eps), rel=1e-3
             )
+
+    @pytest.mark.parametrize("sigmas, count", [
+        ([0.02, 0.01], 5), ([0.03, 0.02], 5), ([1e-19, 1e-20], 6),
+    ])
+    def test_sigma_ladder_solves_each_distinct_eps_once(self, cubic_problem,
+                                                        sigmas, count):
+        # 2 sigma of one rung is sigma of the next in the first two ladders;
+        # the tiny rungs differ relatively, if not absolutely
+        entries = sweep_sigma_ladder(cubic_problem, rs.SolverConfig(tol=1e-12),
+                                     sigmas, keep_solutions=False)
+        assert len(entries) == count
+        assert all(e.report.status == "converged" for e in entries)
 
     def test_sigma_overlap_agreement(self, cubic_problem):
         cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
@@ -569,7 +579,7 @@ class TestDecayFitOnSolverOutput:
                              g_hat=rs.NonlinearitySpec.zero(), forcing=forcing)
         U, rep = rs.solve_fixed_point(0.05, prob, rs.SolverConfig(tol=1e-13))
         assert rep.status == "converged"
-        _, rho_est = rs.cauchy_decay_fit(U, floor=1e-14 * U.max_abs())
+        _, rho_est = cauchy_decay_fit(U, floor=1e-14 * U.max_abs())
         assert rho_est >= 0.5 - 0.1
 
 

@@ -11,16 +11,14 @@ from response_solver.pde import (
     PdeProblem,
     apply_n_forward,
     check_beta,
-    illposed_log_growth,
     imaginary_axis_blowup,
     manufactured_forcing,
     pde_certification_scan,
-    smoothing_constant,
 )
-from response_solver.spectral import mode_coefficient
 from response_solver.verification import restrict_field
 
 from conftest import manufactured_pde
+from reference import mode_coefficient
 
 
 def spatial_mode(lat, k, value=1.0 + 0j):
@@ -53,17 +51,15 @@ class TestBetaCheck:
 
 class TestMultiplier:
     def test_zero_frequency_closed_form(self):
+        # the mode symbol is the oscillator divisor at lambda_j = j^2 - beta j^4;
         # a = 0, j = 1, beta = 2: symbol -eps, scaled inverse -1
-        eps = 0.02
-        assert rs.n_multiplier(eps, 0.0, 1, 2.0) == -eps
+        eps, j, beta = 0.02, 1, 2.0
+        assert rs.l_eps(eps, j ** 2 - beta * j ** 4, 0.0) == -eps
 
     def test_j_two(self):
-        eps = 0.37
-        assert_allclose(rs.n_multiplier(eps, 0.0, 2, 2.0), -28 * eps, rtol=1e-15)
-
-    def test_j_zero_rejected(self):
-        with pytest.raises(ValueError):
-            rs.n_multiplier(0.02, 0.0, 0, 2.0)
+        eps, j, beta = 0.37, 2, 2.0
+        assert_allclose(rs.l_eps(eps, j ** 2 - beta * j ** 4, 0.0), -28 * eps,
+                        rtol=1e-15)
 
     def test_apply_inverse_single_spatial_mode(self, pde_lattice):
         prob = PdeProblem(lattice=pde_lattice, beta=2.0,
@@ -82,7 +78,8 @@ class TestMultiplier:
         prob = PdeProblem(lattice=pde_lattice, beta=2.0,
                           forcing=rs.FourierField.zeros(pde_lattice))
         eps = 0.02 + 0.0001j
-        c_emp = smoothing_constant(eps, prob)
+        _, rep = rs.solve_fixed_point(eps, prob, rs.SolverConfig())
+        c_emp = rep.diagnostics["c_emp_smoothing"]
         # oracle: modewise supremum recomputed from first principles
         lat = pde_lattice
         a = lat.k_dot_omega()
@@ -293,10 +290,6 @@ class TestCertification:
 
     def test_imaginary_axis_unbounded(self):
         assert imaginary_axis_blowup(0.01, 2.0) > 1e6
-
-    def test_illposed_forward_growth(self):
-        # frictionless semigroup factor at j = 32 passes 1e6 within t = 1
-        assert illposed_log_growth(2.0, 32, 1.0) > math.log(1e6)
 
 
 class TestImaginaryAxisSupremum:

@@ -13,8 +13,10 @@ from response_solver.multipliers import (  # noqa: E402
     mode_matrices,
     operator_norms,
 )
-from response_solver.pde import PdeProblem, pde_picard_step  # noqa: E402
+from response_solver.pde import PdeProblem  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
+
+from reference import pde_picard_step  # noqa: E402
 
 
 def nonzero(lo, hi):
