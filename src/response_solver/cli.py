@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -306,6 +307,23 @@ def _field_summary(field: FourierField, spec: NormSpec) -> dict:
     }
 
 
+def _repr_column(values: np.ndarray) -> list[str]:
+    """``repr`` of each float of a 1-D array, formatted once per distinct
+    magnitude.
+
+    The sign is a ``"-"`` prefix where the sign bit is set (so ``-0.0`` and
+    ``-inf`` print as ``repr`` prints them); NaN never gets one, as ``repr``
+    prints ``nan`` whatever its sign.
+    """
+    mags, inverse = np.unique(np.abs(values), return_inverse=True)
+    text = np.array([repr(v) for v in mags.tolist()], dtype=object)
+    column = text[inverse]
+    negative = np.signbit(values) & ~np.isnan(values)
+    signed, where = np.unique(inverse[negative], return_inverse=True)
+    column[negative] = ("-" + text[signed])[where]
+    return column.tolist()
+
+
 def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
                        stem: str = "spectrum") -> None:
     """Index-sorted and magnitude-sorted coefficient tables.
@@ -314,18 +332,25 @@ def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
     mode's magnitude over all components and its norm weight.  Rows come out
     in C order, which is index order; the magnitude table is a stable sort,
     so equal magnitudes (the +-k pairs of Hermitian fields) keep index order.
-    Each row is formatted once, as ``csv`` would (``repr`` of floats, CRLF),
-    and the lines are written in both orders.
+    Values print as ``csv`` would print them: the shortest round-trip
+    ``repr`` of each float, CRLF rows.  Each distinct value is formatted
+    once: the mode numbers per axis, the floats per distinct magnitude (the
+    sign is a prefix) and the weights per distinct clipped log-weight.  Each
+    row is joined once and the lines are written in both orders.
     """
     lat = field.lattice
     first = field.coeffs[..., 0].ravel()
     mags = np.sqrt(np.sum(np.abs(field.coeffs) ** 2, axis=-1)).ravel()
-    # math.exp per entry: numpy's exp is not guaranteed to round the same way
-    weights = map(math.exp, np.minimum(log_weights(lat, spec), 700.0).ravel().tolist())
-    modes = np.meshgrid(*(lat.axis_modes(i) for i in range(lat.n_axes)), indexing="ij")
-    columns = [g.ravel().tolist() for g in modes] \
-        + [first.real.tolist(), first.imag.tolist(), mags.tolist(), weights]
-    lines = [",".join(row) + "\r\n" for row in zip(*(map(repr, c) for c in columns))]
+    axes = ([str(k) for k in lat.axis_modes(i).tolist()] for i in range(lat.n_axes))
+    modes = map(",".join, itertools.product(*axes))
+    # math.exp per value: numpy's exp is not guaranteed to round the same way
+    logw, inverse = np.unique(np.minimum(log_weights(lat, spec), 700.0).ravel(),
+                              return_inverse=True)
+    weights = np.array([repr(math.exp(w)) for w in logw.tolist()], dtype=object)
+    columns = zip(modes, _repr_column(first.real), _repr_column(first.imag),
+                  _repr_column(mags), weights[inverse].tolist())
+    lines = [",".join(row) + "\r\n" for row in columns]
+    del columns  # frees the formatted columns before the argsort makes its index list
     header = [f"k{i+1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
         + ["re", "im", "abs", "weight_rho_m"]
     by_mag = map(lines.__getitem__, np.argsort(-mags, kind="stable").tolist())

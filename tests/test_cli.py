@@ -178,6 +178,50 @@ def reference_spectrum_tables(u: FourierField, spec: NormSpec) -> dict:
     return tables
 
 
+def _signed_field(lat: SpectralLattice, re, im) -> FourierField:
+    """A field whose coefficients, in C order, cycle through ``re`` and ``im``.
+
+    The parts are set apart, so signed zeros and infinities keep their sign.
+    """
+    coeffs = np.empty(lat.field_shape, dtype=complex)
+    coeffs.real = np.resize(re, lat.field_shape)
+    coeffs.imag = np.resize(im, lat.field_shape)
+    return FourierField(lat, coeffs)
+
+
+def _hermitian_with_zeros(rng) -> FourierField:
+    u = FourierField.random_real(
+        SpectralLattice(d=1, K=3, omega=(1.0,), has_space=True, J=2), rng)
+    u.coeffs[u.lattice.k_l1() % 2 == 1] = 0.0
+    return u
+
+
+_INF = math.inf
+_N2 = SpectralLattice(d=2, K=1, omega=(1.0, 0.5), n=2)
+_N2_SPACE = SpectralLattice(d=1, K=3, omega=(1.0,), n=2, has_space=True, J=1)
+# fields whose re/im/abs columns repeat magnitudes with both signs
+SIGNED_FIELDS = {
+    "signed-zeros": lambda rng: _signed_field(
+        SpectralLattice(d=1, K=3, omega=(1.0,)),
+        [0.0, -0.0, 0.0, -0.0, 0.5, -0.0], [0.0, 0.0, -0.0, -0.0, -0.0, -0.5]),
+    "extremes": lambda rng: _signed_field(
+        SpectralLattice(d=1, K=4, omega=(1.0,)),
+        [5e-324, 1e300, _INF, -_INF, -1e-310, -1e300, 2.5],
+        [-5e-324, -1e300, -_INF, 2.5, 1e-310, 5e-324, _INF]),
+    "opposite-signs": lambda rng: _signed_field(
+        SpectralLattice(d=2, K=1, omega=(1.0, 0.5)),
+        [0.1, -0.1, 0.1, -0.3, 0.3, -0.1], [-0.1, 0.1, 0.1, 0.3, -0.1, -0.3]),
+    "hermitian-with-zeros": _hermitian_with_zeros,
+    "n2-re-im-same-magnitude": lambda rng: _signed_field(
+        _N2, re := rng.standard_normal(_N2.field_shape),
+        rng.choice([-1.0, 1.0], _N2.field_shape) * re),
+    "n2-few-values": lambda rng: _signed_field(
+        _N2_SPACE,
+        rng.choice([-2.5, -0.0, 0.0, 2.5, 5e-324, -1e300], _N2_SPACE.field_shape),
+        rng.choice([-2.5, -0.0, 0.0, 2.5, -_INF], _N2_SPACE.field_shape)),
+}
+
+
 class TestRun:
     def test_solve_ode_on_shipped_cubic(self, tmp_path):
         cfg_path = write_json(
@@ -234,6 +278,30 @@ class TestRun:
         mags = [float(line.split(",")[-2])
                 for line in expected["by_magnitude"].splitlines()[1:]]
         assert any(a == b > 0 for a, b in zip(mags, mags[1:]))
+
+    @pytest.mark.parametrize("case", list(SIGNED_FIELDS))
+    def test_spectrum_csv_signs_and_repeats_match_reference(self, tmp_path, rng, case):
+        u = SIGNED_FIELDS[case](rng)
+        spec = NormSpec(0.3, 1.5)
+        with np.errstate(over="ignore"):  # |1e300|**2 is inf in both writers
+            cli.write_spectrum_csv(u, spec, tmp_path, "s")
+            expected = reference_spectrum_tables(u, spec)
+        for suffix in ("by_index", "by_magnitude"):
+            with open(tmp_path / f"s_{suffix}.csv", newline="") as fh:
+                assert fh.read() == expected[suffix]
+
+    def test_spectrum_csv_prints_negative_nan_as_nan(self, tmp_path):
+        lat = SpectralLattice(d=1, K=2, omega=(1.0,))
+        neg_nan = math.copysign(math.nan, -1.0)
+        u = _signed_field(lat, [neg_nan, -1.0, neg_nan, math.nan, -2.0],
+                          [1.0, neg_nan, neg_nan, -0.0, -1.0])
+        assert np.signbit(u.coeffs.real[0, 0]) and np.isnan(u.coeffs.real[0, 0])
+        cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, "s")
+        with open(tmp_path / "s_by_index.csv", newline="") as fh:
+            text = fh.read()
+        # the reference's magnitude sort is not defined for NaN: index order only
+        assert text == reference_spectrum_tables(u, NormSpec(0.3, 1.5))["by_index"]
+        assert "-nan" not in text and text.count("nan") == 9
 
     def test_verify_clean_and_faulted(self, tmp_path):
         base = config_doc("verify", str(PROBLEMS / "cubic_ode.json"),
