@@ -324,6 +324,25 @@ def _repr_column(values: np.ndarray) -> list[str]:
     return column.tolist()
 
 
+def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """sqrt(sum |c|^2) of each row.  A row whose sum of squares overflows,
+    or underflows below the smallest normal float while some coefficient is
+    nonzero, is rescaled: s sqrt(sum (|c| / s)^2) with s its largest |c|.
+    The other rows, and rows holding an infinite |c|, keep the plain
+    expression's bits."""
+    with np.errstate(over="ignore"):
+        squares = np.sum(np.abs(rows) ** 2, axis=-1)
+    mags = np.sqrt(squares)
+    redo = np.flatnonzero(np.isinf(squares) | ((squares < np.finfo(float).tiny)
+                                               & np.any(rows != 0, axis=-1)))
+    a = np.abs(rows[redo])
+    s = np.max(a, axis=-1)
+    finite = np.isfinite(s)
+    redo, a, s = redo[finite], a[finite], s[finite]
+    mags[redo] = s * np.sqrt(np.sum((a / s[:, None]) ** 2, axis=-1))
+    return mags
+
+
 def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
                        stem: str = "spectrum") -> None:
     """Index-sorted and magnitude-sorted coefficient tables.
@@ -340,7 +359,7 @@ def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
     """
     lat = field.lattice
     first = field.coeffs[..., 0].ravel()
-    mags = np.sqrt(np.sum(np.abs(field.coeffs) ** 2, axis=-1)).ravel()
+    mags = _row_magnitudes(field.coeffs.reshape(-1, field.coeffs.shape[-1]))
     axes = ([str(k) for k in lat.axis_modes(i).tolist()] for i in range(lat.n_axes))
     modes = map(",".join, itertools.product(*axes))
     # math.exp per value: numpy's exp is not guaranteed to round the same way

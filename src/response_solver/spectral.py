@@ -695,6 +695,22 @@ class NonlinearitySpec:
             return np.asarray(self.fn(x))
         return self._piecewise_eval(x)
 
+    def point(self, x: list[float]) -> list[float]:
+        """g-hat at one real point, on Python floats: the bits of
+        ``self(np.array([x]))[0]``.  Polynomials run ``__call__``'s Horner
+        without numpy; the other kinds go through ``__call__``, so a
+        callable still sees an array."""
+        if self.kind != "polynomial":
+            return self(np.array([x]))[0].tolist()
+        out = [0.0] * len(x)
+        for c, row in enumerate(self.coeffs):
+            xc = x[c]
+            acc = xc * 0.0 + row[-1] if row else 0.0
+            for coeff in row[-2::-1]:
+                acc = acc * xc + coeff
+            out[c] = acc
+        return out
+
     def _piecewise_eval(self, x: np.ndarray) -> np.ndarray:
         # left-continuous: x == b evaluates on the segment left of b
         breaks = np.asarray(self.breakpoints)

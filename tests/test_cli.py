@@ -154,16 +154,30 @@ def config_doc(command, problem, out, **params):
     }
 
 
+def _reference_magnitude(row: list[complex], squares: float) -> float:
+    """sqrt(squares), the plain sqrt(sum |c|^2), unless the sum of squares
+    overflowed or fell below the smallest normal float with a nonzero |c|:
+    then the magnitude is taken with the largest (finite) |c| factored out."""
+    a = [abs(c) for c in row]
+    s = max(a)
+    if math.isfinite(s) and (math.isinf(squares)
+                             or 0.0 < s and squares < np.finfo(float).tiny):
+        return s * math.sqrt(sum((v / s) ** 2 for v in a))
+    return math.sqrt(squares)
+
+
 def reference_spectrum_tables(u: FourierField, spec: NormSpec) -> dict:
     """Both spectrum CSV texts, built one row at a time and sorted."""
     lat = u.lattice
     logw = log_weights(lat, spec)
-    mags = np.sqrt(np.sum(np.abs(u.coeffs) ** 2, axis=-1))
+    with np.errstate(over="ignore"):
+        squares = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
     rows = []
     for idx in np.ndindex(lat.mode_shape):
         c = u.coeffs[idx + (0,)]
         rows.append([i - cut for i, cut in zip(idx, lat.cutoffs)]
-                    + [float(c.real), float(c.imag), float(mags[idx]),
+                    + [float(c.real), float(c.imag),
+                       _reference_magnitude(u.coeffs[idx].tolist(), float(squares[idx])),
                        math.exp(min(logw[idx], 700.0))])
     header = [f"k{i + 1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
         + ["re", "im", "abs", "weight_rho_m"]
@@ -283,12 +297,24 @@ class TestRun:
     def test_spectrum_csv_signs_and_repeats_match_reference(self, tmp_path, rng, case):
         u = SIGNED_FIELDS[case](rng)
         spec = NormSpec(0.3, 1.5)
-        with np.errstate(over="ignore"):  # |1e300|**2 is inf in both writers
-            cli.write_spectrum_csv(u, spec, tmp_path, "s")
-            expected = reference_spectrum_tables(u, spec)
+        cli.write_spectrum_csv(u, spec, tmp_path, "s")
+        expected = reference_spectrum_tables(u, spec)
         for suffix in ("by_index", "by_magnitude"):
             with open(tmp_path / f"s_{suffix}.csv", newline="") as fh:
                 assert fh.read() == expected[suffix]
+
+    @pytest.mark.filterwarnings("error")
+    def test_spectrum_csv_abs_keeps_extreme_magnitudes(self, tmp_path):
+        # sqrt(sum |c|^2) is inf for 1e300 and 0.0 for 5e-324 and 1e-170
+        u = _signed_field(SpectralLattice(d=1, K=1, omega=(1.0,)),
+                          [1e300, 5e-324, 1e-170], [0.0, 0.0, 0.0])
+        cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, "s")
+        for suffix, order in (("by_index", [1e300, 5e-324, 1e-170]),
+                              ("by_magnitude", [1e300, 1e-170, 5e-324])):
+            with open(tmp_path / f"s_{suffix}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [float(r[3]) for r in rows] == order
+            assert [float(r[1]) for r in rows] == order
 
     def test_spectrum_csv_prints_negative_nan_as_nan(self, tmp_path):
         lat = SpectralLattice(d=1, K=2, omega=(1.0,))

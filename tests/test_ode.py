@@ -625,11 +625,23 @@ class TestTimeIntegration:
                                              horizon=40.0, t_skip=0.0)
         assert chk.tracking_error <= 1e-8
 
+    @pytest.fixture
+    def piecewise_problem(self, cubic_problem):
+        """The cubic problem with a piecewise-linear g_hat whose breakpoints
+        lie inside the orbit (|x| <= 0.01)."""
+        return replace(cubic_problem, g_hat=rs.NonlinearitySpec.piecewise(
+            [-0.004, 0.003], [0.2, -0.05, 0.1]))
+
     @pytest.mark.parametrize("problem, eps", [("cubic_ode.json", 0.05),
                                               ("cubic_ode.json", 0.005),
-                                              ("jordan_ode.json", 0.05)])
-    def test_default_method_agrees_with_radau(self, problem, eps):
-        prob = parse_problem(PROBLEMS / problem)
+                                              ("jordan_ode.json", 0.05),
+                                              # the p = 2, q = 3 diagonals
+                                              ("pq_problem", 0.05),
+                                              # a non-polynomial g_hat.point
+                                              ("piecewise_problem", 0.05)])
+    def test_default_method_agrees_with_radau(self, problem, eps, request):
+        prob = (parse_problem(PROBLEMS / problem) if problem.endswith(".json")
+                else request.getfixturevalue(problem))
         U, rep = rs.solve_fixed_point(eps, prob,
                                       rs.SolverConfig(tol=1e-12, ball_radius=1.0))
         assert rep.status == "converged"

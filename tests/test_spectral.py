@@ -327,6 +327,26 @@ class TestCompose:
                 assert np.array_equal(got, ref, equal_nan=True)
                 for part in (np.real, np.imag):
                     assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+            # the one-point form on Python floats, one real row at a time
+            for row in real:
+                got = g.point(row.tolist())
+                with np.errstate(all="ignore"):
+                    ref = polynomial_reference(g, row[None])[0]
+                assert all(type(v) is float for v in got)
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("g", [
+        rs.NonlinearitySpec.zero(),
+        rs.NonlinearitySpec.piecewise([-0.5, 0.25], [0.1, -0.2, 0.3]),
+        rs.NonlinearitySpec(kind="callable", fn=lambda x: np.sin(x) * x[..., ::-1],
+                            lip_hat=1.0, smallness="global"),
+    ], ids=["zero", "piecewise_linear", "callable"])
+    def test_point_of_other_kinds_is_the_array_call(self, g):
+        x = np.array([0.7, -1.3])
+        got = g.point(x.tolist())
+        assert isinstance(got, list)
+        assert np.array_equal(got, g(x[None])[0])
 
 
 class TestDerivatives:
