@@ -5,12 +5,13 @@ L(a) = -eps a^2 P + i a Q + eps A at a = k.omega.  ``l_eps`` (the scalar
 divisor) and ``mode_matrices`` are the only places that build it; the
 lattice inverse (``ScaledInverse``) builds it once per eps, divides or
 solves with it and reads the operator norms off it.  Jordan data for A
-(blocks and the basis phi) is what the certified bound is built from.
-Real eps admits the exact infimum of the scalar divisor
-over the a-line in closed form; complex-cone bounds are certified from a
-dense scan of the a-line.  On the imaginary axis, which the cone excludes,
-the supremum of the inverse divisor has a closed form too
-(``imaginary_root_blowup``, ``imaginary_axis_sup``).
+(blocks and the basis phi) is what the certified bound is built from: the
+exact infimum of each block's divisor over the real a-line
+(``divisor_infimum``), in closed form at real eps and from the real roots
+of a cubic, batched over the blocks (``root_real_parts``), on the cone.  On
+the imaginary axis, which the cone excludes, the supremum of the inverse
+divisor has a closed form too (``imaginary_root_blowup``,
+``imaginary_axis_sup``).
 """
 
 from __future__ import annotations
@@ -156,11 +157,6 @@ class LinearPart:
             raise ValueError("no Jordan data declared")
         return _jordan_matrix(self.jordan)
 
-    def eigenvalues(self) -> np.ndarray:
-        if self.jordan is not None:
-            return np.concatenate([[b.lam] * b.size for b in self.jordan])
-        return np.linalg.eigvals(self.array)
-
     def validate_spectrum(self) -> None:
         """Spectrum must be real and bounded away from zero, to 1e-9 of its scale."""
         ev = np.linalg.eigvals(self.array)
@@ -225,12 +221,11 @@ def imaginary_root_blowup(sigma: float, c: float) -> float:
 
 
 def imaginary_axis_sup(linear: LinearPart, sigma: float) -> float:
-    """``imaginary_root_blowup`` of the worst block of ``linear``: at
+    """``imaginary_root_blowup`` of the worst Jordan block of ``linear``: at
     a = q b / p a block's divisor is q^2/p times the p = q = 1 divisor of
     lam p / q^2."""
-    return max(abs(p) / q ** 2 * imaginary_root_blowup(sigma, -lam * p / q ** 2)
-               for lam, p, q in zip(np.real(linear.eigenvalues()).tolist(),
-                                    linear.p_diagonal.tolist(), linear.q_diagonal.tolist()))
+    return max(abs(b.p) / b.q ** 2 * imaginary_root_blowup(sigma, -b.lam * b.p / b.q ** 2)
+               for b in linear.jordan)
 
 
 def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np.ndarray:
@@ -434,20 +429,47 @@ class GammaBound:
             )
 
 
-def default_a_window(linear: LinearPart, lat: SpectralLattice) -> float:
-    lam_max = float(np.max(np.abs(linear.eigenvalues().real)))
-    kdw_max = float(np.max(np.abs(lat.k_dot_omega())))
-    return 2.0 * max(math.sqrt(lam_max), kdw_max, 1.0)
+def root_real_parts(coeffs: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row's polynomial c_0 a^d + ... + c_d
+    (c_0 != 0), shape (rows, d): the eigenvalues of one stack of companion
+    matrices."""
+    d = coeffs.shape[1] - 1
+    companion = np.zeros((coeffs.shape[0], d, d))
+    companion[:, range(1, d), range(d - 1)] = 1.0
+    companion[:, :, -1] = -coeffs[:, :0:-1] / coeffs[:, :1]
+    return np.linalg.eigvals(companion).real
+
+
+def divisor_infimum(eps: complex, blocks: Sequence[JordanBlock]) -> list[float]:
+    """Each block's inf over real a of |l_eps(eps, lam, a, p, q)|, in closed
+    form: Q = |l|^2 is a quartic in a with positive leading coefficient, so
+    the infimum sits at a real root of the cubic Q'.  On the cone every
+    block's roots come at once from ``root_real_parts``."""
+    if is_real_eps(eps):
+        # Q = eps^2 (lam - p s)^2 + q^2 s with s = a^2 dips to its infimum
+        # at s = lam/p - q^2/(2 eps^2 p^2) when that is positive
+        e2, out = eps.real ** 2, []
+        for b in blocks:
+            q2 = b.q ** 2
+            out.append(math.sqrt(q2 * b.lam / b.p - q2 * q2 / (4.0 * e2 * b.p ** 2))
+                       if q2 < 2.0 * e2 * b.p * b.lam else abs(eps.real * b.lam))
+        return out
+    lam, p, q = np.array([(b.lam, b.p, b.q) for b in blocks]).T[..., None]
+    e2, y = abs(eps) ** 2, complex(eps).imag
+    # Q' / 2 = 2 e2 p^2 a^3 - 3 y p q a^2 + (q^2 - 2 e2 p lam) a + y q lam
+    roots = root_real_parts(np.hstack([2.0 * e2 * p * p, -3.0 * y * p * q,
+                                       q * q - 2.0 * e2 * p * lam, y * q * lam]))
+    return np.min(np.abs(l_eps(eps, lam, roots, p, q)), axis=1).tolist()
 
 
 def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
                 fault_scale: float = 1.0) -> GammaBound:
     """Empirical sup of |L^-1| over the lattice against its certified bound.
 
-    For real eps the certified bound uses the exact infimum of each block's
-    divisor over the real a-line; on the complex cone the divisor infimum
-    is estimated by an a-scan at step 0.01 (always including the lattice
-    values).
+    The certified bound is cond(phi) times the worst block's
+    sum_r |eps|^r / m^(r+1), with m the exact infimum of the block's
+    divisor over the real a-line (``divisor_infimum``), at real eps and on
+    the cone alike; ``exact`` marks real eps.
     ``fault_scale`` is a test hook multiplying the empirical value.
 
     Raises BoundViolationError when the empirical value exceeds the bound.
@@ -458,29 +480,11 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     empirical = float(np.max(1.0 / smin)) * fault_scale
     argmax_mode = lat.mode_of_index(np.argmin(smin))
 
-    real_eps = is_real_eps(eps)
-    a_lattice = np.unique(np.abs(lat.k_dot_omega()).ravel())
-    a_max = default_a_window(linear, lat)
-    scan = np.arange(-a_max, a_max + 1e-2, 1e-2)
-    scan = np.concatenate([scan, a_lattice, -a_lattice])
-
-    cond_phi = float(np.linalg.cond(linear.phi_array, 2))
-
-    worst = 0.0
-    for b in linear.jordan:
-        if real_eps:
-            # |l|^2 = eps^2 (lam - p s)^2 + q^2 s with s = a^2 dips to its
-            # infimum at s = lam/p - q^2/(2 eps^2 p^2) when that is positive
-            e2, q2 = eps.real ** 2, b.q ** 2
-            m_b = math.sqrt(q2 * b.lam / b.p - q2 * q2 / (4.0 * e2 * b.p ** 2)) \
-                if q2 < 2.0 * e2 * b.p * b.lam else abs(eps.real * b.lam)
-        else:
-            m_b = float(np.min(np.abs(l_eps(eps, b.lam, scan, b.p, b.q))))
-        total = sum(abs(eps) ** r / m_b ** (r + 1) for r in range(b.size))
-        worst = max(worst, total)
-    certified = cond_phi * worst
+    certified = float(np.linalg.cond(linear.phi_array, 2)) * max(
+        sum(abs(eps) ** r / m_b ** (r + 1) for r in range(b.size))
+        for b, m_b in zip(linear.jordan, divisor_infimum(eps, linear.jordan)))
 
     gb = GammaBound(eps, float(empirical), float(certified), argmax_mode,
-                    exact=real_eps)
+                    exact=is_real_eps(eps))
     gb.check()
     return gb

@@ -22,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import ResonanceError, imaginary_root_blowup, is_real_eps, l_eps
+from .multipliers import (
+    ResonanceError,
+    imaginary_root_blowup,
+    is_real_eps,
+    l_eps,
+    root_real_parts,
+)
 from .ode import SolveReport, SolverConfig, solve_fixed_point
 from .spectral import (
     HERMITIAN_RTOL,
@@ -288,30 +294,38 @@ def manufactured_forcing(W: FourierField, eps: complex, prob_template: PdeProble
 
 def pde_certification_scan(eps: complex, beta: float, j_max: int = 32,
                            fault_scale: float = 1.0) -> dict:
-    """Dense (a, t) scan of the smoothing quantity |eps| (a^2+t) / |N(a, t)|
-    over |a| <= 50 at step 0.01.
+    """sup over real a and t = j^2, 1 <= j <= j_max, of the smoothing
+    quantity |eps| (a^2+t) / |N(a, t)| in closed form: the larger of its
+    limit 1 at large |a| and its values at the real parts of the roots of
+    P = 4 a Q - (a^2+t) Q' with Q = |N|^2, for every j at once
+    (``root_real_parts``); ``argmax_a`` is inf when the limit is the sup.
 
-    Returns the measured constant and, for real eps and beta > 1, the exact
-    certified bound max(1, 1/(beta-1)) against which the lattice supremum is
-    asserted elsewhere.  ``fault_scale`` is a test hook multiplying c_emp.
+    For real eps and beta > 1 it also returns the exact bound
+    max(1, 1/(beta-1)) that c_emp is asserted against elsewhere.
+    ``fault_scale`` is a test hook multiplying c_emp.
     """
-    a = np.arange(-50.0, 50.0 + 1e-2, 1e-2)
-    js = np.arange(1, j_max + 1, dtype=float)
-    t = (js ** 2)[None, :]
-    aa = a[:, None]
-    symbol = l_eps(eps, t - beta * t ** 2, aa)
-    quantity = np.abs(eps) * (aa ** 2 + t) / np.abs(symbol)
-    c_emp = float(np.max(quantity)) * fault_scale
-    idx = np.unravel_index(int(np.argmax(quantity)), quantity.shape)
-    out = {
-        "c_emp": c_emp,
-        "argmax_a": float(a[idx[0]]),
-        "argmax_j": int(js[idx[1]]),
-        "exact_bound": None,
+    t = np.arange(1, j_max + 1, dtype=float) ** 2
+    lam, e2, y = t - beta * t * t, abs(eps) ** 2, complex(eps).imag
+    # P / 2 = -y a^4 + c3 a^3 + 3 y (lam + t) a^2 + c1 a - y lam t
+    c3, c1 = 1.0 - 2.0 * e2 * (lam + t), 2.0 * e2 * lam * (lam + t) - t
+    if is_real_eps(eps):        # P / 2 = a (c3 a^2 + c1)
+        r = np.sqrt(np.maximum(np.divide(-c1, c3, out=np.zeros_like(c1),
+                                         where=c3 != 0.0), 0.0))
+        roots = np.stack([np.zeros_like(r), r, -r], axis=1)
+    else:
+        roots = root_real_parts(np.stack([np.full_like(t, -y), c3, 3.0 * y * (lam + t),
+                                          c1, -y * lam * t], axis=1))
+    quantity = abs(eps) * (roots ** 2 + t[:, None]) / np.abs(
+        l_eps(eps, lam[:, None], roots))
+    j, at = np.unravel_index(int(np.argmax(quantity)), quantity.shape)
+    peak = float(quantity[j, at])
+    return {
+        "c_emp": max(peak, 1.0) * fault_scale,
+        "argmax_a": float(roots[j, at]) if peak >= 1.0 else math.inf,
+        "argmax_j": int(j) + 1,
+        "exact_bound": max(1.0, 1.0 / (beta - 1.0))
+        if is_real_eps(eps) and beta > 1 else None,
     }
-    if is_real_eps(eps) and beta > 1:
-        out["exact_bound"] = max(1.0, 1.0 / (beta - 1.0))
-    return out
 
 
 def imaginary_axis_blowup(sigma: float, beta: float, j: int = 1) -> float:

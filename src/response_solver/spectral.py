@@ -624,6 +624,16 @@ class NonlinearitySpec:
                 raise ValueError("breakpoints must be increasing")
             object.__setattr__(self, "breakpoints", tuple(map(float, self.breakpoints)))
             object.__setattr__(self, "slopes", tuple(map(float, self.slopes)))
+            # the knot table and g(0), built once: an attribute, not a field,
+            # so equality, hashing and repr do not see it
+            breaks, slopes = np.asarray(self.breakpoints), np.asarray(self.slopes)
+            knots = np.zeros(len(breaks))
+            for i in range(1, len(breaks)):
+                knots[i] = knots[i - 1] + slopes[i] * (breaks[i] - breaks[i - 1])
+            object.__setattr__(self, "_piecewise", (breaks, slopes, knots, 0.0))
+            if len(breaks):     # x - 0.0 is x, so this is the raw g(0)
+                object.__setattr__(self, "_piecewise", (breaks, slopes, knots,
+                                                        self(np.zeros(1))[0]))
 
     # -- constructors --------------------------------------------------
 
@@ -712,21 +722,13 @@ class NonlinearitySpec:
         return out
 
     def _piecewise_eval(self, x: np.ndarray) -> np.ndarray:
-        # left-continuous: x == b evaluates on the segment left of b
-        breaks = np.asarray(self.breakpoints)
-        slopes = np.asarray(self.slopes)
+        breaks, slopes, knots, offset = self._piecewise
         if len(breaks) == 0:
             return slopes[0] * x
-        knots = np.zeros(len(breaks))
-        for i in range(1, len(breaks)):
-            knots[i] = knots[i - 1] + slopes[i] * (breaks[i] - breaks[i - 1])
-
-        def raw(z):
-            seg = np.searchsorted(breaks, z, side="left")
-            a = np.maximum(seg - 1, 0)
-            return knots[a] + slopes[seg] * (z - breaks[a])
-
-        return raw(x) - raw(np.zeros(1))[0]
+        # left-continuous: x == b evaluates on the segment left of b
+        seg = np.searchsorted(breaks, x, side="left")
+        a = np.maximum(seg - 1, 0)
+        return knots[a] + slopes[seg] * (x - breaks[a]) - offset
 
     def lipschitz_on_ball(self, radius: float) -> float:
         """Upper bound for Lip(g-hat) on {|x_c| <= radius}."""

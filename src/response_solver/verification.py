@@ -477,9 +477,10 @@ def certify_bounds(problem: OdeProblem | PdeProblem, domain: EpsilonDomain,
     """Run the multiplier bound checks (``gamma_bound`` or
     ``pde_certification_scan``) over sampled epsilon.
 
-    Exact (real-eps) bounds are asserted with ``BOUND_RTOL`` relative slack
-    and any violation fails the certification; complex-cone bounds are
-    empirical.  ``c_emp`` of an ODE problem leaves out violating samples.
+    Both bounds are exact over the real a-line, at real eps and on the cone.
+    ``gamma_bound``'s check, and the PDE constant against max(1, 1/(beta-1))
+    at real eps, take ``BOUND_RTOL`` relative slack; any violation fails the
+    certification.  ``c_emp`` of an ODE problem leaves out violating samples.
     ``fault`` perturbs the named multiplier by 2x -- a test hook that must
     make certification fail.
     """

@@ -144,3 +144,24 @@ def polynomial_reference(g: NonlinearitySpec, x: np.ndarray) -> np.ndarray:
             acc = acc * xc + row[p]
         out[..., c] = acc
     return out
+
+
+def piecewise_reference(g: NonlinearitySpec, x: np.ndarray) -> np.ndarray:
+    """The piecewise-linear branch of ``NonlinearitySpec.__call__`` as it was
+    written before the knot table moved into the spec: the knots and the
+    g(0) offset rebuilt on every call.  The table built once must give the
+    same bits."""
+    breaks = np.asarray(g.breakpoints)
+    slopes = np.asarray(g.slopes)
+    if len(breaks) == 0:
+        return slopes[0] * x
+    knots = np.zeros(len(breaks))
+    for i in range(1, len(breaks)):
+        knots[i] = knots[i - 1] + slopes[i] * (breaks[i] - breaks[i - 1])
+
+    def raw(z):
+        seg = np.searchsorted(breaks, z, side="left")
+        a = np.maximum(seg - 1, 0)
+        return knots[a] + slopes[seg] * (z - breaks[a])
+
+    return raw(x) - raw(np.zeros(1))[0]

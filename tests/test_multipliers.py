@@ -9,6 +9,7 @@ import response_solver as rs
 from response_solver.multipliers import (
     BoundViolationError,
     EpsilonDomain,
+    divisor_infimum,
     gamma_bound,
     l_eps,
     mode_matrices,
@@ -298,6 +299,25 @@ class TestGammaBound:
         for eps in dom.sample(6):
             gb = gamma_bound(eps, rs.LinearPart.scalar(1.0), lat2d)
             assert gb.empirical <= gb.certified * (1 + 1e-9)
+
+    def test_cone_infimum_between_scan_points(self):
+        # at lam = 0.3, eps = 0.05+0.02j the infimum of |l| sits near
+        # a = -0.006, between the points of a step-0.01 scan, which
+        # overstated it by 3.5%
+        eps = 0.05 + 0.02j
+        m = divisor_infimum(eps, [rs.JordanBlock(0.3, 1)])[0]
+        fine = np.min(np.abs(l_eps(eps, 0.3, np.linspace(-0.01, 0.0, 100001))))
+        coarse = np.min(np.abs(l_eps(eps, 0.3, np.arange(-1.0, 1.005, 0.01))))
+        assert_allclose(m, fine, rtol=1e-10)
+        assert coarse > 1.03 * m
+
+    def test_real_eps_infimum_keeps_its_closed_form(self):
+        blocks = [rs.JordanBlock(1.0, 1), rs.JordanBlock(1.0, 1, p=2.0, q=0.1),
+                  rs.JordanBlock(-2.0, 1, p=0.5, q=3.0)]
+        # a = 0 unless q^2 < 2 eps^2 p lam, then a^2 = lam/p - q^2/(2 eps^2 p^2)
+        e2, q2 = 0.5 ** 2, 0.1 ** 2
+        assert divisor_infimum(0.5, blocks) == [
+            0.5, math.sqrt(q2 * 1.0 / 2.0 - q2 * q2 / (4.0 * e2 * 2.0 ** 2)), 1.0]
 
     def test_fault_scale_fails(self, lat2d):
         with pytest.raises(BoundViolationError):

@@ -288,6 +288,18 @@ class TestCertification:
             )
         assert max(values) <= 1.2 * min(values)
 
+    @pytest.mark.parametrize("eps", [0.015 + 0.005j,
+                                     0.014999812512889614 + 7.499718768162693e-05j,
+                                     0.014999250056245313 - 0.0001499925005624531j])
+    def test_cone_supremum_is_the_aperture(self, eps):
+        # at beta = 2 the supremum is |eps| / Re eps, reached at j = 1 where
+        # Im l vanishes (a near Im eps and near 1/Im eps); an a-scan at step
+        # 0.01 over |a| <= 50 gave 1.00002 at the first eps and 1 +- 7e-12
+        # at the other two
+        scan = pde_certification_scan(eps, 2.0, j_max=32)
+        assert_allclose(scan["c_emp"], abs(eps) / eps.real, rtol=1e-13)
+        assert scan["argmax_j"] == 1
+
     def test_imaginary_axis_unbounded(self):
         assert imaginary_axis_blowup(0.01, 2.0) > 1e6
 

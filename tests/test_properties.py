@@ -9,14 +9,16 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 import response_solver as rs  # noqa: E402
 from response_solver.multipliers import (  # noqa: E402
+    divisor_infimum,
     gamma_bound,
+    l_eps,
     mode_matrices,
     operator_norms,
 )
-from response_solver.pde import PdeProblem  # noqa: E402
+from response_solver.pde import PdeProblem, pde_certification_scan  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
-from reference import pde_picard_step  # noqa: E402
+from reference import mode_solve, pde_picard_step  # noqa: E402
 
 
 def nonzero(lo, hi):
@@ -67,6 +69,68 @@ def test_scalar_operator_norms_are_the_singular_values(lam, p, q, omega, eps):
     # gamma_bound reads the same singular values
     empirical = gamma_bound(eps, linear, lat).empirical
     assert abs(empirical - inverse_sup) <= 1e-15 * inverse_sup
+
+
+# -- exact divisor bounds on the cone ------------------------------------------
+# a dense a-scan at step 1e-3 and the lattice values are both samples of the
+# a-line, so the closed forms must bound them: the PDE supremum from above,
+# the ODE infimum from below
+
+A_SCAN = np.arange(-20.0, 20.0 + 5e-4, 1e-3)
+
+
+# eps = 0.015+0.005j: the old scan gave 1.00002, the supremum is 1.05409; then
+# the shipped verify_pde cone samples (1.0000125 and 1.0000500)
+@example(eps=0.015 + 0.005j, beta=2.0, J=8)
+@example(eps=0.014999812512889614 - 7.499718768162693e-05j, beta=2.0, J=8)
+@example(eps=0.014999250056245313 + 0.0001499925005624531j, beta=2.0, J=8)
+@given(eps=cone_eps(0.5), beta=st.floats(0.05, 6.0), J=st.integers(1, 8))
+def test_pde_supremum_bounds_the_scan_and_the_lattice(eps, beta, J):
+    t = np.arange(1, J + 1, dtype=float) ** 2
+    assume(np.min(np.abs(beta * t - 1.0)) > 1e-6)
+    sup = pde_certification_scan(eps, beta, j_max=J)["c_emp"]
+    assert sup >= 1.0
+
+    def quantity(a):
+        return abs(eps) * (a ** 2 + t) / np.abs(l_eps(eps, t - beta * t * t, a))
+
+    assert np.max(quantity(A_SCAN[:, None])) <= sup * (1 + 1e-12)
+    lat = rs.SpectralLattice(d=2, K=6, omega=(1.0, np.sqrt(2.0)), has_space=True, J=J)
+    kdw = np.unique(lat.k_dot_omega())
+    assert np.max(quantity(kdw[:, None])) <= sup * (1 + 1e-12)
+
+
+def blocks(max_count=3):
+    return st.lists(st.builds(lambda lam, p, q: rs.JordanBlock(lam, 1, p=p, q=q),
+                              nonzero(0.1, 10.0), nonzero(0.05, 5.0), nonzero(0.01, 5.0)),
+                    min_size=1, max_size=max_count)
+
+
+# the 3.5% case: the old step-0.01 scan missed the minimum near a = -0.006
+@example(eps=0.05 + 0.02j, blocks=[rs.JordanBlock(0.3, 1)], omega=1.0)
+@given(eps=cone_eps(2.0), blocks=blocks(), omega=st.floats(0.3, 3.0))
+def test_ode_infimum_bounds_the_scan_and_the_lattice(eps, blocks, omega):
+    inf = divisor_infimum(eps, blocks)
+    lattice = rs.SpectralLattice(d=1, K=8, omega=(omega,)).k_dot_omega().ravel()
+    for b, m in zip(blocks, inf):
+        for a in (A_SCAN, lattice):
+            assert m <= np.min(np.abs(l_eps(eps, b.lam, a, b.p, b.q))) * (1 + 1e-12)
+
+
+@given(sizes=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+       lams=st.lists(nonzero(0.1, 10.0), min_size=2, max_size=2),
+       phi=arrays(float, (4, 4), elements=st.floats(-1.0, 1.0)),
+       eps=nonzero(1e-3, 2.0) | cone_eps(2.0), a=st.floats(-20.0, 20.0),
+       rhs=arrays(complex, 4, elements=st.complex_numbers(max_magnitude=10.0)))
+def test_mode_solve_inverts_mode_matrices(sizes, lams, phi, eps, a, rhs):
+    n = sum(sizes)
+    basis = np.eye(n) + 0.5 * phi[:n, :n]
+    assume(np.linalg.cond(basis) < 1e3)
+    linear = rs.LinearPart.from_jordan(list(zip(lams, sizes)), basis)
+    M = mode_matrices(eps, linear, a)
+    x = mode_solve(eps, a, linear, rhs[:n])
+    scale = np.linalg.norm(M, 2) * np.linalg.norm(x) + np.linalg.norm(rhs[:n])
+    assert np.linalg.norm(M @ x - rhs[:n]) <= 1e-13 * scale
 
 
 @given(d=st.integers(1, 2), K=st.integers(1, 5), n=st.integers(1, 2), data=st.data())

@@ -18,7 +18,12 @@ from response_solver.spectral import (
     lattice_index,
 )
 
-from reference import cauchy_decay_fit, mode_coefficient, polynomial_reference
+from reference import (
+    cauchy_decay_fit,
+    mode_coefficient,
+    piecewise_reference,
+    polynomial_reference,
+)
 
 
 def single_mode(lat, k, value=1.0 + 0j):
@@ -290,6 +295,25 @@ class TestCompose:
         assert g(np.array([0.0]))[0] == 0.0
         assert g(np.array([-2.0]))[0] == 2.0
         assert g(np.array([3.0]))[0] == 3.0
+
+    @pytest.mark.parametrize("breakpoints, slopes", [
+        ((), (0.7,)),
+        ((0.0,), (-1.0, 1.0)),
+        ((-0.004, 0.003), (0.2, -0.05, 0.1)),
+        ((-1.5, -0.25, 0.5, 2.0), (0.3, -0.7, 1.1, 0.0, -2.5)),
+    ])
+    def test_piecewise_evaluation_has_the_reference_bits(self, rng, breakpoints, slopes):
+        # the knot table built once against the loop that rebuilt it per
+        # call: random values, the breakpoints themselves and signed zeros
+        g = rs.NonlinearitySpec.piecewise(breakpoints, slopes)
+        values = np.concatenate([rng.uniform(-3.0, 3.0, 64), rng.normal(0.0, 1e-3, 16),
+                                 breakpoints, np.nextafter(breakpoints, np.inf),
+                                 np.nextafter(breakpoints, -np.inf), [0.0, -0.0]])
+        for x in (values, values[:, None], values[:80].reshape(2, -1, 1)):
+            got, ref = g(x), piecewise_reference(g, x)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_nonfinite_rejected(self, lat1d, rng):
         u = rs.FourierField.random_real(lat1d, rng)
