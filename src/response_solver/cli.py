@@ -226,12 +226,19 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
 
 def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
     kind = _require(doc, "kind", path)
-    sigma = float(_require(doc, "sigma", path))
-    if kind == "complex_cone":
-        return EpsilonDomain.cone(sigma, float(_require(doc, "mu", path)))
-    if kind == "real_annulus":
-        return EpsilonDomain.annulus(sigma)
-    raise InputError(f"{path}.kind: expected 'complex_cone' or 'real_annulus'")
+    sigma = _require(doc, "sigma", path)
+    mu = _require(doc, "mu", path) if kind == "complex_cone" else 0.0
+    try:
+        return EpsilonDomain(kind, float(sigma), float(mu))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _sample_count(params: dict, key: str, default: int = 8) -> int:
+    count = int(params.get(key, default))
+    if count < 1:
+        raise InputError(f"params.{key}: {count} samples; at least 1 needed")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +445,14 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     if "sigmas" in params:
         entries = sweep_sigma_ladder(
             prob, cfg.solver, [float(s) for s in params["sigmas"]],
-            samples_per_sigma=int(params.get("samples_per_sigma", 3)),
+            samples_per_sigma=_sample_count(params, "samples_per_sigma", 3),
             keep_solutions=False,
         )
     else:
         dom = epsilon_domain_from(_require(params, "domain", "params"), "params.domain")
         with _parallel_map(cfg.jobs) as map_fn:
             entries = sweep_epsilon(dom, prob, cfg.solver,
-                                    count=int(params.get("count", 8)),
+                                    count=_sample_count(params, "count"),
                                     keep_solutions=False, map_fn=map_fn)
     rows = [
         {
@@ -507,7 +514,10 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     dom = epsilon_domain_from(
         params.get("domain", {"kind": "real_annulus", "sigma": 0.01}), "params.domain"
     )
-    cert = certify_bounds(prob, dom, samples=int(params.get("samples", 8)),
+    if isinstance(prob, OdeProblem) and prob.linear.jordan is None:
+        raise InputError(f"{cfg.problem}.jordan: verify needs the Jordan data "
+                         "of a non-diagonal A")
+    cert = certify_bounds(prob, dom, samples=_sample_count(params, "samples"),
                           fault=cfg.inject_fault)
     result = {
         "kind": cert.kind,

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .multipliers import (
+    Bound,
     ResonanceError,
     imaginary_root_blowup,
     is_real_eps,
@@ -292,40 +293,39 @@ def manufactured_forcing(W: FourierField, eps: complex, prob_template: PdeProble
     return f.project_zero_space_average()
 
 
-def pde_certification_scan(eps: complex, beta: float, j_max: int = 32,
-                           fault_scale: float = 1.0) -> dict:
-    """sup over real a and t = j^2, 1 <= j <= j_max, of the smoothing
-    quantity |eps| (a^2+t) / |N(a, t)| in closed form: the larger of its
-    limit 1 at large |a| and its values at the real parts of the roots of
-    P = 4 a Q - (a^2+t) Q' with Q = |N|^2, for every j at once
-    (``root_real_parts``); ``argmax_a`` is inf when the limit is the sup.
+def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice,
+                           fault_scale: float = 1.0) -> Bound:
+    """The smoothing quantity |eps| (a^2+t) / |N(a, t)|, t = j^2, over
+    1 <= j <= ``lat.J``: its max over the lattice's a = k.omega
+    (``empirical``) against its sup over the real a-line (``certified``).
 
-    For real eps and beta > 1 it also returns the exact bound
-    max(1, 1/(beta-1)) that c_emp is asserted against elsewhere.
-    ``fault_scale`` is a test hook multiplying c_emp.
+    The sup is in closed form: the larger of the limit 1 at large |a| and
+    the values at the real parts of the roots of P = 4 a Q - (a^2+t) Q'
+    with Q = |N|^2, for every j at once (``root_real_parts``).  Between
+    real roots of P the quantity is monotone in a, so its lattice max sits
+    at a lattice a next to a root or at an end of the lattice's range.
+    ``fault_scale`` is a test hook multiplying the empirical value.
     """
-    t = np.arange(1, j_max + 1, dtype=float) ** 2
+    t = np.arange(1, lat.J + 1, dtype=float)[:, None] ** 2
     lam, e2, y = t - beta * t * t, abs(eps) ** 2, complex(eps).imag
     # P / 2 = -y a^4 + c3 a^3 + 3 y (lam + t) a^2 + c1 a - y lam t
     c3, c1 = 1.0 - 2.0 * e2 * (lam + t), 2.0 * e2 * lam * (lam + t) - t
     if is_real_eps(eps):        # P / 2 = a (c3 a^2 + c1)
         r = np.sqrt(np.maximum(np.divide(-c1, c3, out=np.zeros_like(c1),
                                          where=c3 != 0.0), 0.0))
-        roots = np.stack([np.zeros_like(r), r, -r], axis=1)
+        roots = np.hstack([np.zeros_like(r), r, -r])
     else:
-        roots = root_real_parts(np.stack([np.full_like(t, -y), c3, 3.0 * y * (lam + t),
-                                          c1, -y * lam * t], axis=1))
-    quantity = abs(eps) * (roots ** 2 + t[:, None]) / np.abs(
-        l_eps(eps, lam[:, None], roots))
-    j, at = np.unravel_index(int(np.argmax(quantity)), quantity.shape)
-    peak = float(quantity[j, at])
-    return {
-        "c_emp": max(peak, 1.0) * fault_scale,
-        "argmax_a": float(roots[j, at]) if peak >= 1.0 else math.inf,
-        "argmax_j": int(j) + 1,
-        "exact_bound": max(1.0, 1.0 / (beta - 1.0))
-        if is_real_eps(eps) and beta > 1 else None,
-    }
+        roots = root_real_parts(np.hstack([np.full_like(t, -y), c3, 3.0 * y * (lam + t),
+                                           c1, -y * lam * t]))
+
+    def quantity(a: np.ndarray) -> np.ndarray:
+        return abs(eps) * (a ** 2 + t) / np.abs(l_eps(eps, lam, a))
+
+    a = np.sort(lat.k_dot_omega()[lat.space_average_slab], axis=None)
+    at = np.clip(np.searchsorted(a, roots), 1, a.size - 1)
+    near = np.hstack([a[at - 1], a[at], np.broadcast_to(a[[0, -1]], (lat.J, 2))])
+    return Bound(eps, float(np.max(quantity(near))) * fault_scale,
+                 max(float(np.max(quantity(roots))), 1.0), is_real_eps(eps))
 
 
 def imaginary_axis_blowup(sigma: float, beta: float, j: int = 1) -> float:

@@ -378,6 +378,31 @@ class TestRun:
         err = json.loads((tmp_path / "out" / "result.json").read_text())
         assert err["exit_code"] == EXIT_INPUT
 
+    @pytest.mark.parametrize("command, params", [
+        ("verify", {"domain": {"kind": "real_annulus", "sigma": -0.01}}),
+        ("verify", {"domain": {"kind": "complex_cone", "sigma": 0.01, "mu": 0.0}}),
+        ("verify", {"samples": 0}),
+        ("sweep", {"domain": {"kind": "real_annulus", "sigma": 0.02}, "count": 0}),
+        ("sweep", {"sigmas": [0.01, 0.02], "samples_per_sigma": 0}),
+    ], ids=["sigma", "mu", "samples", "count", "samples_per_sigma"])
+    def test_bad_domain_or_sample_count_is_input_error(self, tmp_path, command, params):
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json",
+            config_doc(command, str(PROBLEMS / "cubic_ode.json"), tmp_path / "out",
+                       **params)))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["error"].startswith("params.")
+
+    def test_verify_without_jordan_data_is_input_error(self, tmp_path):
+        prob = write_json(tmp_path / "p.json", minimal_ode_doc(n=2, A=[1.0, 0.5, 0.0, 2.0],
+                                                               forcing=[]))
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json", config_doc("verify", str(prob), tmp_path / "out")))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert "Jordan data" in err["error"]
+
     def test_nonconvergence_exit_code(self, tmp_path):
         doc = config_doc("solve-ode", str(PROBLEMS / "cubic_ode.json"),
                          tmp_path / "out", epsilon=0.05)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 import response_solver as rs
 from response_solver.multipliers import (
-    BoundViolationError,
+    BOUND_RTOL,
     EpsilonDomain,
     divisor_infimum,
     gamma_bound,
@@ -292,7 +292,6 @@ class TestGammaBound:
         assert_allclose(gb.certified, 100.0, rtol=1e-12)
         # the infimum is attained at a = 0, which is on the lattice (k = 0)
         assert_allclose(gb.empirical, 100.0, rtol=1e-12)
-        assert gb.argmax_mode == (0, 0)
 
     def test_complex_cone_empirical_below_certified(self, lat2d):
         dom = EpsilonDomain.cone(0.01, 100.0)
@@ -320,8 +319,8 @@ class TestGammaBound:
             0.5, math.sqrt(q2 * 1.0 / 2.0 - q2 * q2 / (4.0 * e2 * 2.0 ** 2)), 1.0]
 
     def test_fault_scale_fails(self, lat2d):
-        with pytest.raises(BoundViolationError):
-            gamma_bound(0.01, rs.LinearPart.scalar(1.0), lat2d, fault_scale=2.0)
+        gb = gamma_bound(0.01, rs.LinearPart.scalar(1.0), lat2d, fault_scale=2.0)
+        assert gb.empirical > gb.certified * (1 + BOUND_RTOL)
 
     def test_sigma_independence_of_scaled_inverse(self, lat2d):
         # bound on eps L^-1 is sigma-free: sweep four decades, spread < 10x

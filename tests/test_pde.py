@@ -21,6 +21,12 @@ from conftest import manufactured_pde
 from reference import mode_coefficient
 
 
+def certification_lattice(J):
+    """A small lattice with J spatial modes: the certified supremum reads
+    only J from it."""
+    return rs.SpectralLattice(d=2, K=2, omega=(1.0, math.sqrt(2.0)), has_space=True, J=J)
+
+
 def spatial_mode(lat, k, value=1.0 + 0j):
     vec = np.zeros(lat.n, dtype=complex)
     vec[0] = value
@@ -233,9 +239,9 @@ class TestSmallBetaRegion:
         beta = 0.3
         assert check_beta(beta).accepted
         for sigma in (1e-1, 1e-2):
-            scan = pde_certification_scan(0.02 * sigma / 0.01, beta, j_max=16)
-            assert np.isfinite(scan["c_emp"])
-            assert scan["exact_bound"] is None
+            bound = pde_certification_scan(0.02 * sigma / 0.01, beta,
+                                           certification_lattice(16))
+            assert np.isfinite(bound.certified)
 
     def test_manufactured_solution_still_recovered(self):
         prob, W, eps = manufactured_pde(K=8, beta=0.3)
@@ -250,11 +256,13 @@ class TestSmallBetaRegion:
         # at a = 0 the scan quantity is 1/|beta j^2 - 1|, maximized at the
         # integer j closest to 1/sqrt(beta); for beta = 0.3 that is j = 2
         beta = 0.3
-        scan = pde_certification_scan(0.01, beta, j_max=16)
+        sup = pde_certification_scan(0.01, beta, certification_lattice(16)).certified
         closed_form = max(1.0 / abs(beta * j * j - 1.0) for j in range(1, 17))
-        assert scan["argmax_j"] == 2
-        assert scan["c_emp"] == pytest.approx(closed_form, rel=1e-4)
-        assert scan["c_emp"] > 1.0 / (1.0 - beta)  # worse than any beta > 1 case
+        # the modes past j = 2 add nothing, and without j = 2 the sup drops
+        assert pde_certification_scan(0.01, beta, certification_lattice(2)).certified == sup
+        assert pde_certification_scan(0.01, beta, certification_lattice(1)).certified < sup
+        assert sup == pytest.approx(closed_form, rel=1e-4)
+        assert sup > 1.0 / (1.0 - beta)  # worse than any beta > 1 case
 
 
 class TestEpsilonContinuityLadder:
@@ -270,11 +278,14 @@ class TestEpsilonContinuityLadder:
 
 
 class TestCertification:
-    def test_exact_real_bound_beta_two(self):
-        scan = pde_certification_scan(0.02, 2.0, j_max=16)
-        assert scan["exact_bound"] == 1.0
-        assert scan["c_emp"] <= 1.0 * (1 + 1e-9)
-        assert scan["c_emp"] >= 0.99
+    @pytest.mark.parametrize("beta", [1.05, 1.5, 2.0, 5.0])
+    def test_real_eps_supremum_closed_form(self, beta):
+        # at real eps and beta > 1 the supremum is max(1, 1/(beta-1)): the
+        # large-|a| limit or the j = 1 value at a = 0
+        for eps in (0.02, -0.02, 0.001, 0.3, 2.0):
+            bound = pde_certification_scan(eps, beta, certification_lattice(16))
+            assert bound.exact
+            assert bound.certified == max(1.0, 1.0 / (beta - 1.0))
 
     def test_constant_stable_across_sigma(self):
         from response_solver.multipliers import EpsilonDomain
@@ -283,7 +294,7 @@ class TestCertification:
         for sigma in (1e-1, 1e-2, 1e-3):
             dom = EpsilonDomain.cone(sigma, 100.0)
             values.extend(
-                pde_certification_scan(e, 2.0, j_max=16)["c_emp"]
+                pde_certification_scan(e, 2.0, certification_lattice(16)).certified
                 for e in dom.sample(4)
             )
         assert max(values) <= 1.2 * min(values)
@@ -296,9 +307,9 @@ class TestCertification:
         # Im l vanishes (a near Im eps and near 1/Im eps); an a-scan at step
         # 0.01 over |a| <= 50 gave 1.00002 at the first eps and 1 +- 7e-12
         # at the other two
-        scan = pde_certification_scan(eps, 2.0, j_max=32)
-        assert_allclose(scan["c_emp"], abs(eps) / eps.real, rtol=1e-13)
-        assert scan["argmax_j"] == 1
+        sup = pde_certification_scan(eps, 2.0, certification_lattice(32)).certified
+        assert_allclose(sup, abs(eps) / eps.real, rtol=1e-13)
+        assert pde_certification_scan(eps, 2.0, certification_lattice(1)).certified == sup
 
     def test_imaginary_axis_unbounded(self):
         assert imaginary_axis_blowup(0.01, 2.0) > 1e6

@@ -80,24 +80,29 @@ A_SCAN = np.arange(-20.0, 20.0 + 5e-4, 1e-3)
 
 
 # eps = 0.015+0.005j: the old scan gave 1.00002, the supremum is 1.05409; then
-# the shipped verify_pde cone samples (1.0000125 and 1.0000500)
+# the shipped verify_pde cone samples (1.0000125 and 1.0000500); then a real
+# eps whose lattice maximum sits inside the range, next to a root at a != 0
 @example(eps=0.015 + 0.005j, beta=2.0, J=8)
 @example(eps=0.014999812512889614 - 7.499718768162693e-05j, beta=2.0, J=8)
 @example(eps=0.014999250056245313 + 0.0001499925005624531j, beta=2.0, J=8)
+@example(eps=0.3, beta=0.05, J=2)
 @given(eps=cone_eps(0.5), beta=st.floats(0.05, 6.0), J=st.integers(1, 8))
 def test_pde_supremum_bounds_the_scan_and_the_lattice(eps, beta, J):
     t = np.arange(1, J + 1, dtype=float) ** 2
     assume(np.min(np.abs(beta * t - 1.0)) > 1e-6)
-    sup = pde_certification_scan(eps, beta, j_max=J)["c_emp"]
-    assert sup >= 1.0
+    lat = rs.SpectralLattice(d=2, K=6, omega=(1.0, np.sqrt(2.0)), has_space=True, J=J)
+    bound = pde_certification_scan(eps, beta, lat)
+    assert bound.certified >= 1.0
 
     def quantity(a):
         return abs(eps) * (a ** 2 + t) / np.abs(l_eps(eps, t - beta * t * t, a))
 
-    assert np.max(quantity(A_SCAN[:, None])) <= sup * (1 + 1e-12)
-    lat = rs.SpectralLattice(d=2, K=6, omega=(1.0, np.sqrt(2.0)), has_space=True, J=J)
+    assert np.max(quantity(A_SCAN[:, None])) <= bound.certified * (1 + 1e-12)
+    # the candidate points next to the roots give the full lattice pass's max
     kdw = np.unique(lat.k_dot_omega())
-    assert np.max(quantity(kdw[:, None])) <= sup * (1 + 1e-12)
+    full = np.max(quantity(kdw[:, None]))
+    assert abs(bound.empirical - full) <= 1e-14 * full
+    assert bound.empirical <= bound.certified * (1 + 1e-12)
 
 
 def blocks(max_count=3):

@@ -275,16 +275,20 @@ class TestCertification:
         assert cert.passed
         assert cert.details["imaginary_axis_sup"] > 1e6
 
-    @pytest.mark.parametrize("fault", FAULT_NAMES)
-    def test_fault_injection_always_fails(self, fault, cubic_problem):
+    @pytest.mark.parametrize("fault, domain", [
+        (fault, domain) for domain in (EpsilonDomain.annulus(0.01),
+                                       EpsilonDomain.cone(0.01, 100.0))
+        for fault in FAULT_NAMES],
+        ids=[*FAULT_NAMES, *(f"{fault}-cone" for fault in FAULT_NAMES)])
+    def test_fault_injection_always_fails(self, fault, domain, cubic_problem):
         if fault.startswith("ode"):
             prob = cubic_problem
         else:
             prob, _, _ = manufactured_pde(K=6)
-        cert = certify_bounds(prob, EpsilonDomain.annulus(0.01), samples=4,
-                              fault=fault)
+        cert = certify_bounds(prob, domain, samples=4, fault=fault)
         assert not cert.passed
-        assert cert.violations
+        assert all("violation" in entry for entry in cert.details["per_eps"])
+        assert len(cert.violations) == 4
 
     def test_unknown_fault_rejected(self, cubic_problem):
         with pytest.raises(ValueError):
