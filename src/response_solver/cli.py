@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -230,12 +231,26 @@ def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
     mu = _require(doc, "mu", path) if kind == "complex_cone" else 0.0
     try:
         return EpsilonDomain(kind, float(sigma), float(mu))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _param(params: dict, key: str, convert: Callable, default):
+    """``convert(params[key])``, or of ``default`` when the key is absent; a
+    value that does not convert is an input error."""
+    value = params.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"params.{key}: {value!r} is not valid ({exc})") from exc
+
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def _sample_count(params: dict, key: str, default: int = 8) -> int:
-    count = int(params.get(key, default))
+    count = _param(params, key, int, default)
     if count < 1:
         raise InputError(f"params.{key}: {count} samples; at least 1 needed")
     return count
@@ -427,7 +442,7 @@ def _parallel_map(jobs: int):
 
 def _cmd_solve(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     is_ode = isinstance(prob, OdeProblem)
-    eps = complex(cfg.params.get("epsilon", 0.05 if is_ode else 0.02))
+    eps = _param(cfg.params, "epsilon", complex, 0.05 if is_ode else 0.02)
     U, rep = solve_fixed_point(eps, prob, cfg.solver)
     result = {
         "report": rep.to_dict(),
@@ -444,7 +459,7 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
     if "sigmas" in params:
         entries = sweep_sigma_ladder(
-            prob, cfg.solver, [float(s) for s in params["sigmas"]],
+            prob, cfg.solver, _param(params, "sigmas", _floats, None),
             samples_per_sigma=_sample_count(params, "samples_per_sigma", 3),
             keep_solutions=False,
         )
@@ -470,14 +485,14 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 
 def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
-    sigma = float(params.get("sigma", 0.05))
-    mu = float(params.get("mu", 5.0))
+    sigma = _param(params, "sigma", float, 0.05)
+    mu = _param(params, "mu", float, 5.0)
     dom = EpsilonDomain.cone(sigma, mu)
-    center = complex(params.get("center", 1.5 * sigma))
-    radius = float(params.get("radius", 0.2 * sigma))
+    center = _param(params, "center", complex, 1.5 * sigma)
+    radius = _param(params, "radius", float, 0.2 * sigma)
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver,
-                                  points=int(params.get("points", 16)), domain=dom,
+                                  points=_param(params, "points", int, 16), domain=dom,
                                   map_fn=map_fn)
     result = {
         "center": [probe.center.real, probe.center.imag],
@@ -492,8 +507,8 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 
 def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
     params = cfg.params
-    eps = complex(params.get("epsilon", 0.05))
-    s_grid = [float(s) for s in params.get("s_grid", [0.0, 0.25, 0.5, 0.75])]
+    eps = _param(params, "epsilon", complex, 0.05)
+    s_grid = _param(params, "s_grid", _floats, [0.0, 0.25, 0.5, 0.75])
     res = low_regularity_solve(eps, prob, cfg.solver, s_grid)
     result = {
         "report": res.report.to_dict(),
@@ -533,15 +548,13 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dict]:
     params = cfg.params
     spec = LiouvilleSpec(
-        levels=int(params.get("levels", 2)),
-        growth=float(params.get("growth", 1.0)),
-        first_quotient=int(params.get("first_quotient", 3)),
+        levels=_param(params, "levels", int, 2),
+        growth=_param(params, "growth", float, 1.0),
+        first_quotient=_param(params, "first_quotient", int, 3),
     )
     freq = build_liouville(spec)
-    K = int(params.get("K", 16))
-    ladder = [float(e) for e in params.get(
-        "eps_ladder", np.geomspace(1e-2, 1e-6, 13).tolist()
-    )]
+    K = _param(params, "K", int, 16)
+    ladder = _param(params, "eps_ladder", _floats, np.geomspace(1e-2, 1e-6, 13).tolist())
     usable = [w for w in freq.witnesses if max(abs(w.k[0]), abs(w.k[1])) <= K]
     liou_prob = make_witness_problem(freq.omega, [w.k for w in usable], K)
     liou = nondiff_probe(liou_prob, ladder)

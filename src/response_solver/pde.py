@@ -42,6 +42,7 @@ from .spectral import (
     norm,
     product,
     spatial_derivative,
+    spatial_multiplier,
 )
 
 log = logging.getLogger(__name__)
@@ -149,6 +150,7 @@ class PdeProblem:
         first = inverse(self.forcing)
         report.diagnostics["smallness"] = "local"
         real_eps = is_real_eps(eps)
+        d_xx = spatial_multiplier(lat, 2)
         # the last accepted iterate and whether it is Hermitian: the observer
         # scans it once, and the step that squares it next reuses the verdict
         hermitian: list = [None, False]
@@ -168,12 +170,19 @@ class PdeProblem:
                 hermitian[:] = [V, sym <= HERMITIAN_RTOL * scale]
 
         def step(V: FourierField) -> FourierField:
-            """U -> eps N^-1 [(U^2)_xx + f] through the plan."""
-            rhs = self.forcing
-            if self.nonlinear:
-                real = hermitian[1] if hermitian[0] is V else V.is_hermitian()
-                rhs = rhs + spatial_derivative(dealiased_product(V, V, real), 2)
-            return inverse(rhs)
+            """U -> eps N^-1 [(U^2)_xx + f] through the plan, in the
+            product's own array: the bits of ``inverse(f +
+            spatial_derivative(product, 2))``, the same operations in the
+            same order."""
+            if not self.nonlinear:
+                return inverse(self.forcing)
+            real = hermitian[1] if hermitian[0] is V else V.is_hermitian()
+            out = dealiased_product(V, V, real)
+            c = out.coeffs
+            np.multiply(c, d_xx, out=c)
+            np.add(self.forcing.coeffs, c, out=c)
+            np.multiply(c, inverse.multiplier, out=c)
+            return out
 
         return (step, lambda V: pde_residual(V, eps, self, cfg.norm),
                 first, math.isfinite(cfg.ball_radius), check_invariants)
@@ -186,7 +195,7 @@ class PdeProblem:
 def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
     lat = prob.lattice
     j = lat.axis_modes_along(lat.d).astype(float)
-    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
+    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega_column())
 
 
 class NInverse:
@@ -321,7 +330,7 @@ def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice,
     def quantity(a: np.ndarray) -> np.ndarray:
         return abs(eps) * (a ** 2 + t) / np.abs(l_eps(eps, lam, a))
 
-    a = np.sort(lat.k_dot_omega()[lat.space_average_slab], axis=None)
+    a = lat.sorted_k_dot_omega()
     at = np.clip(np.searchsorted(a, roots), 1, a.size - 1)
     near = np.hstack([a[at - 1], a[at], np.broadcast_to(a[[0, -1]], (lat.J, 2))])
     return Bound(eps, float(np.max(quantity(near))) * fault_scale,

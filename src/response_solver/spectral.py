@@ -2,8 +2,9 @@
 
 Fields live on a symmetric lattice |k_i| <= K over the d-torus, optionally
 extended by a spatial axis |j| <= J.  Coefficient arrays are indexed in
-natural signed order (axis index i  <->  mode i - K), and every operation
-returns a new field; nothing is mutated in place.
+natural signed order (axis index i  <->  mode i - K).  Every public
+operation returns a new field and leaves its inputs alone; kernels write in
+place only into arrays they allocated themselves.
 
 Transforms run on a uniform collocation grid.  A field that is real on the
 torus (Hermitian: coeff(-k) = conj(coeff(k)), decided by
@@ -21,6 +22,7 @@ as many workers as the process may run on (its CPU affinity).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -131,6 +133,18 @@ class SpectralLattice:
         """Array of k.omega over the torus axes, broadcast to mode_shape."""
         return _k_dot_omega(self)
 
+    def k_dot_omega_column(self) -> np.ndarray:
+        """``k_dot_omega`` with a spatial axis kept at length 1 (its j = -J
+        column, a view): a factor of k.omega alone evaluated on it and
+        broadcast along j gives the full array's bits at 1/(2J+1) the cost."""
+        kdw = _k_dot_omega(self)
+        return kdw[..., :1] if self.has_space else kdw
+
+    def sorted_k_dot_omega(self) -> np.ndarray:
+        """k.omega once per torus mode k (a spatial lattice's j = -J
+        column), flattened and sorted; cached per lattice and read-only."""
+        return _sorted_k_dot_omega(self)
+
     def k_l1(self) -> np.ndarray:
         """|k_1|+...+|k_d| (+|j| on spatial lattices) per mode."""
         return _k_l1(self)
@@ -161,6 +175,11 @@ def _k_dot_omega(lat: SpectralLattice) -> np.ndarray:
     if lat.has_space:
         kdw = kdw[..., None] * np.ones(2 * lat.J + 1)
     return _frozen(np.asarray(kdw, dtype=float))
+
+
+@lru_cache(maxsize=128)
+def _sorted_k_dot_omega(lat: SpectralLattice) -> np.ndarray:
+    return _frozen(np.sort(lat.k_dot_omega_column(), axis=None))
 
 
 @lru_cache(maxsize=128)
@@ -318,8 +337,15 @@ class FourierField:
         return np.conj(self.coeffs[sl])
 
     def hermitian_defect(self) -> float:
-        """max |coeff(-k) - conj(coeff(k))| over the lattice."""
-        return float(np.max(np.abs(self.coeffs - self.reflected_conj())))
+        """max |coeff(-k) - conj(coeff(k))| over the lattice.
+
+        Reversing every mode axis reverses the flat mode order, and the
+        defect at -k is the one at k (negated real part, same imaginary
+        part), so the half of the flat order up to k = 0 holds the maximum.
+        """
+        flat = self.coeffs.reshape(-1, self.lattice.n)
+        half = flat.shape[0] // 2 + 1
+        return float(np.max(np.abs(flat[:half] - np.conj(flat[:-half - 1:-1]))))
 
     def is_hermitian(self) -> bool:
         """Real on the torus to roundoff (see ``HERMITIAN_RTOL``)."""
@@ -389,19 +415,23 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     NormOverflowError when the result leaves the double range and
     FloatingPointError on NaN coefficients.
     """
-    logw = log_weights(f.lattice, spec)
     mags = np.abs(f.coeffs)
     if mags.max() < _SQUARE_SAFE:     # false for NaN too
-        mag2 = np.sum(mags ** 2, axis=-1)
+        mag2 = np.square(mags, out=mags)
+        # a sum over a single value column is that column
+        mag2 = mag2[..., 0] if f.lattice.n == 1 else np.sum(mag2, axis=-1)
         nonzero = mag2 > 0.0
         if not np.any(nonzero):
             return 0.0
-        log_mag2 = np.log(mag2[nonzero])
+        logterms = mag2[nonzero]
+        np.log(logterms, out=logterms)
     else:
-        nonzero, log_mag2 = _scaled_log_mag2(mags)
-    logterms = log_mag2 + logw[nonzero]
+        nonzero, logterms = _scaled_log_mag2(mags)
+    if spec != L2:      # L2's log weights are all 0.0: adding them moves no bit
+        logterms += log_weights(f.lattice, spec)[nonzero]
     peak = float(np.max(logterms))
-    total = math.sqrt(float(np.sum(np.exp(logterms - peak))))
+    np.subtract(logterms, peak, out=logterms)
+    total = math.sqrt(float(np.sum(np.exp(logterms, out=logterms))))
     log_result = 0.5 * peak + math.log(total)
     if log_result > math.log(np.finfo(float).max):
         raise NormOverflowError(
@@ -465,7 +495,8 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None,
     axes = tuple(range(len(grid)))
     if real:
         work = np.zeros(grid[:-1] + (grid[-1] // 2 + 1, lat.n), dtype=complex)
-        work[_bin_index(lat, grid, half=True)] = f.coeffs[..., lat.cutoffs[-1]:, :]
+        for bins, modes in _bin_blocks(lat, grid, half=True):
+            work[bins] = f.coeffs[modes]
         # irfftn's own two stages, unscaled as irfftn runs them (so the same
         # bits): the complex one in place on this call's array
         if len(axes) > 1:
@@ -474,18 +505,26 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None,
         return sfft.irfft(work, n=grid[-1], axis=axes[-1], norm="forward",
                           workers=FFT_WORKERS)
     work = np.zeros(grid + (lat.n,), dtype=complex)
-    work[_bin_index(lat, grid)] = f.coeffs
+    for bins, modes in _bin_blocks(lat, grid):
+        work[bins] = f.coeffs[modes]
     work = sfft.ifftn(work, axes=axes, overwrite_x=True, workers=FFT_WORKERS)
     return np.multiply(work, np.prod(grid), out=work)
 
 
-def _bin_index(lat: SpectralLattice, grid: tuple[int, ...], half: bool = False):
-    """FFT-bin positions (k mod N per axis) of the lattice modes; ``half``
-    keeps the modes 0..cutoff of the last axis (a real FFT's bins)."""
-    ranges = [np.mod(np.arange(-cut, cut + 1), g) for g, cut in zip(grid, lat.cutoffs)]
+@lru_cache(maxsize=128)
+def _bin_blocks(lat: SpectralLattice, grid: tuple[int, ...], half: bool = False
+                ) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
+    """FFT bins (k mod N per axis) of the lattice modes as rectangular
+    blocks: pairs (grid slices, lattice slices), 2^axes of them, since along
+    each axis the modes -cut..-1 sit in the bins N-cut..N-1 and the modes
+    0..cut in the bins 0..cut.  ``half`` keeps the modes 0..cutoff of the
+    last axis (a real FFT's bins)."""
+    axes = [((slice(g - cut, g), slice(0, cut)), (slice(0, cut + 1), slice(cut, 2 * cut + 1)))
+            for g, cut in zip(grid, lat.cutoffs)]
     if half:
-        ranges[-1] = np.arange(lat.cutoffs[-1] + 1)
-    return np.ix_(*ranges)
+        axes[-1] = axes[-1][1:]
+    return tuple((tuple(b for b, _ in blocks), tuple(m for _, m in blocks))
+                 for blocks in itertools.product(*axes))
 
 
 def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
@@ -507,14 +546,22 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
         raise ValueError("value array shape does not match lattice")
     _check_grid(lat, grid)
     axes = tuple(range(len(grid)))
+    # the result before the padded spectrum: the heap then frees the
+    # short-lived spectrum from above the result, not a hole below it
+    coeffs = np.empty(lat.field_shape, dtype=complex)
     if np.iscomplexobj(values):
         spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS)
-        return FourierField(lat, spec[_bin_index(lat, grid)] / np.prod(grid))
+        for bins, modes in _bin_blocks(lat, grid):
+            coeffs[modes] = spec[bins]
+        del spec
+        np.divide(coeffs, np.prod(grid), out=coeffs)
+        return FourierField(lat, coeffs)
     spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
-    cut = lat.cutoffs[-1]
-    coeffs = np.empty(lat.field_shape, dtype=complex)
-    coeffs[..., cut:, :] = spec[_bin_index(lat, grid, half=True)]
+    for bins, modes in _bin_blocks(lat, grid, half=True):
+        coeffs[modes] = spec[bins]
+    del spec
     # coeff(-k, -j) = conj(coeff(k, j)): flip every mode axis, then conjugate
+    cut = lat.cutoffs[-1]
     mirror = coeffs[(slice(None, None, -1),) * (lat.n_axes - 1) + (slice(-1, cut, -1),)]
     np.conjugate(mirror, out=coeffs[..., :cut, :])
     return FourierField(lat, coeffs)
@@ -687,16 +734,22 @@ class NonlinearitySpec:
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "polynomial":
-            # Horner, returned as a view when there is one component.  It
-            # starts from 0 * x + the top coefficient, not from the top
-            # coefficient alone, so signed zeros and non-finite x give the
-            # bits of Horner from a zero accumulator
+            # Horner in one accumulator per component, returned as a view
+            # when there is one component.  It starts from 0 * x + the top
+            # coefficient, not from the top coefficient alone, so signed
+            # zeros and non-finite x give the bits of Horner from a zero
+            # accumulator
             out = None if len(self.coeffs) == x.shape[-1] == 1 else np.zeros_like(x)
             for c, row in enumerate(self.coeffs):
                 xc = x[..., c]
-                acc = xc * 0.0 + row[-1] if row else np.zeros_like(xc)
+                if row:
+                    acc = np.multiply(xc, 0.0)
+                    acc += row[-1]
+                else:
+                    acc = np.zeros_like(xc)
                 for coeff in row[-2::-1]:
-                    acc = acc * xc + coeff
+                    acc *= xc
+                    acc += coeff
                 if out is None:
                     return acc[..., None]
                 out[..., c] = acc
@@ -781,17 +834,21 @@ def compose(u: FourierField, g: NonlinearitySpec) -> FourierField:
 
 def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
     """(omega . d/dtheta)^order: multiply mode k by (i k.omega)^order."""
-    mult = (1j * u.lattice.k_dot_omega()) ** order
+    mult = (1j * u.lattice.k_dot_omega_column()) ** order
     return FourierField(u.lattice, u.coeffs * mult[..., None])
 
 
 def spatial_derivative(u: FourierField, order: int) -> FourierField:
     """d^order/dx^order on spatial lattices: multiply (k, j) by (i j)^order."""
-    lat = u.lattice
+    return FourierField(u.lattice, u.coeffs * spatial_multiplier(u.lattice, order))
+
+
+def spatial_multiplier(lat: SpectralLattice, order: int) -> np.ndarray:
+    """(i j)^order, shaped to broadcast against ``lat.field_shape``."""
     if not lat.has_space:
         raise ValueError("spatial derivative needs a spatial lattice")
     j = lat.axis_modes_along(lat.d).astype(float)
-    return FourierField(lat, u.coeffs * ((1j * j) ** order)[..., None])
+    return ((1j * j) ** order)[..., None]
 
 
 # ---------------------------------------------------------------------------

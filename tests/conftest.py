@@ -17,6 +17,14 @@ else:
     settings.register_profile("derandomized", derandomize=True, database=None,
                               deadline=None)
     settings.load_profile("derandomized")
+    # Hypothesis draws about one value in twenty from the constants it finds
+    # in the local modules imported so far, so the examples would depend on
+    # which tests ran first; with that pool kept empty they do not.
+    from hypothesis.internal.conjecture import providers
+
+    _NO_LOCAL_CONSTANTS = providers.Constants()
+    providers._get_local_constants = lambda: _NO_LOCAL_CONSTANTS
+    providers.CONSTANTS_CACHE.cache.clear()
 
 
 @pytest.fixture
@@ -110,17 +118,19 @@ def lowreg_problem():
     )
 
 
-def manufactured_pde(K, eps=0.02, beta=2.0, amplitude=0.01, nonlinear=True):
-    """W = amplitude cos(theta_1) cos(x) with forcing back-solved to make it exact."""
+def manufactured_pde(K, eps=0.02, beta=2.0, amplitude=0.01, nonlinear=True, second=0.0):
+    """W = amplitude cos(theta_1) cos(x) + second cos(theta_2) cos(2x) with
+    forcing back-solved to make it exact.  ``second`` excites the modes off
+    the k2 = 0 sublattice, so the solve is quasi-periodic in earnest."""
     from response_solver.pde import PdeProblem, manufactured_forcing
 
     lat = rs.SpectralLattice(d=2, K=K, omega=(1.0, np.sqrt(2.0)), n=1,
                              has_space=True, J=K)
-    q = amplitude / 4.0
-    W = rs.FourierField.from_modes(lat, {
-        (1, 0, 1): np.array([q + 0j]), (1, 0, -1): np.array([q + 0j]),
-        (-1, 0, 1): np.array([q + 0j]), (-1, 0, -1): np.array([q + 0j]),
-    })
+    modes = {(k1, 0, j): np.array([amplitude / 4.0 + 0j]) for k1 in (1, -1) for j in (1, -1)}
+    if second:
+        modes.update({(0, k2, j): np.array([second / 4.0 + 0j])
+                      for k2 in (1, -1) for j in (2, -2)})
+    W = rs.FourierField.from_modes(lat, modes)
     template = PdeProblem(lattice=lat, beta=beta,
                           forcing=rs.FourierField.zeros(lat), nonlinear=nonlinear)
     f = manufactured_forcing(W, eps, template)

@@ -4,19 +4,34 @@ Each one rebuilds, mode by mode or from a closed form, what the library
 computes through its per-solve plans: the Jordan-block inverse, the dense
 per-mode solve, the forward operator, the one-shot Picard step of the
 Boussinesq map, a single mode's coefficient, a Cauchy decay fit and the
-plain Horner evaluation of a polynomial nonlinearity.  None of them is
-called by the library, so they live beside the tests.
+plain Horner evaluation of a polynomial nonlinearity.  Beside them stand
+the plain forms of kernels the library runs in fewer passes: the
+full-lattice Hermitian scan and k.omega multipliers, the log-space norm
+with fresh arrays, the out-of-place Horner and the ``np.ix_`` scatter and
+gather between lattice and FFT bins.  None of them is called by the
+library, so they live beside the tests.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from response_solver.multipliers import LinearPart, ResonanceError, l_eps, mode_matrices
 from response_solver.pde import PdeProblem, apply_n_inverse, boussinesq_nonlinearity
-from response_solver.spectral import FourierField, NonlinearitySpec, lattice_index
+from response_solver.spectral import (
+    _SQUARE_SAFE,
+    FourierField,
+    NonlinearitySpec,
+    NormOverflowError,
+    NormSpec,
+    SpectralLattice,
+    _scaled_log_mag2,
+    lattice_index,
+    log_weights,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +119,65 @@ def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierF
     return apply_n_inverse(eps, prob, rhs)
 
 
+def pde_symbol(eps: complex, prob: PdeProblem) -> np.ndarray:
+    """The Boussinesq symbol with k.omega taken on the full lattice."""
+    lat = prob.lattice
+    j = lat.axis_modes_along(lat.d).astype(float)
+    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
+
+
 # ---------------------------------------------------------------------------
 # spectral
+
+
+def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
+    """(omega . d/dtheta)^order with its multiplier on the full lattice."""
+    mult = (1j * u.lattice.k_dot_omega()) ** order
+    return FourierField(u.lattice, u.coeffs * mult[..., None])
+
+
+def hermitian_defect(f: FourierField) -> float:
+    """max |coeff(-k) - conj(coeff(k))|, scanned over the whole lattice."""
+    return float(np.max(np.abs(f.coeffs - f.reflected_conj())))
+
+
+def norm(f: FourierField, spec: NormSpec) -> float:
+    """The log-space weighted norm, one fresh array per pass and the log
+    weights gathered for every spec."""
+    logw = log_weights(f.lattice, spec)
+    mags = np.abs(f.coeffs)
+    if mags.max() < _SQUARE_SAFE:
+        mag2 = np.sum(mags ** 2, axis=-1)
+        nonzero = mag2 > 0.0
+        if not np.any(nonzero):
+            return 0.0
+        log_mag2 = np.log(mag2[nonzero])
+    else:
+        nonzero, log_mag2 = _scaled_log_mag2(mags)
+    logterms = log_mag2 + logw[nonzero]
+    peak = float(np.max(logterms))
+    total = math.sqrt(float(np.sum(np.exp(logterms - peak))))
+    log_result = 0.5 * peak + math.log(total)
+    if log_result > math.log(np.finfo(float).max):
+        raise NormOverflowError(f"norm exceeds float range (log value {log_result:.1f})")
+    return math.exp(log_result)
+
+
+def fft_bins(lat: SpectralLattice, grid: Sequence[int], half: bool = False):
+    """``np.ix_`` index of the lattice modes among the FFT bins (k mod N per
+    axis); ``half`` keeps the last axis's modes 0..cutoff, a real FFT's
+    bins."""
+    ranges = [np.arange(-c, c + 1) % g for g, c in zip(grid, lat.cutoffs)]
+    if half:
+        ranges[-1] = np.arange(lat.cutoffs[-1] + 1)
+    return np.ix_(*ranges)
+
+
+def padded(f: FourierField, grid: Sequence[int]) -> np.ndarray:
+    """f's coefficients scattered into the FFT bins of a zero grid."""
+    out = np.zeros(tuple(grid) + (f.lattice.n,), dtype=complex)
+    out[fft_bins(f.lattice, grid)] = f.coeffs
+    return out
 
 
 def mode_coefficient(f: FourierField, k: Sequence[int]) -> np.ndarray:
@@ -142,6 +214,23 @@ def polynomial_reference(g: NonlinearitySpec, x: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(xc)
         for p in range(len(row) - 1, -1, -1):
             acc = acc * xc + row[p]
+        out[..., c] = acc
+    return out
+
+
+def horner_reference(g: NonlinearitySpec, x: np.ndarray) -> np.ndarray:
+    """The polynomial branch of ``NonlinearitySpec.__call__`` out of place:
+    ``x * 0.0 + top`` to start, then ``acc * x + c`` into a fresh array
+    per step.  The in-place evaluation runs the same operations."""
+    x = np.asarray(x)
+    out = None if len(g.coeffs) == x.shape[-1] == 1 else np.zeros_like(x)
+    for c, row in enumerate(g.coeffs):
+        xc = x[..., c]
+        acc = xc * 0.0 + row[-1] if row else np.zeros_like(xc)
+        for coeff in row[-2::-1]:
+            acc = acc * xc + coeff
+        if out is None:
+            return acc[..., None]
         out[..., c] = acc
     return out
 

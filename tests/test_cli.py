@@ -394,6 +394,30 @@ class TestRun:
         err = json.loads((tmp_path / "out" / "result.json").read_text())
         assert err["error"].startswith("params.")
 
+    @pytest.mark.parametrize("command, problem, params", [
+        ("solve-ode", "cubic_ode.json", {"epsilon": "fast"}),
+        ("solve-pde", "boussinesq_pde.json", {"epsilon": [0.02, 0.0]}),
+        ("sweep", "cubic_ode.json", {"sigmas": "small"}),
+        ("probe-analytic", "cubic_ode.json", {"center": "middle"}),
+        ("probe-analytic", "cubic_ode.json", {"points": "many"}),
+        ("low-reg", "lowreg_ode.json", {"s_grid": [0.0, "half"]}),
+        ("verify", "cubic_ode.json", {"samples": "six"}),
+        ("demo-liouville", None, {"levels": "two"}),
+    ], ids=["solve-ode", "solve-pde", "sweep", "probe-center", "probe-points",
+            "low-reg", "verify", "demo-liouville"])
+    def test_malformed_param_is_input_error(self, tmp_path, command, problem, params):
+        """A params value that does not convert exits 4 with the key named,
+        not 2 as a solver failure."""
+        key = next(iter(params))
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json",
+            config_doc(command, problem and str(PROBLEMS / problem), tmp_path / "out",
+                       **params)))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["exit_code"] == EXIT_INPUT
+        assert err["error"].startswith(f"params.{key}: ")
+
     def test_verify_without_jordan_data_is_input_error(self, tmp_path):
         prob = write_json(tmp_path / "p.json", minimal_ode_doc(n=2, A=[1.0, 0.5, 0.0, 2.0],
                                                                forcing=[]))

@@ -15,6 +15,7 @@ from response_solver.multipliers import (
     mode_matrices,
     operator_norms,
 )
+from response_solver.pde import PdeProblem, _symbol_array
 
 from conftest import PROBLEMS, manufactured_pde
 from reference import (
@@ -24,6 +25,7 @@ from reference import (
     jordan_mode_inverse,
     mode_solve,
     pde_picard_step,
+    pde_symbol,
 )
 
 
@@ -264,9 +266,34 @@ class TestSolvePlan:
                 assert np.array_equal(V.coeffs, rs.picard_step(U, eps, prob).coeffs)
                 U = V
 
+    @staticmethod
+    def random_pde(d, rng):
+        """A Boussinesq problem on a d-torus with a random real forcing."""
+        lat = rs.SpectralLattice(d=d, K=3, omega=(1.0, math.sqrt(2.0), math.pi)[:d],
+                                 has_space=True, J=4)
+        forcing = 0.01 * rs.FourierField.random_real(lat, rng)
+        return PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
+
     @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
     def test_pde_step_is_pde_picard_step(self, eps):
         prob, W, _ = manufactured_pde(K=6)
+        self.check_pde_step(prob, W, eps)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
+    @pytest.mark.parametrize("case", ["quasi-periodic", "linear", "d1", "d3"])
+    def test_fused_pde_step_across_lattices(self, eps, case, rng):
+        if case in ("quasi-periodic", "linear"):
+            prob, W, _ = manufactured_pde(K=6, second=0.006, nonlinear=case != "linear")
+        else:
+            prob = self.random_pde(int(case[1]), rng)
+            W = 0.5 * prob.forcing
+        self.check_pde_step(prob, W, eps)
+
+    def check_pde_step(self, prob, W, eps):
+        """The fused step, in the product's own array, against
+        ``inverse(f + spatial_derivative(product, 2))``, and the symbol
+        against the full-lattice one."""
+        assert np.array_equal(_symbol_array(eps, prob), pde_symbol(eps, prob))
         step, observe = self.plan(prob, eps)
         U = W
         for it in range(1, 4):
@@ -278,7 +305,7 @@ class TestSolvePlan:
         # transforms: an iterate inside the invariant's 1e-10 but outside
         # is_hermitian's 1e-12 takes the complex path in both
         skew = U.copy()
-        skew.coeffs[(1,) * 3] += 1e-11j
+        skew.coeffs[(1,) * prob.lattice.n_axes] += 1e-11j
         assert not skew.is_hermitian()
         observe(4, skew, skew - U)
         assert np.array_equal(step(skew).coeffs,

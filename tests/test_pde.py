@@ -15,7 +15,7 @@ from response_solver.pde import (
     manufactured_forcing,
     pde_certification_scan,
 )
-from response_solver.verification import restrict_field
+from response_solver.verification import newton_oracle_pde, restrict_field
 
 from conftest import manufactured_pde
 from reference import mode_coefficient
@@ -194,6 +194,32 @@ class TestFixedPoint:
         assert rep.status == "converged"
         assert U.hermitian_defect() <= 1e-12
         assert np.max(np.abs(U.space_average_slice())) == 0.0
+
+
+class TestQuasiPeriodic:
+    """W = 0.01 cos(theta_1) cos(x) + 0.006 cos(theta_2) cos(2x) at eps 0.02
+    excites both frequencies: the solve runs off the k2 = 0 sublattice, and
+    its forcing holds the cross modes k1, k2 != 0 that W^2 makes."""
+
+    def test_recovered_off_the_sublattice(self):
+        prob, W, eps = manufactured_pde(K=32, second=0.006)
+        off_axis = np.delete(np.arange(2 * 32 + 1), 32)     # k2 != 0
+        cross = prob.forcing.coeffs[off_axis][:, off_axis]  # k1, k2 != 0
+        assert np.max(np.abs(cross)) > 1e-6
+        U, rep = rs.pde_solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-12))
+        assert rep.status == "converged"
+        assert np.max(np.abs(U.coeffs - W.coeffs)) <= 1e-9
+        assert np.max(np.abs(U.coeffs[:, off_axis])) >= 1e-3
+        assert U.hermitian_defect() <= 1e-12
+
+    def test_newton_agrees_with_picard(self):
+        prob, W, eps = manufactured_pde(K=6, second=0.006)
+        U, rep = rs.pde_solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-13))
+        assert rep.status == "converged"
+        got = newton_oracle_pde(eps, prob, K_small=6)
+        assert got.lattice == U.lattice
+        assert np.max(np.abs((U - got).coeffs)) <= 1e-12
+        assert np.max(np.abs((W - got).coeffs)) <= 1e-10
 
 
 class TestEpsilonAnalyticity:

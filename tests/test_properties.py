@@ -1,5 +1,8 @@
 """Property tests over random inputs (derandomized profile in conftest)."""
 
+import importlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -271,3 +274,30 @@ def test_pde_picard_step_keeps_hermitian_symmetry(d, K, J, eps, data):
     prob = PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
     U = pde_picard_step(hermitian(lat, data), eps, prob)
     assert U.hermitian_defect() <= 1e-14 * (1 + U.max_abs())
+
+
+def test_draws_do_not_depend_on_the_modules_loaded(tmp_path, monkeypatch):
+    """The derandomized profile draws the same examples whatever local
+    modules were imported before, so in any test order: importing a module
+    whose constants lie in the strategies' ranges between two runs of one
+    property changes none of its examples."""
+    def draws():
+        seen = []
+
+        @settings(max_examples=200)
+        @given(st.integers(0, 10 ** 6), st.floats(-1e3, 1e3))
+        def record(i, x):
+            seen.append((i, x))
+
+        record()
+        return seen
+
+    before = draws()
+    (tmp_path / "constants_pool.py").write_text(
+        "VALUES = [" + ", ".join(f"{i}, {i / 256}" for i in range(123457, 123557)) + "]\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        importlib.import_module("constants_pool")
+        assert draws() == before
+    finally:
+        sys.modules.pop("constants_pool", None)

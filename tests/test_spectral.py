@@ -10,7 +10,10 @@ import response_solver as rs
 from response_solver.spectral import (
     FFT_WORKERS,
     GridTooSmallError,
+    _SQUARE_SAFE,
+    L2,
     NormOverflowError,
+    NormSpec,
     dealias_grid,
     default_grid,
     evaluate_at,
@@ -18,9 +21,13 @@ from response_solver.spectral import (
     lattice_index,
 )
 
+import reference
 from reference import (
     cauchy_decay_fit,
+    fft_bins,
+    horner_reference,
     mode_coefficient,
+    padded,
     piecewise_reference,
     polynomial_reference,
 )
@@ -152,22 +159,6 @@ class TestTransforms:
                         rtol=1e-14)
 
 
-def fft_bins(lat, grid, half=False):
-    """Index of the lattice modes among the FFT bins (k mod N per axis);
-    ``half`` keeps the last axis's modes 0..cutoff, a real FFT's bins."""
-    ranges = [np.arange(-c, c + 1) % g for g, c in zip(grid, lat.cutoffs)]
-    if half:
-        ranges[-1] = np.arange(lat.cutoffs[-1] + 1)
-    return np.ix_(*ranges)
-
-
-def padded(f, grid):
-    """f's coefficients in the FFT bins of a zero grid."""
-    out = np.zeros(tuple(grid) + (f.lattice.n,), dtype=complex)
-    out[fft_bins(f.lattice, grid)] = f.coeffs
-    return out
-
-
 class TestTransformBits:
     """synthesize and analyze give the bits of scipy's one-call transforms:
     irfftn, ifftn times N and fftn over N."""
@@ -182,11 +173,17 @@ class TestTransformBits:
                                              has_space=True, J=3),
         "3axis-n2": rs.SpectralLattice(d=3, K=2, omega=(1.0, math.sqrt(2), math.pi),
                                        n=2),
+        "2axis-space-n1": rs.SpectralLattice(d=1, K=4, omega=(1.0,), has_space=True, J=5),
+        "4axis-space-n1": rs.SpectralLattice(d=3, K=2, omega=(1.0, math.sqrt(2), math.pi),
+                                             has_space=True, J=3),
     }
+    # the lattice's own size per axis: the two bin blocks of an axis meet
+    GRIDS = [default_grid, dealias_grid,
+             lambda lat: tuple(2 * cut + 1 for cut in lat.cutoffs)]
+    GRID_IDS = ["default", "dealias", "tight"]
 
     @pytest.mark.parametrize("name", sorted(LATTICES))
-    @pytest.mark.parametrize("grid_of", [default_grid, dealias_grid],
-                             ids=["default", "dealias"])
+    @pytest.mark.parametrize("grid_of", GRIDS, ids=GRID_IDS)
     def test_real_path(self, name, grid_of, rng):
         lat = self.LATTICES[name]
         grid = grid_of(lat)
@@ -202,8 +199,7 @@ class TestTransformBits:
                               spec[fft_bins(lat, grid, half=True)])
 
     @pytest.mark.parametrize("name", sorted(LATTICES))
-    @pytest.mark.parametrize("grid_of", [default_grid, dealias_grid],
-                             ids=["default", "dealias"])
+    @pytest.mark.parametrize("grid_of", GRIDS, ids=GRID_IDS)
     def test_complex_path(self, name, grid_of, rng):
         lat = self.LATTICES[name]
         grid = grid_of(lat)
@@ -216,6 +212,68 @@ class TestTransformBits:
         spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS) / np.prod(grid)
         assert np.array_equal(rs.analyze(values, lat).coeffs,
                               spec[fft_bins(lat, grid)])
+
+
+def kernel_fields(lat, rng):
+    """A Hermitian field, a general complex one, the Hermitian one nudged
+    off symmetry at one mode, and one holding a NaN."""
+    real = rs.FourierField.random_real(lat, rng)
+    cplx = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
+                           + 1j * rng.standard_normal(lat.field_shape))
+    nudged = real.copy()
+    nudged.coeffs.flat[rng.integers(nudged.coeffs.size)] += 1e-9j
+    nan = cplx.copy()
+    nan.coeffs.flat[rng.integers(nan.coeffs.size)] = complex(np.nan, 1.0)
+    return real, cplx, nudged, nan
+
+
+def outcome_of(fn, *args):
+    """fn's value, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (FloatingPointError, NormOverflowError) as exc:
+        return type(exc)
+
+
+class TestKernelBits:
+    """The kernels that make fewer passes hold the bits of their plain forms
+    in ``reference``: real and complex fields, n = 1 and 2, d = 1..3, torus
+    and spatial lattices."""
+
+    LATTICES = TestTransformBits.LATTICES
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_hermitian_defect_scans_half_the_lattice(self, name, rng):
+        for f in kernel_fields(self.LATTICES[name], rng):
+            assert np.array_equal(f.hermitian_defect(), reference.hermitian_defect(f),
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_directional_derivative_on_one_column(self, name, order, rng):
+        for f in kernel_fields(self.LATTICES[name], rng):
+            assert np.array_equal(rs.directional_derivative(f, order).coeffs,
+                                  reference.directional_derivative(f, order).coeffs,
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    @pytest.mark.parametrize("spec", [L2, NormSpec(0.5, 0.0), NormSpec(0.3, 1.5)],
+                             ids=["L2", "rho", "rho-m"])
+    def test_norm_in_place(self, name, spec, rng):
+        lat = self.LATTICES[name]
+        real, cplx, _, nan = kernel_fields(lat, rng)
+        peak = real.copy()
+        peak.coeffs.flat[0] = _SQUARE_SAFE     # the rescaled path by one mode
+        fields = [real, cplx, nan, peak, rs.FourierField.zeros(lat),
+                  1e-170 * real, 1e-320 * cplx, 2.0 * _SQUARE_SAFE * cplx,
+                  rs.FourierField(lat, np.full(lat.field_shape, 1e308 + 0j))]
+        outcomes = []
+        for f in fields:
+            got, want = outcome_of(rs.norm, f, spec), outcome_of(reference.norm, f, spec)
+            assert type(got) is type(want) and got == want
+            outcomes.append(got)
+        # NaN, overflow and all-zero squares all reached
+        assert {FloatingPointError, NormOverflowError, 0.0} <= set(outcomes)
 
 
 class TestProduct:
@@ -334,7 +392,8 @@ class TestCompose:
     @pytest.mark.parametrize("n", [1, 2])
     def test_polynomial_evaluation_has_the_reference_bits(self, rng, length, n):
         # signed zeros among the coefficients and the values, and values
-        # whose products overflow or are not finite
+        # whose products overflow or are not finite; against Horner from a
+        # zero accumulator and the out-of-place form of the same operations
         coefficients = [0.0, -0.0, 1.0, -2.0, 0.3]
         values = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.25, 1e-300, 1e300,
                            np.inf, np.nan])
@@ -346,11 +405,13 @@ class TestCompose:
             cplx.imag = rng.choice(values, (6, n))
             for x in (real, cplx):
                 with np.errstate(all="ignore"):
-                    got, ref = g(x), polynomial_reference(g, x)
-                assert got.dtype == ref.dtype and got.shape == ref.shape
-                assert np.array_equal(got, ref, equal_nan=True)
-                for part in (np.real, np.imag):
-                    assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+                    got = g(x)
+                    refs = polynomial_reference(g, x), horner_reference(g, x)
+                for ref in refs:
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert np.array_equal(got, ref, equal_nan=True)
+                    for part in (np.real, np.imag):
+                        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
             # the one-point form on Python floats, one real row at a time
             for row in real:
                 got = g.point(row.tolist())
