@@ -3,15 +3,15 @@
 The operator acts diagonally in Fourier space: mode k sees the n x n matrix
 L(a) = -eps a^2 P + i a Q + eps A at a = k.omega.  ``l_eps`` (the scalar
 divisor) and ``mode_matrices`` are the only places that build it; the
-lattice inverse (``ScaledInverse``) builds it once per eps, divides or
-solves with it and reads the operator norms off it.  Jordan data for A
-(blocks and the basis phi) is what the certified bound is built from: the
-exact infimum of each block's divisor over the real a-line
-(``divisor_infimum``), in closed form at real eps and from the real roots
-of a cubic, batched over the blocks (``root_real_parts``), on the cone.  On
-the imaginary axis, which the cone excludes, the supremum of the inverse
-divisor has a closed form too (``imaginary_root_blowup``,
-``imaginary_axis_sup``).
+lattice inverse (``ScaledInverse``) builds it once per eps, checks it and
+reads the operator norms off it in its constructor, and divides or solves
+with it.  Jordan data for A (blocks and the basis phi) is what the
+certified bound is built from: the exact infimum of each block's divisor
+over the real a-line (``divisor_infimum``), in closed form at real eps and
+from the real roots of a cubic, batched over the blocks
+(``root_real_parts``), on the cone.  On the imaginary axis, which the cone
+excludes, the supremum of the inverse divisor has a closed form too
+(``imaginary_root_blowup``, ``imaginary_axis_sup``).
 """
 
 from __future__ import annotations
@@ -162,10 +162,6 @@ class LinearPart:
         if np.min(np.abs(ev.real)) <= 1e-9 * scale:
             raise ValueError("spectrum of A must not contain zero")
 
-    def has_jordan_basis(self) -> bool:
-        """Jordan blocks and phi are both declared: the closed form applies."""
-        return self.jordan is not None and self.phi is not None
-
 
 def _jordan_matrix(blocks: Sequence[JordanBlock]) -> np.ndarray:
     n = sum(b.size for b in blocks)
@@ -242,16 +238,17 @@ def mode_matrices(eps: complex, linear: LinearPart, a: float | np.ndarray) -> np
 
 
 class ScaledInverse:
-    """eps L^-1 at one eps on one lattice, with the mode operator built once.
+    """eps L^-1 at one eps on one lattice: the plan a solve builds once.
 
-    For n = 1 the operator is the scalar divisor l_eps per mode, and the
-    singular value of a 1x1 mode matrix is |l_eps|, so ``norms`` are in
-    closed form; for n > 1 it is the stack of mode matrices, whose norms
-    come from one batched SVD.  A call applies the inverse with the cached
-    operator and no singularity check: ``check`` makes that once.  A solve
-    builds one per eps, so each Picard step only divides (n = 1) or solves
-    (n > 1); ``apply_scaled_inverse`` and ``operator_norms`` build one per
-    call.
+    The constructor is its only check.  It builds the mode operator (the
+    scalar divisor l_eps per mode for n = 1, the stack of mode matrices for
+    n > 1), reads its singular values once (|l_eps| for n = 1, one batched
+    SVD for n > 1) and either raises ``ResonanceError`` naming the first
+    singular mode or sets ``forward_sup`` (max over the lattice of the
+    largest singular value), ``inverse_sup`` (the largest of the inverse)
+    and ``scaled_inverse_sup`` = |eps| ``inverse_sup``, the contraction
+    constant.  A call applies the inverse with the cached operator, so each
+    Picard step only divides (n = 1) or solves (n > 1).
     """
 
     def __init__(self, eps: complex, linear: LinearPart, lat: SpectralLattice):
@@ -262,42 +259,20 @@ class ScaledInverse:
         self.operator = mode_matrices(eps, linear, lat.k_dot_omega())
         if lat.n == 1:
             self.operator = self.operator[..., 0]   # the scalar divisor per mode
-
-    def singular_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Largest and smallest singular value of every mode matrix, flat
-        over the lattice (both |l_eps| for n = 1); ResonanceError when a
-        mode matrix is singular."""
-        n = self.lattice.n
-        if n == 1:
             smax = smin = np.abs(self.operator).ravel()
+            bad, what = smin == 0.0, "scalar divisor"
         else:
-            sv = np.linalg.svd(self.operator.reshape(-1, n, n), compute_uv=False)
+            stack = self.operator.reshape(-1, lat.n, lat.n)
+            sv = np.linalg.svd(stack, compute_uv=False)
             smax, smin = sv[:, 0], sv[:, -1]
-        if np.any(smin == 0.0):
-            raise ResonanceError("singular mode matrix on lattice")
-        return smax, smin
-
-    def norms(self) -> dict:
-        """Spectral norms of the mode matrices and their inverses over the
-        lattice, from ``singular_values``."""
-        smax, smin = self.singular_values()
-        # 1 / min equals max of 1 / each: division rounds monotonically
-        inverse_sup = float(1.0 / np.min(smin))
-        return {
-            "forward_sup": float(np.max(smax)),
-            "inverse_sup": inverse_sup,
-            "scaled_inverse_sup": float(abs(self.eps) * inverse_sup),
-        }
-
-    def check(self) -> None:
-        """ResonanceError naming the first mode whose matrix is singular."""
-        if self.lattice.n == 1:
-            bad, what = np.abs(self.operator[..., 0]) == 0.0, "scalar divisor"
-        else:
-            bad, what = np.abs(np.linalg.det(self.operator)) == 0.0, "mode matrix"
+            bad, what = (smin == 0.0) | (np.linalg.det(stack) == 0.0), "mode matrix"
         if np.any(bad):
-            k = self.lattice.mode_of_index(np.argmax(bad))
+            k = lat.mode_of_index(np.argmax(bad))
             raise ResonanceError(f"singular {what} at k={k}", mode=k)
+        self.forward_sup = float(np.max(smax))
+        # 1 / min equals max of 1 / each: division rounds monotonically
+        self.inverse_sup = float(1.0 / np.min(smin))
+        self.scaled_inverse_sup = float(abs(eps) * self.inverse_sup)
 
     def __call__(self, f: FourierField) -> FourierField:
         if self.lattice.n == 1:
@@ -313,16 +288,16 @@ def apply_scaled_inverse(eps: complex, linear: LinearPart,
     Aborts with the offending k when a mode matrix is singular.  Hermitian
     symmetry of real fields is preserved for real eps.
     """
-    inverse = ScaledInverse(eps, linear, f.lattice)
-    inverse.check()
-    return inverse(f)
+    return ScaledInverse(eps, linear, f.lattice)(f)
 
 
 def operator_norms(eps: complex, linear: LinearPart, lat: SpectralLattice) -> dict:
     """Spectral norms of the mode matrices and their inverses over the lattice:
     ``forward_sup``, ``inverse_sup`` and ``scaled_inverse_sup`` = |eps|
-    ``inverse_sup``.  Closed-form for n = 1 (see ``ScaledInverse``)."""
-    return ScaledInverse(eps, linear, lat).norms()
+    ``inverse_sup``, read off one ``ScaledInverse``."""
+    inverse = ScaledInverse(eps, linear, lat)
+    return {key: getattr(inverse, key)
+            for key in ("forward_sup", "inverse_sup", "scaled_inverse_sup")}
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +441,7 @@ def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
     """
     if linear.jordan is None:
         raise ValueError("certified bound needs declared Jordan data")
-    smin = ScaledInverse(eps, linear, lat).singular_values()[1]
-    empirical = float(np.max(1.0 / smin)) * fault_scale
+    empirical = ScaledInverse(eps, linear, lat).inverse_sup * fault_scale
     certified = float(np.linalg.cond(linear.phi_array, 2)) * max(
         sum(abs(eps) ** r / m_b ** (r + 1) for r in range(b.size))
         for b, m_b in zip(linear.jordan, divisor_infimum(eps, linear.jordan)))

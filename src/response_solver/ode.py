@@ -93,13 +93,11 @@ class OdeProblem:
                 "piecewise-linear nonlinearities admit real eps only; "
                 "complex continuation needs an analytic nonlinear part"
             )
-        # the solve's plan: the mode operator, its norms and its one
-        # singularity check, built once; every step reuses it
+        # the solve's plan: the mode operator, checked and measured once
+        # when it is built; every step reuses it
         inverse = ScaledInverse(eps, self.linear, self.lattice)
-        norms = inverse.norms()
-        inverse.check()
-        report.kappa = 1.0 + norms["forward_sup"]
-        c_emp = norms["scaled_inverse_sup"]
+        report.kappa = 1.0 + inverse.forward_sup
+        c_emp = inverse.scaled_inverse_sup
         report.diagnostics["c_emp"] = c_emp
         first = inverse(self.forcing)
         if math.isfinite(cfg.ball_radius):
@@ -480,16 +478,7 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
             raise ValueError("s_grid must lie in [0, 1)")
     if prob.g_hat.lip_hat is None:
         raise ValueError("low-regularity mode needs a declared global Lipschitz bound")
-    inverse = ScaledInverse(eps, prob.linear, prob.lattice)
-    c_emp = inverse.norms()["scaled_inverse_sup"]
-    if c_emp * prob.g_hat.lip_hat >= 1.0:
-        raise ValueError(
-            f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
-        )
-
     report = SolveReport(eps=eps, kappa=math.inf)
-    report.diagnostics["c_emp"] = c_emp
-    report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
     per_s: dict[float, list[float]] = {float(s): [] for s in s_grid}
 
     def observe(it: int, V: FourierField, delta: FourierField) -> None:
@@ -498,11 +487,18 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
 
     U = FourierField.zeros(prob.lattice)
     try:
-        inverse.check()
+        inverse = ScaledInverse(eps, prob.linear, prob.lattice)
     except ResonanceError as exc:   # ends the run as a step meeting it would
         report.status = "resonant"
         report.diagnostics["error"] = str(exc)
     else:
+        c_emp = inverse.scaled_inverse_sup
+        if c_emp * prob.g_hat.lip_hat >= 1.0:
+            raise ValueError(
+                f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
+            )
+        report.diagnostics["c_emp"] = c_emp
+        report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
         U, report = contract(lambda V: inverse(prob.forcing - compose(V, prob.g_hat)),
                              lambda V: residual(V, eps, prob, L2), U,
                              replace(cfg, norm=L2), report, False, observe)

@@ -140,13 +140,9 @@ class PdeProblem:
         # set-up array is left as a hole under the iterates that the heap
         # cannot hand back
         lat = self.lattice
-        symbol = _symbol_array(eps, self)
-        inverse = NInverse(eps, lat, symbol)
-        mag = np.abs(symbol)
-        mag[lat.space_average_slab] = 0.0
-        report.kappa = 1.0 + float(np.max(mag))
-        report.diagnostics["c_emp_smoothing"] = _smoothing_sup(eps, symbol, lat)
-        del symbol, mag
+        inverse = NInverse(eps, lat, _symbol_array(eps, self))
+        report.kappa = 1.0 + inverse.forward_sup
+        report.diagnostics["c_emp_smoothing"] = inverse.smoothing_sup
         first = inverse(self.forcing)
         report.diagnostics["smallness"] = "local"
         real_eps = is_real_eps(eps)
@@ -199,24 +195,39 @@ def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
 
 
 class NInverse:
-    """eps N^-1 at one eps on one lattice, from the symbol N given.
+    """eps N^-1 at one eps on one lattice, from the symbol N given: the plan
+    a solve builds once.
 
-    A call multiplies by the cached eps / N (zero on the j = 0 slab), bit
-    for bit what ``apply_n_inverse`` gives; a solve builds one per eps, so
-    its steps only multiply.  Raises ``ResonanceError`` at a vanishing
-    symbol off the slab.
+    The constructor is its only check.  It takes |N| once, in one array
+    that it rewrites in place, and either raises ``ResonanceError`` at the
+    first vanishing symbol off the j = 0 slab or sets ``forward_sup``
+    (max |N| off the slab), ``smoothing_sup`` (the (rho, m-2) -> (rho, m)
+    norm max |eps| (|k|^2 + j^2 + 1) / |N| off the slab) and
+    ``multiplier`` (eps / N, zero on the slab).
+    A call multiplies by it, bit for bit what ``apply_n_inverse`` gives, so
+    a solve's steps only multiply.
     """
 
     def __init__(self, eps: complex, lat: SpectralLattice, symbol: np.ndarray):
         self.lattice = lat
-        mask = np.zeros(lat.mode_shape, dtype=bool)
-        mask[lat.space_average_slab] = True
-        bad = (np.abs(symbol) == 0.0) & ~mask
+        slab = lat.space_average_slab
+        mag = np.abs(symbol)
+        mag[slab] = 0.0
+        self.forward_sup = float(np.max(mag))
+        mag[slab] = np.inf
+        bad = mag == 0.0
         if np.any(bad):
             mode = lat.mode_of_index(np.argmax(bad))
             raise ResonanceError(f"resonant PDE mode at (k, j)={mode}", mode=mode)
-        scaled = eps / np.where(mask, 1.0, symbol)
-        self.multiplier = np.where(mask, 0.0, scaled)[..., None]
+        del bad
+        np.divide(np.abs(eps), mag, out=mag)
+        np.multiply(mag, lat.k_sq() + 1.0, out=mag)
+        self.smoothing_sup = float(np.max(mag))
+        # |N| goes before the multiplier is allocated, so the multiplier can
+        # take the place the set-up arrays leave rather than sit above it
+        del mag
+        self.multiplier = np.divide(eps, symbol, out=np.zeros(symbol.shape, complex),
+                                    where=lat.axis_modes_along(lat.d) != 0)[..., None]
 
     def __call__(self, V: FourierField) -> FourierField:
         return FourierField(self.lattice, V.coeffs * self.multiplier)
@@ -238,12 +249,6 @@ def apply_n_forward(eps: complex, prob: PdeProblem, U: FourierField) -> FourierF
     """N U: the forward operator (j = 0 slab passes through as zero)."""
     symbol = _symbol_array(eps, prob)
     return FourierField(prob.lattice, U.coeffs * symbol[..., None])
-
-
-def _smoothing_sup(eps: complex, symbol: np.ndarray, lat: SpectralLattice) -> float:
-    mag = np.abs(symbol)
-    mag[lat.space_average_slab] = np.inf
-    return float(np.max(np.abs(eps) / mag * (lat.k_sq() + 1.0)))
 
 
 def boussinesq_nonlinearity(U: FourierField) -> FourierField:

@@ -129,29 +129,46 @@ class SpectralLattice:
         shape[axis] = -1
         return self.axis_modes(axis).reshape(shape)
 
+    @lru_cache(maxsize=128)
     def k_dot_omega(self) -> np.ndarray:
-        """Array of k.omega over the torus axes, broadcast to mode_shape."""
-        return _k_dot_omega(self)
+        """Array of k.omega over the torus axes, broadcast to mode_shape;
+        cached per lattice (equal lattices share it) and read-only, as are
+        the other lattice arrays below."""
+        grids = np.meshgrid(*(self.axis_modes(i) for i in range(self.d)), indexing="ij")
+        kdw = sum(w * g for w, g in zip(self.omega, grids))
+        if self.has_space:
+            kdw = kdw[..., None] * np.ones(2 * self.J + 1)
+        return _frozen(np.asarray(kdw, dtype=float))
 
     def k_dot_omega_column(self) -> np.ndarray:
         """``k_dot_omega`` with a spatial axis kept at length 1 (its j = -J
         column, a view): a factor of k.omega alone evaluated on it and
         broadcast along j gives the full array's bits at 1/(2J+1) the cost."""
-        kdw = _k_dot_omega(self)
+        kdw = self.k_dot_omega()
         return kdw[..., :1] if self.has_space else kdw
 
+    @lru_cache(maxsize=128)
     def sorted_k_dot_omega(self) -> np.ndarray:
         """k.omega once per torus mode k (a spatial lattice's j = -J
-        column), flattened and sorted; cached per lattice and read-only."""
-        return _sorted_k_dot_omega(self)
+        column), flattened and sorted."""
+        return _frozen(np.sort(self.k_dot_omega_column(), axis=None))
 
+    @lru_cache(maxsize=128)
     def k_l1(self) -> np.ndarray:
         """|k_1|+...+|k_d| (+|j| on spatial lattices) per mode."""
-        return _k_l1(self)
+        grids = np.meshgrid(
+            *(np.abs(self.axis_modes(i)) for i in range(self.n_axes)), indexing="ij"
+        )
+        return _frozen(np.asarray(sum(grids), dtype=float))
 
+    @lru_cache(maxsize=128)
     def k_sq(self) -> np.ndarray:
         """Euclidean |k|^2 (+j^2) per mode."""
-        return _k_sq(self)
+        grids = np.meshgrid(
+            *(self.axis_modes(i).astype(float) ** 2 for i in range(self.n_axes)),
+            indexing="ij",
+        )
+        return _frozen(np.asarray(sum(grids), dtype=float))
 
     def validate_nonresonance(self) -> None:
         """Reject omega when some 0 < |k_i| <= 2K gives k.omega = 0."""
@@ -166,37 +183,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     # cached arrays are shared by reference; freeze them against mutation
     arr.setflags(write=False)
     return arr
-
-
-@lru_cache(maxsize=128)
-def _k_dot_omega(lat: SpectralLattice) -> np.ndarray:
-    grids = np.meshgrid(*(lat.axis_modes(i) for i in range(lat.d)), indexing="ij")
-    kdw = sum(w * g for w, g in zip(lat.omega, grids))
-    if lat.has_space:
-        kdw = kdw[..., None] * np.ones(2 * lat.J + 1)
-    return _frozen(np.asarray(kdw, dtype=float))
-
-
-@lru_cache(maxsize=128)
-def _sorted_k_dot_omega(lat: SpectralLattice) -> np.ndarray:
-    return _frozen(np.sort(lat.k_dot_omega_column(), axis=None))
-
-
-@lru_cache(maxsize=128)
-def _k_l1(lat: SpectralLattice) -> np.ndarray:
-    grids = np.meshgrid(
-        *(np.abs(lat.axis_modes(i)) for i in range(lat.n_axes)), indexing="ij"
-    )
-    return _frozen(np.asarray(sum(grids), dtype=float))
-
-
-@lru_cache(maxsize=128)
-def _k_sq(lat: SpectralLattice) -> np.ndarray:
-    grids = np.meshgrid(
-        *(lat.axis_modes(i).astype(float) ** 2 for i in range(lat.n_axes)),
-        indexing="ij",
-    )
-    return _frozen(np.asarray(sum(grids), dtype=float))
 
 
 def check_nonresonance(omega: np.ndarray, K: int) -> tuple[float, tuple[int, ...]]:
@@ -463,19 +449,19 @@ def hs_norm(f: FourierField, s: float) -> float:
 # transforms
 
 
-def _grid_shape(lat: SpectralLattice, min_sizes: Sequence[int]) -> tuple[int, ...]:
+def _grid_shape(min_sizes: Sequence[int]) -> tuple[int, ...]:
     return tuple(sfft.next_fast_len(int(s)) for s in min_sizes)
 
 
 def default_grid(lat: SpectralLattice, oversample: float = 1.0) -> tuple[int, ...]:
     sizes = [max(int(math.ceil(oversample * (2 * cut + 1))), 2 * cut + 1)
              for cut in lat.cutoffs]
-    return _grid_shape(lat, sizes)
+    return _grid_shape(sizes)
 
 
 def dealias_grid(lat: SpectralLattice, degree: int = 2) -> tuple[int, ...]:
     """Grid large enough that a degree-p product is alias-free on the lattice."""
-    return _grid_shape(lat, [(degree + 1) * cut + 1 for cut in lat.cutoffs])
+    return _grid_shape([(degree + 1) * cut + 1 for cut in lat.cutoffs])
 
 
 def synthesize(f: FourierField, grid: Sequence[int] | None = None,
@@ -627,9 +613,10 @@ class NonlinearitySpec:
     ``smallness`` records which contraction regime the map supports:
     "local" means g-hat vanishes to first order at the origin (contraction
     in a ball, small forcing required), "global" means a globally small
-    Lipschitz constant declared in ``lip_hat``.  ``oversample`` controls
-    the composition grid for the non-polynomial kinds; polynomial
-    composition always pads enough to be alias-free at its degree.
+    Lipschitz constant declared in ``lip_hat``.  The non-polynomial kinds
+    compose on a grid ``COMPOSITION_OVERSAMPLE`` times the lattice;
+    polynomial composition always pads enough to be alias-free at its
+    degree.
     """
 
     kind: str = "zero"
@@ -638,7 +625,6 @@ class NonlinearitySpec:
     breakpoints: tuple[float, ...] = ()
     slopes: tuple[float, ...] = ()
     lip_hat: float | None = None
-    oversample: float = 4.0
     smallness: str = "local"
 
     def __post_init__(self):
@@ -802,17 +788,22 @@ class NonlinearitySpec:
         return math.inf
 
 
+# grid size per lattice size of a non-polynomial composition, which no
+# grid makes alias-free
+COMPOSITION_OVERSAMPLE = 4.0
+
+
 def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec) -> tuple[int, ...]:
     if g.kind == "polynomial":
         return dealias_grid(lat, degree=max(g.degree, 1))
-    return default_grid(lat, oversample=g.oversample)
+    return default_grid(lat, oversample=COMPOSITION_OVERSAMPLE)
 
 
 def compose(u: FourierField, g: NonlinearitySpec) -> FourierField:
     """Pseudo-spectral composition: analyze(g(synthesize(u))).
 
     Polynomial kinds pad the grid to the exact alias-free size for their
-    degree; other kinds use the declared oversample factor.  A Hermitian u
+    degree; other kinds use ``COMPOSITION_OVERSAMPLE``.  A Hermitian u
     takes the real transforms, so g is evaluated on real grid values and
     real symmetry is preserved.
     """

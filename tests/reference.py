@@ -3,8 +3,9 @@
 Each one rebuilds, mode by mode or from a closed form, what the library
 computes through its per-solve plans: the Jordan-block inverse, the dense
 per-mode solve, the forward operator, the one-shot Picard step of the
-Boussinesq map, a single mode's coefficient, a Cauchy decay fit and the
-plain Horner evaluation of a polynomial nonlinearity.  Beside them stand
+Boussinesq map and the constants of its plan, each in its own pass, a
+single mode's coefficient, a Cauchy decay fit and the plain Horner
+evaluation of a polynomial nonlinearity.  Beside them stand
 the plain forms of kernels the library runs in fewer passes: the
 full-lattice Hermitian scan and k.omega multipliers, the log-space norm
 with fresh arrays, the out-of-place Horner and the ``np.ix_`` scatter and
@@ -73,7 +74,7 @@ def block_inverse(eps: complex, lam: float, size: int, a: float,
 def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarray:
     """phi (block-diagonal closed-form inverse) phi^-1: the per-mode
     reference for the dense solve."""
-    if not linear.has_jordan_basis():
+    if linear.jordan is None:
         raise ValueError("the closed form needs jordan blocks and phi")
     blocks = [block_inverse(eps, b.lam, b.size, a, b.p, b.q) for b in linear.jordan]
     n = linear.n
@@ -117,6 +118,34 @@ def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierF
     if prob.nonlinear:
         rhs = rhs + boussinesq_nonlinearity(U)
     return apply_n_inverse(eps, prob, rhs)
+
+
+def n_inverse_multiplier(eps: complex, lat: SpectralLattice,
+                         symbol: np.ndarray) -> np.ndarray:
+    """eps / N with zeros on the j = 0 slab, through a boolean mask and two
+    ``np.where``: ``pde.NInverse.multiplier`` must give the same bits."""
+    mask = np.zeros(lat.mode_shape, dtype=bool)
+    mask[lat.space_average_slab] = True
+    bad = (np.abs(symbol) == 0.0) & ~mask
+    if np.any(bad):
+        mode = lat.mode_of_index(np.argmax(bad))
+        raise ResonanceError(f"resonant PDE mode at (k, j)={mode}", mode=mode)
+    scaled = eps / np.where(mask, 1.0, symbol)
+    return np.where(mask, 0.0, scaled)[..., None]
+
+
+def n_forward_sup(symbol: np.ndarray, lat: SpectralLattice) -> float:
+    """max |N| off the j = 0 slab, a solve's kappa - 1, in its own pass."""
+    mag = np.abs(symbol)
+    mag[lat.space_average_slab] = 0.0
+    return float(np.max(mag))
+
+
+def smoothing_sup(eps: complex, symbol: np.ndarray, lat: SpectralLattice) -> float:
+    """max |eps| (|k|^2 + j^2 + 1) / |N| off the j = 0 slab, in its own pass."""
+    mag = np.abs(symbol)
+    mag[lat.space_average_slab] = np.inf
+    return float(np.max(np.abs(eps) / mag * (lat.k_sq() + 1.0)))
 
 
 def pde_symbol(eps: complex, prob: PdeProblem) -> np.ndarray:

@@ -462,6 +462,24 @@ class TestRun:
         assert report["status"] == "resonant"
         assert "(1, -1)" in report["diagnostics"]["error"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_resonant_low_reg_eps_reports_its_status(self, tmp_path):
+        # eps = -i zeroes the k = -2 and k = 1 divisors of A = 2 exactly
+        prob = write_json(tmp_path / "p.json", {
+            "kind": "ode", "d": 1, "n": 1, "K": 4, "omega": ["1"], "A": [2.0],
+            "nonlinearity": {"kind": "zero"},
+            "forcing": [{"k": [1], "component": 0, "amplitude": 1.0, "waveform": "cos"}],
+        })
+        doc = config_doc("low-reg", str(prob), tmp_path / "out", epsilon="-1j",
+                         s_grid=[0.0, 0.5])
+        cfg = RunConfig.load(write_json(tmp_path / "cfg.json", doc))
+        assert run(cfg) == EXIT_NOCONV
+        result = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert result["report"]["status"] == "resonant"
+        assert result["report"]["iterations"] == 0
+        assert result["report"]["diagnostics"]["error"] == \
+            "singular scalar divisor at k=(-2,)"
+
     @pytest.mark.parametrize("command, problem", [
         ("solve-ode", "boussinesq_pde.json"), ("solve-pde", "cubic_ode.json"),
         ("low-reg", "boussinesq_pde.json"),
@@ -529,7 +547,7 @@ class TestRun:
         import response_solver as rs
 
         prob = parse_problem(PROBLEMS / "jordan_ode.json")
-        assert prob.linear.has_jordan_basis()
+        assert prob.linear.jordan is not None
         U, rep = rs.solve_fixed_point(0.04, prob,
                                       rs.SolverConfig(tol=1e-12, ball_radius=1.0))
         assert rep.status == "converged"

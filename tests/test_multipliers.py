@@ -12,10 +12,11 @@ from response_solver.multipliers import (
     divisor_infimum,
     gamma_bound,
     l_eps,
+    ScaledInverse,
     mode_matrices,
     operator_norms,
 )
-from response_solver.pde import PdeProblem, _symbol_array
+from response_solver.pde import NInverse, PdeProblem, _symbol_array
 
 from conftest import PROBLEMS, manufactured_pde
 from reference import (
@@ -24,8 +25,11 @@ from reference import (
     forward_block,
     jordan_mode_inverse,
     mode_solve,
+    n_forward_sup,
+    n_inverse_multiplier,
     pde_picard_step,
     pde_symbol,
+    smoothing_sup,
 )
 
 
@@ -111,7 +115,7 @@ class TestLinearPart:
         lin = rs.LinearPart(((2.0, 0.0), (0.0, -1.0)))
         assert lin.jordan is not None
         assert [b.lam for b in lin.jordan] == [2.0, -1.0]
-        assert lin.has_jordan_basis()
+        assert lin.jordan is not None
 
     def test_jordan_without_phi_needs_a_equal_j(self):
         # the shipped jordan_ode.json matrix is similar to J, not equal to it
@@ -239,12 +243,12 @@ class TestSolvePlan:
         lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
         lin = rs.LinearPart.scalar(2.0)
         assert l_eps(-1j, 2.0, 1.0) == l_eps(-1j, 2.0, -2.0) == 0
-        with pytest.raises(rs.ResonanceError, match="singular mode matrix on lattice"):
-            operator_norms(-1j, lin, lat)
-        with pytest.raises(rs.ResonanceError,
-                           match=r"singular scalar divisor at k=\(-2,\)") as exc:
-            rs.apply_scaled_inverse(-1j, lin, rs.FourierField.zeros(lat))
-        assert exc.value.mode == (-2,)
+        for call in (lambda: operator_norms(-1j, lin, lat),
+                     lambda: rs.apply_scaled_inverse(-1j, lin, rs.FourierField.zeros(lat))):
+            with pytest.raises(rs.ResonanceError,
+                               match=r"singular scalar divisor at k=\(-2,\)") as exc:
+                call()
+            assert exc.value.mode == (-2,)
 
     @staticmethod
     def plan(prob, eps):
@@ -279,15 +283,63 @@ class TestSolvePlan:
         prob, W, _ = manufactured_pde(K=6)
         self.check_pde_step(prob, W, eps)
 
+    def pde_case(self, case, rng):
+        """(problem, start field) on one of four Boussinesq lattices."""
+        if case in ("quasi-periodic", "linear"):
+            prob, W, _ = manufactured_pde(K=6, second=0.006, nonlinear=case != "linear")
+            return prob, W
+        prob = self.random_pde(int(case[1]), rng)
+        return prob, 0.5 * prob.forcing
+
     @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
     @pytest.mark.parametrize("case", ["quasi-periodic", "linear", "d1", "d3"])
     def test_fused_pde_step_across_lattices(self, eps, case, rng):
-        if case in ("quasi-periodic", "linear"):
-            prob, W, _ = manufactured_pde(K=6, second=0.006, nonlinear=case != "linear")
-        else:
-            prob = self.random_pde(int(case[1]), rng)
-            W = 0.5 * prob.forcing
-        self.check_pde_step(prob, W, eps)
+        self.check_pde_step(*self.pde_case(case, rng), eps)
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
+    @pytest.mark.parametrize("case", ["quasi-periodic", "linear", "d1", "d3"])
+    def test_pde_plan_constants_from_one_pass(self, eps, case, rng):
+        """``NInverse`` reads its multiplier, kappa and smoothing constant
+        from one |N|: the same bits as a pass per quantity."""
+        prob, _ = self.pde_case(case, rng)
+        lat, symbol = prob.lattice, _symbol_array(eps, prob)
+        inverse = NInverse(eps, lat, symbol)
+        expect = n_inverse_multiplier(eps, lat, symbol)
+        assert inverse.multiplier.dtype == expect.dtype
+        assert inverse.multiplier.shape == expect.shape
+        assert inverse.multiplier.tobytes() == expect.tobytes()
+        assert inverse.forward_sup == n_forward_sup(symbol, lat)
+        assert inverse.smoothing_sup == smoothing_sup(eps, symbol, lat)
+        report = rs.SolveReport(eps=eps)
+        prob.fixed_point_map(eps, rs.SolverConfig(), report)
+        assert report.kappa == 1.0 + n_forward_sup(symbol, lat)
+        assert report.diagnostics["c_emp_smoothing"] == smoothing_sup(eps, symbol, lat)
+
+    @pytest.mark.parametrize("eps", [0.05, -0.04, 0.04 + 0.0004j])
+    def test_ode_plan_constants_are_the_singular_values(self, lat2d, eps):
+        """``ScaledInverse`` against max |l| and 1/min |l| for n = 1 and a
+        batched SVD of the shipped Jordan problem's mode matrices (n = 2)."""
+        from response_solver.cli import parse_problem
+
+        lin = rs.LinearPart.scalar(-2.0)
+        inverse = ScaledInverse(eps, lin, lat2d)
+        mag = np.abs(l_eps(eps, -2.0, lat2d.k_dot_omega()))
+        assert inverse.forward_sup == float(np.max(mag))
+        assert inverse.inverse_sup == float(1.0 / np.min(mag))
+        assert inverse.scaled_inverse_sup == float(abs(eps) * inverse.inverse_sup)
+
+        jordan = parse_problem(PROBLEMS / "jordan_ode.json")
+        lat = jordan.lattice
+        inverse = ScaledInverse(eps, jordan.linear, lat)
+        sv = np.linalg.svd(mode_matrices(eps, jordan.linear, lat.k_dot_omega())
+                           .reshape(-1, 2, 2), compute_uv=False)
+        assert inverse.forward_sup == float(np.max(sv[:, 0]))
+        assert inverse.inverse_sup == float(np.max(1.0 / sv[:, -1]))
+        report = rs.SolveReport(eps=eps)
+        jordan.fixed_point_map(eps, rs.SolverConfig(), report)
+        assert report.kappa == 1.0 + float(np.max(sv[:, 0]))
+        assert report.diagnostics["c_emp"] == operator_norms(
+            eps, jordan.linear, lat)["scaled_inverse_sup"]
 
     def check_pde_step(self, prob, W, eps):
         """The fused step, in the product's own array, against

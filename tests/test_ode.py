@@ -459,6 +459,16 @@ class TestContractExits:
         assert len(rep.ratios) == max(len(rep.increments) - 1, 0)
         assert ("error" in rep.diagnostics) == (status == "resonant")
 
+    @pytest.mark.parametrize("case, named", [
+        (_ode_resonant, "singular scalar divisor at k=(-2,)"),
+        (_pde_resonant, "resonant PDE mode at (k, j)=(1, -1)"),
+    ], ids=["ode", "pde"])
+    def test_resonance_names_its_mode(self, cubic_problem, case, named):
+        solve, prob, eps = case(cubic_problem)
+        _, rep = solve(eps, prob, rs.SolverConfig(tol=1e-12))
+        assert rep.status == "resonant"
+        assert rep.diagnostics["error"] == named
+
     @pytest.mark.parametrize("case, cfg", [
         (_pde_manufactured, rs.SolverConfig(tol=1e-12, ball_radius=1.0)),
         (_pde_resonant, rs.SolverConfig(tol=1e-12)),
@@ -520,6 +530,18 @@ class TestLowRegularity:
         assert res.report.iterations == len(res.report.increments) == 1
         for seq in res.increments.values():
             assert len(seq) == 1 and math.isfinite(seq[0])
+
+    def test_resonant_eps_ends_resonant(self, cubic_problem):
+        _, prob, eps = _ode_resonant(cubic_problem)
+        assert prob.g_hat.lip_hat is not None
+        res = rs.low_regularity_solve(eps, prob, rs.SolverConfig(tol=1e-12), [0.0, 0.5])
+        assert res.report.status == "resonant"
+        assert res.report.iterations == 0
+        assert res.report.diagnostics["error"] == "singular scalar divisor at k=(-2,)"
+        assert math.isnan(res.l2_ratio)
+        for s in (0.0, 0.5):
+            assert res.increments[s] == []
+            assert math.isnan(res.fitted_rates[s]) and math.isnan(res.predicted_rates[s])
 
     def test_zero_lipschitz_single_step(self, linear_problem):
         res = rs.low_regularity_solve(0.05, linear_problem,

@@ -14,6 +14,7 @@ from response_solver.spectral import (
     L2,
     NormOverflowError,
     NormSpec,
+    _composition_grid,
     dealias_grid,
     default_grid,
     evaluate_at,
@@ -339,10 +340,12 @@ class TestCompose:
         u = rs.FourierField.random_real(lat, rng)
         g = rs.NonlinearitySpec(
             kind="piecewise_linear", breakpoints=(0.0,), slopes=(-0.3, 0.05),
-            lip_hat=0.3, oversample=32 / 9, smallness="global",
+            lip_hat=0.3, smallness="global",
         )
         c = rs.compose(u, g)
-        vals = rs.synthesize(u, (32,))[..., 0].real
+        grid = _composition_grid(lat, g)
+        assert grid == (36,)
+        vals = rs.synthesize(u, grid)[..., 0].real
         direct = np.where(vals > 0, 0.05 * vals, -0.3 * vals)
         oracle = rs.analyze(direct[:, None].astype(complex), lat)
         assert np.max(np.abs(c.coeffs - oracle.coeffs)) <= 1e-14
