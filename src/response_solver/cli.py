@@ -175,13 +175,13 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
     """
     path = Path(path)
     doc = _load_json(path, "problem")
-    kind = _require(doc, "kind", str(path))
-    if kind not in ("ode", "pde"):
-        raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
-    d = int(_require(doc, "d", str(path)))
-    K = int(_require(doc, "K", str(path)))
-    omega = _parse_omega(_require(doc, "omega", str(path)), str(path))
     try:
+        kind = _require(doc, "kind", str(path))
+        if kind not in ("ode", "pde"):
+            raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
+        d = int(_require(doc, "d", str(path)))
+        K = int(_require(doc, "K", str(path)))
+        omega = _parse_omega(_require(doc, "omega", str(path)), str(path))
         if kind == "ode":
             n = int(doc.get("n", 1))
             lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
@@ -199,7 +199,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
                                     float(b.get("p", 1.0)), float(b.get("q", 1.0)))
                         for b in doc["jordan"]
                     )
-                except (KeyError, ValueError) as exc:
+                except (KeyError, ValueError, TypeError) as exc:
                     raise InputError(f"{path}.jordan: {exc}") from exc
             if "phi" in doc:
                 raw_phi = np.asarray(doc["phi"], dtype=float)
@@ -221,7 +221,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
                           nonlinear=bool(doc.get("nonlinear", True)))
     except InputError:
         raise
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -276,33 +276,45 @@ class RunConfig:
         path = Path(path)
         doc = _load_json(path, "config")
         overrides = overrides or {}
-        command = _require(doc, "command", str(path))
-        if command not in COMMANDS:
-            raise InputError(f"{path}.command: unknown command {command!r}")
-        solver_doc = doc.get("solver", {})
-        nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
-        solver = SolverConfig(
-            tol=float(solver_doc.get("tol", 1e-10)),
-            max_iter=int(solver_doc.get("max_iter", 200)),
-            ball_radius=float(solver_doc.get("ball_radius", math.inf)),
-            norm=NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0))),
-        )
-        problem = doc.get("problem")
-        if problem is not None:
-            problem = str((path.parent / problem).resolve()
-                          if not os.path.isabs(problem) else problem)
-        out_dir = overrides.get("out") or doc.get("output_dir", "runs/out")
-        return RunConfig(
-            command=command,
-            problem=problem,
-            solver=solver,
-            output_dir=str(out_dir),
-            seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                     else doc.get("seed", 0)),
-            jobs=int(overrides.get("jobs") or doc.get("jobs", 1)),
-            inject_fault=overrides.get("inject_fault") or doc.get("inject_fault"),
-            params=doc.get("params", {}),
-        )
+        try:
+            command = _require(doc, "command", str(path))
+            if command not in COMMANDS:
+                raise InputError(f"{path}.command: unknown command {command!r}")
+            fault = overrides.get("inject_fault") or doc.get("inject_fault")
+            if fault is not None and fault not in FAULT_NAMES:
+                raise InputError(f"{path}.inject_fault: unknown fault {fault!r}; "
+                                 f"known: {FAULT_NAMES}")
+            params = doc.get("params", {})
+            if not isinstance(params, dict):
+                raise InputError(f"{path}.params: expected an object, got {params!r}")
+            solver_doc = doc.get("solver", {})
+            nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
+            solver = SolverConfig(
+                tol=float(solver_doc.get("tol", 1e-10)),
+                max_iter=int(solver_doc.get("max_iter", 200)),
+                ball_radius=float(solver_doc.get("ball_radius", math.inf)),
+                norm=NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0))),
+            )
+            problem = doc.get("problem")
+            if problem is not None:
+                problem = str((path.parent / problem).resolve()
+                              if not os.path.isabs(problem) else problem)
+            out_dir = overrides.get("out") or doc.get("output_dir", "runs/out")
+            return RunConfig(
+                command=command,
+                problem=problem,
+                solver=solver,
+                output_dir=str(out_dir),
+                seed=int(overrides.get("seed") if overrides.get("seed") is not None
+                         else doc.get("seed", 0)),
+                jobs=int(overrides.get("jobs") or doc.get("jobs", 1)),
+                inject_fault=fault,
+                params=params,
+            )
+        except InputError:
+            raise
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise InputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +551,7 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
         "passed": cert.passed,
         "c_emp": cert.c_emp,
         "violations": cert.violations,
-        "details": _sanitize(cert.details),
+        "details": cert.details,
         "fault": cfg.inject_fault,
     }
     return (EXIT_OK if cert.passed else EXIT_CERT), result

@@ -191,7 +191,7 @@ class PdeProblem:
 def _symbol_array(eps: complex, prob: PdeProblem) -> np.ndarray:
     lat = prob.lattice
     j = lat.axis_modes_along(lat.d).astype(float)
-    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega_column())
+    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
 
 
 class NInverse:

@@ -84,10 +84,6 @@ class SpectralLattice:
         object.__setattr__(self, "omega", tuple(float(w) for w in self.omega))
 
     @property
-    def omega_array(self) -> np.ndarray:
-        return np.asarray(self.omega, dtype=float)
-
-    @property
     def mode_shape(self) -> tuple[int, ...]:
         shape = (2 * self.K + 1,) * self.d
         if self.has_space:
@@ -131,48 +127,32 @@ class SpectralLattice:
 
     @lru_cache(maxsize=128)
     def k_dot_omega(self) -> np.ndarray:
-        """Array of k.omega over the torus axes, broadcast to mode_shape;
-        cached per lattice (equal lattices share it) and read-only, as are
-        the other lattice arrays below."""
-        grids = np.meshgrid(*(self.axis_modes(i) for i in range(self.d)), indexing="ij")
-        kdw = sum(w * g for w, g in zip(self.omega, grids))
-        if self.has_space:
-            kdw = kdw[..., None] * np.ones(2 * self.J + 1)
-        return _frozen(np.asarray(kdw, dtype=float))
-
-    def k_dot_omega_column(self) -> np.ndarray:
-        """``k_dot_omega`` with a spatial axis kept at length 1 (its j = -J
-        column, a view): a factor of k.omega alone evaluated on it and
-        broadcast along j gives the full array's bits at 1/(2J+1) the cost."""
-        kdw = self.k_dot_omega()
-        return kdw[..., :1] if self.has_space else kdw
+        """k.omega per torus mode, shaped to broadcast against mode_shape (a
+        spatial axis has length 1: k.omega does not depend on j); cached
+        per lattice (equal lattices share it) and read-only, as are the
+        other lattice arrays below."""
+        return _frozen(sum(w * self.axis_modes_along(i) for i, w in enumerate(self.omega)))
 
     @lru_cache(maxsize=128)
     def sorted_k_dot_omega(self) -> np.ndarray:
-        """k.omega once per torus mode k (a spatial lattice's j = -J
-        column), flattened and sorted."""
-        return _frozen(np.sort(self.k_dot_omega_column(), axis=None))
+        """k.omega once per torus mode k, flattened and sorted."""
+        return _frozen(np.sort(self.k_dot_omega(), axis=None))
 
     @lru_cache(maxsize=128)
     def k_l1(self) -> np.ndarray:
         """|k_1|+...+|k_d| (+|j| on spatial lattices) per mode."""
-        grids = np.meshgrid(
-            *(np.abs(self.axis_modes(i)) for i in range(self.n_axes)), indexing="ij"
-        )
-        return _frozen(np.asarray(sum(grids), dtype=float))
+        return _frozen(
+            sum(np.abs(self.axis_modes_along(i)).astype(float) for i in range(self.n_axes)))
 
     @lru_cache(maxsize=128)
     def k_sq(self) -> np.ndarray:
         """Euclidean |k|^2 (+j^2) per mode."""
-        grids = np.meshgrid(
-            *(self.axis_modes(i).astype(float) ** 2 for i in range(self.n_axes)),
-            indexing="ij",
-        )
-        return _frozen(np.asarray(sum(grids), dtype=float))
+        return _frozen(
+            sum(self.axis_modes_along(i).astype(float) ** 2 for i in range(self.n_axes)))
 
     def validate_nonresonance(self) -> None:
         """Reject omega when some 0 < |k_i| <= 2K gives k.omega = 0."""
-        value, kmin = check_nonresonance(self.omega_array, 2 * self.K)
+        value, kmin = check_nonresonance(self.omega, 2 * self.K)
         if value <= 0.0:
             raise ValueError(
                 f"resonant frequency vector: k={kmin} gives |k.omega|={value:.3e}"
@@ -371,6 +351,7 @@ def lattice_index(lat: SpectralLattice, k: Sequence[int]) -> tuple[int, ...]:
 # norms
 
 
+@lru_cache(maxsize=128)
 def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
     """log of the norm weight e^{2 rho |k|_1} (|k|^2 + 1)^m per mode, cached
     per (lattice, spec) and read-only.
@@ -378,11 +359,6 @@ def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
     Kept in log space: rho*K can push e^{2 rho |k|} past float range long
     before the weighted sum itself overflows.
     """
-    return _log_weights(lat, spec)
-
-
-@lru_cache(maxsize=128)
-def _log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
     if spec.rho == 0.0 and spec.m == 0.0:
         # the unweighted norm: zeros, held as one broadcast scalar
         return np.broadcast_to(0.0, lat.mode_shape)
@@ -556,9 +532,7 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
 def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None) -> np.ndarray:
     """Pointwise value sum_k u_k e^{i k.theta} (times e^{i j x} when spatial)."""
     lat = f.lattice
-    phase = np.zeros(lat.mode_shape)
-    for axis in range(lat.d):
-        phase = phase + lat.axis_modes_along(axis) * float(theta[axis])
+    phase = sum(lat.axis_modes_along(i) * float(theta[i]) for i in range(lat.d))
     if lat.has_space:
         if x is None:
             raise ValueError("spatial field needs x")
@@ -825,7 +799,7 @@ def compose(u: FourierField, g: NonlinearitySpec) -> FourierField:
 
 def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
     """(omega . d/dtheta)^order: multiply mode k by (i k.omega)^order."""
-    mult = (1j * u.lattice.k_dot_omega_column()) ** order
+    mult = (1j * u.lattice.k_dot_omega()) ** order
     return FourierField(u.lattice, u.coeffs * mult[..., None])
 
 

@@ -7,10 +7,11 @@ Boussinesq map and the constants of its plan, each in its own pass, a
 single mode's coefficient, a Cauchy decay fit and the plain Horner
 evaluation of a polynomial nonlinearity.  Beside them stand
 the plain forms of kernels the library runs in fewer passes: the
-full-lattice Hermitian scan and k.omega multipliers, the log-space norm
-with fresh arrays, the out-of-place Horner and the ``np.ix_`` scatter and
-gather between lattice and FFT bins.  None of them is called by the
-library, so they live beside the tests.
+full-lattice Hermitian scan and k.omega multipliers, the meshgrid lattice
+arrays and point evaluation, the log-space norm with fresh arrays, the
+out-of-place Horner and the ``np.ix_`` scatter and gather between lattice
+and FFT bins.  None of them is called by the library, so they live beside
+the tests.
 """
 
 from __future__ import annotations
@@ -152,16 +153,59 @@ def pde_symbol(eps: complex, prob: PdeProblem) -> np.ndarray:
     """The Boussinesq symbol with k.omega taken on the full lattice."""
     lat = prob.lattice
     j = lat.axis_modes_along(lat.d).astype(float)
-    return l_eps(eps, j ** 2 - prob.beta * j ** 4, lat.k_dot_omega())
+    return l_eps(eps, j ** 2 - prob.beta * j ** 4, full_k_dot_omega(lat))
 
 
 # ---------------------------------------------------------------------------
 # spectral
 
 
+def full_k_dot_omega(lat: SpectralLattice) -> np.ndarray:
+    """k.omega on every mode of ``mode_shape``: a meshgrid over the torus
+    axes, copied along j on a spatial lattice."""
+    grids = np.meshgrid(*(lat.axis_modes(i) for i in range(lat.d)), indexing="ij")
+    kdw = sum(w * g for w, g in zip(lat.omega, grids))
+    if lat.has_space:
+        kdw = kdw[..., None] * np.ones(2 * lat.J + 1)
+    return np.asarray(kdw, dtype=float)
+
+
+def sorted_k_dot_omega(lat: SpectralLattice) -> np.ndarray:
+    """k.omega once per torus mode (the j = -J column), sorted."""
+    kdw = full_k_dot_omega(lat)
+    return np.sort(kdw[..., :1] if lat.has_space else kdw, axis=None)
+
+
+def k_l1(lat: SpectralLattice) -> np.ndarray:
+    """|k|_1 (+|j|) per mode, summed over a meshgrid."""
+    grids = np.meshgrid(*(np.abs(lat.axis_modes(i)) for i in range(lat.n_axes)),
+                        indexing="ij")
+    return np.asarray(sum(grids), dtype=float)
+
+
+def k_sq(lat: SpectralLattice) -> np.ndarray:
+    """|k|^2 (+j^2) per mode, summed over a meshgrid."""
+    grids = np.meshgrid(*(lat.axis_modes(i).astype(float) ** 2 for i in range(lat.n_axes)),
+                        indexing="ij")
+    return np.asarray(sum(grids), dtype=float)
+
+
+def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None) -> np.ndarray:
+    """sum_k u_k e^{i k.theta} (e^{i j x}), its phase added axis by axis
+    onto a full-lattice array of zeros."""
+    lat = f.lattice
+    phase = np.zeros(lat.mode_shape)
+    for axis in range(lat.d):
+        phase = phase + lat.axis_modes_along(axis) * float(theta[axis])
+    if lat.has_space:
+        phase = phase + lat.axis_modes_along(lat.d) * float(x)
+    weights = np.exp(1j * phase)
+    return np.tensordot(weights, f.coeffs, axes=(tuple(range(lat.n_axes)),) * 2)
+
+
 def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
     """(omega . d/dtheta)^order with its multiplier on the full lattice."""
-    mult = (1j * u.lattice.k_dot_omega()) ** order
+    mult = (1j * full_k_dot_omega(u.lattice)) ** order
     return FourierField(u.lattice, u.coeffs * mult[..., None])
 
 

@@ -656,3 +656,39 @@ class TestRun:
         p = write_json(tmp_path / "cfg.json", doc)
         with pytest.raises(SystemExit):
             cli.main(["--config", str(p), "--inject-fault", "bogus"])
+
+    @pytest.mark.parametrize("overrides", [
+        {"d": "two"}, {"K": None}, {"omega": [[1.0]]}, {"n": None},
+        {"forcing": [{"k": None, "component": 0, "amplitude": 1.0}]},
+        {"jordan": [3]},
+    ], ids=["d", "K", "omega", "n", "forcing-k", "jordan"])
+    def test_malformed_problem_exits_4(self, tmp_path, overrides):
+        """A problem field of the wrong type is an input error that names
+        the problem file, not a solver failure."""
+        prob = write_json(tmp_path / "p.json", minimal_ode_doc(**overrides))
+        cfg = write_json(tmp_path / "cfg.json",
+                         config_doc("solve-ode", str(prob), tmp_path / "out", epsilon=0.05))
+        assert cli.main(["--config", str(cfg)]) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["exit_code"] == EXIT_INPUT
+        assert err["error"].startswith(str(prob))
+
+    @pytest.mark.parametrize("change", [
+        {"solver": {"tol": "x"}}, {"solver": {"tol": -1}}, {"jobs": "two"},
+        {"solver": {"norm": {"rho": -1}}}, {"solver": [1]}, {"inject_fault": "bogus"},
+        {"params": [1]},
+    ], ids=["tol-text", "tol-negative", "jobs", "rho", "solver-list", "fault", "params"])
+    def test_malformed_config_exits_4(self, tmp_path, capsys, change):
+        """A run config that does not load is an input error: exit 4 with
+        the message on stderr, no traceback."""
+        doc = config_doc("verify", str(PROBLEMS / "cubic_ode.json"), tmp_path / "out")
+        p = write_json(tmp_path / "cfg.json", {**doc, **change})
+        assert cli.main(["--config", str(p)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {p}")
+
+    @pytest.mark.parametrize("text", ["5", "null"])
+    def test_config_that_is_not_an_object_exits_4(self, tmp_path, capsys, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert cli.main(["--config", str(p)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {p}")

@@ -258,6 +258,34 @@ class TestKernelBits:
                                   equal_nan=True)
 
     @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_lattice_arrays_match_meshgrid_references(self, name, rng):
+        """The broadcast-sum lattice arrays and point evaluation hold the
+        bits of their meshgrid and zeros-then-add forms."""
+        lat = self.LATTICES[name]
+        kdw = np.broadcast_to(lat.k_dot_omega(), lat.mode_shape)
+        pairs = [(kdw, reference.full_k_dot_omega(lat)),
+                 (lat.sorted_k_dot_omega(), reference.sorted_k_dot_omega(lat)),
+                 (lat.k_l1(), reference.k_l1(lat)),
+                 (lat.k_sq(), reference.k_sq(lat))]
+        x = -0.9 if lat.has_space else None
+        for f in kernel_fields(lat, rng)[:2]:
+            for theta in [(0.0,) * lat.d, tuple(0.3 - 0.7 * i for i in range(lat.d))]:
+                pairs.append((evaluate_at(f, theta, x), reference.evaluate_at(f, theta, x)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, K", [(1, 6), (2, 5), (3, 3), (2, 48)])
+    def test_k_dot_omega_is_one_column_on_a_spatial_lattice(self, d, K):
+        """k.omega does not depend on j: a spatial lattice holds it at
+        length 1 along j, 97^2 floats and not 97^3 at d = 2, K = J = 48."""
+        lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, math.sqrt(2), math.pi)[:d],
+                                 has_space=True, J=K)
+        assert lat.k_dot_omega().shape == (2 * K + 1,) * d + (1,)
+        assert lat.k_dot_omega().nbytes == 8 * (2 * K + 1) ** d
+        assert not hasattr(lat, "k_dot_omega_column")
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
     @pytest.mark.parametrize("spec", [L2, NormSpec(0.5, 0.0), NormSpec(0.3, 1.5)],
                              ids=["L2", "rho", "rho-m"])
     def test_norm_in_place(self, name, spec, rng):
