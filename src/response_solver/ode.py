@@ -21,7 +21,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
 
 from . import spectral
 from .multipliers import (
@@ -591,8 +590,12 @@ def time_integration_crosscheck(eps: float, prob: OdeProblem, U: FourierField,
     [t_skip, horizon]; attraction_error is
     |x(T) - U(omega T)| at the final time when the initial condition is
     perturbed.  A non-finite start raises ValueError; a failed integration
-    or a non-finite trajectory raises RuntimeError.
+    or a non-finite trajectory raises RuntimeError.  scipy.integrate loads
+    on the first call, so a process that never cross-checks does not pay
+    for it.
     """
+    from scipy.integrate import ODEintWarning, odeint
+
     if abs(complex(eps).imag) > 0.0:
         raise ValueError("time integration needs real eps")
     eps = float(np.real(eps))

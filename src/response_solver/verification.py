@@ -18,9 +18,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .multipliers import (
     BOUND_RTOL,
@@ -138,8 +136,11 @@ def _damped_newton(F: Callable[[np.ndarray], np.ndarray],
     approximate inverse of F'(x).  Stops once max|F| <= 1e-12; raises
     RuntimeError when no step of length at least 1e-4 lowers max|F| or when
     40 steps do not get there, and np.linalg.LinAlgError when a Krylov solve
-    fails or returns a zero or non-finite step.
+    fails or returns a zero or non-finite step.  scipy.sparse.linalg loads
+    on the first call.
     """
+    from scipy.sparse.linalg import LinearOperator, gmres
+
     shape = (x0.size, x0.size)
     M = LinearOperator(shape, matvec=precondition, dtype=complex)
     x = x0
@@ -277,8 +278,10 @@ def build_liouville(spec: LiouvilleSpec) -> LiouvilleFrequency:
     the last witness, so every |k.omega| is an exact integer ratio
     |q_n p_L - p_n q_L| / q_L; verification never touches floating point.
     Levels whose denominators would exceed ``max_digits`` digits are
-    reported as truncated.
+    reported as truncated.  mpmath loads on the first call.
     """
+    import mpmath as mp
+
     if spec.levels == 0:
         return LiouvilleFrequency(
             omega=(1.0, math.sqrt(2.0)), witnesses=[], truncated_at=None,
