@@ -81,7 +81,7 @@ class OdeProblem:
         return self.g_hat.vanishes_at_zero
 
     def fixed_point_map(self, eps: complex, cfg: SolverConfig, report: SolveReport):
-        """(step, residual, first iterate, enforce_ball, observer) for
+        """(step, residual, first iterate, enforce_ball) for
         ``solve_fixed_point``; sets kappa and records the measured smallness
         checks, which inform and are not enforced.  Locally small
         nonlinearities must stay inside a finite ball radius; globally
@@ -114,7 +114,7 @@ class OdeProblem:
         enforce_ball = self.smallness == "local" and math.isfinite(cfg.ball_radius)
         return (lambda V: inverse(self.forcing - compose(V, self.g_hat)),
                 lambda V: residual(V, eps, self, cfg.norm),
-                first, enforce_ball, None)
+                first, enforce_ball)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,8 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
                       u0: FourierField | None = None) -> tuple[FourierField, SolveReport]:
     """Iterate a problem's contraction map to its fixed point.
 
-    ``prob`` (an ``OdeProblem`` or a ``pde.PdeProblem``) gives the map through
+    ``prob`` (an ``OdeProblem`` or a ``pde.PdeProblem``) gives the map (step,
+    equation residual, first iterate and ball rule) through
     ``fixed_point_map``, which also sets ``report.kappa`` and its own
     diagnostics.  A resonant eps ends the solve ``resonant``; otherwise
     ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
@@ -203,8 +204,7 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
     """
     report = SolveReport(eps=eps)
     try:
-        step, eq_residual, first, enforce_ball, observe = \
-            prob.fixed_point_map(eps, cfg, report)
+        step, eq_residual, first, enforce_ball = prob.fixed_point_map(eps, cfg, report)
     except ResonanceError as exc:
         report.status = "resonant"
         report.diagnostics["error"] = str(exc)
@@ -220,7 +220,7 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
     del first
     return contract(step, eq_residual,
                     FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
-                    cfg, report, enforce_ball, observe)
+                    cfg, report, enforce_ball)
 
 
 def _first_then(first: FourierField, step: Callable[[FourierField], FourierField]

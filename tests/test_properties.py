@@ -14,13 +14,16 @@ import response_solver as rs  # noqa: E402
 from response_solver.multipliers import (  # noqa: E402
     divisor_infimum,
     gamma_bound,
+    is_real_eps,
     l_eps,
     mode_matrices,
     operator_norms,
 )
+from response_solver.ode import contract  # noqa: E402
 from response_solver.pde import PdeProblem, pde_certification_scan  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
+from conftest import PROBLEMS, cos_forcing  # noqa: E402
 from reference import mode_solve, pde_picard_step  # noqa: E402
 
 
@@ -274,6 +277,56 @@ def test_pde_picard_step_keeps_hermitian_symmetry(d, K, J, eps, data):
     prob = PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
     U = pde_picard_step(hermitian(lat, data), eps, prob)
     assert U.hermitian_defect() <= 1e-14 * (1 + U.max_abs())
+
+
+def boussinesq_lattices():
+    """d = 1-3 tori, K <= 5, J <= 6."""
+    return st.builds(
+        lambda d, K, J: rs.SpectralLattice(d=d, K=K, omega=(1.0, np.sqrt(2.0), np.pi)[:d],
+                                           has_space=True, J=J),
+        st.integers(1, 3), st.integers(1, 5), st.integers(1, 6))
+
+
+@settings(max_examples=40)
+@given(lat=boussinesq_lattices(), eps=st.sampled_from([0.02, 0.03, 0.02 + 0.002j]),
+       data=st.data())
+def test_boussinesq_iterates_keep_their_invariants_exactly(lat, eps, data):
+    """Every iterate of the Boussinesq map has an exactly zero j = 0 slab,
+    and at real eps is exactly Hermitian: the step picks its transforms
+    from eps alone and checks neither."""
+    forcing = 1e-3 * hermitian(lat, data).project_zero_space_average()
+    prob = PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
+    cfg = rs.SolverConfig(tol=1e-15, max_iter=6, ball_radius=1.0)
+    report = rs.SolveReport(eps=eps)
+    step, eq_residual, _, enforce_ball = prob.fixed_point_map(eps, cfg, report)
+    seen = []
+
+    def observe(it, U, delta):
+        assert np.all(U.space_average_slice() == 0.0)
+        if is_real_eps(eps):
+            assert U.hermitian_defect() == 0.0
+        seen.append(it)
+
+    contract(step, eq_residual, rs.FourierField.zeros(lat), cfg, report, enforce_ball,
+             observe)
+    assert seen == list(range(1, report.iterations + 1)) and seen
+
+
+@settings(max_examples=20)
+@given(eps=cone_eps(0.05))
+def test_conjugate_eps_gives_the_mirrored_conjugate_solution(eps):
+    """U(conj eps) = conj U(eps)(-k), over the cone, for the cubic
+    oscillator and a small Boussinesq problem."""
+    from response_solver.cli import parse_problem
+
+    lat = rs.SpectralLattice(d=2, K=3, omega=(1.0, np.sqrt(2.0)), has_space=True, J=3)
+    pde = PdeProblem(lattice=lat, beta=2.0, forcing=cos_forcing(lat, 1e-3, k=(1, 0, 1)))
+    cfg = rs.SolverConfig(tol=1e-13, max_iter=100, ball_radius=1.0)
+    for prob in (parse_problem(PROBLEMS / "cubic_ode.json"), pde):
+        U, report = rs.solve_fixed_point(eps, prob, cfg)
+        V, conj_report = rs.solve_fixed_point(eps.conjugate(), prob, cfg)
+        assert report.status == conj_report.status == "converged"
+        assert np.max(np.abs(V.coeffs - U.reflected_conj())) <= 1e-14 * U.max_abs()
 
 
 def test_draws_do_not_depend_on_the_modules_loaded(tmp_path, monkeypatch):
