@@ -86,6 +86,14 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _count(value) -> int:
+    """``int(value)`` for a whole number; a bool or a fraction raises
+    ValueError rather than being read as 1 or truncated."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer count")
+    return int(value)
+
+
 def _parse_omega(raw, path: str) -> tuple[float, ...]:
     out = []
     for i, entry in enumerate(raw):
@@ -125,11 +133,11 @@ def _parse_forcing(terms: list, lat: SpectralLattice, path: str) -> FourierField
     out = FourierField.zeros(lat)
     for i, term in enumerate(terms):
         tpath = f"{path}[{i}]"
-        k = tuple(int(c) for c in _require(term, "k", tpath))
+        k = tuple(_count(c) for c in _require(term, "k", tpath))
         if len(k) != lat.d:
             raise InputError(f"{tpath}.k: expected {lat.d} entries")
         if lat.has_space:
-            j = int(_require(term, "j", tpath))
+            j = _count(_require(term, "j", tpath))
             if j == 0:
                 raise InputError(f"{tpath}.j: spatial forcing terms need j != 0")
             mode = k + (j,)
@@ -137,7 +145,7 @@ def _parse_forcing(terms: list, lat: SpectralLattice, path: str) -> FourierField
             mode = k
         if all(c == 0 for c in mode):
             raise InputError(f"{tpath}: zero-mean forcing forbids the k = 0 term")
-        comp = int(term.get("component", 0))
+        comp = _count(term.get("component", 0))
         if not 0 <= comp < lat.n:
             raise InputError(f"{tpath}.component: out of range")
         amp = float(_require(term, "amplitude", tpath))
@@ -179,11 +187,11 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
         kind = _require(doc, "kind", str(path))
         if kind not in ("ode", "pde"):
             raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
-        d = int(_require(doc, "d", str(path)))
-        K = int(_require(doc, "K", str(path)))
+        d = _count(_require(doc, "d", str(path)))
+        K = _count(_require(doc, "K", str(path)))
         omega = _parse_omega(_require(doc, "omega", str(path)), str(path))
         if kind == "ode":
-            n = int(doc.get("n", 1))
+            n = _count(doc.get("n", 1))
             lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
             raw_a = np.asarray(_require(doc, "A", str(path)), dtype=float)
             if raw_a.size != n * n:
@@ -195,7 +203,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
             if "jordan" in doc:
                 try:
                     jordan = tuple(
-                        JordanBlock(float(b["lambda"]), int(b["size"]),
+                        JordanBlock(float(b["lambda"]), _count(b["size"]),
                                     float(b.get("p", 1.0)), float(b.get("q", 1.0)))
                         for b in doc["jordan"]
                     )
@@ -212,7 +220,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
             forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
                                      f"{path}.forcing")
             return OdeProblem(lattice=lat, linear=linear, g_hat=g_hat, forcing=forcing)
-        J = int(_require(doc, "J", str(path)))
+        J = _count(_require(doc, "J", str(path)))
         beta = float(_require(doc, "beta", str(path)))
         lat = SpectralLattice(d=d, K=K, omega=omega, n=1, has_space=True, J=J)
         forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
@@ -250,7 +258,7 @@ def _floats(values) -> list[float]:
 
 
 def _sample_count(params: dict, key: str, default: int = 8) -> int:
-    count = _param(params, key, int, default)
+    count = _param(params, key, _count, default)
     if count < 1:
         raise InputError(f"params.{key}: {count} samples; at least 1 needed")
     return count
@@ -291,7 +299,7 @@ class RunConfig:
             nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
             solver = SolverConfig(
                 tol=float(solver_doc.get("tol", 1e-10)),
-                max_iter=int(solver_doc.get("max_iter", 200)),
+                max_iter=_count(solver_doc.get("max_iter", 200)),
                 ball_radius=float(solver_doc.get("ball_radius", math.inf)),
                 norm=NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0))),
             )
@@ -305,9 +313,9 @@ class RunConfig:
                 problem=problem,
                 solver=solver,
                 output_dir=str(out_dir),
-                seed=int(overrides.get("seed") if overrides.get("seed") is not None
-                         else doc.get("seed", 0)),
-                jobs=int(overrides.get("jobs") or doc.get("jobs", 1)),
+                seed=_count(overrides.get("seed") if overrides.get("seed") is not None
+                            else doc.get("seed", 0)),
+                jobs=_count(overrides.get("jobs") or doc.get("jobs", 1)),
                 inject_fault=fault,
                 params=params,
             )
@@ -504,7 +512,7 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     radius = _param(params, "radius", float, 0.2 * sigma)
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver,
-                                  points=_param(params, "points", int, 16), domain=dom,
+                                  points=_param(params, "points", _count, 16), domain=dom,
                                   map_fn=map_fn)
     result = {
         "center": [probe.center.real, probe.center.imag],
@@ -560,12 +568,12 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dict]:
     params = cfg.params
     spec = LiouvilleSpec(
-        levels=_param(params, "levels", int, 2),
+        levels=_param(params, "levels", _count, 2),
         growth=_param(params, "growth", float, 1.0),
-        first_quotient=_param(params, "first_quotient", int, 3),
+        first_quotient=_param(params, "first_quotient", _count, 3),
     )
     freq = build_liouville(spec)
-    K = _param(params, "K", int, 16)
+    K = _param(params, "K", _count, 16)
     ladder = _param(params, "eps_ladder", _floats, np.geomspace(1e-2, 1e-6, 13).tolist())
     usable = [w for w in freq.witnesses if max(abs(w.k[0]), abs(w.k[1])) <= K]
     liou_prob = make_witness_problem(freq.omega, [w.k for w in usable], K)

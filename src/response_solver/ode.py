@@ -99,6 +99,7 @@ class OdeProblem:
         c_emp = inverse.scaled_inverse_sup
         report.diagnostics["c_emp"] = c_emp
         first = inverse(self.forcing)
+        real = is_real_eps(eps)
         if math.isfinite(cfg.ball_radius):
             lip = self.g_hat.lipschitz_on_ball(cfg.ball_radius)
         else:
@@ -107,12 +108,12 @@ class OdeProblem:
             report.diagnostics["contraction_product"] = c_emp * lip
             report.diagnostics["contraction_below_half"] = bool(c_emp * lip <= 0.5)
         report.diagnostics["smallness"] = self.smallness
-        if self.g_hat.kind in ("callable", "piecewise_linear") and first.is_hermitian():
+        if self.g_hat.kind in ("callable", "piecewise_linear") and real:
             # inexact dealiasing: record the measured aliasing residual
             report.diagnostics["aliasing_estimate"] = \
-                spectral.composition_aliasing_estimate(first, self.g_hat)
+                spectral.composition_aliasing_estimate(first, self.g_hat, real)
         enforce_ball = self.smallness == "local" and math.isfinite(cfg.ball_radius)
-        return (lambda V: inverse(self.forcing - compose(V, self.g_hat)),
+        return (lambda V: inverse(self.forcing - compose(V, self.g_hat, real)),
                 lambda V: residual(V, eps, self, cfg.norm),
                 first, enforce_ball)
 
@@ -168,7 +169,7 @@ def picard_step(U: FourierField, eps: complex, prob: OdeProblem) -> FourierField
 
     ``OdeProblem.fixed_point_map``'s step gives the same bits from the
     solve's one ``ScaledInverse``."""
-    rhs = prob.forcing - compose(U, prob.g_hat)
+    rhs = prob.forcing - compose(U, prob.g_hat, is_real_eps(eps))
     return apply_scaled_inverse(eps, prob.linear, rhs)
 
 
@@ -184,7 +185,7 @@ def residual(U: FourierField, eps: complex, prob: OdeProblem,
     d1 = FourierField(U.lattice, directional_derivative(U, 1).coeffs * lin.q_diagonal)
     d2 = FourierField(U.lattice, directional_derivative(U, 2).coeffs * lin.p_diagonal)
     AU = FourierField(U.lattice, np.einsum("ij,...j->...i", lin.array, U.coeffs))
-    gU = compose(U, prob.g_hat)
+    gU = compose(U, prob.g_hat, is_real_eps(eps))
     res = eps * d2 + d1 + eps * (AU + gU) - eps * prob.forcing
     return norm(res, normspec)
 
@@ -200,7 +201,9 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
     ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
     residual <= kappa tol.  A cold solve of a problem whose
     ``first_is_step_from_zero`` holds takes the map's first iterate as its
-    step 1, so it does not compute step(0) again.
+    step 1, so it does not compute step(0) again.  At real eps both maps
+    take the real transforms, so a given u0 is taken as Hermitian, as every
+    iterate from zero is.
     """
     report = SolveReport(eps=eps)
     try:
@@ -498,7 +501,8 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
             )
         report.diagnostics["c_emp"] = c_emp
         report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
-        U, report = contract(lambda V: inverse(prob.forcing - compose(V, prob.g_hat)),
+        real = is_real_eps(eps)
+        U, report = contract(lambda V: inverse(prob.forcing - compose(V, prob.g_hat, real)),
                              lambda V: residual(V, eps, prob, L2), U,
                              replace(cfg, norm=L2), report, False, observe)
 

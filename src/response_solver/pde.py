@@ -36,7 +36,6 @@ from .spectral import (
     FourierField,
     NormSpec,
     SpectralLattice,
-    dealiased_product,
     directional_derivative,
     norm,
     product,
@@ -149,14 +148,10 @@ class PdeProblem:
             """U -> eps N^-1 [(U^2)_xx + f] through the plan, in the
             product's own array: the bits of ``inverse(f +
             spatial_derivative(product, 2))``, the same operations in the
-            same order.  At real eps it takes the real transforms, so it
-            assumes V Hermitian: every iterate from zero is (the forcing is,
-            and the real path writes j < 0 as the conjugate mirror), and
-            every library warm start at real eps is a converged real-eps
-            solution."""
+            same order.  It takes the real transforms at real eps."""
             if not self.nonlinear:
                 return inverse(self.forcing)
-            out = dealiased_product(V, V, real_eps)
+            out = product(V, V, real_eps)
             c = out.coeffs
             np.multiply(c, d_xx, out=c)
             np.add(self.forcing.coeffs, c, out=c)
@@ -234,13 +229,13 @@ def apply_n_forward(eps: complex, prob: PdeProblem, U: FourierField) -> FourierF
     return FourierField(prob.lattice, U.coeffs * symbol[..., None])
 
 
-def boussinesq_nonlinearity(U: FourierField) -> FourierField:
-    """h(U) = (U^2)_xx with exact quadratic dealiasing.
+def boussinesq_nonlinearity(U: FourierField, real: bool) -> FourierField:
+    """h(U) = (U^2)_xx with exact quadratic dealiasing (``product``'s ``real``).
 
     The second x-derivative annihilates the spatial mean created by the
     square, so the j = 0 slab of the output is exactly zero.
     """
-    return spatial_derivative(product(U, U), 2)
+    return spatial_derivative(product(U, U, real), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
     # four fields less held through the padded product
     del d1, d2, x2, x4
     if prob.nonlinear:
-        res = res - eps * boussinesq_nonlinearity(U)
+        res = res - eps * boussinesq_nonlinearity(U, is_real_eps(eps))
     return norm(res, normspec)
 
 
@@ -286,7 +281,7 @@ def manufactured_forcing(W: FourierField, eps: complex, prob_template: PdeProble
     NW = apply_n_forward(eps, prob_template, W)
     f = (1.0 / eps) * NW
     if prob_template.nonlinear:
-        f = f - boussinesq_nonlinearity(W)
+        f = f - boussinesq_nonlinearity(W, is_real_eps(eps))
     return f.project_zero_space_average()
 
 

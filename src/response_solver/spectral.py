@@ -7,17 +7,16 @@ operation returns a new field and leaves its inputs alone; kernels write in
 place only into arrays they allocated themselves.
 
 Transforms run on a uniform collocation grid.  A field that is real on the
-torus (Hermitian: coeff(-k) = conj(coeff(k)), decided by
-``FourierField.is_hermitian`` to a roundoff-level tolerance) is synthesized
-from the j >= 0 half of its last axis by a real inverse FFT, and a real
-value array is analyzed by a real forward FFT, the j < 0 half following
-from the conjugate mirror.  ``product`` and ``compose`` pick that real path
-from their input; any other field keeps the complex transforms.  The real
-inverse runs as pocketfft's own two stages, which is irfftn bit for bit: a
-complex inverse over the other axes, in place on the padded array, then a
-real inverse along the last axis.  The complex inverse runs in place too,
-so no inverse transform allocates a second padded complex grid.  FFTs use
-as many workers as the process may run on (its CPU affinity).
+torus (Hermitian: coeff(-k) = conj(coeff(k))) can be synthesized from the
+j >= 0 half of its last axis by a real inverse FFT, and a real value array
+is analyzed by a real forward FFT, the j < 0 half following from the
+conjugate mirror.  ``product`` and ``compose`` take that path when their
+caller passes ``real``, as a solve does at real eps; they scan no field.
+The real inverse runs as pocketfft's own two stages, which is irfftn bit
+for bit: a complex inverse over the other axes, in place on the padded
+array, then a real inverse along the last axis.  The complex inverse runs
+in place too, so no inverse transform allocates a second padded complex
+grid.  FFTs use as many workers as the process's CPU affinity allows.
 """
 
 from __future__ import annotations
@@ -545,24 +544,15 @@ def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None)
 # products and composition
 
 
-def product(u: FourierField, v: FourierField) -> FourierField:
+def product(u: FourierField, v: FourierField, real: bool) -> FourierField:
     """Componentwise pointwise product, computed alias-free.
 
     Uses 3/2-rule zero padding, which is exact for a quadratic product: the
     returned coefficients are the true convolution truncated to the lattice.
-    Two Hermitian factors take the real transforms.
+    ``real`` takes the real transforms and needs both factors Hermitian;
+    ``v is u`` transforms once.
     """
     u._check(v)
-    # squaring is the common hot path: skip the second check and transform
-    square = v is u or v.coeffs is u.coeffs
-    real = u.is_hermitian() and (square or v.is_hermitian())
-    return dealiased_product(u, u if square else v, real)
-
-
-def dealiased_product(u: FourierField, v: FourierField, real: bool) -> FourierField:
-    """``product`` with its transform choice given: ``real`` takes the real
-    transforms and needs both factors Hermitian.  For a caller that has
-    already scanned its factors' symmetry; ``v is u`` transforms once."""
     grid = dealias_grid(u.lattice, degree=2)
     pu = synthesize(u, grid, real=real)
     pv = pu if v is u else synthesize(v, grid, real=real)
@@ -773,18 +763,17 @@ def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec) -> tuple[int, .
     return default_grid(lat, oversample=COMPOSITION_OVERSAMPLE)
 
 
-def compose(u: FourierField, g: NonlinearitySpec) -> FourierField:
+def compose(u: FourierField, g: NonlinearitySpec, real: bool) -> FourierField:
     """Pseudo-spectral composition: analyze(g(synthesize(u))).
 
     Polynomial kinds pad the grid to the exact alias-free size for their
-    degree; other kinds use ``COMPOSITION_OVERSAMPLE``.  A Hermitian u
-    takes the real transforms, so g is evaluated on real grid values and
-    real symmetry is preserved.
+    degree; other kinds use ``COMPOSITION_OVERSAMPLE``.  ``real`` takes the
+    real transforms and needs u Hermitian, so g is evaluated on real grid
+    values and real symmetry is preserved.
     """
     lat = u.lattice
     if g.kind == "zero":
         return FourierField.zeros(lat)
-    real = u.is_hermitian()
     if not real and g.kind == "piecewise_linear":
         raise ValueError("piecewise-linear composition needs a real-symmetric field")
     gv = np.asarray(g(synthesize(u, _composition_grid(lat, g), real=real)))
@@ -820,17 +809,17 @@ def spatial_multiplier(lat: SpectralLattice, order: int) -> np.ndarray:
 # diagnostics
 
 
-def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec) -> float:
+def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec, real: bool) -> float:
     """Residual aliasing of a pseudo-spectral composition.
 
-    Compares the composition against the same computation on a doubled
-    grid; exact (polynomial) dealiasing returns roundoff.
+    Compares ``compose(u, g, real)`` against the same computation on a
+    doubled grid; exact (polynomial) dealiasing returns roundoff.
     """
     if g.kind == "zero":
         return 0.0
-    base = compose(u, g)
+    base = compose(u, g, real)
     grid = tuple(2 * s for s in _composition_grid(u.lattice, g))
-    vals = synthesize(u, grid, real=u.is_hermitian())
+    vals = synthesize(u, grid, real=real)
     refined = analyze(np.asarray(g(vals)), u.lattice)
     return float(np.max(np.abs(base.coeffs - refined.coeffs)))
 

@@ -27,6 +27,7 @@ from .multipliers import (
     ScaledInverse,
     gamma_bound,
     imaginary_axis_sup,
+    is_real_eps,
     l_eps,
 )
 from .ode import OdeProblem, SolverConfig, solve_fixed_point
@@ -100,6 +101,7 @@ def _ode_system(eps: complex, prob: OdeProblem, K_small: int):
     L_blocks = inverse.operator.reshape(-1, n, n)
     deriv = _polynomial_derivative(prob.g_hat)
     grid = _composition_grid(small, prob.g_hat)
+    real = is_real_eps(eps)
 
     def gather(U_flat: np.ndarray) -> FourierField:
         return FourierField(small, U_flat.reshape(small.field_shape))
@@ -108,14 +110,14 @@ def _ode_system(eps: complex, prob: OdeProblem, K_small: int):
         return np.einsum("mij,mj->mi", L_blocks, U_flat.reshape(-1, n)).ravel()
 
     def F(U_flat: np.ndarray) -> np.ndarray:
-        gU = compose(gather(U_flat), prob.g_hat)
+        gU = compose(gather(U_flat), prob.g_hat, real)
         return forward(U_flat) + eps * gU.coeffs.ravel() - eps * f_small.coeffs.ravel()
 
     def jvp(U_flat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         # Dg-hat(U) v on compose's own grid, which is the exact derivative of
         # compose; Dg-hat(U) truncated to the lattice first would not be.
         U = gather(U_flat)
-        dg = deriv(synthesize(U, grid, real=U.is_hermitian()))
+        dg = deriv(synthesize(U, grid, real=real))
         return lambda v: forward(v) + eps * analyze(
             dg * synthesize(gather(v), grid), small).coeffs.ravel()
 
@@ -201,6 +203,9 @@ def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
     j = np.broadcast_to(small.axis_modes_along(small.d), small.mode_shape).ravel()
     zero_row = j == 0
     diagonal = np.where(zero_row, 1.0, symbol)      # the Jacobian at x = 0
+    # at real eps F and its Jacobian keep fields Hermitian; the real products
+    # drop the rounding a Krylov vector gains as an anti-Hermitian part
+    real = is_real_eps(eps)
 
     def gather(x: np.ndarray) -> FourierField:
         return FourierField(small, x.reshape(small.field_shape))
@@ -208,7 +213,7 @@ def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
     def F(x: np.ndarray) -> np.ndarray:
         out = symbol * x
         if prob.nonlinear:
-            out = out - eps * boussinesq_nonlinearity(gather(x)).coeffs.ravel()
+            out = out - eps * boussinesq_nonlinearity(gather(x), real).coeffs.ravel()
         out = out - eps * small_prob.forcing.coeffs.ravel()
         out[zero_row] = x[zero_row]     # pin the projected-out slab to zero
         return out
@@ -219,7 +224,7 @@ def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
         def apply(v: np.ndarray) -> np.ndarray:
             out = diagonal * v
             if prob.nonlinear:
-                uv = spatial_derivative(product(U, gather(v)), 2)
+                uv = spatial_derivative(product(U, gather(v), real), 2)
                 out = out - 2.0 * eps * uv.coeffs.ravel()
             out[zero_row] = v[zero_row]
             return out

@@ -21,7 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from response_solver.multipliers import LinearPart, ResonanceError, l_eps, mode_matrices
+from response_solver.multipliers import (
+    LinearPart, ResonanceError, is_real_eps, l_eps, mode_matrices,
+)
 from response_solver.pde import PdeProblem, apply_n_inverse, boussinesq_nonlinearity
 from response_solver.spectral import (
     _SQUARE_SAFE,
@@ -117,7 +119,7 @@ def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierF
     solve's one ``NInverse``."""
     rhs = prob.forcing
     if prob.nonlinear:
-        rhs = rhs + boussinesq_nonlinearity(U)
+        rhs = rhs + boussinesq_nonlinearity(U, is_real_eps(eps))
     return apply_n_inverse(eps, prob, rhs)
 
 

@@ -403,8 +403,10 @@ class TestRun:
         ("low-reg", "lowreg_ode.json", {"s_grid": [0.0, "half"]}),
         ("verify", "cubic_ode.json", {"samples": "six"}),
         ("demo-liouville", None, {"levels": "two"}),
+        ("probe-analytic", "cubic_ode.json", {"points": 16.5}),
+        ("demo-liouville", None, {"levels": True}),
     ], ids=["solve-ode", "solve-pde", "sweep", "probe-center", "probe-points",
-            "low-reg", "verify", "demo-liouville"])
+            "low-reg", "verify", "demo-liouville", "points-fraction", "levels-bool"])
     def test_malformed_param_is_input_error(self, tmp_path, command, problem, params):
         """A params value that does not convert exits 4 with the key named,
         not 2 as a solver failure."""
@@ -661,10 +663,14 @@ class TestRun:
         {"d": "two"}, {"K": None}, {"omega": [[1.0]]}, {"n": None},
         {"forcing": [{"k": None, "component": 0, "amplitude": 1.0}]},
         {"jordan": [3]},
-    ], ids=["d", "K", "omega", "n", "forcing-k", "jordan"])
+        {"K": 3.5}, {"K": True}, {"n": 1.5}, {"d": True},
+        {"forcing": [{"k": [1.5], "component": 0, "amplitude": 1.0}]},
+    ], ids=["d", "K", "omega", "n", "forcing-k", "jordan",
+            "K-fraction", "K-bool", "n-fraction", "d-bool", "forcing-k-fraction"])
     def test_malformed_problem_exits_4(self, tmp_path, overrides):
         """A problem field of the wrong type is an input error that names
-        the problem file, not a solver failure."""
+        the problem file, not a solver failure.  A count must be a whole
+        number: int() would run "K": 3.5 as K = 3 and "K": true as K = 1."""
         prob = write_json(tmp_path / "p.json", minimal_ode_doc(**overrides))
         cfg = write_json(tmp_path / "cfg.json",
                          config_doc("solve-ode", str(prob), tmp_path / "out", epsilon=0.05))

@@ -18,7 +18,6 @@ from response_solver.multipliers import (
     operator_norms,
 )
 from response_solver.pde import NInverse, PdeProblem, _symbol_array
-from response_solver.spectral import dealiased_product
 
 from conftest import PROBLEMS, manufactured_pde
 from reference import (
@@ -354,8 +353,29 @@ class TestSolvePlan:
         assert not is_real_eps(eps)
         step, first = self.plan(prob, eps)
         assert first.is_hermitian()
-        rhs = prob.forcing + rs.spatial_derivative(dealiased_product(first, first, False), 2)
+        rhs = prob.forcing + rs.spatial_derivative(rs.product(first, first, False), 2)
         assert np.array_equal(step(first).coeffs, rs.apply_n_inverse(eps, prob, rhs).coeffs)
+
+    @pytest.mark.parametrize("eps, real", [(0.05 + 1e-13j, False), (0.05, True)],
+                             ids=["nearly-real", "real"])
+    def test_ode_solve_takes_its_transforms_from_eps(self, monkeypatch, eps, real):
+        """The shipped cubic's solve and residual choose their transforms by
+        ``is_real_eps``: at 0.05 + 1e-13j the iterates pass ``is_hermitian``'s
+        tolerance, yet every transform stays complex."""
+        from response_solver import spectral
+        from response_solver.cli import parse_problem
+
+        prob = parse_problem(PROBLEMS / "cubic_ode.json")
+        assert is_real_eps(eps) is real
+        flags = []
+        synthesize = spectral.synthesize
+        monkeypatch.setattr(spectral, "synthesize", lambda f, grid=None, real=False:
+                            flags.append(real) or synthesize(f, grid, real))
+        U, rep = rs.solve_fixed_point(eps, prob, rs.SolverConfig())
+        assert rep.status == "converged"
+        rs.residual(U, eps, prob)
+        assert U.is_hermitian()
+        assert len(flags) >= 3 and set(flags) == {real}
 
     def check_pde_step(self, prob, W, eps):
         """The fused step, in the product's own array, against

@@ -116,14 +116,14 @@ class TestMultiplier:
 class TestNonlinearity:
     def test_single_exponential(self, pde_lattice):
         U = spatial_mode(pde_lattice, (0, 0, 1))
-        h = rs.boussinesq_nonlinearity(U)
+        h = rs.boussinesq_nonlinearity(U, False)
         assert_allclose(mode_coefficient(h, (0, 0, 2))[0], -4.0, atol=1e-13)
 
     def test_cos_x(self, pde_lattice):
         U = rs.FourierField.from_modes(pde_lattice, {
             (0, 0, 1): np.array([0.5 + 0j]), (0, 0, -1): np.array([0.5 + 0j]),
         })
-        h = rs.boussinesq_nonlinearity(U)
+        h = rs.boussinesq_nonlinearity(U, True)
         # (cos^2 x)_xx = -2 cos 2x
         assert_allclose(mode_coefficient(h, (0, 0, 2))[0], -1.0, atol=1e-13)
         assert_allclose(mode_coefficient(h, (0, 0, 0))[0], 0.0, atol=1e-15)
@@ -131,7 +131,7 @@ class TestNonlinearity:
     def test_matches_grid_oracle(self, rng):
         lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,), has_space=True, J=16)
         U = rs.FourierField.random_real(lat, rng)
-        h = rs.boussinesq_nonlinearity(U)
+        h = rs.boussinesq_nonlinearity(U, True)
         # oracle: 2x-padded grid square, then spectral second derivative
         grid = (4 * lat.K + 2, 4 * lat.J + 2)
         vals = rs.synthesize(U, grid)
@@ -141,7 +141,7 @@ class TestNonlinearity:
 
     def test_kills_spatial_average(self, pde_lattice, rng):
         U = rs.FourierField.random_real(pde_lattice, rng)
-        h = rs.boussinesq_nonlinearity(U)
+        h = rs.boussinesq_nonlinearity(U, True)
         assert np.max(np.abs(h.space_average_slice())) <= 1e-14
 
 

@@ -308,7 +308,7 @@ class TestKernelBits:
 class TestProduct:
     def test_single_mode_shift(self, lat1d):
         u = single_mode(lat1d, (1,))
-        p = rs.product(u, u)
+        p = rs.product(u, u, False)
         assert_allclose(mode_coefficient(p, (2,))[0], 1.0 + 0j, atol=1e-14)
         total = np.sum(np.abs(p.coeffs))
         assert_allclose(total, 1.0, atol=1e-13)
@@ -318,7 +318,7 @@ class TestProduct:
         u = rs.FourierField.from_modes(
             lat, {(0,): np.array([1.0 + 0j]), (1,): np.array([1.0 + 0j])}
         )
-        p = rs.product(u, u)
+        p = rs.product(u, u, False)
         assert_allclose(mode_coefficient(p, (0,))[0], 1.0, atol=1e-14)
         assert_allclose(mode_coefficient(p, (1,))[0], 2.0, atol=1e-14)
         assert_allclose(mode_coefficient(p, (2,))[0], 1.0, atol=1e-14)
@@ -327,7 +327,7 @@ class TestProduct:
         lat = rs.SpectralLattice(d=1, K=8, omega=(1.0,))
         u = rs.FourierField.random_real(lat, rng)
         v = rs.FourierField.random_real(lat, rng)
-        p = rs.product(u, v)
+        p = rs.product(u, v, True)
         # independent oracle: pointwise product on a 2x zero-padded grid
         grid = (2 * (2 * lat.K + 1),)
         oracle = rs.analyze(rs.synthesize(u, grid) * rs.synthesize(v, grid), lat)
@@ -337,12 +337,12 @@ class TestProduct:
         u = rs.FourierField.random_real(lat1d, rng)
         v = rs.FourierField.random_real(lat2d, rng)
         with pytest.raises(rs.spectral.LatticeMismatchError):
-            rs.product(u, v)
+            rs.product(u, v, True)
 
     def test_hermitian_preserved(self, lat2d, rng):
         u = rs.FourierField.random_real(lat2d, rng)
         v = rs.FourierField.random_real(lat2d, rng)
-        assert rs.product(u, v).hermitian_defect() <= 1e-12
+        assert rs.product(u, v, True).hermitian_defect() <= 1e-12
 
 
 class TestCompose:
@@ -350,14 +350,14 @@ class TestCompose:
         lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
         u = single_mode(lat, (0,), 0.7 + 0j)
         g = rs.NonlinearitySpec.polynomial([(0.0, 0.0, 1.0)])
-        c = rs.compose(u, g)
+        c = rs.compose(u, g, True)
         assert_allclose(mode_coefficient(c, (0,))[0], 0.49, atol=1e-14)
 
     def test_cubic_trig_identity(self, lat1d):
         u = rs.FourierField.from_modes(
             lat1d, {(1,): np.array([0.5 + 0j]), (-1,): np.array([0.5 + 0j])}
         )
-        c = rs.compose(u, rs.NonlinearitySpec.cubic(1.0))
+        c = rs.compose(u, rs.NonlinearitySpec.cubic(1.0), True)
         # cos^3 = (3/4) cos + (1/4) cos 3theta
         assert_allclose(mode_coefficient(c, (1,))[0], 0.375, atol=1e-14)
         assert_allclose(mode_coefficient(c, (3,))[0], 0.125, atol=1e-14)
@@ -370,7 +370,7 @@ class TestCompose:
             kind="piecewise_linear", breakpoints=(0.0,), slopes=(-0.3, 0.05),
             lip_hat=0.3, smallness="global",
         )
-        c = rs.compose(u, g)
+        c = rs.compose(u, g, True)
         grid = _composition_grid(lat, g)
         assert grid == (36,)
         vals = rs.synthesize(u, grid)[..., 0].real
@@ -408,7 +408,7 @@ class TestCompose:
         u = rs.FourierField.random_real(lat1d, rng)
         g = rs.NonlinearitySpec(kind="callable", fn=lambda x: np.full_like(x, np.nan))
         with pytest.raises(FloatingPointError):
-            rs.compose(u, g)
+            rs.compose(u, g, True)
 
     def test_locally_small_map_requires_flat_origin(self):
         with pytest.raises(ValueError):
@@ -416,7 +416,7 @@ class TestCompose:
 
     def test_hermitian_preserved(self, lat2d, rng):
         u = rs.FourierField.random_real(lat2d, rng)
-        c = rs.compose(u, rs.NonlinearitySpec.cubic(0.3, n=lat2d.n))
+        c = rs.compose(u, rs.NonlinearitySpec.cubic(0.3, n=lat2d.n), True)
         assert c.hermitian_defect() <= 1e-12
 
     @pytest.mark.parametrize("length", [0, 1, 3, 4])
@@ -494,7 +494,7 @@ class TestPdeFieldStructure:
     def test_zero_average_slab_preserved(self, pde_lattice, rng):
         u = rs.FourierField.random_real(pde_lattice, rng)
         assert np.max(np.abs(u.space_average_slice())) == 0.0
-        p = rs.product(u, u)
+        p = rs.product(u, u, True)
         d = rs.spatial_derivative(p, 2)
         assert np.max(np.abs(d.space_average_slice())) <= 1e-14
 
@@ -530,7 +530,7 @@ class TestHigherDimensionalLattices:
         lat = rs.SpectralLattice(d=3, K=3, omega=(1.0, math.sqrt(2), math.sqrt(3)))
         u = rs.FourierField.random_real(lat, rng)
         v = rs.FourierField.random_real(lat, rng)
-        p = rs.product(u, v)
+        p = rs.product(u, v, True)
         assert p.hermitian_defect() <= 1e-12
         grid = (2 * (2 * lat.K + 1),) * 3
         oracle = rs.analyze(rs.synthesize(u, grid) * rs.synthesize(v, grid), lat)
@@ -558,14 +558,14 @@ class TestAliasingDiagnostics:
     def test_polynomial_composition_is_alias_free(self, lat1d, rng):
         u = rs.FourierField.random_real(lat1d, rng, amplitude=0.5)
         est = rs.spectral.composition_aliasing_estimate(
-            u, rs.NonlinearitySpec.cubic(1.0)
+            u, rs.NonlinearitySpec.cubic(1.0), True
         )
         assert est <= 1e-13
 
     def test_piecewise_reports_residual_aliasing(self, lat1d, rng):
         u = rs.FourierField.random_real(lat1d, rng, amplitude=0.5)
         g = rs.NonlinearitySpec.piecewise([0.0], [-1.0, 1.0])
-        est = rs.spectral.composition_aliasing_estimate(u, g)
+        est = rs.spectral.composition_aliasing_estimate(u, g, True)
         assert est > 0.0   # kinks alias; the residual is reported, not hidden
 
     def test_truncation_tail_smaller_for_decaying_field(self, lat1d, rng):
