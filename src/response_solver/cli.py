@@ -257,10 +257,24 @@ def _floats(values) -> list[float]:
     return [float(v) for v in values]
 
 
-def _sample_count(params: dict, key: str, default: int = 8) -> int:
+def _sigmas(values) -> list[float]:
+    sigmas = _floats(values)
+    if not sigmas or not all(s > 0.0 for s in sigmas):
+        raise ValueError("need at least one sigma, each > 0")
+    return sigmas
+
+
+def _s_grid(values) -> list[float]:
+    s_grid = _floats(values)
+    if not all(0.0 <= s < 1.0 for s in s_grid):
+        raise ValueError("each s must lie in [0, 1)")
+    return s_grid
+
+
+def _sample_count(params: dict, key: str, default: int = 8, least: int = 1) -> int:
     count = _param(params, key, _count, default)
-    if count < 1:
-        raise InputError(f"params.{key}: {count} samples; at least 1 needed")
+    if count < least:
+        raise InputError(f"params.{key}: {count} samples; at least {least} needed")
     return count
 
 
@@ -479,7 +493,7 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
     if "sigmas" in params:
         entries = sweep_sigma_ladder(
-            prob, cfg.solver, _param(params, "sigmas", _floats, None),
+            prob, cfg.solver, _param(params, "sigmas", _sigmas, None),
             samples_per_sigma=_sample_count(params, "samples_per_sigma", 3),
             keep_solutions=False,
         )
@@ -510,10 +524,10 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     dom = EpsilonDomain.cone(sigma, mu)
     center = _param(params, "center", complex, 1.5 * sigma)
     radius = _param(params, "radius", float, 0.2 * sigma)
+    points = _sample_count(params, "points", 16, least=2)
     with _parallel_map(cfg.jobs) as map_fn:
-        probe = analyticity_probe(center, radius, prob, cfg.solver,
-                                  points=_param(params, "points", _count, 16), domain=dom,
-                                  map_fn=map_fn)
+        probe = analyticity_probe(center, radius, prob, cfg.solver, points=points,
+                                  domain=dom, map_fn=map_fn)
     result = {
         "center": [probe.center.real, probe.center.imag],
         "radius": probe.radius,
@@ -528,7 +542,7 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
     params = cfg.params
     eps = _param(params, "epsilon", complex, 0.05)
-    s_grid = _param(params, "s_grid", _floats, [0.0, 0.25, 0.5, 0.75])
+    s_grid = _param(params, "s_grid", _s_grid, [0.0, 0.25, 0.5, 0.75])
     res = low_regularity_solve(eps, prob, cfg.solver, s_grid)
     result = {
         "report": res.report.to_dict(),

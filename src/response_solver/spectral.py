@@ -12,11 +12,24 @@ j >= 0 half of its last axis by a real inverse FFT, and a real value array
 is analyzed by a real forward FFT, the j < 0 half following from the
 conjugate mirror.  ``product`` and ``compose`` take that path when their
 caller passes ``real``, as a solve does at real eps; they scan no field.
-The real inverse runs as pocketfft's own two stages, which is irfftn bit
-for bit: a complex inverse over the other axes, in place on the padded
-array, then a real inverse along the last axis.  The complex inverse runs
-in place too, so no inverse transform allocates a second padded complex
-grid.  FFTs use as many workers as the process's CPU affinity allows.
+
+``synthesize`` and ``analyze`` are pruned FFTs: pocketfft's own one-axis
+passes, in the order its n-dimensional transforms run them (ifftn and fftn
+from axis 0 up; irfftn the other axes, then the real last axis; rfftn the
+real last axis, then the others), each in place on views of the one padded
+array the call allocates.  An inverse pass along axis a skips the lines
+whose later axes, or the real path's half last axis, sit outside the
+lattice's bins: they are still +0.0, and pocketfft maps a zero line to
++0.0 (checked once per length: on a length where it leaves a -0.0, as some
+of its Bluestein lengths do, that pass and the later ones skip nothing).  A
+forward pass skips the lines whose transformed axes sit outside the kept
+bins: nothing reads them.  The 1/N lands where pocketfft puts it: on
+the complex inverse after the axis-0 pass (ifftn times N is the synthesized
+sum), on the real forward on the kept bins right after the real pass; both
+times it multiplies the real and imaginary parts by 1/N rounded from long
+double, as pocketfft does.  So every kept line sees the operations of the
+one-call transform, and the results are its bits, signed zeros included.
+FFTs use as many workers as the process's CPU affinity allows.
 """
 
 from __future__ import annotations
@@ -453,39 +466,109 @@ def synthesize(f: FourierField, grid: Sequence[int] | None = None,
         grid = default_grid(lat)
     grid = tuple(int(g) for g in grid)
     _check_grid(lat, grid)
-    axes = tuple(range(len(grid)))
-    if real:
-        work = np.zeros(grid[:-1] + (grid[-1] // 2 + 1, lat.n), dtype=complex)
-        for bins, modes in _bin_blocks(lat, grid, half=True):
-            work[bins] = f.coeffs[modes]
-        # irfftn's own two stages, unscaled as irfftn runs them (so the same
-        # bits): the complex one in place on this call's array
-        if len(axes) > 1:
-            work = sfft.ifftn(work, axes=axes[:-1], norm="forward",
-                              overwrite_x=True, workers=FFT_WORKERS)
-        return sfft.irfft(work, n=grid[-1], axis=axes[-1], norm="forward",
-                          workers=FFT_WORKERS)
-    work = np.zeros(grid + (lat.n,), dtype=complex)
-    for bins, modes in _bin_blocks(lat, grid):
+    half = grid[:-1] + (grid[-1] // 2 + 1,)
+    work = np.zeros((half if real else grid) + (lat.n,), dtype=complex)
+    for bins, modes in _bin_blocks(lat, grid, half=real):
         work[bins] = f.coeffs[modes]
-    work = sfft.ifftn(work, axes=axes, overwrite_x=True, workers=FFT_WORKERS)
+    for axis, blocks in _passes(lat, grid, forward=False, real=real):
+        for index in blocks:
+            block = work[index]
+            _transform_in_place(block, axis, forward=False)
+            if axis == 0 and not real:
+                # ifftn's 1/N, where pocketfft applies it
+                _normalise(block, grid)
+    if real:
+        return sfft.irfft(work, n=grid[-1], axis=len(grid) - 1, norm="forward",
+                          workers=FFT_WORKERS)
     return np.multiply(work, np.prod(grid), out=work)
+
+
+def _axis_bins(g: int, cut: int, half: bool = False) -> tuple[tuple[slice, slice], ...]:
+    """FFT bins (k mod g) of one axis's lattice modes: pairs (grid slice,
+    lattice slice), since the modes -cut..-1 sit in the bins g-cut..g-1 and
+    the modes 0..cut in the bins 0..cut.  ``half`` keeps only the modes
+    0..cut (a real FFT's bins)."""
+    upper = (slice(0, cut + 1), slice(cut, 2 * cut + 1))
+    return (upper,) if half else ((slice(g - cut, g), slice(0, cut)), upper)
 
 
 @lru_cache(maxsize=128)
 def _bin_blocks(lat: SpectralLattice, grid: tuple[int, ...], half: bool = False
                 ) -> tuple[tuple[tuple[slice, ...], tuple[slice, ...]], ...]:
-    """FFT bins (k mod N per axis) of the lattice modes as rectangular
-    blocks: pairs (grid slices, lattice slices), 2^axes of them, since along
-    each axis the modes -cut..-1 sit in the bins N-cut..N-1 and the modes
-    0..cut in the bins 0..cut.  ``half`` keeps the modes 0..cutoff of the
-    last axis (a real FFT's bins)."""
-    axes = [((slice(g - cut, g), slice(0, cut)), (slice(0, cut + 1), slice(cut, 2 * cut + 1)))
-            for g, cut in zip(grid, lat.cutoffs)]
-    if half:
-        axes[-1] = axes[-1][1:]
+    """The lattice modes' FFT bins as rectangular blocks: pairs (grid
+    slices, lattice slices), the product of the axes' ``_axis_bins``.
+    ``half`` takes the last axis's half (a real FFT's bins)."""
+    last = len(grid) - 1
+    axes = [_axis_bins(g, cut, half and axis == last)
+            for axis, (g, cut) in enumerate(zip(grid, lat.cutoffs))]
     return tuple((tuple(b for b, _ in blocks), tuple(m for _, m in blocks))
                  for blocks in itertools.product(*axes))
+
+
+@lru_cache(maxsize=128)
+def _passes(lat: SpectralLattice, grid: tuple[int, ...], forward: bool, real: bool
+            ) -> tuple[tuple[int, tuple[tuple[slice, ...], ...]], ...]:
+    """pocketfft's complex passes of a pruned transform, in its order:
+    pairs (axis, blocks), each block an index of the lines along ``axis``
+    that the pass transforms.
+
+    The passes run along axis 0, 1, ... (the real path leaves its last axis
+    to the real FFT).  An inverse pass skips the lines whose later axes, or
+    the real path's half last axis, sit outside the lattice's bins: they
+    are still +0.0, and so is their transform, as long as every pass so far
+    maps zero lines to +0.0 (``_zero_lines_stay_zero``).  A forward pass
+    skips the lines whose earlier axes, or the real path's last axis
+    (transformed first), sit outside them: their values are never read.
+    """
+    last = len(grid) - 1
+    every = (slice(None),)
+    # a tight axis's bins fill it: one block
+    kept = [every if g == 2 * cut + 1 else
+            tuple(b for b, _ in _axis_bins(g, cut, real and axis == last))
+            for axis, (g, cut) in enumerate(zip(grid, lat.cutoffs))]
+    passes = []
+    prune = True
+    for a in range(last if real else last + 1):
+        if forward:
+            lines = [kept[b] if b < a or (real and b == last) else every
+                     for b in range(last + 1)]
+        else:
+            prune = prune and _zero_lines_stay_zero(grid[a])
+            lines = [kept[b] if b > a and prune else every for b in range(last + 1)]
+        passes.append((a, tuple(itertools.product(*lines, every))))
+    return tuple(passes)
+
+
+@lru_cache(maxsize=128)
+def _zero_lines_stay_zero(length: int) -> bool:
+    """Whether pocketfft's unscaled inverse FFT maps zero lines of this
+    length to +0.0 throughout.  Some lengths that it transforms by
+    Bluestein's algorithm (89, 101, ...) leave -0.0 in places, so skipping
+    such a line would turn the sign of a zero.  Five lines: pocketfft runs
+    lines in SIMD groups and the rest one at a time, and both are checked."""
+    out = sfft.ifft(np.zeros((5, length), dtype=complex), norm="forward")
+    return not np.any(np.signbit(out.view(np.float64)))
+
+
+def _transform_in_place(block: np.ndarray, axis: int, forward: bool) -> None:
+    """One unscaled complex FFT pass along ``axis``, written into ``block``."""
+    if forward:
+        out = sfft.fft(block, axis=axis, overwrite_x=True, workers=FFT_WORKERS)
+    else:
+        out = sfft.ifft(block, axis=axis, norm="forward", overwrite_x=True,
+                        workers=FFT_WORKERS)
+    # scipy writes through a strided view with overwrite_x; should a
+    # version stop doing so, the copy it returned is put back
+    if not np.shares_memory(out, block):
+        block[...] = out
+
+
+def _normalise(block: np.ndarray, grid: tuple[int, ...]) -> None:
+    """block *= 1/N as pocketfft normalises: 1/N taken in long double and
+    rounded to double, multiplied into the real and imaginary parts (a
+    complex multiply would turn some signed zeros)."""
+    parts = block.view(np.float64)
+    np.multiply(parts, float(1 / np.longdouble(math.prod(grid))), out=parts)
 
 
 def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
@@ -506,21 +589,28 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
     if values.shape[-1] != lat.n or len(grid) != lat.n_axes:
         raise ValueError("value array shape does not match lattice")
     _check_grid(lat, grid)
-    axes = tuple(range(len(grid)))
+    real = not np.iscomplexobj(values)
+    passes = _passes(lat, grid, forward=True, real=real)
     # the result before the padded spectrum: the heap then frees the
     # short-lived spectrum from above the result, not a hole below it
     coeffs = np.empty(lat.field_shape, dtype=complex)
-    if np.iscomplexobj(values):
-        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS)
-        for bins, modes in _bin_blocks(lat, grid):
-            coeffs[modes] = spec[bins]
-        del spec
-        np.divide(coeffs, np.prod(grid), out=coeffs)
-        return FourierField(lat, coeffs)
-    spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
-    for bins, modes in _bin_blocks(lat, grid, half=True):
+    # the first pass runs on every line and writes the one padded spectrum
+    if real:
+        spec = sfft.rfft(values, axis=len(grid) - 1, workers=FFT_WORKERS)
+        # rfftn's 1/N, where pocketfft applies it, on the bins kept
+        _normalise(spec[..., :lat.cutoffs[-1] + 1, :], grid)
+    else:
+        spec = sfft.fft(values, axis=0, workers=FFT_WORKERS)
+        passes = passes[1:]
+    for axis, blocks in passes:
+        for index in blocks:
+            _transform_in_place(spec[index], axis, forward=True)
+    for bins, modes in _bin_blocks(lat, grid, half=real):
         coeffs[modes] = spec[bins]
     del spec
+    if not real:
+        np.divide(coeffs, np.prod(grid), out=coeffs)
+        return FourierField(lat, coeffs)
     # coeff(-k, -j) = conj(coeff(k, j)): flip every mode axis, then conjugate
     cut = lat.cutoffs[-1]
     mirror = coeffs[(slice(None, None, -1),) * (lat.n_axes - 1) + (slice(-1, cut, -1),)]

@@ -420,6 +420,26 @@ class TestRun:
         assert err["exit_code"] == EXIT_INPUT
         assert err["error"].startswith(f"params.{key}: ")
 
+    @pytest.mark.parametrize("command, problem, params", [
+        ("sweep", "cubic_ode.json", {"sigmas": [0.02, 0.0]}),
+        ("sweep", "cubic_ode.json", {"sigmas": [-0.01]}),
+        ("probe-analytic", "cubic_ode.json", {"points": 0}),
+        ("probe-analytic", "cubic_ode.json", {"points": 1}),
+        ("low-reg", "lowreg_ode.json", {"s_grid": [0.0, 1.0]}),
+        ("low-reg", "lowreg_ode.json", {"s_grid": [-0.25]}),
+    ], ids=["sigma-zero", "sigma-negative", "points-0", "points-1", "s-one", "s-negative"])
+    def test_out_of_range_param_is_input_error(self, tmp_path, command, problem, params):
+        """A params value that converts but lies outside its range exits 4
+        with the key named, before any solve, not 2 from the solver."""
+        key = next(iter(params))
+        cfg = RunConfig.load(write_json(
+            tmp_path / "cfg.json",
+            config_doc(command, str(PROBLEMS / problem), tmp_path / "out", **params)))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["exit_code"] == EXIT_INPUT
+        assert err["error"].startswith(f"params.{key}: ")
+
     def test_verify_without_jordan_data_is_input_error(self, tmp_path):
         prob = write_json(tmp_path / "p.json", minimal_ode_doc(n=2, A=[1.0, 0.5, 0.0, 2.0],
                                                                forcing=[]))

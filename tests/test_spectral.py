@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy import fft as sfft
 
 import response_solver as rs
 from response_solver.spectral import (
-    FFT_WORKERS,
+    COMPOSITION_OVERSAMPLE,
     GridTooSmallError,
     _SQUARE_SAFE,
     L2,
@@ -160,9 +161,57 @@ class TestTransforms:
                         rtol=1e-14)
 
 
+def same_bits(a, b):
+    """Equal to the last bit, signed zeros included (``np.array_equal``
+    has -0.0 == 0.0; the spectrum CSVs print the sign)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def oversampled_grid(lat):
+    """The grid of a non-polynomial composition."""
+    return default_grid(lat, oversample=COMPOSITION_OVERSAMPLE)
+
+
+def transform_fields(lat, rng, real):
+    """A random field (Hermitian when ``real``), the same with exact +0.0
+    and -0.0 parts, and the same on the sublattice where the second torus
+    mode (the first when d = 1) is 0, as the shipped Boussinesq forcing."""
+    if real:
+        base = rs.FourierField.random_real(lat, rng)
+    else:
+        base = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
+                               + 1j * rng.standard_normal(lat.field_shape))
+    signed = base.copy()
+    signed.coeffs[rng.random(lat.field_shape) < 0.4] = 0.0
+    signed.coeffs.real[rng.random(lat.field_shape) < 0.3] = -0.0
+    signed.coeffs.imag[rng.random(lat.field_shape) < 0.3] = -0.0
+    off = lat.axis_modes_along(min(1, lat.d - 1)) != 0
+    sub = rs.FourierField(lat, np.where(off[..., None], 0.0, base.coeffs))
+    return base, signed, sub
+
+
+def with_signed_zeros(values, rng):
+    """values with about a third of its real parts replaced by -0.0."""
+    out = values.copy()
+    parts = out.real if np.iscomplexobj(out) else out
+    parts[rng.random(out.shape) < 0.3] = -0.0
+    return out
+
+
+def transform_cases(lattices, grids):
+    """Every lattice on every grid of at most 2^17 values."""
+    return [pytest.param(name, grid, id=f"{grid_name}-{name}")
+            for grid_name, grid_of in grids.items()
+            for name, lat in sorted(lattices.items())
+            for grid in [grid_of(lat)] if math.prod(grid) * lat.n <= 2 ** 17]
+
+
 class TestTransformBits:
-    """synthesize and analyze give the bits of scipy's one-call transforms:
-    irfftn, ifftn times N and fftn over N."""
+    """synthesize and analyze give the bits of scipy's one-call transforms
+    (irfftn, ifftn times N and fftn over N), signed zeros included, with
+    one FFT worker and with two."""
 
     LATTICES = {
         "1axis-n1": rs.SpectralLattice(d=1, K=6, omega=(1.0,)),
@@ -177,42 +226,167 @@ class TestTransformBits:
         "2axis-space-n1": rs.SpectralLattice(d=1, K=4, omega=(1.0,), has_space=True, J=5),
         "4axis-space-n1": rs.SpectralLattice(d=3, K=2, omega=(1.0, math.sqrt(2), math.pi),
                                              has_space=True, J=3),
+        "4axis-space-n2": rs.SpectralLattice(d=3, K=1, omega=(1.0, math.sqrt(2), math.pi),
+                                             n=2, has_space=True, J=2),
+        # tight, these are 71 and 127 bins, lengths pocketfft transforms by
+        # Bluestein's algorithm (127 on the real path too)
+        "2axis-space-prime": rs.SpectralLattice(d=1, K=35, omega=(1.0,),
+                                                has_space=True, J=63),
+        # tight, 67 x 69 values: 1/4623 rounded to double from long double,
+        # as pocketfft takes it, is one ulp off 1/4623 taken in double
+        "2axis-space-4623": rs.SpectralLattice(d=1, K=33, omega=(1.0,),
+                                               has_space=True, J=34),
     }
-    # the lattice's own size per axis: the two bin blocks of an axis meet
-    GRIDS = [default_grid, dealias_grid,
-             lambda lat: tuple(2 * cut + 1 for cut in lat.cutoffs)]
-    GRID_IDS = ["default", "dealias", "tight"]
+    GRIDS = {
+        "default": default_grid,
+        "dealias": dealias_grid,
+        # the lattice's own size per axis: the two bin blocks of an axis meet
+        "tight": lambda lat: tuple(2 * cut + 1 for cut in lat.cutoffs),
+        "oversampled": oversampled_grid,
+        # composition_aliasing_estimate's check grid
+        "doubled": lambda lat: tuple(2 * s for s in oversampled_grid(lat)),
+    }
+    CASES = transform_cases(LATTICES, GRIDS)
 
-    @pytest.mark.parametrize("name", sorted(LATTICES))
-    @pytest.mark.parametrize("grid_of", GRIDS, ids=GRID_IDS)
-    def test_real_path(self, name, grid_of, rng):
+    @pytest.mark.parametrize("name, grid", CASES)
+    def test_real_path(self, name, grid, rng, monkeypatch):
         lat = self.LATTICES[name]
-        grid = grid_of(lat)
         axes = tuple(range(lat.n_axes))
-        u = rs.FourierField.random_real(lat, rng)
-        values = rs.synthesize(u, grid, real=True)
-        assert np.array_equal(values, sfft.irfftn(padded(u, grid), s=grid, axes=axes,
-                                                  norm="forward", workers=FFT_WORKERS))
-        spec = sfft.rfftn(values, axes=axes, norm="forward", workers=FFT_WORKERS)
         cut = lat.cutoffs[-1]
-        # the j >= 0 half is rfftn's; the rest is its conjugate mirror
-        assert np.array_equal(rs.analyze(values, lat).coeffs[..., cut:, :],
-                              spec[fft_bins(lat, grid, half=True)])
+        for workers, u in itertools.product([1, 2], transform_fields(lat, rng, real=True)):
+            monkeypatch.setattr(rs.spectral, "FFT_WORKERS", workers)
+            values = rs.synthesize(u, grid, real=True)
+            assert same_bits(values, sfft.irfftn(padded(u, grid), s=grid, axes=axes,
+                                                 norm="forward", workers=workers))
+            for vals in (values, with_signed_zeros(values, rng)):
+                spec = sfft.rfftn(vals, axes=axes, norm="forward", workers=workers)
+                # the j >= 0 half is rfftn's; the rest is its conjugate mirror
+                assert same_bits(rs.analyze(vals, lat).coeffs[..., cut:, :],
+                                 spec[fft_bins(lat, grid, half=True)])
 
-    @pytest.mark.parametrize("name", sorted(LATTICES))
-    @pytest.mark.parametrize("grid_of", GRIDS, ids=GRID_IDS)
-    def test_complex_path(self, name, grid_of, rng):
+    @pytest.mark.parametrize("name, grid", CASES)
+    def test_complex_path(self, name, grid, rng, monkeypatch):
         lat = self.LATTICES[name]
-        grid = grid_of(lat)
         axes = tuple(range(lat.n_axes))
+        for workers, u in itertools.product([1, 2], transform_fields(lat, rng, real=False)):
+            monkeypatch.setattr(rs.spectral, "FFT_WORKERS", workers)
+            values = rs.synthesize(u, grid)
+            assert same_bits(values, sfft.ifftn(padded(u, grid), axes=axes,
+                                                workers=workers) * np.prod(grid))
+            for vals in (values, with_signed_zeros(values, rng)):
+                spec = sfft.fftn(vals, axes=axes, workers=workers) / np.prod(grid)
+                assert same_bits(rs.analyze(vals, lat).coeffs, spec[fft_bins(lat, grid)])
+
+    @pytest.mark.parametrize("grid", [(89, 16), (101, 40), (16, 89, 16), (89, 16, 16)],
+                             ids=["89x16", "101x40", "16x89x16", "89x16x16"])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_zero_lines_of_a_bluestein_axis(self, grid, real, rng):
+        """pocketfft's inverse of a zero line of 89 or 101 points holds
+        -0.0 in places, so that pass and the later ones skip no line: zero
+        fields keep the one-call transform's signed zeros."""
+        lat = rs.SpectralLattice(d=len(grid) - 1, K=7, omega=(1.0, math.sqrt(2))[:len(grid) - 1],
+                                 has_space=True, J=7)
+        axes = tuple(range(lat.n_axes))
+        negative = rs.FourierField(lat, np.full(lat.field_shape, complex(-0.0, -0.0)))
+        for u in (rs.FourierField.zeros(lat), negative,
+                  transform_fields(lat, rng, real)[2]):
+            if real:
+                expected = sfft.irfftn(padded(u, grid), s=grid, axes=axes, norm="forward")
+            else:
+                expected = sfft.ifftn(padded(u, grid), axes=axes) * np.prod(grid)
+            assert same_bits(rs.synthesize(u, grid, real=real), expected)
+
+
+class RecordingFFT:
+    """``scipy.fft`` as ``spectral`` calls it, noting each one-axis
+    transform as (function, axis, points transformed); with ``copies`` the
+    transforms never write into their input."""
+
+    TRANSFORMS = ("fft", "ifft", "rfft", "irfft")
+
+    def __init__(self, copies=False):
+        self.calls = []
+        self.copies = copies
+
+    def __getattr__(self, name):
+        fn = getattr(sfft, name)
+        if name not in self.TRANSFORMS:
+            return fn
+
+        def recorded(x, *args, axis=-1, **kwargs):
+            self.calls.append((name, axis, x.size))
+            if self.copies:
+                kwargs.pop("overwrite_x", None)
+                x = x.copy()
+            return fn(x, *args, axis=axis, **kwargs)
+        return recorded
+
+    def passes(self):
+        """Points per pass: consecutive calls along one axis summed."""
+        out = []
+        for name, axis, points in self.calls:
+            if out and out[-1][:2] == (name, axis):
+                out[-1] = (name, axis, out[-1][2] + points)
+            else:
+                out.append((name, axis, points))
+        return out
+
+
+class TestPrunedPasses:
+    """Each pass transforms only the lines that reach the result: an inverse
+    pass the lines whose untransformed axes sit in lattice bins, a forward
+    pass the lines whose transformed axes do."""
+
+    def test_cubic_composition_d3_k12(self, monkeypatch, rng):
+        lat = rs.SpectralLattice(d=3, K=12, omega=(1.0, math.sqrt(2), math.sqrt(3)))
+        g = rs.NonlinearitySpec.cubic(1.0)
+        assert _composition_grid(lat, g) == (49, 49, 49)
         u = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
                             + 1j * rng.standard_normal(lat.field_shape))
-        values = rs.synthesize(u, grid)
-        assert np.array_equal(values, sfft.ifftn(padded(u, grid), axes=axes,
-                                                 workers=FFT_WORKERS) * np.prod(grid))
-        spec = sfft.fftn(values, axes=axes, workers=FFT_WORKERS) / np.prod(grid)
-        assert np.array_equal(rs.analyze(values, lat).coeffs,
-                              spec[fft_bins(lat, grid)])
+        rs.compose(u, g, False)     # the per-length checks run once, unrecorded
+        monkeypatch.setattr(rs.spectral, "sfft", recorder := RecordingFFT())
+        rs.compose(u, g, False)
+        assert recorder.passes() == [
+            ("ifft", 0, 49 * 25 * 25), ("ifft", 1, 49 * 49 * 25), ("ifft", 2, 49 ** 3),
+            ("fft", 0, 49 ** 3), ("fft", 1, 25 * 49 * 49), ("fft", 2, 25 * 25 * 49)]
+
+    def test_real_product_k_j_32(self, monkeypatch, rng):
+        lat = rs.SpectralLattice(d=2, K=32, omega=(1.0, math.sqrt(2)), has_space=True, J=32)
+        assert dealias_grid(lat) == (98, 98, 98)
+        u = rs.FourierField.random_real(lat, rng)
+        rs.product(u, u, True)      # the per-length checks run once, unrecorded
+        monkeypatch.setattr(rs.spectral, "sfft", recorder := RecordingFFT())
+        rs.product(u, u, True)
+        # 65 lattice bins per axis, 33 of them on the real FFT's half axis
+        # of 50 bins
+        assert recorder.passes() == [
+            ("ifft", 0, 98 * 65 * 33), ("ifft", 1, 98 * 98 * 33), ("irfft", 2, 98 * 98 * 50),
+            ("rfft", 2, 98 ** 3), ("fft", 0, 98 * 98 * 33), ("fft", 1, 65 * 98 * 33)]
+
+
+class TestScipyInPlace:
+    def test_overwrite_x_writes_through_a_strided_view(self, rng):
+        """The pruned passes hand scipy strided views of one padded array
+        with ``overwrite_x``; scipy transforms them in place.  A scipy that
+        stops doing so fails here first, and the passes then copy back."""
+        work = rng.standard_normal((6, 8, 5, 2)) + 1j * rng.standard_normal((6, 8, 5, 2))
+        for fn in (sfft.fft, sfft.ifft):
+            view = work[:, 5:, 1:3]
+            expected = fn(view.copy(), axis=0)
+            out = fn(view, axis=0, overwrite_x=True)
+            assert np.shares_memory(out, view)
+            assert same_bits(view, expected)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_passes_copy_back_a_transform_not_done_in_place(self, monkeypatch, rng, real):
+        lat = rs.SpectralLattice(d=2, K=3, omega=(1.0, math.sqrt(2)), has_space=True, J=2)
+        u = transform_fields(lat, rng, real)[0]
+        grid = dealias_grid(lat)
+        values = rs.synthesize(u, grid, real=real)
+        coeffs = rs.analyze(values, lat).coeffs
+        monkeypatch.setattr(rs.spectral, "sfft", RecordingFFT(copies=True))
+        assert same_bits(rs.synthesize(u, grid, real=real), values)
+        assert same_bits(rs.analyze(values, lat).coeffs, coeffs)
 
 
 def kernel_fields(lat, rng):
