@@ -94,20 +94,60 @@ def _count(value) -> int:
     return int(value)
 
 
+def _finite(value, kind: Callable = float):
+    """``kind(value)``, a float, complex or array whose every number is
+    finite; NaN or an infinity raises ValueError, as a value that does not
+    convert does."""
+    number = kind(value)
+    if not np.all(np.isfinite(number)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _finite_complex(value) -> complex:
+    return _finite(value, complex)
+
+
+def _finite_array(value) -> np.ndarray:
+    return _finite(value, lambda v: np.asarray(v, dtype=float))
+
+
+def _floats(values) -> list[float]:
+    return [_finite(v) for v in values]
+
+
+def _ball_radius(value) -> float:
+    """A finite radius, or inf for no ball."""
+    radius = float(value)
+    return radius if radius == math.inf else _finite(radius)
+
+
+_REQUIRED = object()
+
+
+def _param(doc: dict, key: str, convert: Callable = _finite, default=_REQUIRED,
+           path: str = "params"):
+    """``convert(doc[key])``, or of ``default`` when the key is absent; a
+    missing required key, or a value that does not convert, is an input
+    error that names ``path.key``."""
+    value = _require(doc, key, path) if default is _REQUIRED else doc.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}.{key}: {value!r} is not valid ({exc})") from exc
+
+
 def _parse_omega(raw, path: str) -> tuple[float, ...]:
     out = []
     for i, entry in enumerate(raw):
-        if isinstance(entry, str):
-            if entry in SYMBOLIC_OMEGA:
-                out.append(SYMBOLIC_OMEGA[entry])
-            else:
-                try:
-                    out.append(float(entry))
-                except ValueError as exc:
-                    raise InputError(f"{path}.omega[{i}]: {entry!r} is neither "
-                                     f"symbolic {sorted(SYMBOLIC_OMEGA)} nor decimal") from exc
-        else:
-            out.append(float(entry))
+        if isinstance(entry, str) and entry in SYMBOLIC_OMEGA:
+            out.append(SYMBOLIC_OMEGA[entry])
+            continue
+        try:
+            out.append(_finite(entry))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}.omega[{i}]: {entry!r} is neither symbolic "
+                             f"{sorted(SYMBOLIC_OMEGA)} nor a finite decimal") from exc
     return tuple(out)
 
 
@@ -116,15 +156,13 @@ def _parse_nonlinearity(doc: dict, path: str) -> NonlinearitySpec:
     if kind == "zero":
         return NonlinearitySpec.zero()
     if kind == "polynomial":
-        coeffs = _require(doc, "coeffs", path)
         return NonlinearitySpec.polynomial(
-            [tuple(map(float, row)) for row in coeffs],
+            _param(doc, "coeffs", lambda rows: [_floats(r) for r in rows], path=path),
             smallness=doc.get("smallness", "local"),
         )
     if kind == "piecewise_linear":
-        return NonlinearitySpec.piecewise(
-            _require(doc, "breakpoints", path), _require(doc, "slopes", path)
-        )
+        return NonlinearitySpec.piecewise(_param(doc, "breakpoints", _floats, path=path),
+                                          _param(doc, "slopes", _floats, path=path))
     raise InputError(f"{path}.kind: unknown nonlinearity {kind!r}")
 
 
@@ -148,7 +186,7 @@ def _parse_forcing(terms: list, lat: SpectralLattice, path: str) -> FourierField
         comp = _count(term.get("component", 0))
         if not 0 <= comp < lat.n:
             raise InputError(f"{tpath}.component: out of range")
-        amp = float(_require(term, "amplitude", tpath))
+        amp = _param(term, "amplitude", path=tpath)
         kind = term.get("waveform", "cos")
         vec = np.zeros(lat.n, dtype=complex)
         if kind == "cos":
@@ -193,7 +231,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
         if kind == "ode":
             n = _count(doc.get("n", 1))
             lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
-            raw_a = np.asarray(_require(doc, "A", str(path)), dtype=float)
+            raw_a = _param(doc, "A", _finite_array, path=str(path))
             if raw_a.size != n * n:
                 raise InputError(f"{path}.A: expected {n * n} row-major entries, "
                                  f"got {raw_a.size}")
@@ -203,14 +241,14 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
             if "jordan" in doc:
                 try:
                     jordan = tuple(
-                        JordanBlock(float(b["lambda"]), _count(b["size"]),
-                                    float(b.get("p", 1.0)), float(b.get("q", 1.0)))
+                        JordanBlock(_finite(b["lambda"]), _count(b["size"]),
+                                    _finite(b.get("p", 1.0)), _finite(b.get("q", 1.0)))
                         for b in doc["jordan"]
                     )
                 except (KeyError, ValueError, TypeError) as exc:
                     raise InputError(f"{path}.jordan: {exc}") from exc
             if "phi" in doc:
-                raw_phi = np.asarray(doc["phi"], dtype=float)
+                raw_phi = _param(doc, "phi", _finite_array, path=str(path))
                 if raw_phi.size != n * n:
                     raise InputError(f"{path}.phi: expected {n * n} row-major entries")
                 phi = tuple(map(tuple, raw_phi.reshape(n, n)))
@@ -221,7 +259,7 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
                                      f"{path}.forcing")
             return OdeProblem(lattice=lat, linear=linear, g_hat=g_hat, forcing=forcing)
         J = _count(_require(doc, "J", str(path)))
-        beta = float(_require(doc, "beta", str(path)))
+        beta = _param(doc, "beta", path=str(path))
         lat = SpectralLattice(d=d, K=K, omega=omega, n=1, has_space=True, J=J)
         forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
                                  f"{path}.forcing")
@@ -235,26 +273,12 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
 
 def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
     kind = _require(doc, "kind", path)
-    sigma = _require(doc, "sigma", path)
-    mu = _require(doc, "mu", path) if kind == "complex_cone" else 0.0
+    sigma = _param(doc, "sigma", path=path)
+    mu = _param(doc, "mu", path=path) if kind == "complex_cone" else 0.0
     try:
-        return EpsilonDomain(kind, float(sigma), float(mu))
+        return EpsilonDomain(kind, sigma, mu)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def _param(params: dict, key: str, convert: Callable, default):
-    """``convert(params[key])``, or of ``default`` when the key is absent; a
-    value that does not convert is an input error."""
-    value = params.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"params.{key}: {value!r} is not valid ({exc})") from exc
-
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in values]
 
 
 def _sigmas(values) -> list[float]:
@@ -311,11 +335,13 @@ class RunConfig:
                 raise InputError(f"{path}.params: expected an object, got {params!r}")
             solver_doc = doc.get("solver", {})
             nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
+            where = f"{path}.solver"
             solver = SolverConfig(
-                tol=float(solver_doc.get("tol", 1e-10)),
-                max_iter=_count(solver_doc.get("max_iter", 200)),
-                ball_radius=float(solver_doc.get("ball_radius", math.inf)),
-                norm=NormSpec(float(nd.get("rho", 0.0)), float(nd.get("m", 0.0))),
+                tol=_param(solver_doc, "tol", default=1e-10, path=where),
+                max_iter=_param(solver_doc, "max_iter", _count, 200, where),
+                ball_radius=_param(solver_doc, "ball_radius", _ball_radius, math.inf, where),
+                norm=NormSpec(_param(nd, "rho", default=0.0, path=f"{where}.norm"),
+                              _param(nd, "m", default=0.0, path=f"{where}.norm")),
             )
             problem = doc.get("problem")
             if problem is not None:
@@ -465,10 +491,10 @@ def _sanitize(obj):
 
 @contextmanager
 def _parallel_map(jobs: int):
-    """A thread-pool ``map`` for jobs > 1; None otherwise, which is the one
-    case where sweeps warm-start each solve from the previous one."""
+    """A thread-pool ``map`` for jobs > 1, the builtin ``map`` otherwise.
+    Sweeps and the probe solve each eps cold, so both give the same bytes."""
     if jobs <= 1:
-        yield None
+        yield map
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         yield pool.map
@@ -476,7 +502,7 @@ def _parallel_map(jobs: int):
 
 def _cmd_solve(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     is_ode = isinstance(prob, OdeProblem)
-    eps = _param(cfg.params, "epsilon", complex, 0.05 if is_ode else 0.02)
+    eps = _param(cfg.params, "epsilon", _finite_complex, 0.05 if is_ode else 0.02)
     U, rep = solve_fixed_point(eps, prob, cfg.solver)
     result = {
         "report": rep.to_dict(),
@@ -493,7 +519,7 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
     if "sigmas" in params:
         entries = sweep_sigma_ladder(
-            prob, cfg.solver, _param(params, "sigmas", _sigmas, None),
+            prob, cfg.solver, _param(params, "sigmas", _sigmas),
             samples_per_sigma=_sample_count(params, "samples_per_sigma", 3),
             keep_solutions=False,
         )
@@ -519,11 +545,11 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 
 def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     params = cfg.params
-    sigma = _param(params, "sigma", float, 0.05)
-    mu = _param(params, "mu", float, 5.0)
+    sigma = _param(params, "sigma", default=0.05)
+    mu = _param(params, "mu", default=5.0)
     dom = EpsilonDomain.cone(sigma, mu)
-    center = _param(params, "center", complex, 1.5 * sigma)
-    radius = _param(params, "radius", float, 0.2 * sigma)
+    center = _param(params, "center", _finite_complex, 1.5 * sigma)
+    radius = _param(params, "radius", default=0.2 * sigma)
     points = _sample_count(params, "points", 16, least=2)
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver, points=points,
@@ -541,7 +567,7 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
 
 def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
     params = cfg.params
-    eps = _param(params, "epsilon", complex, 0.05)
+    eps = _param(params, "epsilon", _finite_complex, 0.05)
     s_grid = _param(params, "s_grid", _s_grid, [0.0, 0.25, 0.5, 0.75])
     res = low_regularity_solve(eps, prob, cfg.solver, s_grid)
     result = {
@@ -583,7 +609,7 @@ def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dic
     params = cfg.params
     spec = LiouvilleSpec(
         levels=_param(params, "levels", _count, 2),
-        growth=_param(params, "growth", float, 1.0),
+        growth=_param(params, "growth", default=1.0),
         first_quotient=_param(params, "first_quotient", _count, 3),
     )
     freq = build_liouville(spec)

@@ -6,9 +6,10 @@ One Picard step applies U -> eps L^-1 [f - g_hat(U)]; with strong damping
 this map contracts and the fixed point is the response solution.
 ``solve_fixed_point`` iterates the map that a problem's ``fixed_point_map``
 gives, for ``OdeProblem`` and ``pde.PdeProblem`` alike; the epsilon sweeps
-with warm starts and the analyticity probe on complex-epsilon circles run
-on it.  The low-regularity (L^2 / H^s) iteration and the time-domain cross
-check against a stiff integrator are oscillator-only.
+and the analyticity probe on complex-epsilon circles solve each eps cold on
+it, so any map over their eps gives the same results, and only the sigma
+ladder chains warm starts.  The low-regularity (L^2 / H^s) iteration and
+the time-domain cross check against a stiff integrator are oscillator-only.
 """
 
 from __future__ import annotations
@@ -313,57 +314,55 @@ class SweepEntry:
 def sweep_epsilon(dom: EpsilonDomain, prob, cfg: SolverConfig,
                   count: int = 8, eps_values: Sequence[complex] | None = None,
                   keep_solutions: bool = True,
-                  map_fn: Callable | None = None) -> list[SweepEntry]:
+                  map_fn: Callable = map) -> list[SweepEntry]:
     """Solve either problem kind across an epsilon domain, largest |eps| first.
 
-    Sequential sweeps warm-start each solve from the previous solution on
-    the same sign branch.  With ``map_fn`` (a parallel map) all solves are
-    cold-started so the result is order-independent.  Non-convergent samples
-    are flagged in their report; the sweep continues.
+    Each eps is one cold ``solve_fixed_point``, mapped over the eps by
+    ``map_fn`` (the builtin ``map``, or a pool's); no solve depends on
+    another, so every map gives the same entries.  Non-convergent samples
+    are flagged in their report and logged; the sweep continues.
     """
     if eps_values is None:
         eps_values = dom.sample(count)
     eps_values = sorted(eps_values, key=lambda e: -abs(e))
+    solves = map_fn(lambda e: solve_fixed_point(e, prob, cfg), eps_values)
+    return [_entry(e, U, rep, keep_solutions) for e, (U, rep) in zip(eps_values, solves)]
 
-    if map_fn is not None:
-        results = list(map_fn(lambda e: solve_fixed_point(e, prob, cfg), eps_values))
-        return [
-            SweepEntry(e, rep, rep.sol_norm, U if keep_solutions else None)
-            for e, (U, rep) in zip(eps_values, results)
-        ]
 
-    entries: list[SweepEntry] = []
-    warm: dict[int, FourierField] = {}
-    for e in eps_values:
-        branch = (1 if e.real >= 0 else -1) if is_real_eps(e) else 0
-        U, rep = solve_fixed_point(e, prob, cfg, u0=warm.get(branch))
-        if rep.status == "converged":
-            warm[branch] = U
-        else:
-            log.warning("sweep sample eps=%s did not converge (%s)", e, rep.status)
-        entries.append(SweepEntry(e, rep, rep.sol_norm, U if keep_solutions else None))
-    return entries
+def _entry(e: complex, U: FourierField, rep: SolveReport, keep_solution: bool) -> SweepEntry:
+    """A sweep's entry for one solve; a solve that did not converge is logged."""
+    if rep.status != "converged":
+        log.warning("sweep sample eps=%s did not converge (%s)", e, rep.status)
+    return SweepEntry(e, rep, rep.sol_norm, U if keep_solution else None)
 
 
 def sweep_sigma_ladder(prob, cfg: SolverConfig, sigmas: Sequence[float],
                        samples_per_sigma: int = 3,
                        keep_solutions: bool = True) -> list[SweepEntry]:
     """Concatenated positive real-annulus sweeps over a decreasing sigma
-    ladder; eps equal to 12 significant digits are solved once."""
+    ladder; eps equal to 12 significant digits are solved once.
+
+    The ladder is one chain: each solve starts from the last converged
+    solution, the first from zero.  An empty ``sigmas`` or a sigma that is
+    not a finite positive number raises ValueError before any solve.
+    """
+    if not sigmas or not all(0.0 < s < math.inf for s in sigmas):
+        raise ValueError("need at least one sigma, each finite and > 0")
     eps_values = [complex(t * s) for s in sorted(sigmas, reverse=True)
                   for t in np.linspace(2.0, 1.0, samples_per_sigma)]
-    # dedupe while preserving magnitude order; a relative key, so tiny
+    # one eps per 12-digit key, in magnitude order; a relative key, so tiny
     # sigmas stay apart
-    seen = set()
-    ordered = []
+    ladder: dict[str, complex] = {}
     for e in sorted(eps_values, key=lambda e: -abs(e)):
-        key = f"{e.real:.12e}"
-        if key not in seen:
-            seen.add(key)
-            ordered.append(e)
-    dom = EpsilonDomain.annulus(min(sigmas))
-    return sweep_epsilon(dom, prob, cfg, eps_values=ordered,
-                         keep_solutions=keep_solutions)
+        ladder.setdefault(f"{e.real:.12e}", e)
+    entries: list[SweepEntry] = []
+    start = None
+    for e in ladder.values():
+        U, rep = solve_fixed_point(e, prob, cfg, u0=start)
+        if rep.status == "converged":
+            start = U
+        entries.append(_entry(e, U, rep, keep_solutions))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +382,21 @@ class AnalyticityProbe:
 def analyticity_probe(center_eps: complex, radius: float, prob,
                       cfg: SolverConfig, points: int = 16,
                       domain: EpsilonDomain | None = None,
-                      map_fn: Callable | None = None) -> AnalyticityProbe:
+                      map_fn: Callable = map) -> AnalyticityProbe:
     """Taylor coefficients of eps -> U_eps from a discrete Cauchy transform.
 
     Solves on ``points`` equispaced circle points, recovers the coefficients
     c_m = (1/P) sum_p U(eps_p) e^{-2 pi i m p / P} / radius^m, and compares
     the first derivative against a real-axis central difference with step
-    radius / 20.  ``prob`` is an oscillator or a Boussinesq problem.
+    radius / 20.  ``prob`` is an oscillator or a Boussinesq problem.  The
+    probe makes points + 2 cold solves: the circle's, mapped by ``map_fn``
+    (the builtin ``map`` or a pool's, which give the same result), and the
+    two of the difference.  ``points`` below 2, or a circle point outside
+    ``domain``, raises ValueError before any solve; a solve that does not
+    converge raises RuntimeError.
     """
+    if points < 2:
+        raise ValueError(f"need at least 2 circle points, got {points}")
     eps_points = [
         center_eps + radius * cmath.exp(2j * math.pi * p / points)
         for p in range(points)
@@ -400,18 +406,9 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
             if not domain.contains(e, rtol=1e-9):
                 raise ValueError(f"circle point {e} leaves the epsilon domain")
 
-    center_U, center_rep = solve_fixed_point(center_eps, prob, cfg)
-    if center_rep.status != "converged":
-        raise RuntimeError(f"center solve failed: {center_rep.status}")
-
-    def _solve(e):
-        return solve_fixed_point(e, prob, cfg, u0=center_U)
-
-    mapper = map_fn if map_fn is not None else map
-    solves = list(mapper(_solve, eps_points))
-    ok = all(rep.status == "converged" for _, rep in solves)
-    if not ok:
-        bad = [e for e, (_, rep) in zip(eps_points, solves) if rep.status != "converged"]
+    solves = list(map_fn(lambda e: solve_fixed_point(e, prob, cfg), eps_points))
+    bad = [e for e, (_, rep) in zip(eps_points, solves) if rep.status != "converged"]
+    if bad:
         raise RuntimeError(f"circle solves failed at {bad}")
 
     stack = np.stack([U.coeffs for U, _ in solves])       # (P, *modes, n)
@@ -436,8 +433,8 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
     # first Taylor coefficient (dU/deps) vs a real-axis central difference
     c1 = np.tensordot(phases[1], stack, axes=(0, 0)) / points / radius
     h = 0.05 * radius
-    Up, rp = solve_fixed_point(center_eps + h, prob, cfg, u0=center_U)
-    Um, rm = solve_fixed_point(center_eps - h, prob, cfg, u0=center_U)
+    Up, rp = solve_fixed_point(center_eps + h, prob, cfg)
+    Um, rm = solve_fixed_point(center_eps - h, prob, cfg)
     if rp.status != "converged" or rm.status != "converged":
         raise RuntimeError("finite-difference solves failed")
     fd = (Up.coeffs - Um.coeffs) / (2 * h)

@@ -203,8 +203,9 @@ def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
     j = np.broadcast_to(small.axis_modes_along(small.d), small.mode_shape).ravel()
     zero_row = j == 0
     diagonal = np.where(zero_row, 1.0, symbol)      # the Jacobian at x = 0
-    # at real eps F and its Jacobian keep fields Hermitian; the real products
-    # drop the rounding a Krylov vector gains as an anti-Hermitian part
+    # at real eps F keeps fields Hermitian and takes the real product; the
+    # Jacobian's takes the complex one, as GMRES's Krylov vectors are not
+    # Hermitian and the real transforms would drop part of them
     real = is_real_eps(eps)
 
     def gather(x: np.ndarray) -> FourierField:
@@ -224,7 +225,7 @@ def _pde_system(eps: complex, prob: PdeProblem, K_small: int):
         def apply(v: np.ndarray) -> np.ndarray:
             out = diagonal * v
             if prob.nonlinear:
-                uv = spatial_derivative(product(U, gather(v), real), 2)
+                uv = spatial_derivative(product(U, gather(v), real=False), 2)
                 out = out - 2.0 * eps * uv.coeffs.ravel()
             out[zero_row] = v[zero_row]
             return out

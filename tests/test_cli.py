@@ -236,6 +236,89 @@ SIGNED_FIELDS = {
 }
 
 
+# the shipped config each mutated problem runs under
+_PROBLEM_CONFIG = {"cubic_ode.json": "solve_cubic", "jordan_ode.json": "solve_cubic",
+                   "lowreg_ode.json": "lowreg", "boussinesq_pde.json": "solve_pde"}
+# one number of a shipped problem or config: the file, the path to the
+# number in it and the field the error message names
+_NUMBER_FIELDS = [
+    ("cubic_ode.json", ("omega", 0), "omega[0]"),
+    ("cubic_ode.json", ("A", 0), "A"),
+    ("cubic_ode.json", ("jordan", 0, "lambda"), "jordan"),
+    ("cubic_ode.json", ("nonlinearity", "coeffs", 0, 3), "nonlinearity.coeffs"),
+    ("cubic_ode.json", ("forcing", 0, "amplitude"), "forcing[0].amplitude"),
+    ("jordan_ode.json", ("phi", 1), "phi"),
+    ("jordan_ode.json", ("jordan", 0, "p"), "jordan"),
+    ("jordan_ode.json", ("jordan", 0, "q"), "jordan"),
+    ("lowreg_ode.json", ("nonlinearity", "breakpoints", 0), "nonlinearity.breakpoints"),
+    ("lowreg_ode.json", ("nonlinearity", "slopes", 1), "nonlinearity.slopes"),
+    ("boussinesq_pde.json", ("omega", 1), "omega[1]"),
+    ("boussinesq_pde.json", ("beta",), "beta"),
+    ("solve_cubic", ("solver", "tol"), "solver.tol"),
+    ("solve_cubic", ("solver", "ball_radius"), "solver.ball_radius"),
+    ("solve_cubic", ("solver", "norm", "rho"), "solver.norm.rho"),
+    ("solve_cubic", ("solver", "norm", "m"), "solver.norm.m"),
+    ("solve_cubic", ("params", "epsilon"), "params.epsilon"),
+    ("solve_pde", ("params", "epsilon"), "params.epsilon"),
+    ("sweep_cubic", ("params", "sigmas", 1), "params.sigmas"),
+    ("probe_cubic", ("params", "sigma"), "params.sigma"),
+    ("probe_cubic", ("params", "mu"), "params.mu"),
+    ("probe_cubic", ("params", "center"), "params.center"),
+    ("probe_cubic", ("params", "radius"), "params.radius"),
+    ("lowreg", ("params", "epsilon"), "params.epsilon"),
+    ("lowreg", ("params", "s_grid", 1), "params.s_grid"),
+    ("verify_ode", ("params", "domain", "sigma"), "params.domain.sigma"),
+    ("verify_ode", ("params", "domain", "mu"), "params.domain.mu"),
+    ("demo_liouville", ("params", "growth"), "params.growth"),
+    ("demo_liouville", ("params", "eps_ladder"), "params.eps_ladder"),
+]
+# how a number is written where it is not a bare JSON number
+_WRITTEN_AS = {"omega[0]": repr, "params.eps_ladder": lambda x: [1e-2, x]}
+# an infinite ball radius is the default, no ball, so it is mutated to -inf
+_NON_FINITE = [(file, path, field, value) for file, path, field in _NUMBER_FIELDS
+               for value in (math.nan, math.inf if field != "solver.ball_radius" else -math.inf)]
+
+
+def _shrunk_problem(name: str) -> dict:
+    """A shipped problem at K = J = 4, where its forcing fits."""
+    doc = json.loads((PROBLEMS / name).read_text())
+    if name != "lowreg_ode.json":
+        doc.update(K=4, **({"J": 4} if doc["kind"] == "pde" else {}))
+    return doc
+
+
+@pytest.mark.parametrize("file, path, field, value", _NON_FINITE, ids=[
+    f"{file.split('.')[0]}-{field}-{value}" for file, _, field, value in _NON_FINITE])
+def test_non_finite_number_exits_4_and_names_its_field(tmp_path, capsys, file, path,
+                                                       field, value):
+    """NaN or an infinity in any number a problem or a run config holds is
+    an input error that names its field, before any solve."""
+    is_problem = file.endswith(".json")
+    config = _PROBLEM_CONFIG[file] if is_problem else file
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    docs = {"config": cfg}
+    if "problem" in cfg:
+        problem = Path(cfg["problem"]).name if not is_problem else file
+        docs["problem"] = _shrunk_problem(problem)
+        cfg["problem"] = str(tmp_path / "p.json")
+    cfg["output_dir"] = str(tmp_path / "out")
+    target = docs["problem" if is_problem else "config"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = _WRITTEN_AS.get(field, lambda x: x)(value)
+    if "problem" in docs:
+        write_json(tmp_path / "p.json", docs["problem"])
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["--config", str(cfg_path)]) == EXIT_INPUT
+    if field.startswith("solver."):
+        err = capsys.readouterr().err
+        where = f"input error: {cfg_path}.{field}"
+    else:
+        err = json.loads((tmp_path / "out" / "result.json").read_text())["error"]
+        where = f"{tmp_path / 'p.json'}.{field}" if is_problem else field
+    assert err.startswith(f"{where}: ") and "finite" in err
+
+
 class TestRun:
     def test_solve_ode_on_shipped_cubic(self, tmp_path):
         cfg_path = write_json(
@@ -645,10 +728,6 @@ class TestRun:
         assert len(entries["1"]) == 6
         assert entries["1"] == entries["2"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a serial sweep warm-starts each solve from the last one on its branch, "
-        "a pooled sweep starts every solve cold: iteration counts and last bits "
-        "differ until sweeps solve cold everywhere (ROADMAP item 1)"))
     def test_jordan_sweep_serial_and_pooled_agree(self, tmp_path):
         entries = {}
         for domain in ({"kind": "real_annulus", "sigma": 0.05},

@@ -1,5 +1,6 @@
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -310,22 +311,56 @@ class TestSweep:
         assert len(entries) == 3
         assert any(e.report.status != "converged" for e in entries)
 
-    def test_pde_sweep_warm_starts_and_converges(self, monkeypatch):
+    def test_pde_sweep_starts_cold_and_converges(self, monkeypatch):
         lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,), has_space=True, J=4)
         prob = rs.PdeProblem(lattice=lat, beta=2.0, forcing=rs.FourierField.from_modes(
             lat, {(1, 1): 0.005, (-1, -1): 0.005}))
-        solve, starts = ode_mod.solve_fixed_point, []
-
-        def recording_solve(eps, prob, cfg, u0=None):
-            starts.append(u0)
-            return solve(eps, prob, cfg, u0=u0)
-
-        monkeypatch.setattr(ode_mod, "solve_fixed_point", recording_solve)
+        starts = _record_starts(monkeypatch)
         entries = rs.sweep_epsilon(EpsilonDomain.cone(0.05, 5.0), prob,
                                    rs.SolverConfig(tol=1e-11, ball_radius=1.0), count=6)
         assert [e.report.status for e in entries] == ["converged"] * 6
-        # one cold start per branch (real, complex); the rest start warm
-        assert [u0 is None for u0 in starts] == [True, False, True, False, False, False]
+        # one solve per eps, every one from zero, real and complex alike
+        assert [u0 for u0, _ in starts] == [None] * 6
+
+    def test_sigma_ladder_chains_warm_starts(self, cubic_problem, monkeypatch):
+        """The ladder is one chain: the first solve starts from zero and
+        each later one from the solution the solve before it returned."""
+        starts = _record_starts(monkeypatch)
+        entries = sweep_sigma_ladder(cubic_problem, rs.SolverConfig(tol=1e-12),
+                                     [0.02, 0.01], keep_solutions=False)
+        assert [e.report.status for e in entries] == ["converged"] * 5
+        assert len(starts) == 5 and starts[0][0] is None
+        for (_, before), (u0, _) in zip(starts, starts[1:]):
+            assert u0 is before
+
+    @pytest.mark.parametrize("sigmas", [[], [0.01, 0.0], [-0.1], [0.01, math.nan],
+                                        [math.inf]],
+                             ids=["empty", "zero", "negative", "nan", "inf"])
+    def test_sigma_ladder_rejects_bad_sigmas_before_solving(self, cubic_problem,
+                                                            monkeypatch, sigmas):
+        starts = _record_starts(monkeypatch)
+        with pytest.raises(ValueError, match="sigma"):
+            sweep_sigma_ladder(cubic_problem, rs.SolverConfig(), sigmas)
+        assert starts == []
+
+    def test_pooled_map_gives_the_serial_results(self, cubic_problem):
+        """A sweep and a probe give the same reports and coefficients, bit
+        for bit, whether their solves run in order or on two threads."""
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        runs = {}
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for name, map_fn in (("serial", map), ("pooled", pool.map)):
+                sweep = rs.sweep_epsilon(EpsilonDomain.cone(0.05, 5.0), cubic_problem,
+                                         cfg, count=6, map_fn=map_fn)
+                probe = rs.analyticity_probe(0.075, 0.01, cubic_problem, cfg,
+                                             points=8, map_fn=map_fn)
+                runs[name] = (sweep, probe)
+        (sweep, probe), (pooled_sweep, pooled_probe) = runs["serial"], runs["pooled"]
+        assert [e.report.to_dict() for e in sweep] == \
+            [e.report.to_dict() for e in pooled_sweep]
+        for a, b in zip(sweep, pooled_sweep):
+            assert a.solution.coeffs.tobytes() == b.solution.coeffs.tobytes()
+        assert probe == pooled_probe
 
     def test_parallel_map_cold_start(self, linear_problem):
         dom = EpsilonDomain.annulus(0.01)
@@ -334,7 +369,38 @@ class TestSweep:
         assert all(e.report.status == "converged" for e in entries)
 
 
+def _record_starts(monkeypatch) -> list:
+    """(u0, returned solution) of every ``ode.solve_fixed_point`` call from
+    here on, in call order."""
+    solve, starts = ode_mod.solve_fixed_point, []
+
+    def recording_solve(eps, prob, cfg, u0=None):
+        U, rep = solve(eps, prob, cfg, u0=u0)
+        starts.append((u0, U))
+        return U, rep
+
+    monkeypatch.setattr(ode_mod, "solve_fixed_point", recording_solve)
+    return starts
+
+
 class TestAnalyticityProbe:
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_fewer_than_two_points_rejected_before_solving(self, cubic_problem,
+                                                           monkeypatch, points):
+        starts = _record_starts(monkeypatch)
+        with pytest.raises(ValueError, match="at least 2 circle points"):
+            rs.analyticity_probe(0.075, 0.01, cubic_problem, rs.SolverConfig(),
+                                 points=points)
+        assert starts == []
+
+    def test_every_solve_starts_cold(self, cubic_problem, monkeypatch):
+        """points + 2 solves: the circle's and the two of the difference,
+        each from zero."""
+        starts = _record_starts(monkeypatch)
+        rs.analyticity_probe(0.075, 0.01, cubic_problem,
+                             rs.SolverConfig(tol=1e-12, ball_radius=1.0), points=8)
+        assert [u0 for u0, _ in starts] == [None] * 10
+
     def test_constant_mock_has_no_higher_harmonics(self, linear_problem, rng,
                                                    monkeypatch):
         frozen = rs.FourierField.random_real(linear_problem.lattice, rng)

@@ -112,15 +112,35 @@ class TestNewtonOracle:
 
     @pytest.mark.parametrize("eps", [0.02, 0.02 * np.exp(0.3j)])
     def test_pde_jvp_is_the_derivative(self, rng, eps):
-        """F is quadratic, so the central difference over +-v is exact."""
+        """F is quadratic, so the central difference over +-v is exact.  The
+        direction v is not Hermitian: it is a + i b with a and b Hermitian,
+        and F'(x) v = F'(x) a + i F'(x) b is differenced along a and b,
+        since at real eps F takes the real transforms, which need a
+        Hermitian field."""
         pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
         small, F, jvp, _, _ = _pde_system(eps, pde, K_small=4)
         x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
         v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
         v = v + 1j * rng.standard_normal(v.size) * 1e-3     # not Hermitian
+        a = rs.FourierField(small, v.reshape(small.field_shape)).hermitian_part()
+        a = a.coeffs.ravel()
+        b = (v - a) / 1j
+
+        def central(w):
+            return (F(x + w) - F(x - w)) / 2
         Jv = jvp(x)(v)
-        central = (F(x + v) - F(x - v)) / 2
-        assert np.max(np.abs(Jv - central)) <= 1e-15 * np.max(np.abs(Jv))
+        assert np.max(np.abs(Jv - (central(a) + 1j * central(b)))) \
+            <= 1e-15 * np.max(np.abs(Jv))
+
+    def test_pde_jvp_is_complex_linear_at_real_eps(self, rng):
+        """GMRES's Krylov vectors are not Hermitian, so at real eps too the
+        Jacobian it is given must be linear over the complex numbers."""
+        pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
+        small, _, jvp, _, _ = _pde_system(0.02, pde, K_small=4)
+        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        J = jvp(x)
+        assert np.max(np.abs(J(1j * v) - 1j * J(v))) <= 1e-15 * np.max(np.abs(J(v)))
 
     @pytest.mark.parametrize("name, eps", [("cubic_ode.json", 0.05),
                                            ("jordan_ode.json", 0.04)])
