@@ -76,6 +76,13 @@ class InputError(ValueError):
     """Schema or invariant violation in a problem/config document."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 4), not argparse's exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 # ---------------------------------------------------------------------------
 # problem files
 
@@ -319,14 +326,16 @@ class RunConfig:
 
     @staticmethod
     def load(path: str | Path, overrides: dict | None = None) -> "RunConfig":
+        """The run config at ``path``; ``overrides`` are fields that replace
+        the document's before it is parsed, as the command-line flags do."""
         path = Path(path)
         doc = _load_json(path, "config")
-        overrides = overrides or {}
         try:
+            doc = {**doc, **(overrides or {})}
             command = _require(doc, "command", str(path))
             if command not in COMMANDS:
                 raise InputError(f"{path}.command: unknown command {command!r}")
-            fault = overrides.get("inject_fault") or doc.get("inject_fault")
+            fault = doc.get("inject_fault")
             if fault is not None and fault not in FAULT_NAMES:
                 raise InputError(f"{path}.inject_fault: unknown fault {fault!r}; "
                                  f"known: {FAULT_NAMES}")
@@ -347,15 +356,16 @@ class RunConfig:
             if problem is not None:
                 problem = str((path.parent / problem).resolve()
                               if not os.path.isabs(problem) else problem)
-            out_dir = overrides.get("out") or doc.get("output_dir", "runs/out")
+            jobs = _param(doc, "jobs", _count, 1, str(path))
+            if jobs < 1:
+                raise InputError(f"{path}.jobs: {jobs} workers; at least 1 needed")
             return RunConfig(
                 command=command,
                 problem=problem,
                 solver=solver,
-                output_dir=str(out_dir),
-                seed=_count(overrides.get("seed") if overrides.get("seed") is not None
-                            else doc.get("seed", 0)),
-                jobs=_count(overrides.get("jobs") or doc.get("jobs", 1)),
+                output_dir=str(doc.get("output_dir", "runs/out")),
+                seed=_param(doc, "seed", _count, 0, str(path)),
+                jobs=jobs,
                 inject_fault=fault,
                 params=params,
             )
@@ -375,15 +385,10 @@ def _problem_hash(path: str | None) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _lattice_record(lat: SpectralLattice) -> dict:
-    return {"d": lat.d, "K": lat.K, "n": lat.n, "has_space": lat.has_space,
-            "J": lat.J, "omega": list(lat.omega)}
-
-
 def _field_summary(field: FourierField, spec: NormSpec) -> dict:
     return {
-        "lattice": _lattice_record(field.lattice),
-        "norm": {"rho": spec.rho, "m": spec.m, "value": norm(field, spec)},
+        "lattice": dataclasses.asdict(field.lattice),
+        "norm": {**dataclasses.asdict(spec), "value": norm(field, spec)},
         "max_abs_coefficient": field.max_abs(),
         "truncation_tail": truncation_tail_norm(field, spec),
     }
@@ -554,15 +559,7 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver, points=points,
                                   domain=dom, map_fn=map_fn)
-    result = {
-        "center": [probe.center.real, probe.center.imag],
-        "radius": probe.radius,
-        "harmonic_norms": probe.coefficient_norms,
-        "decay_ratios": probe.decay_ratios,
-        "geometric_ratio": probe.geometric_ratio,
-        "cauchy_vs_fd": probe.cauchy_vs_fd,
-    }
-    return EXIT_OK, result
+    return EXIT_OK, dataclasses.asdict(probe)
 
 
 def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
@@ -594,14 +591,7 @@ def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
                          "of a non-diagonal A")
     cert = certify_bounds(prob, dom, samples=_sample_count(params, "samples"),
                           fault=cfg.inject_fault)
-    result = {
-        "kind": cert.kind,
-        "passed": cert.passed,
-        "c_emp": cert.c_emp,
-        "violations": cert.violations,
-        "details": cert.details,
-        "fault": cfg.inject_fault,
-    }
+    result = {**dataclasses.asdict(cert), "fault": cfg.inject_fault}
     return (EXIT_OK if cert.passed else EXIT_CERT), result
 
 
@@ -682,25 +672,22 @@ def run(cfg: RunConfig) -> int:
                 raise InputError(f"{cfg.command} needs "
                                  f"{' or '.join(_KIND_NAMES[k] for k in kinds)} problem")
         code, result = handler(cfg, prob, out)
-    except InputError as exc:
-        _emit_error(cfg, out, str(exc), EXIT_INPUT)
-        return EXIT_INPUT
-    except Exception as exc:  # solver failures become documented errors
-        log.exception("command failed")
+    except Exception as exc:
+        # an InputError, or a ValueError from the library's argument checks,
+        # which run before any solve; LinAlgError is one too, but a solver's
+        if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
+            _emit_error(cfg, out, str(exc), EXIT_INPUT)
+            return EXIT_INPUT
+        log.exception("command failed")     # solver failures become documented errors
         _emit_error(cfg, out, f"{type(exc).__name__}: {exc}", EXIT_NOCONV)
         return EXIT_NOCONV
 
     result["command"] = cfg.command
     result["seed"] = cfg.seed
     result["problem_hash"] = _problem_hash(cfg.problem)
-    result["solver"] = {
-        "tol": cfg.solver.tol,
-        "max_iter": cfg.solver.max_iter,
-        "ball_radius": cfg.solver.ball_radius,
-        "norm": {"rho": cfg.solver.norm.rho, "m": cfg.solver.norm.m},
-    }
+    result["solver"] = dataclasses.asdict(cfg.solver)
     if prob is not None:
-        result["lattice"] = _lattice_record(prob.lattice)
+        result["lattice"] = dataclasses.asdict(prob.lattice)
     metadata = _metadata(cfg)
     emit(out, _sanitize(result), metadata)
     return code
@@ -722,27 +709,25 @@ def _metadata(cfg: RunConfig) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="response-solver",
         description="Spectral fixed-point solver for quasi-periodic response solutions",
     )
     parser.add_argument("--config", required=True, help="run configuration JSON")
-    parser.add_argument("--jobs", type=int, default=None, help="worker pool size")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in result.json")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--inject-fault", default=None, choices=list(FAULT_NAMES),
-                        help="test hook: perturb a certified multiplier by 2x")
-    args = parser.parse_args(argv)
+    # each flag replaces its config field, and is parsed with it
+    parser.add_argument("--jobs", help="worker pool size")
+    parser.add_argument("--seed", help="seed recorded in result.json")
+    parser.add_argument("--out", dest="output_dir", help="output directory")
+    parser.add_argument("--inject-fault",
+                        help=f"test hook: double a certified multiplier {FAULT_NAMES}")
 
     level = os.environ.get("RESPONSE_SOLVER_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
-        cfg = RunConfig.load(args.config, overrides={
-            "jobs": args.jobs, "seed": args.seed, "out": args.out,
-            "inject_fault": args.inject_fault,
-        })
+        flags = vars(parser.parse_args(argv))
+        cfg = RunConfig.load(flags.pop("config"),
+                             {k: v for k, v in flags.items() if v is not None})
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

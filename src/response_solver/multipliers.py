@@ -129,21 +129,6 @@ class LinearPart:
     def scalar(lam: float) -> "LinearPart":
         return LinearPart(((float(lam),),))
 
-    @staticmethod
-    def from_jordan(blocks: Sequence[tuple[float, int]],
-                    phi: np.ndarray | None = None) -> "LinearPart":
-        """Assemble A from blocks (and an optional basis; identity by default)."""
-        jb = tuple(JordanBlock(float(l), int(s)) for l, s in blocks)
-        n = sum(b.size for b in jb)
-        J = _jordan_matrix(jb)
-        if phi is None:
-            phi_arr = np.eye(n)
-        else:
-            phi_arr = np.asarray(phi, dtype=float)
-        A = phi_arr @ J @ np.linalg.inv(phi_arr)
-        return LinearPart(tuple(map(tuple, A.tolist())), jb,
-                          tuple(map(tuple, phi_arr.tolist())))
-
     @property
     def n(self) -> int:
         return len(self.a_matrix)
@@ -151,7 +136,15 @@ class LinearPart:
     def jordan_matrix(self) -> np.ndarray:
         if self.jordan is None:
             raise ValueError("no Jordan data declared")
-        return _jordan_matrix(self.jordan)
+        J = np.zeros((self.n, self.n))
+        at = 0
+        for b in self.jordan:
+            for i in range(b.size):
+                J[at + i, at + i] = b.lam
+                if i > 0:
+                    J[at + i, at + i - 1] = 1.0
+            at += b.size
+        return J
 
     def validate_spectrum(self) -> None:
         """Spectrum must be real and bounded away from zero, to 1e-9 of its scale."""
@@ -161,19 +154,6 @@ class LinearPart:
             raise ValueError("spectrum of A must be real")
         if np.min(np.abs(ev.real)) <= 1e-9 * scale:
             raise ValueError("spectrum of A must not contain zero")
-
-
-def _jordan_matrix(blocks: Sequence[JordanBlock]) -> np.ndarray:
-    n = sum(b.size for b in blocks)
-    J = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        for i in range(b.size):
-            J[at + i, at + i] = b.lam
-            if i > 0:
-                J[at + i, at + i - 1] = 1.0
-        at += b.size
-    return J
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +408,18 @@ def divisor_infimum(eps: complex, blocks: Sequence[JordanBlock]) -> list[float]:
     return np.min(np.abs(l_eps(eps, lam, roots, p, q)), axis=1).tolist()
 
 
-def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice,
-                fault_scale: float = 1.0) -> Bound:
+def gamma_bound(eps: complex, linear: LinearPart, lat: SpectralLattice) -> Bound:
     """sup_k |L^-1(k.omega)| over the lattice (``empirical``) against its
     certified bound.
 
     The certified bound is cond(phi) times the worst block's
     sum_r |eps|^r / m^(r+1), with m the exact infimum of the block's
     divisor over the real a-line (``divisor_infimum``), at real eps and on
-    the cone alike.  ``fault_scale`` is a test hook multiplying the
-    empirical value.  Raises ValueError without declared Jordan data.
+    the cone alike.  Raises ValueError without declared Jordan data.
     """
     if linear.jordan is None:
         raise ValueError("certified bound needs declared Jordan data")
-    empirical = ScaledInverse(eps, linear, lat).inverse_sup * fault_scale
+    empirical = ScaledInverse(eps, linear, lat).inverse_sup
     certified = float(np.linalg.cond(linear.phi_array, 2)) * max(
         sum(abs(eps) ** r / m_b ** (r + 1) for r in range(b.size))
         for b, m_b in zip(linear.jordan, divisor_infimum(eps, linear.jordan)))

@@ -72,10 +72,6 @@ class OdeProblem:
         self.lattice.validate_nonresonance()
 
     @property
-    def smallness(self) -> str:
-        return self.g_hat.smallness
-
-    @property
     def first_is_step_from_zero(self) -> bool:
         """The map's first iterate eps L^-1 f is its step from zero: true
         when the spec shows g_hat(0) = 0."""
@@ -108,12 +104,12 @@ class OdeProblem:
         if not math.isnan(lip) and math.isfinite(lip):
             report.diagnostics["contraction_product"] = c_emp * lip
             report.diagnostics["contraction_below_half"] = bool(c_emp * lip <= 0.5)
-        report.diagnostics["smallness"] = self.smallness
+        report.diagnostics["smallness"] = self.g_hat.smallness
         if self.g_hat.kind in ("callable", "piecewise_linear") and real:
             # inexact dealiasing: record the measured aliasing residual
             report.diagnostics["aliasing_estimate"] = \
                 spectral.composition_aliasing_estimate(first, self.g_hat, real)
-        enforce_ball = self.smallness == "local" and math.isfinite(cfg.ball_radius)
+        enforce_ball = self.g_hat.smallness == "local" and math.isfinite(cfg.ball_radius)
         return (lambda V: inverse(self.forcing - compose(V, self.g_hat, real)),
                 lambda V: residual(V, eps, self, cfg.norm),
                 first, enforce_ball)
@@ -373,7 +369,7 @@ def sweep_sigma_ladder(prob, cfg: SolverConfig, sigmas: Sequence[float],
 class AnalyticityProbe:
     center: complex
     radius: float
-    coefficient_norms: list[float]
+    harmonic_norms: list[float]
     decay_ratios: list[float]
     geometric_ratio: float
     cauchy_vs_fd: float
@@ -443,7 +439,7 @@ def analyticity_probe(center_eps: complex, radius: float, prob,
     return AnalyticityProbe(
         center=center_eps,
         radius=radius,
-        coefficient_norms=harmonic_norms,
+        harmonic_norms=harmonic_norms,
         decay_ratios=[float(r) for r in ratios],
         geometric_ratio=geometric,
         cauchy_vs_fd=float(diff),

@@ -285,8 +285,7 @@ def manufactured_forcing(W: FourierField, eps: complex, prob_template: PdeProble
     return f.project_zero_space_average()
 
 
-def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice,
-                           fault_scale: float = 1.0) -> Bound:
+def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice) -> Bound:
     """The smoothing quantity |eps| (a^2+t) / |N(a, t)|, t = j^2, over
     1 <= j <= ``lat.J``: its max over the lattice's a = k.omega
     (``empirical``) against its sup over the real a-line (``certified``).
@@ -296,7 +295,6 @@ def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice,
     with Q = |N|^2, for every j at once (``root_real_parts``).  Between
     real roots of P the quantity is monotone in a, so its lattice max sits
     at a lattice a next to a root or at an end of the lattice's range.
-    ``fault_scale`` is a test hook multiplying the empirical value.
     """
     t = np.arange(1, lat.J + 1, dtype=float)[:, None] ** 2
     lam, e2, y = t - beta * t * t, abs(eps) ** 2, complex(eps).imag
@@ -316,7 +314,7 @@ def pde_certification_scan(eps: complex, beta: float, lat: SpectralLattice,
     a = lat.sorted_k_dot_omega()
     at = np.clip(np.searchsorted(a, roots), 1, a.size - 1)
     near = np.hstack([a[at - 1], a[at], np.broadcast_to(a[[0, -1]], (lat.J, 2))])
-    return Bound(eps, float(np.max(quantity(near))) * fault_scale,
+    return Bound(eps, float(np.max(quantity(near))),
                  max(float(np.max(quantity(roots))), 1.0), is_real_eps(eps))
 
 

@@ -263,25 +263,6 @@ class FourierField:
             out[lattice_index(lattice, k)] += vec
         return cls(lattice, out)
 
-    @classmethod
-    def random_real(
-        cls,
-        lattice: SpectralLattice,
-        rng: np.random.Generator,
-        decay: float = 0.5,
-        amplitude: float = 1.0,
-    ) -> "FourierField":
-        """Random Hermitian-symmetric field with e^{-decay |k|_1} envelope."""
-        raw = rng.standard_normal(lattice.field_shape) + 1j * rng.standard_normal(
-            lattice.field_shape
-        )
-        env = np.exp(-decay * lattice.k_l1())[..., None]
-        f = cls(lattice, amplitude * raw * env)
-        f = f.hermitian_part()
-        if lattice.has_space:
-            f = f.project_zero_space_average()
-        return f
-
     # -- basic algebra -----------------------------------------------------
 
     def copy(self) -> "FourierField":
@@ -309,11 +290,6 @@ class FourierField:
 
     # -- structure ---------------------------------------------------------
 
-    def reflected_conj(self) -> np.ndarray:
-        """conj(coeff(-k)) arranged on the +k grid."""
-        sl = tuple([slice(None, None, -1)] * self.lattice.n_axes + [slice(None)])
-        return np.conj(self.coeffs[sl])
-
     def hermitian_defect(self) -> float:
         """max |coeff(-k) - conj(coeff(k))| over the lattice.
 
@@ -328,9 +304,6 @@ class FourierField:
     def is_hermitian(self) -> bool:
         """Real on the torus to roundoff (see ``HERMITIAN_RTOL``)."""
         return self.hermitian_defect() <= HERMITIAN_RTOL * (1.0 + self.max_abs())
-
-    def hermitian_part(self) -> "FourierField":
-        return FourierField(self.lattice, 0.5 * (self.coeffs + self.reflected_conj()))
 
     def mean_coefficient(self) -> np.ndarray:
         """Coefficient at k = 0 (and j = 0 on spatial lattices)."""
@@ -377,55 +350,56 @@ def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
     return _frozen(2.0 * spec.rho * lat.k_l1() + spec.m * np.log1p(lat.k_sq()))
 
 
-# below this magnitude a sum of squared coefficients cannot overflow
+# a field whose largest magnitude lies in [_SQUARE_TINY, _SQUARE_SAFE) has
+# its sum of squares in the normal double range
+_SQUARE_TINY = 1e-150
 _SQUARE_SAFE = 1e150
+_LOG_MAX = math.log(np.finfo(float).max)
+_LN2 = math.log(2.0)
 
 
 def norm(f: FourierField, spec: NormSpec) -> float:
     """Weighted l2 norm sqrt( sum |u_k|^2 e^{2 rho |k|}(|k|^2+1)^m ).
 
     |k| in the exponential is the l1 norm, |k|^2 in the polynomial factor is
-    Euclidean; spatial lattices use |k|_1 + |j| and |k|^2 + j^2.  Raises
-    NormOverflowError when the result leaves the double range and
-    FloatingPointError on NaN coefficients.
+    Euclidean; spatial lattices use |k|_1 + |j| and |k|^2 + j^2.  A field
+    whose largest magnitude lies outside [_SQUARE_TINY, _SQUARE_SAFE) is
+    scaled by the power of two that brings it into [0.5, 1) before squaring,
+    and the result back by the inverse power, so norm(c f) is c norm(f) to
+    roundoff on both sides of the range.  Raises NormOverflowError when the
+    result leaves the double range and FloatingPointError on NaN
+    coefficients.
     """
     mags = np.abs(f.coeffs)
-    if mags.max() < _SQUARE_SAFE:     # false for NaN too
-        mag2 = np.square(mags, out=mags)
-        # a sum over a single value column is that column
-        mag2 = mag2[..., 0] if f.lattice.n == 1 else np.sum(mag2, axis=-1)
-        nonzero = mag2 > 0.0
-        if not np.any(nonzero):
-            return 0.0
-        logterms = mag2[nonzero]
-        np.log(logterms, out=logterms)
-    else:
-        nonzero, logterms = _scaled_log_mag2(mags)
+    top = float(mags.max())
+    if math.isnan(top):
+        raise FloatingPointError("norm of a field with NaN coefficients")
+    if top == math.inf:
+        raise NormOverflowError("norm of a field with infinite coefficients")
+    if top == 0.0:
+        return 0.0
+    shift = 0 if _SQUARE_TINY <= top < _SQUARE_SAFE else math.frexp(top)[1]
+    if shift:
+        np.ldexp(mags, -shift, out=mags)
+    mag2 = np.square(mags, out=mags)
+    # a sum over a single value column is that column
+    mag2 = mag2[..., 0] if f.lattice.n == 1 else np.sum(mag2, axis=-1)
+    nonzero = mag2 > 0.0
+    logterms = mag2[nonzero]
+    np.log(logterms, out=logterms)
     if spec != L2:      # L2's log weights are all 0.0: adding them moves no bit
         logterms += log_weights(f.lattice, spec)[nonzero]
     peak = float(np.max(logterms))
     np.subtract(logterms, peak, out=logterms)
     total = math.sqrt(float(np.sum(np.exp(logterms, out=logterms))))
-    log_result = 0.5 * peak + math.log(total)
-    if log_result > math.log(np.finfo(float).max):
+    log_result = 0.5 * peak + math.log(total)       # of the scaled field
+    if log_result + shift * _LN2 > _LOG_MAX:
         raise NormOverflowError(
-            f"norm exceeds float range (log value {log_result:.1f})"
+            f"norm exceeds float range (log value {log_result + shift * _LN2:.1f})"
         )
-    return math.exp(log_result)
-
-
-def _scaled_log_mag2(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero-mode mask and log sum_c |u_k,c|^2 over those modes, computed
-    without squaring magnitudes whose square may leave the double range."""
-    if np.any(np.isnan(mags)):
-        raise FloatingPointError("norm of a field with NaN coefficients")
-    if np.any(np.isinf(mags)):
-        raise NormOverflowError("norm of a field with infinite coefficients")
-    peak = np.max(mags, axis=-1)
-    nonzero = peak > 0.0
-    peak = peak[nonzero]
-    rel2 = np.sum((mags[nonzero] / peak[:, None]) ** 2, axis=-1)
-    return nonzero, 2.0 * np.log(peak) + np.log(rel2)
+    if log_result > _LOG_MAX:       # a tiny field under enormous weights
+        return math.exp(log_result + shift * _LN2)
+    return math.ldexp(math.exp(log_result), shift)
 
 
 def hs_norm(f: FourierField, s: float) -> float:

@@ -10,8 +10,10 @@ the plain forms of kernels the library runs in fewer passes: the
 full-lattice Hermitian scan and k.omega multipliers, the meshgrid lattice
 arrays and point evaluation, the log-space norm with fresh arrays, the
 out-of-place Horner and the ``np.ix_`` scatter and gather between lattice
-and FFT bins.  None of them is called by the library, so they live beside
-the tests.
+and FFT bins.  Last come the builders only tests need: a ``LinearPart``
+assembled from Jordan blocks and a basis, the Hermitian part of a field
+and a random Hermitian field.  None of them is called by the library, so
+they live beside the tests.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from response_solver.multipliers import (
-    LinearPart, ResonanceError, is_real_eps, l_eps, mode_matrices,
+    JordanBlock, LinearPart, ResonanceError, is_real_eps, l_eps, mode_matrices,
 )
 from response_solver.pde import PdeProblem, apply_n_inverse, boussinesq_nonlinearity
 from response_solver.spectral import (
     _SQUARE_SAFE,
+    _SQUARE_TINY,
     FourierField,
     NonlinearitySpec,
     NormOverflowError,
     NormSpec,
     SpectralLattice,
-    _scaled_log_mag2,
     lattice_index,
     log_weights,
 )
@@ -89,6 +91,18 @@ def jordan_mode_inverse(eps: complex, a: float, linear: LinearPart) -> np.ndarra
         at += s
     phi = linear.phi_array
     return phi @ inv @ np.linalg.inv(phi)
+
+
+def from_jordan(blocks: Sequence[tuple[float, int]],
+                phi: np.ndarray | None = None) -> LinearPart:
+    """The LinearPart with A = phi J phi^-1 from (eigenvalue, size) blocks and
+    a basis (the identity by default), J the lower-bidiagonal Jordan form."""
+    jb = tuple(JordanBlock(float(l), int(s)) for l, s in blocks)
+    lams = np.concatenate([[b.lam] * b.size for b in jb])
+    links = np.concatenate([[0.0] + [1.0] * (b.size - 1) for b in jb])[1:]
+    phi = np.eye(lams.size) if phi is None else np.asarray(phi, dtype=float)
+    A = phi @ (np.diag(lams) + np.diag(links, -1)) @ np.linalg.inv(phi)
+    return LinearPart(tuple(map(tuple, A.tolist())), jb, tuple(map(tuple, phi.tolist())))
 
 
 def mode_solve(eps: complex, a: float, linear: LinearPart, rhs: np.ndarray) -> np.ndarray:
@@ -162,6 +176,30 @@ def pde_symbol(eps: complex, prob: PdeProblem) -> np.ndarray:
 # spectral
 
 
+def reflected_conj(f: FourierField) -> np.ndarray:
+    """conj(coeff(-k)) arranged on the +k grid."""
+    return np.conj(f.coeffs[(slice(None, None, -1),) * f.lattice.n_axes])
+
+
+def hermitian_part(f: FourierField) -> FourierField:
+    """(f + conj f(-k)) / 2: the Hermitian part, real on the torus."""
+    return FourierField(f.lattice, 0.5 * (f.coeffs + reflected_conj(f)))
+
+
+def random_real(lattice: SpectralLattice, rng: np.random.Generator,
+                decay: float = 0.5, amplitude: float = 1.0) -> FourierField:
+    """Random Hermitian-symmetric field with e^{-decay |k|_1} envelope (zero
+    spatial average on a spatial lattice)."""
+    raw = rng.standard_normal(lattice.field_shape) + 1j * rng.standard_normal(
+        lattice.field_shape
+    )
+    env = np.exp(-decay * lattice.k_l1())[..., None]
+    f = hermitian_part(FourierField(lattice, amplitude * raw * env))
+    if lattice.has_space:
+        f = f.project_zero_space_average()
+    return f
+
+
 def full_k_dot_omega(lat: SpectralLattice) -> np.ndarray:
     """k.omega on every mode of ``mode_shape``: a meshgrid over the torus
     axes, copied along j on a spatial lattice."""
@@ -213,29 +251,35 @@ def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
 
 def hermitian_defect(f: FourierField) -> float:
     """max |coeff(-k) - conj(coeff(k))|, scanned over the whole lattice."""
-    return float(np.max(np.abs(f.coeffs - f.reflected_conj())))
+    return float(np.max(np.abs(f.coeffs - reflected_conj(f))))
 
 
 def norm(f: FourierField, spec: NormSpec) -> float:
     """The log-space weighted norm, one fresh array per pass and the log
-    weights gathered for every spec."""
-    logw = log_weights(f.lattice, spec)
+    weights gathered for every spec.  A field whose largest magnitude is
+    outside [_SQUARE_TINY, _SQUARE_SAFE) is scaled by the power of two that
+    brings it into [0.5, 1), and the result back."""
     mags = np.abs(f.coeffs)
-    if mags.max() < _SQUARE_SAFE:
-        mag2 = np.sum(mags ** 2, axis=-1)
-        nonzero = mag2 > 0.0
-        if not np.any(nonzero):
-            return 0.0
-        log_mag2 = np.log(mag2[nonzero])
-    else:
-        nonzero, log_mag2 = _scaled_log_mag2(mags)
-    logterms = log_mag2 + logw[nonzero]
+    if np.any(np.isnan(mags)):
+        raise FloatingPointError("norm of a field with NaN coefficients")
+    if np.any(np.isinf(mags)):
+        raise NormOverflowError("norm of a field with infinite coefficients")
+    if not np.any(mags):
+        return 0.0
+    top = float(mags.max())
+    shift = 0 if _SQUARE_TINY <= top < _SQUARE_SAFE else math.frexp(top)[1]
+    mag2 = np.sum(np.ldexp(mags, -shift) ** 2, axis=-1)
+    nonzero = mag2 > 0.0
+    logterms = np.log(mag2[nonzero]) + log_weights(f.lattice, spec)[nonzero]
     peak = float(np.max(logterms))
     total = math.sqrt(float(np.sum(np.exp(logterms - peak))))
-    log_result = 0.5 * peak + math.log(total)
+    log_scaled = 0.5 * peak + math.log(total)
+    log_result = log_scaled + shift * math.log(2.0)
     if log_result > math.log(np.finfo(float).max):
         raise NormOverflowError(f"norm exceeds float range (log value {log_result:.1f})")
-    return math.exp(log_result)
+    if log_scaled > math.log(np.finfo(float).max):
+        return math.exp(log_result)
+    return math.ldexp(math.exp(log_scaled), shift)
 
 
 def fft_bins(lat: SpectralLattice, grid: Sequence[int], half: bool = False):

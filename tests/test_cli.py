@@ -23,6 +23,7 @@ from response_solver.pde import PdeProblem
 from response_solver.spectral import FourierField, NormSpec, SpectralLattice, log_weights
 
 from conftest import diverging_cubic_problem
+from reference import random_real
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -204,7 +205,7 @@ def _signed_field(lat: SpectralLattice, re, im) -> FourierField:
 
 
 def _hermitian_with_zeros(rng) -> FourierField:
-    u = FourierField.random_real(
+    u = random_real(
         SpectralLattice(d=1, K=3, omega=(1.0,), has_space=True, J=2), rng)
     u.coeffs[u.lattice.k_l1() % 2 == 1] = 0.0
     return u
@@ -362,10 +363,10 @@ class TestRun:
             prob = parse_problem(PROBLEMS / "jordan_ode.json")
             assert prob.lattice.n == 2
             u = (prob.forcing if field == "jordan-forcing"
-                 else FourierField.random_real(prob.lattice, rng))
+                 else random_real(prob.lattice, rng))
         else:
             lat = SpectralLattice(d=1, K=3, omega=(1.0,), has_space=True, J=3)
-            u = FourierField.random_real(lat, rng)
+            u = random_real(lat, rng)
         cli.write_spectrum_csv(u, spec, tmp_path, "s")
         expected = reference_spectrum_tables(u, spec)
         for suffix in ("by_index", "by_magnitude"):
@@ -522,6 +523,42 @@ class TestRun:
         err = json.loads((tmp_path / "out" / "result.json").read_text())
         assert err["exit_code"] == EXIT_INPUT
         assert err["error"].startswith(f"params.{key}: ")
+
+    @pytest.mark.parametrize("command, problem, params, message", [
+        ("probe-analytic", "cubic_ode.json", {"sigma": 0}, "sigma > 0 required"),
+        ("probe-analytic", "cubic_ode.json", {"mu": -1}, "complex cone needs aperture mu > 0"),
+        ("probe-analytic", "cubic_ode.json", {"mu": 1e9}, "leaves the epsilon domain"),
+        ("demo-liouville", None, {"levels": 7}, "levels must be in 0..4"),
+        ("low-reg", "cubic_ode.json", {},
+         "low-regularity mode needs a declared global Lipschitz bound"),
+        ("solve-ode", "lowreg_ode.json", {"epsilon": "0.05+0.01j"},
+         "piecewise-linear nonlinearities admit real eps only"),
+    ], ids=["probe-sigma", "probe-mu", "probe-circle", "liouville-levels",
+            "low-reg-local", "piecewise-complex-eps"])
+    def test_library_argument_check_exits_4(self, tmp_path, command, problem, params,
+                                            message):
+        """A ValueError the library raises on its arguments, before any
+        solve, is an input error: exit 4 with its message in result.json."""
+        cfg = write_json(tmp_path / "cfg.json",
+                         config_doc(command, problem and str(PROBLEMS / problem),
+                                    tmp_path / "out", **params))
+        assert cli.main(["--config", str(cfg)]) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["exit_code"] == EXIT_INPUT
+        assert message in err["error"]
+
+    def test_linalg_error_stays_a_solver_failure(self, tmp_path, monkeypatch):
+        """LinAlgError subclasses ValueError, but a failed linear solve is
+        the solver's failure: exit 2."""
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("oracle Jacobian is singular")
+        monkeypatch.setattr(cli, "certify_bounds", singular)
+        cfg = write_json(tmp_path / "cfg.json",
+                         config_doc("verify", str(PROBLEMS / "cubic_ode.json"),
+                                    tmp_path / "out"))
+        assert cli.main(["--config", str(cfg)]) == EXIT_NOCONV
+        err = json.loads((tmp_path / "out" / "result.json").read_text())
+        assert err["error"] == "LinAlgError: oracle Jacobian is singular"
 
     def test_verify_without_jordan_data_is_input_error(self, tmp_path):
         prob = write_json(tmp_path / "p.json", minimal_ode_doc(n=2, A=[1.0, 0.5, 0.0, 2.0],
@@ -750,13 +787,46 @@ class TestRun:
         with pytest.raises(InputError):
             RunConfig.load(p)
 
-    def test_unknown_fault_flag_rejected_by_parser(self, tmp_path):
+    def test_unknown_fault_flag_rejected_by_parser(self, tmp_path, capsys):
         doc = config_doc("verify", str(PROBLEMS / "cubic_ode.json"),
                          tmp_path / "out",
                          domain={"kind": "real_annulus", "sigma": 0.01})
         p = write_json(tmp_path / "cfg.json", doc)
-        with pytest.raises(SystemExit):
-            cli.main(["--config", str(p), "--inject-fault", "bogus"])
+        assert cli.main(["--config", str(p), "--inject-fault", "bogus"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {p}.inject_fault")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--jobs", "two"], ".jobs"), (["--jobs", "0"], ".jobs"),
+        (["--jobs", "1.5"], ".jobs"), (["--seed", "x"], ".seed"),
+        (["--no-such-flag"], "unrecognized arguments"), (["--jobs"], "--jobs"),
+    ], ids=["jobs-text", "jobs-zero", "jobs-fraction", "seed-text", "unknown-flag",
+            "jobs-no-value"])
+    def test_bad_flag_exits_4(self, tmp_path, capsys, flags, named):
+        """A flag is parsed as the config field it replaces, and a usage
+        error is an input error: exit 4 with the message on stderr."""
+        doc = config_doc("verify", str(PROBLEMS / "cubic_ode.json"), tmp_path / "out")
+        p = write_json(tmp_path / "cfg.json", {**doc, "jobs": 2})
+        assert cli.main(["--config", str(p), *flags]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_flag_exits_4_and_help_exits_0(self, capsys):
+        assert cli.main([]) == EXIT_INPUT
+        assert "--config" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as done:
+            cli.main(["--help"])
+        assert done.value.code == 0
+
+    def test_flags_replace_their_config_fields(self, tmp_path):
+        doc = config_doc("sweep", str(PROBLEMS / "cubic_ode.json"), tmp_path / "cfg_out",
+                         domain={"kind": "real_annulus", "sigma": 0.02}, count=2)
+        p = write_json(tmp_path / "cfg.json", {**doc, "jobs": 3, "seed": 5})
+        assert cli.main(["--config", str(p), "--jobs", "1", "--seed", "0",
+                         "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert json.loads((tmp_path / "out" / "metadata.json").read_text())["jobs"] == 1
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["seed"] == 0
+        assert not (tmp_path / "cfg_out").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"d": "two"}, {"K": None}, {"omega": [[1.0]]}, {"n": None},

@@ -24,12 +24,14 @@ from reference import (
     apply_forward,
     block_inverse,
     forward_block,
+    from_jordan,
     jordan_mode_inverse,
     mode_solve,
     n_forward_sup,
     n_inverse_multiplier,
     pde_picard_step,
     pde_symbol,
+    random_real,
     smoothing_sup,
 )
 
@@ -92,7 +94,7 @@ class TestModeSolve:
 
     def test_dense_solve_matches_jordan_closed_form(self, rng):
         phi = np.array([[2.0, 1.0], [1.0, 1.0]])
-        lin = rs.LinearPart.from_jordan([(1.0, 2)], phi=phi)
+        lin = from_jordan([(1.0, 2)], phi=phi)
         eps = 0.04 + 0.002j
         for _ in range(20):
             a = float(rng.uniform(-10, 10))
@@ -104,7 +106,7 @@ class TestModeSolve:
 
     def test_jordan_inverse_is_true_inverse(self):
         phi = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
-        lin = rs.LinearPart.from_jordan([(0.5, 2), (-2.0, 1)], phi=phi)
+        lin = from_jordan([(0.5, 2), (-2.0, 1)], phi=phi)
         eps, a = 0.02, 1.7
         M = mode_matrices(eps, lin, a)
         Minv = jordan_mode_inverse(eps, a, lin)
@@ -132,10 +134,11 @@ class TestLinearPart:
                           phi=((1.0, 1.0), (0.0, 1.0)))
 
     def test_from_jordan_roundtrip(self):
-        lin = rs.LinearPart.from_jordan([(1.0, 2)])
+        lin = from_jordan([(1.0, 2)])
         A = lin.array
         # J itself: eigenvalue 1 on the diagonal, chain entry below
         assert_allclose(A, np.array([[1.0, 0.0], [1.0, 1.0]]), atol=1e-14)
+        assert np.array_equal(lin.jordan_matrix(), A)
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +150,7 @@ class TestLinearPart:
             )
 
     def test_generalized_pq_coefficients(self):
-        lin = rs.LinearPart.from_jordan([(1.0, 1)])
+        lin = from_jordan([(1.0, 1)])
         lin_pq = rs.LinearPart(lin.a_matrix, (rs.JordanBlock(1.0, 1, p=2.0, q=3.0),),
                                lin.phi)
         M = mode_matrices(0.1, lin_pq, 2.0)
@@ -156,11 +159,11 @@ class TestLinearPart:
     def test_pq_need_identity_phi(self):
         # with phi != I, diag(P, Q) and the blocks live in different coordinates
         phi = np.array([[2.0, 1.0], [1.0, 1.0]])
-        base = rs.LinearPart.from_jordan([(1.0, 2)], phi=phi)
+        base = from_jordan([(1.0, 2)], phi=phi)
         for block in (rs.JordanBlock(1.0, 2, p=2.0), rs.JordanBlock(1.0, 2, q=3.0)):
             with pytest.raises(ValueError, match="phi = I"):
                 rs.LinearPart(base.a_matrix, (block,), base.phi)
-        ident = rs.LinearPart.from_jordan([(1.0, 2)])
+        ident = from_jordan([(1.0, 2)])
         for phi in (ident.phi, None):
             block = rs.JordanBlock(1.0, 2, p=2.0, q=3.0)
             lin = rs.LinearPart(ident.a_matrix, (block,), phi)
@@ -187,7 +190,7 @@ class TestApplyScaledInverse:
     def test_norm_bounded_by_modewise_sup(self, lat2d, rng):
         lin = rs.LinearPart.scalar(-2.0)
         eps = 0.03
-        f = rs.FourierField.random_real(lat2d, rng)
+        f = random_real(lat2d, rng)
         out = rs.apply_scaled_inverse(eps, lin, f)
         # per-mode oracle for the operator constant
         a = lat2d.k_dot_omega()
@@ -203,15 +206,15 @@ class TestApplyScaledInverse:
 
         lat2 = rs.SpectralLattice(d=2, K=5, omega=(1.0, math.sqrt(2)), n=2)
         phi = np.array([[2.0, 1.0], [1.0, 1.0]])
-        chain = rs.LinearPart.from_jordan([(1.5, 2)], phi=phi)
-        ident = rs.LinearPart.from_jordan([(1.5, 2), (-0.5, 1)])
+        chain = from_jordan([(1.5, 2)], phi=phi)
+        ident = from_jordan([(1.5, 2), (-0.5, 1)])
         blocks = (rs.JordanBlock(1.5, 2, p=2.0, q=3.0), rs.JordanBlock(-0.5, 1, p=0.5))
         scaled = rs.LinearPart(ident.a_matrix, blocks, ident.phi)
         lat3 = rs.SpectralLattice(d=1, K=6, omega=(1.0,), n=3)
         shipped = parse_problem(PROBLEMS / "jordan_ode.json")
         cases = [(chain, lat2), (scaled, lat3), (shipped.linear, shipped.lattice)]
         for lin, lat in cases:
-            f = rs.FourierField.random_real(lat, rng)
+            f = random_real(lat, rng)
             a = lat.k_dot_omega()
             for eps in (0.02, 0.03 + 0.0003j):
                 out = rs.apply_scaled_inverse(eps, lin, f)
@@ -221,13 +224,13 @@ class TestApplyScaledInverse:
                         <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     def test_hermitian_preserved_for_real_eps(self, lat2d, rng):
-        f = rs.FourierField.random_real(lat2d, rng)
+        f = random_real(lat2d, rng)
         out = rs.apply_scaled_inverse(0.05, rs.LinearPart.scalar(1.0), f)
         assert out.hermitian_defect() <= 1e-13
 
     def test_forward_inverse_consistency(self, lat2d, rng):
         lin = rs.LinearPart.scalar(1.0)
-        f = rs.FourierField.random_real(lat2d, rng)
+        f = random_real(lat2d, rng)
         eps = 0.05
         out = rs.apply_scaled_inverse(eps, lin, f)
         back = apply_forward(eps, lin, out)
@@ -266,7 +269,7 @@ class TestSolvePlan:
         assert jordan.linear.n == 2
         for prob in (cubic_problem, jordan):
             step = self.plan(prob, eps)[0]
-            U = 0.5 * rs.FourierField.random_real(prob.lattice, rng)
+            U = 0.5 * random_real(prob.lattice, rng)
             for _ in range(3):
                 V = step(U)
                 assert np.array_equal(V.coeffs, rs.picard_step(U, eps, prob).coeffs)
@@ -277,7 +280,7 @@ class TestSolvePlan:
         """A Boussinesq problem on a d-torus with a random real forcing."""
         lat = rs.SpectralLattice(d=d, K=3, omega=(1.0, math.sqrt(2.0), math.pi)[:d],
                                  has_space=True, J=4)
-        forcing = 0.01 * rs.FourierField.random_real(lat, rng)
+        forcing = 0.01 * random_real(lat, rng)
         return PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
 
     @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.0002j])
@@ -427,9 +430,12 @@ class TestGammaBound:
         assert divisor_infimum(0.5, blocks) == [
             0.5, math.sqrt(q2 * 1.0 / 2.0 - q2 * q2 / (4.0 * e2 * 2.0 ** 2)), 1.0]
 
-    def test_fault_scale_fails(self, lat2d):
-        gb = gamma_bound(0.01, rs.LinearPart.scalar(1.0), lat2d, fault_scale=2.0)
-        assert gb.empirical > gb.certified * (1 + BOUND_RTOL)
+    def test_doubled_empirical_violates_its_bound(self, lat2d):
+        """The 2x that ``certify_bounds(fault=...)`` puts on ``empirical``
+        breaks a bound that the clean value meets."""
+        gb = gamma_bound(0.01, rs.LinearPart.scalar(1.0), lat2d)
+        assert gb.empirical <= gb.certified * (1 + BOUND_RTOL)
+        assert 2.0 * gb.empirical > gb.certified * (1 + BOUND_RTOL)
 
     def test_sigma_independence_of_scaled_inverse(self, lat2d):
         # bound on eps L^-1 is sigma-free: sweep four decades, spread < 10x
@@ -469,14 +475,14 @@ class TestGammaBound:
 
     def test_jordan_case_certified(self):
         lat = rs.SpectralLattice(d=1, K=8, omega=(1.0,), n=2)
-        lin = rs.LinearPart.from_jordan([(1.0, 2)])
+        lin = from_jordan([(1.0, 2)])
         gb = gamma_bound(0.01, lin, lat)
         assert gb.empirical <= gb.certified * (1 + 1e-9)
 
     def test_jordan_case_certified_complex_eps(self):
         lat = rs.SpectralLattice(d=2, K=5, omega=(1.0, math.sqrt(2)), n=3)
         phi = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.0, 1.0]])
-        lin = rs.LinearPart.from_jordan([(1.0, 2), (-2.0, 1)], phi=phi)
+        lin = from_jordan([(1.0, 2), (-2.0, 1)], phi=phi)
         for eps in EpsilonDomain.cone(0.02, 50.0).sample(5):
             gb = gamma_bound(eps, lin, lat)
             assert gb.empirical <= gb.certified * (1 + 1e-9)

@@ -16,7 +16,7 @@ from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
 from response_solver.verification import newton_oracle_ode, restrict_field
 
 from conftest import PROBLEMS, cos_forcing, diverging_cubic_problem, manufactured_pde
-from reference import cauchy_decay_fit, pde_picard_step
+from reference import cauchy_decay_fit, pde_picard_step, random_real
 
 
 def exact_linear_solution(lat, eps):
@@ -28,7 +28,7 @@ def exact_linear_solution(lat, eps):
 class TestPicardStep:
     def test_zero_nonlinearity_ignores_state(self, linear_problem, rng):
         eps = 0.05
-        u_arbitrary = rs.FourierField.random_real(linear_problem.lattice, rng)
+        u_arbitrary = random_real(linear_problem.lattice, rng)
         a = rs.picard_step(u_arbitrary, eps, linear_problem)
         b = rs.picard_step(rs.FourierField.zeros(linear_problem.lattice), eps,
                            linear_problem)
@@ -89,7 +89,7 @@ class TestSolveFixedPoint:
     def test_uniqueness_in_ball(self, cubic_problem, rng):
         cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
         U1, r1 = rs.solve_fixed_point(0.05, cubic_problem, cfg)
-        u0 = rs.FourierField.random_real(cubic_problem.lattice, rng,
+        u0 = random_real(cubic_problem.lattice, rng,
                                          amplitude=0.05)
         U2, r2 = rs.solve_fixed_point(0.05, cubic_problem, cfg, u0=u0)
         assert r1.status == r2.status == "converged"
@@ -403,7 +403,7 @@ class TestAnalyticityProbe:
 
     def test_constant_mock_has_no_higher_harmonics(self, linear_problem, rng,
                                                    monkeypatch):
-        frozen = rs.FourierField.random_real(linear_problem.lattice, rng)
+        frozen = random_real(linear_problem.lattice, rng)
         fake_report = ode_mod.SolveReport(eps=0.0, status="converged")
 
         def fake_solve(eps, prob, cfg, u0=None):
@@ -412,7 +412,7 @@ class TestAnalyticityProbe:
         monkeypatch.setattr(ode_mod, "solve_fixed_point", fake_solve)
         probe = rs.analyticity_probe(0.075, 0.01, linear_problem,
                                      rs.SolverConfig(tol=1e-12))
-        assert all(h <= 1e-12 for h in probe.coefficient_norms[1:])
+        assert all(h <= 1e-12 for h in probe.harmonic_norms[1:])
         assert probe.cauchy_vs_fd <= 1e-12
 
     def test_linear_problem_matches_symbolic_harmonics(self, linear_problem):
@@ -428,11 +428,11 @@ class TestAnalyticityProbe:
             div = -e * kdw ** 2 + 1j * kdw + e * 1.0
             stack.append(e * linear_problem.forcing.coeffs / div[..., None])
         stack = np.array(stack)
-        for m in range(len(probe.coefficient_norms)):
+        for m in range(len(probe.harmonic_norms)):
             h_m = np.tensordot(np.exp(-2j * math.pi * m * np.arange(P) / P), stack,
                                axes=(0, 0)) / P
             expect = rs.norm(rs.FourierField(lat, h_m), cfg.norm)
-            assert abs(probe.coefficient_norms[m] - expect) <= 1e-11
+            assert abs(probe.harmonic_norms[m] - expect) <= 1e-11
 
     def test_harmonics_decay_geometrically(self, cubic_problem):
         sigma = 0.05
@@ -658,7 +658,7 @@ class TestLowRegularity:
 class TestDecayFitOnSolverOutput:
     def test_solution_inherits_forcing_analyticity(self, rng):
         lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,))
-        forcing = rs.FourierField.random_real(lat, rng, decay=0.5)
+        forcing = random_real(lat, rng, decay=0.5)
         # zero the mean to satisfy the problem invariant
         coeffs = forcing.coeffs.copy()
         coeffs[lat.K] = 0.0

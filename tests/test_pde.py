@@ -18,7 +18,7 @@ from response_solver.pde import (
 from response_solver.verification import newton_oracle_pde, restrict_field
 
 from conftest import manufactured_pde
-from reference import mode_coefficient
+from reference import mode_coefficient, random_real
 
 
 def certification_lattice(J):
@@ -101,14 +101,14 @@ class TestMultiplier:
         spec_hi = rs.NormSpec(0.2, 3)
         spec_lo = rs.NormSpec(0.2, 1)
         for _ in range(20):
-            V = rs.FourierField.random_real(lat, rng)
+            V = random_real(lat, rng)
             out = rs.apply_n_inverse(eps, prob, V)
             assert rs.norm(out, spec_hi) <= c_emp * rs.norm(V, spec_lo) * (1 + 1e-12)
 
     def test_zero_slab_enforced(self, pde_lattice, rng):
         prob = PdeProblem(lattice=pde_lattice, beta=2.0,
                           forcing=rs.FourierField.zeros(pde_lattice))
-        V = rs.FourierField.random_real(pde_lattice, rng)
+        V = random_real(pde_lattice, rng)
         out = rs.apply_n_inverse(0.02, prob, V)
         assert np.max(np.abs(out.space_average_slice())) == 0.0
 
@@ -130,7 +130,7 @@ class TestNonlinearity:
 
     def test_matches_grid_oracle(self, rng):
         lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,), has_space=True, J=16)
-        U = rs.FourierField.random_real(lat, rng)
+        U = random_real(lat, rng)
         h = rs.boussinesq_nonlinearity(U, True)
         # oracle: 2x-padded grid square, then spectral second derivative
         grid = (4 * lat.K + 2, 4 * lat.J + 2)
@@ -140,7 +140,7 @@ class TestNonlinearity:
         assert np.max(np.abs(h.coeffs - oracle.coeffs)) <= 1e-10
 
     def test_kills_spatial_average(self, pde_lattice, rng):
-        U = rs.FourierField.random_real(pde_lattice, rng)
+        U = random_real(pde_lattice, rng)
         h = rs.boussinesq_nonlinearity(U, True)
         assert np.max(np.abs(h.space_average_slice())) <= 1e-14
 
@@ -181,7 +181,7 @@ class TestFixedPoint:
     def test_forward_inverse_round_trip(self, pde_lattice, rng):
         prob = PdeProblem(lattice=pde_lattice, beta=2.0,
                           forcing=rs.FourierField.zeros(pde_lattice))
-        V = rs.FourierField.random_real(pde_lattice, rng)
+        V = random_real(pde_lattice, rng)
         eps = 0.02
         back = apply_n_forward(eps, prob, rs.apply_n_inverse(eps, prob, V))
         assert np.max(np.abs(back.coeffs - eps * V.coeffs)) <= 1e-12

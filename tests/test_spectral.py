@@ -32,6 +32,7 @@ from reference import (
     padded,
     piecewise_reference,
     polynomial_reference,
+    random_real,
 )
 
 
@@ -87,8 +88,8 @@ class TestNorm:
 
     def test_homogeneity_and_triangle(self, lat2d, rng):
         spec = rs.NormSpec(0.2, 3)
-        u = rs.FourierField.random_real(lat2d, rng)
-        v = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
+        v = random_real(lat2d, rng)
         assert_allclose(rs.norm(2.5 * u, spec), 2.5 * rs.norm(u, spec), rtol=1e-12)
         assert rs.norm(u + v, spec) <= rs.norm(u, spec) + rs.norm(v, spec) + 1e-12
 
@@ -111,11 +112,40 @@ class TestNorm:
             rs.norm(rs.FourierField.from_modes(lat, {(1,): math.inf}), rs.NormSpec())
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", [rs.NormSpec(), rs.NormSpec(0.5, 0.0),
+                                      rs.NormSpec(0.3, 1.5)], ids=["L2", "rho", "rho-m"])
+    @pytest.mark.parametrize("c", [1e-170, 1e-300])
+    def test_norm_scales_on_the_small_side(self, lat2d, pde_lattice, rng, spec, c):
+        """A field whose squares underflow keeps its norm: norm(c f) is
+        c norm(f), and five equal coefficients a give a sqrt(5)."""
+        multi = rs.SpectralLattice(d=1, K=4, omega=(1.0,), n=2)
+        for lat in (lat2d, pde_lattice, multi):
+            f = random_real(lat, rng)
+            assert rs.norm(c * f, spec) == pytest.approx(c * rs.norm(f, spec),
+                                                         rel=1e-14, abs=0.0)
+        five = rs.SpectralLattice(d=1, K=2, omega=(1.0,))
+        for a in (1e-160, c):
+            equal = rs.FourierField(five, np.full(five.field_shape, a + 0j))
+            assert rs.norm(equal, rs.NormSpec()) == pytest.approx(a * math.sqrt(5.0),
+                                                                  rel=1e-15, abs=0.0)
+
+    def test_tiny_field_under_large_weights(self):
+        """A tiny field's norm is e^{rho |k|} |u|, also where the rescaled
+        field's e^{rho |k|} alone would leave the double range."""
+        lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,))
+        f = single_mode(lat, (16,), 1e-200)
+        for rho in (25.0, 50.0):       # e^400 and e^800 times 1e-200
+            assert rs.norm(f, rs.NormSpec(rho, 0)) == \
+                pytest.approx(math.exp(16 * rho + math.log(1e-200)), rel=1e-13)
+        with pytest.raises(NormOverflowError):
+            rs.norm(f, rs.NormSpec(80.0, 0))
+
+    @pytest.mark.filterwarnings("error")
     def test_nan_coefficients_raise(self, lat2d, rng):
         nan = rs.FourierField(lat2d, np.full(lat2d.field_shape, np.nan + 0j))
         with pytest.raises(FloatingPointError):
             rs.norm(nan, rs.NormSpec())
-        one_nan = rs.FourierField.random_real(lat2d, rng)
+        one_nan = random_real(lat2d, rng)
         one_nan.coeffs[1, 2, 0] = complex(np.nan, 0.0)
         with pytest.raises(FloatingPointError):
             rs.norm(one_nan, rs.NormSpec(0.2, 1))
@@ -129,7 +159,7 @@ class TestNorm:
 
 class TestTransforms:
     def test_round_trip_identity(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         v = rs.analyze(rs.synthesize(u), lat2d)
         assert np.max(np.abs(u.coeffs - v.coeffs)) <= 1e-13 * u.max_abs()
 
@@ -143,14 +173,14 @@ class TestTransforms:
         assert_allclose(vals, np.cos(nodes), atol=1e-14)
 
     def test_refinement_consistency(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         n = 2 * lat2d.K + 1
         a = rs.analyze(rs.synthesize(u, (n, n)), lat2d)
         b = rs.analyze(rs.synthesize(u, (2 * n, 2 * n)), lat2d)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * u.max_abs()
 
     def test_grid_too_small(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         with pytest.raises(GridTooSmallError):
             rs.synthesize(u, (2 * lat2d.K, 2 * lat2d.K + 1))
 
@@ -179,7 +209,7 @@ def transform_fields(lat, rng, real):
     and -0.0 parts, and the same on the sublattice where the second torus
     mode (the first when d = 1) is 0, as the shipped Boussinesq forcing."""
     if real:
-        base = rs.FourierField.random_real(lat, rng)
+        base = random_real(lat, rng)
     else:
         base = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
                                + 1j * rng.standard_normal(lat.field_shape))
@@ -353,7 +383,7 @@ class TestPrunedPasses:
     def test_real_product_k_j_32(self, monkeypatch, rng):
         lat = rs.SpectralLattice(d=2, K=32, omega=(1.0, math.sqrt(2)), has_space=True, J=32)
         assert dealias_grid(lat) == (98, 98, 98)
-        u = rs.FourierField.random_real(lat, rng)
+        u = random_real(lat, rng)
         rs.product(u, u, True)      # the per-length checks run once, unrecorded
         monkeypatch.setattr(rs.spectral, "sfft", recorder := RecordingFFT())
         rs.product(u, u, True)
@@ -392,7 +422,7 @@ class TestScipyInPlace:
 def kernel_fields(lat, rng):
     """A Hermitian field, a general complex one, the Hermitian one nudged
     off symmetry at one mode, and one holding a NaN."""
-    real = rs.FourierField.random_real(lat, rng)
+    real = random_real(lat, rng)
     cplx = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
                            + 1j * rng.standard_normal(lat.field_shape))
     nudged = real.copy()
@@ -499,8 +529,8 @@ class TestProduct:
 
     def test_matches_padded_grid_oracle(self, rng):
         lat = rs.SpectralLattice(d=1, K=8, omega=(1.0,))
-        u = rs.FourierField.random_real(lat, rng)
-        v = rs.FourierField.random_real(lat, rng)
+        u = random_real(lat, rng)
+        v = random_real(lat, rng)
         p = rs.product(u, v, True)
         # independent oracle: pointwise product on a 2x zero-padded grid
         grid = (2 * (2 * lat.K + 1),)
@@ -508,14 +538,14 @@ class TestProduct:
         assert np.max(np.abs(p.coeffs - oracle.coeffs)) <= 1e-10
 
     def test_lattice_mismatch(self, lat1d, lat2d, rng):
-        u = rs.FourierField.random_real(lat1d, rng)
-        v = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat1d, rng)
+        v = random_real(lat2d, rng)
         with pytest.raises(rs.spectral.LatticeMismatchError):
             rs.product(u, v, True)
 
     def test_hermitian_preserved(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
-        v = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
+        v = random_real(lat2d, rng)
         assert rs.product(u, v, True).hermitian_defect() <= 1e-12
 
 
@@ -539,7 +569,7 @@ class TestCompose:
 
     def test_piecewise_matches_per_node_oracle(self, rng):
         lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
-        u = rs.FourierField.random_real(lat, rng)
+        u = random_real(lat, rng)
         g = rs.NonlinearitySpec(
             kind="piecewise_linear", breakpoints=(0.0,), slopes=(-0.3, 0.05),
             lip_hat=0.3, smallness="global",
@@ -579,7 +609,7 @@ class TestCompose:
             assert np.array_equal(np.signbit(got), np.signbit(ref))
 
     def test_nonfinite_rejected(self, lat1d, rng):
-        u = rs.FourierField.random_real(lat1d, rng)
+        u = random_real(lat1d, rng)
         g = rs.NonlinearitySpec(kind="callable", fn=lambda x: np.full_like(x, np.nan))
         with pytest.raises(FloatingPointError):
             rs.compose(u, g, True)
@@ -589,7 +619,7 @@ class TestCompose:
             rs.NonlinearitySpec.polynomial([(0.0, 1.0)], smallness="local")
 
     def test_hermitian_preserved(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         c = rs.compose(u, rs.NonlinearitySpec.cubic(0.3, n=lat2d.n), True)
         assert c.hermitian_defect() <= 1e-12
 
@@ -660,13 +690,13 @@ class TestDerivatives:
         assert_allclose(mode_coefficient(d, (0, 0, 1))[0], -1.0, atol=1e-15)
 
     def test_preserves_hermitian(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         assert rs.directional_derivative(u).hermitian_defect() <= 1e-12
 
 
 class TestPdeFieldStructure:
     def test_zero_average_slab_preserved(self, pde_lattice, rng):
-        u = rs.FourierField.random_real(pde_lattice, rng)
+        u = random_real(pde_lattice, rng)
         assert np.max(np.abs(u.space_average_slice())) == 0.0
         p = rs.product(u, u, True)
         d = rs.spatial_derivative(p, 2)
@@ -702,8 +732,8 @@ class TestCauchyDecayFit:
 class TestHigherDimensionalLattices:
     def test_d3_norm_and_product(self, rng):
         lat = rs.SpectralLattice(d=3, K=3, omega=(1.0, math.sqrt(2), math.sqrt(3)))
-        u = rs.FourierField.random_real(lat, rng)
-        v = rs.FourierField.random_real(lat, rng)
+        u = random_real(lat, rng)
+        v = random_real(lat, rng)
         p = rs.product(u, v, True)
         assert p.hermitian_defect() <= 1e-12
         grid = (2 * (2 * lat.K + 1),) * 3
@@ -730,20 +760,20 @@ class TestHigherDimensionalLattices:
 
 class TestAliasingDiagnostics:
     def test_polynomial_composition_is_alias_free(self, lat1d, rng):
-        u = rs.FourierField.random_real(lat1d, rng, amplitude=0.5)
+        u = random_real(lat1d, rng, amplitude=0.5)
         est = rs.spectral.composition_aliasing_estimate(
             u, rs.NonlinearitySpec.cubic(1.0), True
         )
         assert est <= 1e-13
 
     def test_piecewise_reports_residual_aliasing(self, lat1d, rng):
-        u = rs.FourierField.random_real(lat1d, rng, amplitude=0.5)
+        u = random_real(lat1d, rng, amplitude=0.5)
         g = rs.NonlinearitySpec.piecewise([0.0], [-1.0, 1.0])
         est = rs.spectral.composition_aliasing_estimate(u, g, True)
         assert est > 0.0   # kinks alias; the residual is reported, not hidden
 
     def test_truncation_tail_smaller_for_decaying_field(self, lat1d, rng):
-        u = rs.FourierField.random_real(lat1d, rng, decay=1.0)
+        u = random_real(lat1d, rng, decay=1.0)
         spec = rs.NormSpec(0.0, 0.0)
         tail = rs.spectral.truncation_tail_norm(u, spec)
         assert 0.0 <= tail < rs.norm(u, spec)
@@ -751,10 +781,10 @@ class TestAliasingDiagnostics:
 
 class TestHsNorm:
     def test_matches_integer_normspec(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         assert_allclose(hs_norm(u, 1.0), rs.norm(u, rs.NormSpec(0.0, 1)), rtol=1e-14)
 
     def test_s_zero_is_l2(self, lat2d, rng):
-        u = rs.FourierField.random_real(lat2d, rng)
+        u = random_real(lat2d, rng)
         l2 = math.sqrt(float(np.sum(np.abs(u.coeffs) ** 2)))
         assert_allclose(hs_norm(u, 0.0), l2, rtol=1e-14)

@@ -26,6 +26,7 @@ from response_solver.verification import (
 )
 
 from conftest import PROBLEMS, manufactured_pde
+from reference import hermitian_part, random_real
 
 
 class TestNewtonOracle:
@@ -119,10 +120,10 @@ class TestNewtonOracle:
         Hermitian field."""
         pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
         small, F, jvp, _, _ = _pde_system(eps, pde, K_small=4)
-        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
-        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        x = random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = random_real(small, rng, amplitude=1.0).coeffs.ravel()
         v = v + 1j * rng.standard_normal(v.size) * 1e-3     # not Hermitian
-        a = rs.FourierField(small, v.reshape(small.field_shape)).hermitian_part()
+        a = hermitian_part(rs.FourierField(small, v.reshape(small.field_shape)))
         a = a.coeffs.ravel()
         b = (v - a) / 1j
 
@@ -137,8 +138,8 @@ class TestNewtonOracle:
         Jacobian it is given must be linear over the complex numbers."""
         pde = parse_problem(PROBLEMS / "boussinesq_pde.json")
         small, _, jvp, _, _ = _pde_system(0.02, pde, K_small=4)
-        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
-        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        x = random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = random_real(small, rng, amplitude=1.0).coeffs.ravel()
         J = jvp(x)
         assert np.max(np.abs(J(1j * v) - 1j * J(v))) <= 1e-15 * np.max(np.abs(J(v)))
 
@@ -149,8 +150,8 @@ class TestNewtonOracle:
         multiple of t^2: a quarter as much at t / 2."""
         prob = parse_problem(PROBLEMS / name)
         small, F, jvp, _, _ = _ode_system(eps, prob, K_small=6)
-        x = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
-        v = rs.FourierField.random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        x = random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = random_real(small, rng, amplitude=1.0).coeffs.ravel()
         Jv = jvp(x)(v)
         errors = [np.max(np.abs((F(x + t * v) - F(x - t * v)) / (2 * t) - Jv))
                   for t in (1e-4, 5e-5)]
