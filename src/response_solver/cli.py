@@ -288,6 +288,22 @@ def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _positive(value) -> float:
+    number = _finite(value)
+    if not number > 0.0:
+        raise ValueError(f"{value!r} is not > 0")
+    return number
+
+
+def _eps_ladder(values) -> list[float]:
+    """At least three distinct eps > 0: a difference quotient needs two,
+    and its growth per decade two quotients."""
+    ladder = _floats(values)
+    if len(ladder) < 3 or len(set(ladder)) < len(ladder) or not all(e > 0.0 for e in ladder):
+        raise ValueError("need at least three distinct values, each > 0")
+    return ladder
+
+
 def _sigmas(values) -> list[float]:
     sigmas = _floats(values)
     if not sigmas or not all(s > 0.0 for s in sigmas):
@@ -554,7 +570,7 @@ def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     mu = _param(params, "mu", default=5.0)
     dom = EpsilonDomain.cone(sigma, mu)
     center = _param(params, "center", _finite_complex, 1.5 * sigma)
-    radius = _param(params, "radius", default=0.2 * sigma)
+    radius = _param(params, "radius", _positive, 0.2 * sigma)
     points = _sample_count(params, "points", 16, least=2)
     with _parallel_map(cfg.jobs) as map_fn:
         probe = analyticity_probe(center, radius, prob, cfg.solver, points=points,
@@ -599,12 +615,12 @@ def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dic
     params = cfg.params
     spec = LiouvilleSpec(
         levels=_param(params, "levels", _count, 2),
-        growth=_param(params, "growth", default=1.0),
+        growth=_param(params, "growth", _positive, 1.0),
         first_quotient=_param(params, "first_quotient", _count, 3),
     )
-    freq = build_liouville(spec)
     K = _param(params, "K", _count, 16)
-    ladder = _param(params, "eps_ladder", _floats, np.geomspace(1e-2, 1e-6, 13).tolist())
+    ladder = _param(params, "eps_ladder", _eps_ladder, np.geomspace(1e-2, 1e-6, 13).tolist())
+    freq = build_liouville(spec)
     usable = [w for w in freq.witnesses if max(abs(w.k[0]), abs(w.k[1])) <= K]
     liou_prob = make_witness_problem(freq.omega, [w.k for w in usable], K)
     liou = nondiff_probe(liou_prob, ladder)

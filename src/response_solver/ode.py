@@ -90,13 +90,15 @@ class OdeProblem:
                 "complex continuation needs an analytic nonlinear part"
             )
         # the solve's plan: the mode operator, checked and measured once
-        # when it is built; every step reuses it
+        # when it is built, and the composition's two grid arrays, which the
+        # step and the residual transform in; every step reuses them
         inverse = ScaledInverse(eps, self.linear, self.lattice)
         report.kappa = 1.0 + inverse.forward_sup
         c_emp = inverse.scaled_inverse_sup
         report.diagnostics["c_emp"] = c_emp
-        first = inverse(self.forcing)
         real = is_real_eps(eps)
+        plan = spectral.composition_plan(self.lattice, self.g_hat, real)
+        first = inverse(self.forcing)
         if math.isfinite(cfg.ball_radius):
             lip = self.g_hat.lipschitz_on_ball(cfg.ball_radius)
         else:
@@ -110,8 +112,8 @@ class OdeProblem:
             report.diagnostics["aliasing_estimate"] = \
                 spectral.composition_aliasing_estimate(first, self.g_hat, real)
         enforce_ball = self.g_hat.smallness == "local" and math.isfinite(cfg.ball_radius)
-        return (lambda V: inverse(self.forcing - compose(V, self.g_hat, real)),
-                lambda V: residual(V, eps, self, cfg.norm),
+        return (lambda V: inverse(self.forcing - compose(V, self.g_hat, real, plan)),
+                lambda V: residual(V, eps, self, cfg.norm, plan),
                 first, enforce_ball)
 
 
@@ -171,18 +173,19 @@ def picard_step(U: FourierField, eps: complex, prob: OdeProblem) -> FourierField
 
 
 def residual(U: FourierField, eps: complex, prob: OdeProblem,
-             normspec: NormSpec = L2) -> float:
+             normspec: NormSpec = L2, plan: spectral.TransformPlan | None = None) -> float:
     """Norm of eps P (w.d)^2 U + Q (w.d) U + eps (A U + g(U)) - eps f.
 
     The equation is written out here from derivatives, on purpose apart from
     ``mode_matrices``: the residual checks the inverse, so it must not be
-    built from the same operator.
+    built from the same operator.  g(U) is composed in ``plan``, a solve's
+    ``composition_plan``, or in a plan of its own.
     """
     lin = prob.linear
     d1 = FourierField(U.lattice, directional_derivative(U, 1).coeffs * lin.q_diagonal)
     d2 = FourierField(U.lattice, directional_derivative(U, 2).coeffs * lin.p_diagonal)
     AU = FourierField(U.lattice, np.einsum("ij,...j->...i", lin.array, U.coeffs))
-    gU = compose(U, prob.g_hat, is_real_eps(eps))
+    gU = compose(U, prob.g_hat, is_real_eps(eps), plan)
     res = eps * d2 + d1 + eps * (AU + gU) - eps * prob.forcing
     return norm(res, normspec)
 
@@ -197,10 +200,11 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
     diagnostics.  A resonant eps ends the solve ``resonant``; otherwise
     ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
     residual <= kappa tol.  A cold solve of a problem whose
-    ``first_is_step_from_zero`` holds takes the map's first iterate as its
-    step 1, so it does not compute step(0) again.  At real eps both maps
-    take the real transforms, so a given u0 is taken as Hermitian, as every
-    iterate from zero is.
+    ``first_is_step_from_zero`` holds starts from the map's first iterate
+    as its iteration 1, so it does not compute step(0) again, and takes
+    that iterate's norm once for the half-ball check, its increment and its
+    norm.  At real eps both maps take the real transforms, so a given u0 is
+    taken as Hermitian, as every iterate from zero is.
     """
     report = SolveReport(eps=eps)
     try:
@@ -209,26 +213,20 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
         report.status = "resonant"
         report.diagnostics["error"] = str(exc)
         return FourierField.zeros(prob.lattice) if u0 is None else u0.copy(), report
+    first_norm = None
     if math.isfinite(cfg.ball_radius):
+        first_norm = norm(first, cfg.norm)
         report.diagnostics["first_iterate_in_half_ball"] = bool(
-            norm(first, cfg.norm) <= cfg.ball_radius / 2
+            first_norm <= cfg.ball_radius / 2
         )
-    if u0 is None and prob.first_is_step_from_zero:
-        step = _first_then(first, step)
-    # neither the first iterate nor the start field is held by a name here
-    # through the iteration
+    cold = u0 is None and prob.first_is_step_from_zero
+    # the start field is handed over, not held by a name here through the
+    # iteration
+    start = [first if cold else FourierField.zeros(prob.lattice) if u0 is None
+             else u0.copy()]
     del first
-    return contract(step, eq_residual,
-                    FourierField.zeros(prob.lattice) if u0 is None else u0.copy(),
-                    cfg, report, enforce_ball)
-
-
-def _first_then(first: FourierField, step: Callable[[FourierField], FourierField]
-                 ) -> Callable[[FourierField], FourierField]:
-    """``step`` whose first call returns ``first``, its step(0), unchanged
-    and lets go of it; a cold start's iteration 1."""
-    pending = [first]
-    return lambda V: pending.pop() if pending else step(V)
+    return contract(step, eq_residual, start.pop(), cfg, report, enforce_ball,
+                    first=cold, first_norm=first_norm)
 
 
 def contract(step: Callable[[FourierField], FourierField],
@@ -236,11 +234,15 @@ def contract(step: Callable[[FourierField], FourierField],
              U: FourierField, cfg: SolverConfig, report: SolveReport,
              enforce_ball: bool,
              observe: Callable[[int, FourierField, FourierField], None] | None = None,
+             first: bool = False, first_norm: float | None = None,
              ) -> tuple[FourierField, SolveReport]:
     """Picard iteration U <- step(U) from U, shared by every solver.
 
     Records every increment ||step(U) - U|| (in cfg.norm) and the ratio of
-    consecutive increments in ``report``.  Exits, by ``report.status``:
+    consecutive increments in ``report``.  With ``first``, U is a cold
+    start's iteration 1 already, step(0) itself: its increment from zero is
+    its norm, ``first_norm`` when the caller has taken it.  Exits, by
+    ``report.status``:
 
     - ``converged``: increment <= tol and eq_residual <= kappa tol, with
       ``report.kappa`` set by the caller (kappa = inf stops on the
@@ -257,13 +259,19 @@ def contract(step: Callable[[FourierField], FourierField],
     prev_inc = None
     try:
         for it in range(1, cfg.max_iter + 1):
-            U_next = step(U)
-            delta = U_next - U
-            inc = norm(delta, cfg.norm)
+            if first and it == 1:
+                U_next = delta = U
+                inc = sol_norm = norm(U, cfg.norm) if first_norm is None else first_norm
+            else:
+                U_next = step(U)
+                delta = U_next - U
+                inc = norm(delta, cfg.norm)
+                sol_norm = None
             if not math.isfinite(inc):
                 raise FloatingPointError(f"non-finite increment at step {it}")
             # the ball test needs ||U|| every step; without it, once at exit
-            sol_norm = norm(U_next, cfg.norm) if enforce_ball else None
+            if enforce_ball and sol_norm is None:
+                sol_norm = norm(U_next, cfg.norm)
             report.increments.append(inc)
             if prev_inc is not None and prev_inc > 0:
                 report.ratios.append(inc / prev_inc)
@@ -283,15 +291,17 @@ def contract(step: Callable[[FourierField], FourierField],
                     report.status = "converged"
                     report.fp_residual = inc
                     report.residual = eq_res
-                    report.sol_norm = sol_norm if enforce_ball else norm(U, cfg.norm)
+                    report.sol_norm = norm(U, cfg.norm) if sol_norm is None else sol_norm
                     return U, report
         report.status = "max_iter"
         report.fp_residual = prev_inc
         report.residual = eq_residual(U)
-        report.sol_norm = sol_norm if enforce_ball else norm(U, cfg.norm)
+        report.sol_norm = norm(U, cfg.norm) if sol_norm is None else sol_norm
     except (ResonanceError, FloatingPointError, NormOverflowError) as exc:
         report.status = "resonant" if isinstance(exc, ResonanceError) else "diverged"
         report.diagnostics["error"] = str(exc)
+        if first and not report.iterations:     # iterate 1 failed: the last
+            U = FourierField.zeros(U.lattice)   # finite iterate is the zero start
     return U, report
 
 
@@ -495,9 +505,11 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
         report.diagnostics["c_emp"] = c_emp
         report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
         real = is_real_eps(eps)
-        U, report = contract(lambda V: inverse(prob.forcing - compose(V, prob.g_hat, real)),
-                             lambda V: residual(V, eps, prob, L2), U,
-                             replace(cfg, norm=L2), report, False, observe)
+        plan = spectral.composition_plan(prob.lattice, prob.g_hat, real)
+        U, report = contract(
+            lambda V: inverse(prob.forcing - compose(V, prob.g_hat, real, plan)),
+            lambda V: residual(V, eps, prob, L2, plan), U,
+            replace(cfg, norm=L2), report, False, observe)
 
     fitted, predicted = {}, {}
     window = _fit_window(report.increments)

@@ -4,7 +4,10 @@ Fields live on a symmetric lattice |k_i| <= K over the d-torus, optionally
 extended by a spatial axis |j| <= J.  Coefficient arrays are indexed in
 natural signed order (axis index i  <->  mode i - K).  Every public
 operation returns a new field and leaves its inputs alone; kernels write in
-place only into arrays they allocated themselves.
+place only into arrays they allocated themselves or that a ``TransformPlan``
+owns.  A plan holds one padded grid's two arrays, the padded work array and
+the grid values, so a solve that builds one transforms in them step after
+step; ``product`` and ``compose`` build one per call when given none.
 
 Transforms run on a uniform collocation grid.  A field that is real on the
 torus (Hermitian: coeff(-k) = conj(coeff(k))) can be synthesized from the
@@ -16,8 +19,8 @@ caller passes ``real``, as a solve does at real eps; they scan no field.
 ``synthesize`` and ``analyze`` are pruned FFTs: pocketfft's own one-axis
 passes, in the order its n-dimensional transforms run them (ifftn and fftn
 from axis 0 up; irfftn the other axes, then the real last axis; rfftn the
-real last axis, then the others), each in place on views of the one padded
-array the call allocates.  An inverse pass along axis a skips the lines
+real last axis, then the others), each in place on views of the padded
+work array.  An inverse pass along axis a skips the lines
 whose later axes, or the real path's half last axis, sit outside the
 lattice's bins: they are still +0.0, and pocketfft maps a zero line to
 +0.0 (checked once per length: on a length where it leaves a -0.0, as some
@@ -366,9 +369,13 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     whose largest magnitude lies outside [_SQUARE_TINY, _SQUARE_SAFE) is
     scaled by the power of two that brings it into [0.5, 1) before squaring,
     and the result back by the inverse power, so norm(c f) is c norm(f) to
-    roundoff on both sides of the range.  Raises NormOverflowError when the
-    result leaves the double range and FloatingPointError on NaN
-    coefficients.
+    roundoff on both sides of the range.  Under a weighted spec a field
+    whose smallest nonzero magnitude, so scaled, falls below _SQUARE_TINY
+    is not squared at all: each mode enters as 2 log|u_k|, since a weight
+    can make a coefficient whose square underflows the largest term.  L2
+    keeps the squares: such a term is below roundoff of the sum.
+    Raises NormOverflowError when the result leaves the double range and
+    FloatingPointError on NaN coefficients.
     """
     mags = np.abs(f.coeffs)
     top = float(mags.max())
@@ -381,12 +388,15 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     shift = 0 if _SQUARE_TINY <= top < _SQUARE_SAFE else math.frexp(top)[1]
     if shift:
         np.ldexp(mags, -shift, out=mags)
-    mag2 = np.square(mags, out=mags)
-    # a sum over a single value column is that column
-    mag2 = mag2[..., 0] if f.lattice.n == 1 else np.sum(mag2, axis=-1)
-    nonzero = mag2 > 0.0
-    logterms = mag2[nonzero]
-    np.log(logterms, out=logterms)
+    if spec != L2 and np.min(mags, where=mags > 0.0, initial=_SQUARE_TINY) < _SQUARE_TINY:
+        logterms, nonzero = _log_mode_squares(mags)
+    else:
+        mag2 = np.square(mags, out=mags)
+        # a sum over a single value column is that column
+        mag2 = mag2[..., 0] if f.lattice.n == 1 else np.sum(mag2, axis=-1)
+        nonzero = mag2 > 0.0
+        logterms = mag2[nonzero]
+        np.log(logterms, out=logterms)
     if spec != L2:      # L2's log weights are all 0.0: adding them moves no bit
         logterms += log_weights(f.lattice, spec)[nonzero]
     peak = float(np.max(logterms))
@@ -400,6 +410,18 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     if log_result > _LOG_MAX:       # a tiny field under enormous weights
         return math.exp(log_result + shift * _LN2)
     return math.ldexp(math.exp(log_result), shift)
+
+
+def _log_mode_squares(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log |u_k|^2 per nonzero mode, the nonzero-mode mask) from the
+    components' magnitudes, with no square of a magnitude: 2 log of the
+    mode's largest component plus the log of the sum of the squared
+    component ratios, each at most 1."""
+    peak = mags.max(axis=-1)
+    nonzero = peak > 0.0
+    top = peak[nonzero]
+    ratios = mags[nonzero] / top[:, None]
+    return 2.0 * np.log(top) + np.log(np.sum(ratios * ratios, axis=-1)), nonzero
 
 
 def hs_norm(f: FourierField, s: float) -> float:
@@ -426,22 +448,66 @@ def dealias_grid(lat: SpectralLattice, degree: int = 2) -> tuple[int, ...]:
     return _grid_shape([(degree + 1) * cut + 1 for cut in lat.cutoffs])
 
 
+class TransformPlan:
+    """The grid arrays that one padded grid's transforms at one ``real``
+    flag run in, allocated once: ``work``, the padded array that
+    ``synthesize`` fills (the j >= 0 half of the last axis on the real path),
+    and with ``values`` a second grid array: the values a polynomial
+    composition evaluates into (real on the real path), or a complex
+    product's second factor.  A solve builds one and every step transforms
+    in its arrays; what a transform leaves in them lasts until the plan's
+    next one, so a plan serves one thread at a time.  ``synthesize`` checks
+    the work array's shape against the grid and flag of each call."""
+
+    __slots__ = ("work", "values")
+
+    def __init__(self, lat: SpectralLattice, grid: Sequence[int], real: bool,
+                 values: bool = True):
+        grid = tuple(int(g) for g in grid)
+        work, shape = _padded_shape(lat, grid, real), grid + (lat.n,)
+        # one block holds both arrays, so the heap takes it back and hands
+        # it out again as one piece: two blocks freed at the top of the heap
+        # were given back to the system and faulted in again by the next solve
+        size, count = math.prod(work), math.prod(shape) if values else 0
+        block = np.empty(size + (-(-count // 2) if real else count), dtype=complex)
+        self.work = block[:size].reshape(work)
+        tail = block[size:]
+        self.values = (tail.view(float)[:count] if real else tail).reshape(shape) \
+            if values else None
+
+
+def _padded_shape(lat: SpectralLattice, grid: tuple[int, ...], real: bool) -> tuple[int, ...]:
+    """Shape of ``synthesize``'s padded array: the grid, or on the real path
+    the grid with its last axis halved (a real FFT's bins)."""
+    last = grid[-1] // 2 + 1 if real else grid[-1]
+    return grid[:-1] + (last, lat.n)
+
+
 def synthesize(f: FourierField, grid: Sequence[int] | None = None,
-               real: bool = False) -> np.ndarray:
+               real: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Values of the field on the uniform collocation grid.
 
     Node i along an axis of size N sits at angle 2*pi*i/N.  Grid must hold
     the lattice (N >= 2*cutoff + 1 per axis).  With ``real`` the field is
     taken as Hermitian: only the j >= 0 half of its last axis is read, and
-    the values come back real from an inverse real FFT.
+    the values come back real from an inverse real FFT.  ``out``, a plan's
+    complex array of the padded shape, is zeroed and padded in place of a
+    fresh one; the complex path returns it, the real path a new array
+    (scipy's ``irfft`` takes no output array).
     """
     lat = f.lattice
     if grid is None:
         grid = default_grid(lat)
     grid = tuple(int(g) for g in grid)
     _check_grid(lat, grid)
-    half = grid[:-1] + (grid[-1] // 2 + 1,)
-    work = np.zeros((half if real else grid) + (lat.n,), dtype=complex)
+    shape = _padded_shape(lat, grid, real)
+    if out is None:
+        work = np.zeros(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex:
+        raise ValueError(f"out must be a complex array of shape {shape}")
+    else:
+        work = out
+        work.fill(0.0)
     for bins, modes in _bin_blocks(lat, grid, half=real):
         work[bins] = f.coeffs[modes]
     for axis, blocks in _passes(lat, grid, forward=False, real=real):
@@ -551,12 +617,15 @@ def _check_grid(lat: SpectralLattice, grid: Sequence[int]) -> None:
             raise GridTooSmallError(f"grid {g} < {2 * cut + 1} along axis {axis}")
 
 
-def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
+def analyze(values: np.ndarray, lat: SpectralLattice, overwrite: bool = False
+            ) -> FourierField:
     """Project grid values back onto the lattice coefficients.
 
     A real array goes through a forward real FFT; its j < 0 coefficients
     are the conjugate mirror of the j > 0 ones, which is exact for real
-    values.
+    values.  ``overwrite`` lets a complex array's passes all run in place
+    on it, the first one too, and leaves it holding the padded spectrum;
+    the real path reads ``values`` only.
     """
     values = np.asarray(values)
     grid = values.shape[:-1]
@@ -573,6 +642,8 @@ def analyze(values: np.ndarray, lat: SpectralLattice) -> FourierField:
         spec = sfft.rfft(values, axis=len(grid) - 1, workers=FFT_WORKERS)
         # rfftn's 1/N, where pocketfft applies it, on the bins kept
         _normalise(spec[..., :lat.cutoffs[-1] + 1, :], grid)
+    elif overwrite:
+        spec = values
     else:
         spec = sfft.fft(values, axis=0, workers=FFT_WORKERS)
         passes = passes[1:]
@@ -608,20 +679,32 @@ def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None)
 # products and composition
 
 
-def product(u: FourierField, v: FourierField, real: bool) -> FourierField:
+def product(u: FourierField, v: FourierField, real: bool,
+            plan: TransformPlan | None = None) -> FourierField:
     """Componentwise pointwise product, computed alias-free.
 
     Uses 3/2-rule zero padding, which is exact for a quadratic product: the
     returned coefficients are the true convolution truncated to the lattice.
     ``real`` takes the real transforms and needs both factors Hermitian;
-    ``v is u`` transforms once.
+    ``v is u`` transforms once.  The transforms run in ``plan``'s arrays
+    (one for the quadratic dealiasing grid), or in a plan of this call's.
     """
     u._check(v)
-    grid = dealias_grid(u.lattice, degree=2)
-    pu = synthesize(u, grid, real=real)
-    pv = pu if v is u else synthesize(v, grid, real=real)
-    # in place: pu is this call's own array, and one padded grid less is live
-    return analyze(np.multiply(pu, pv, out=pu), u.lattice)
+    lat = u.lattice
+    grid = dealias_grid(lat, degree=2)
+    # the complex path's pu is the plan's work array, so a second factor
+    # pads into its values array; the real path's irfft returns new arrays
+    two = not real and v is not u
+    if plan is None:
+        plan = TransformPlan(lat, grid, real, values=two)
+    pu = synthesize(u, grid, real=real, out=plan.work)
+    pv = pu if v is u else synthesize(v, grid, real=real,
+                                      out=plan.values if two else plan.work)
+    # a per-call plan's arrays are not held through the forward transform
+    del plan
+    # in place: pu is the plan's array or this call's own, and one padded
+    # grid less is live
+    return analyze(np.multiply(pu, pv, out=pu), lat, overwrite=not real)
 
 
 @dataclass(frozen=True)
@@ -748,29 +831,30 @@ class NonlinearitySpec:
         if self.kind == "zero":
             return np.zeros_like(x)
         if self.kind == "polynomial":
-            # Horner in one accumulator per component, returned as a view
-            # when there is one component.  It starts from 0 * x + the top
-            # coefficient, not from the top coefficient alone, so signed
-            # zeros and non-finite x give the bits of Horner from a zero
-            # accumulator
-            out = None if len(self.coeffs) == x.shape[-1] == 1 else np.zeros_like(x)
-            for c, row in enumerate(self.coeffs):
-                xc = x[..., c]
-                if row:
-                    acc = np.multiply(xc, 0.0)
-                    acc += row[-1]
-                else:
-                    acc = np.zeros_like(xc)
-                for coeff in row[-2::-1]:
-                    acc *= xc
-                    acc += coeff
-                if out is None:
-                    return acc[..., None]
-                out[..., c] = acc
-            return out
+            return self.horner(x, np.empty(x.shape, dtype=np.result_type(x, 0.0)))
         if self.kind == "callable":
             return np.asarray(self.fn(x))
         return self._piecewise_eval(x)
+
+    def horner(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A polynomial's values at x, written into ``out`` (x's shape, a
+        dtype x's values cast to) and returned: Horner in one accumulator
+        per component, ``out``'s own column.  It starts from 0 * x + the top
+        coefficient, not from the top coefficient alone, so signed zeros and
+        non-finite x give the bits of Horner from a zero accumulator.  A
+        component without a coefficient row is +0.0."""
+        for c, row in enumerate(self.coeffs):
+            xc, acc = x[..., c], out[..., c]
+            if row:
+                np.multiply(xc, 0.0, out=acc)
+                acc += row[-1]
+            else:
+                acc.fill(0.0)
+            for coeff in row[-2::-1]:
+                acc *= xc
+                acc += coeff
+        out[..., len(self.coeffs):] = 0.0
+        return out
 
     def point(self, x: list[float]) -> list[float]:
         """g-hat at one real point, on Python floats: the bits of
@@ -827,23 +911,40 @@ def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec) -> tuple[int, .
     return default_grid(lat, oversample=COMPOSITION_OVERSAMPLE)
 
 
-def compose(u: FourierField, g: NonlinearitySpec, real: bool) -> FourierField:
+def composition_plan(lat: SpectralLattice, g: NonlinearitySpec, real: bool
+                     ) -> TransformPlan | None:
+    """The plan that ``compose(u, g, real)`` runs in, for a solve to build
+    once: on the composition grid of g (see ``NonlinearitySpec``).  None
+    for the zero kind, which composes without a transform."""
+    if g.kind == "zero":
+        return None
+    return TransformPlan(lat, _composition_grid(lat, g), real, g.kind == "polynomial")
+
+
+def compose(u: FourierField, g: NonlinearitySpec, real: bool,
+            plan: TransformPlan | None = None) -> FourierField:
     """Pseudo-spectral composition: analyze(g(synthesize(u))).
 
     Polynomial kinds pad the grid to the exact alias-free size for their
     degree; other kinds use ``COMPOSITION_OVERSAMPLE``.  ``real`` takes the
     real transforms and needs u Hermitian, so g is evaluated on real grid
-    values and real symmetry is preserved.
+    values and real symmetry is preserved.  The transforms run in ``plan``
+    (``composition_plan(u.lattice, g, real)``), or in a plan of this
+    call's; a polynomial is evaluated into the plan's ``values``, which the
+    forward transform then overwrites.  A callable's output is only read.
     """
     lat = u.lattice
     if g.kind == "zero":
         return FourierField.zeros(lat)
     if not real and g.kind == "piecewise_linear":
         raise ValueError("piecewise-linear composition needs a real-symmetric field")
-    gv = np.asarray(g(synthesize(u, _composition_grid(lat, g), real=real)))
+    if plan is None:
+        plan = composition_plan(lat, g, real)
+    x = synthesize(u, _composition_grid(lat, g), real=real, out=plan.work)
+    gv = g.horner(x, plan.values) if g.kind == "polynomial" else np.asarray(g(x))
     if not np.all(np.isfinite(gv)):
         raise FloatingPointError("nonlinearity returned non-finite grid values")
-    return analyze(gv, lat)
+    return analyze(gv, lat, overwrite=gv is plan.values)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from response_solver.pde import PdeProblem, apply_n_inverse, boussinesq_nonlinea
 from response_solver.spectral import (
     _SQUARE_SAFE,
     _SQUARE_TINY,
+    L2,
     FourierField,
     NonlinearitySpec,
     NormOverflowError,
@@ -258,7 +259,9 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     """The log-space weighted norm, one fresh array per pass and the log
     weights gathered for every spec.  A field whose largest magnitude is
     outside [_SQUARE_TINY, _SQUARE_SAFE) is scaled by the power of two that
-    brings it into [0.5, 1), and the result back."""
+    brings it into [0.5, 1), and the result back; a weighted field with a
+    nonzero magnitude, so scaled, below _SQUARE_TINY enters as per-mode
+    logs, not squares."""
     mags = np.abs(f.coeffs)
     if np.any(np.isnan(mags)):
         raise FloatingPointError("norm of a field with NaN coefficients")
@@ -268,9 +271,20 @@ def norm(f: FourierField, spec: NormSpec) -> float:
         return 0.0
     top = float(mags.max())
     shift = 0 if _SQUARE_TINY <= top < _SQUARE_SAFE else math.frexp(top)[1]
-    mag2 = np.sum(np.ldexp(mags, -shift) ** 2, axis=-1)
-    nonzero = mag2 > 0.0
-    logterms = np.log(mag2[nonzero]) + log_weights(f.lattice, spec)[nonzero]
+    scaled = np.ldexp(mags, -shift)
+    if spec != L2 and np.any((scaled > 0.0) & (scaled < _SQUARE_TINY)):
+        # a weighted field spanning past the square-safe window: per mode
+        # 2 log of its largest component plus the log of the sum of the
+        # squared component ratios
+        largest = scaled.max(axis=-1)
+        nonzero = largest > 0.0
+        ratios = scaled[nonzero] / largest[nonzero][:, None]
+        logmag2 = 2.0 * np.log(largest[nonzero]) + np.log(np.sum(ratios ** 2, axis=-1))
+    else:
+        mag2 = np.sum(scaled ** 2, axis=-1)
+        nonzero = mag2 > 0.0
+        logmag2 = np.log(mag2[nonzero])
+    logterms = logmag2 + log_weights(f.lattice, spec)[nonzero]
     peak = float(np.max(logterms))
     total = math.sqrt(float(np.sum(np.exp(logterms - peak))))
     log_scaled = 0.5 * peak + math.log(total)

@@ -511,14 +511,22 @@ class TestRun:
         ("probe-analytic", "cubic_ode.json", {"points": 1}),
         ("low-reg", "lowreg_ode.json", {"s_grid": [0.0, 1.0]}),
         ("low-reg", "lowreg_ode.json", {"s_grid": [-0.25]}),
-    ], ids=["sigma-zero", "sigma-negative", "points-0", "points-1", "s-one", "s-negative"])
+        ("probe-analytic", "cubic_ode.json", {"radius": 0}),
+        ("demo-liouville", None, {"eps_ladder": [0.01, 0.01]}),
+        ("demo-liouville", None, {"eps_ladder": [0.01]}),
+        ("demo-liouville", None, {"eps_ladder": [-0.01, 0.02]}),
+        ("demo-liouville", None, {"growth": -1}),
+    ], ids=["sigma-zero", "sigma-negative", "points-0", "points-1", "s-one", "s-negative",
+            "radius-zero", "ladder-repeated", "ladder-single", "ladder-negative",
+            "growth-negative"])
     def test_out_of_range_param_is_input_error(self, tmp_path, command, problem, params):
         """A params value that converts but lies outside its range exits 4
         with the key named, before any solve, not 2 from the solver."""
         key = next(iter(params))
         cfg = RunConfig.load(write_json(
             tmp_path / "cfg.json",
-            config_doc(command, str(PROBLEMS / problem), tmp_path / "out", **params)))
+            config_doc(command, problem and str(PROBLEMS / problem), tmp_path / "out",
+                       **params)))
         assert run(cfg) == EXIT_INPUT
         err = json.loads((tmp_path / "out" / "result.json").read_text())
         assert err["exit_code"] == EXIT_INPUT

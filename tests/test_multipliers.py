@@ -372,8 +372,8 @@ class TestSolvePlan:
         assert is_real_eps(eps) is real
         flags = []
         synthesize = spectral.synthesize
-        monkeypatch.setattr(spectral, "synthesize", lambda f, grid=None, real=False:
-                            flags.append(real) or synthesize(f, grid, real))
+        monkeypatch.setattr(spectral, "synthesize", lambda f, grid=None, real=False, **kw:
+                            flags.append(real) or synthesize(f, grid, real, **kw))
         U, rep = rs.solve_fixed_point(eps, prob, rs.SolverConfig())
         assert rep.status == "converged"
         rs.residual(U, eps, prob)

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 
 import response_solver as rs
-from response_solver import ode as ode_mod
+from response_solver import cli, ode as ode_mod
 from response_solver.cli import parse_problem
 from response_solver.multipliers import EpsilonDomain, operator_norms
 from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
@@ -211,6 +211,127 @@ class TestColdStart:
         assert sum(inc <= cfg.tol for inc in rep.increments) == 1
         # n - 1 steps square an iterate, and the residual squares the last
         assert len(calls) == rep.iterations
+
+
+    @pytest.mark.parametrize("ball_radius", [1.0, math.inf], ids=["ball", "no-ball"])
+    def test_cold_first_iterate_is_normed_once(self, cubic_problem, monkeypatch,
+                                               ball_radius):
+        """A cold cubic solve takes the first iterate's norm once, for the
+        half-ball check, its increment and, with a ball, its norm; every
+        later step takes its increment and, with a ball, its norm; each
+        residual check and, without a ball, the exit take one more."""
+        calls = []
+        norm = ode_mod.norm
+        monkeypatch.setattr(ode_mod, "norm", lambda *a: calls.append(a[0]) or norm(*a))
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=ball_radius)
+        U, rep = rs.solve_fixed_point(0.05, cubic_problem, cfg)
+        assert rep.status == "converged" and rep.iterations >= 3
+        checks = sum(inc <= cfg.tol for inc in rep.increments)
+        per_step = 2 if math.isfinite(ball_radius) else 1
+        at_exit = 0 if math.isfinite(ball_radius) else 1
+        assert len(calls) == 1 + per_step * (rep.iterations - 1) + checks + at_exit
+        first = rs.apply_scaled_inverse(0.05, cubic_problem.linear, cubic_problem.forcing)
+        assert np.array_equal(calls[0].coeffs, first.coeffs)
+        assert rep.increments[0] == norm(first, cfg.norm)
+        assert rep.sol_norm == norm(U, cfg.norm)
+
+
+    def test_cold_first_iterate_that_overflows_ends_diverged_at_zero(self):
+        """eps L^-1 f overflows at eps = 10 with |f_1| = 8.5e307 (|l_1| = 1):
+        iteration 1 is not accepted, and the solve ends diverged at its zero
+        start."""
+        lat = rs.SpectralLattice(d=1, K=4, omega=(1.0,))
+        prob = rs.OdeProblem(lattice=lat, linear=rs.LinearPart.scalar(1.0),
+                             g_hat=rs.NonlinearitySpec.cubic(0.1),
+                             forcing=cos_forcing(lat, 1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            U, rep = rs.solve_fixed_point(10.0, prob, rs.SolverConfig())
+        assert rep.status == "diverged" and rep.iterations == 0
+        assert "infinite" in rep.diagnostics["error"]
+        assert not np.any(U.coeffs)
+
+
+def d3_cubic(K: int) -> rs.OdeProblem:
+    """g-hat = 0.1 x^3 on a d = 3 torus, forced at two modes."""
+    lat = rs.SpectralLattice(d=3, K=K, omega=(1.0, math.sqrt(2.0), math.sqrt(3.0)))
+    forcing = rs.FourierField.from_modes(lat, {(1, 0, 0): 0.1, (-1, 0, 0): 0.1,
+                                               (0, 1, 1): 0.05j, (0, -1, -1): -0.05j})
+    return rs.OdeProblem(lattice=lat, linear=rs.LinearPart.scalar(1.0),
+                         g_hat=rs.NonlinearitySpec.cubic(0.1), forcing=forcing)
+
+
+class TestCompositionPlan:
+    """An oscillator solve composes in the two grid arrays of its one plan."""
+
+    def test_steps_and_residual_allocate_no_grid_array(self, monkeypatch):
+        """After a complex-eps d = 3 cubic solve's first step, no compose
+        that a step or the residual runs allocates a composition grid's
+        worth of memory (a compose that padded into fresh arrays would
+        take two grids or more), and a whole step stays below one grid."""
+        import tracemalloc
+
+        from response_solver.spectral import _composition_grid
+
+        prob, eps = d3_cubic(12), 0.05 + 0.005j
+        grid_bytes = 16 * math.prod(_composition_grid(prob.lattice, prob.g_hat))
+        assert grid_bytes > 6 * 16 * math.prod(prob.lattice.field_shape)
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        step, eq_residual, first, _ = prob.fixed_point_map(eps, cfg, rs.SolveReport(eps=eps))
+        U = step(first)
+        eq_residual(U)
+        rises = []
+
+        def peak_rise(fn, *args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            rises.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        compose = ode_mod.compose
+        monkeypatch.setattr(ode_mod, "compose", lambda *a: peak_rise(compose, *a))
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                U = step(U)
+                eq_residual(U)
+            composes = list(rises)
+            rises.clear()
+            peak_rise(step, U)
+        finally:
+            tracemalloc.stop()
+        assert len(composes) == 4
+        assert max(composes) < grid_bytes / 2
+        assert rises[-1] < grid_bytes
+
+    def test_pooled_complex_sweep_on_d3_gives_the_serial_bytes(self, tmp_path):
+        """Each solve owns its plan, so a --jobs 2 sweep over complex eps on
+        a d = 3 torus writes the serial result.json byte for byte."""
+        problem = {"kind": "ode", "d": 3, "n": 1, "K": 6, "omega": ["1", "sqrt2", "sqrt3"],
+                   "A": [1.0],
+                   "nonlinearity": {"kind": "polynomial", "coeffs": [[0, 0, 0, 0.1]],
+                                    "smallness": "local"},
+                   "forcing": [{"k": [1, 0, 0], "component": 0, "amplitude": 0.2,
+                                "waveform": "cos"},
+                               {"k": [0, 1, 1], "component": 0, "amplitude": 0.1,
+                                "waveform": "sin"}]}
+        (tmp_path / "d3.json").write_text(json.dumps(problem))
+        config = {"command": "sweep", "problem": "d3.json",
+                  "solver": {"tol": 1e-12, "max_iter": 100, "ball_radius": 1.0},
+                  "params": {"domain": {"kind": "complex_cone", "sigma": 0.05, "mu": 5.0},
+                             "count": 6},
+                  "output_dir": "out", "seed": 3}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        written = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["--config", str(tmp_path / "cfg.json"), "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            written[jobs] = (out / "result.json").read_bytes()
+        assert written["1"] == written["2"]
+        entries = json.loads(written["1"])["entries"]
+        assert len(entries) == 6 and all(e["status"] == "converged" for e in entries)
+        assert any(e["eps"][1] != 0.0 for e in entries)
 
 
 class TestRandomizedContraction:

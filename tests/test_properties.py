@@ -21,6 +21,7 @@ from response_solver.multipliers import (  # noqa: E402
 )
 from response_solver.ode import contract  # noqa: E402
 from response_solver.pde import PdeProblem, pde_certification_scan  # noqa: E402
+from response_solver import spectral  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
 from conftest import PROBLEMS, cos_forcing  # noqa: E402
@@ -256,6 +257,60 @@ def test_anti_hermitian_part_keeps_the_complex_path(lat, data):
     g = rs.NonlinearitySpec.cubic(0.5, lat.n)
     assert np.array_equal(rs.compose(u, g, False).coeffs,
                           complex_oracle((u,), dealias_grid(lat, 3), g).coeffs)
+
+
+def plan_lattices():
+    """d = 1, 2, 3 tori, n = 1, 2, small enough for 3-D grids."""
+    return st.builds(
+        lambda d, K, n: rs.SpectralLattice(d=d, K=K, omega=(1.0, np.sqrt(2.0), np.pi)[:d],
+                                           n=n),
+        st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
+
+
+def plan_field(lat, data, real):
+    """A Hermitian field for the real path, a general one otherwise."""
+    if real:
+        return hermitian(lat, data)
+    return rs.FourierField(lat, data.draw(coefficients(lat, 1.0)))
+
+
+def nonlinearities(n):
+    """Polynomials whose coefficients include +0.0 and -0.0 (rows of any
+    length, an empty one too), a piecewise-linear map and a callable."""
+    rows = st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0]), max_size=4)
+    return st.one_of(
+        st.lists(rows, min_size=n, max_size=n).map(
+            lambda r: rs.NonlinearitySpec.polynomial(r, smallness="global")),
+        st.just(rs.NonlinearitySpec.piecewise([-0.5, 0.25], [0.1, -0.2, 0.3])),
+        st.just(rs.NonlinearitySpec(kind="callable", fn=lambda x: np.sin(x) * x[..., ::-1],
+                                    lip_hat=1.0, smallness="global")))
+
+
+def same_bits(a, b):
+    return a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@settings(max_examples=40)
+@given(lat=plan_lattices(), real=st.booleans(), data=st.data())
+def test_compose_through_a_plan_is_the_free_compose(lat, real, data):
+    """A solve's plan gives the bits of a plan made per call, signed zeros
+    included, on its first use and on its second."""
+    g = data.draw(nonlinearities(lat.n))
+    assume(real or g.kind != "piecewise_linear")
+    plan = spectral.composition_plan(lat, g, real)
+    for _ in range(2):
+        u = plan_field(lat, data, real)
+        assert same_bits(rs.compose(u, g, real, plan), rs.compose(u, g, real))
+
+
+@settings(max_examples=40)
+@given(lat=plan_lattices(), real=st.booleans(), square=st.booleans(), data=st.data())
+def test_product_through_a_plan_is_the_free_product(lat, real, square, data):
+    plan = spectral.TransformPlan(lat, dealias_grid(lat, 2), real)
+    for _ in range(2):
+        u = plan_field(lat, data, real)
+        v = u if square else plan_field(lat, data, real)
+        assert same_bits(rs.product(u, v, real, plan), rs.product(u, v, real))
 
 
 @settings(max_examples=40)

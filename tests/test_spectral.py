@@ -150,6 +150,23 @@ class TestNorm:
         with pytest.raises(FloatingPointError):
             rs.norm(one_nan, rs.NormSpec(0.2, 1))
 
+    def test_weighted_norm_keeps_a_coefficient_whose_square_underflows(self):
+        """1.0 at k = 0 and 1e-170 at k = 16 under NormSpec(25, 0): the
+        weight e^800 makes the second term the larger, though its square
+        underflows, so the norm is not 1.0."""
+        import mpmath
+
+        lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,))
+        f = rs.FourierField.from_modes(lat, {(0,): 1.0, (16,): 1e-170})
+        with mpmath.workdps(40):
+            exact = float(mpmath.sqrt(1 + mpmath.mpf(1e-170) ** 2 * mpmath.exp(800)))
+        assert exact == pytest.approx(5221.47, rel=1e-6)
+        assert rs.norm(f, rs.NormSpec(25.0, 0.0)) == pytest.approx(exact, rel=1e-13)
+        # the same field without the 1.0, and L2, where the term is roundoff
+        assert rs.norm(f - rs.FourierField.from_modes(lat, {(0,): 1.0}),
+                       rs.NormSpec(25.0, 0.0)) == pytest.approx(exact, rel=1e-6)
+        assert rs.norm(f, L2) == 1.0
+
     def test_pde_weight_uses_k_and_j(self, pde_lattice):
         f = single_mode(pde_lattice, (1, 0, 2))
         got = rs.norm(f, rs.NormSpec(0.5, 1))
@@ -788,3 +805,42 @@ class TestHsNorm:
         u = random_real(lat2d, rng)
         l2 = math.sqrt(float(np.sum(np.abs(u.coeffs) ** 2)))
         assert_allclose(hs_norm(u, 0.0), l2, rtol=1e-14)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+
+@settings(max_examples=80)
+@given(d=st.integers(1, 2), K=st.integers(1, 6), n=st.integers(1, 2),
+       rho=st.floats(0.0, 50.0), m=st.floats(0.0, 4.0), data=st.data())
+def test_norm_matches_an_mpmath_sum(d, K, n, rho, m, data):
+    """norm against sqrt(sum |u_k|^2 e^{2 rho |k|_1} (|k|^2 + 1)^m) summed in
+    40 digits.  Each weighted term |u_k| w_k^(1/2) is drawn between 0.1
+    and 10 (or is zero), so every term counts and the magnitudes span the
+    weights' range, down to 1e-260: a coefficient whose square underflows
+    may not be lost."""
+    import mpmath
+
+    lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, math.sqrt(2.0))[:d], n=n)
+    shape = lat.field_shape
+    # every element drawn on its own (no fill value), so the terms differ
+    terms = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0),
+                             fill=st.nothing()))
+    phases = data.draw(arrays(float, shape, elements=st.floats(0.0, 2 * math.pi),
+                              fill=st.nothing()))
+    zero = data.draw(arrays(bool, shape, elements=st.booleans(), fill=st.nothing()))
+    log10_root_weight = (rho * lat.k_l1() + 0.5 * m * np.log1p(lat.k_sq())) / math.log(10)
+    exponents = terms - log10_root_weight[..., None]
+    coeffs = np.where(zero, 0.0, 10.0 ** exponents * np.exp(1j * phases))
+    f = rs.FourierField(lat, coeffs)
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for index in np.ndindex(lat.mode_shape):
+            k = [i - cut for i, cut in zip(index, lat.cutoffs)]
+            weight = mpmath.exp(2 * mpmath.mpf(rho) * sum(abs(c) for c in k)) \
+                * (mpmath.mpf(sum(c * c for c in k)) + 1) ** mpmath.mpf(m)
+            total += weight * sum(abs(mpmath.mpc(c)) ** 2 for c in coeffs[index])
+        exact = float(mpmath.sqrt(total))
+    assert rs.norm(f, rs.NormSpec(rho, m)) == pytest.approx(exact, rel=1e-12, abs=0.0)
