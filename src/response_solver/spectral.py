@@ -7,7 +7,7 @@ operation returns a new field and leaves its inputs alone; kernels write in
 place only into arrays they allocated themselves or that a ``TransformPlan``
 owns.  A plan holds one padded grid's two arrays, the padded work array and
 the grid values, so a solve that builds one transforms in them step after
-step; ``product`` and ``compose`` build one per call when given none.
+step; ``compose`` builds one per call when given none.
 
 Transforms run on a uniform collocation grid.  A field that is real on the
 torus (Hermitian: coeff(-k) = conj(coeff(k))) can be synthesized from the
@@ -453,11 +453,11 @@ class TransformPlan:
     flag run in, allocated once: ``work``, the padded array that
     ``synthesize`` fills (the j >= 0 half of the last axis on the real path),
     and with ``values`` a second grid array: the values a polynomial
-    composition evaluates into (real on the real path), or a complex
-    product's second factor.  A solve builds one and every step transforms
-    in its arrays; what a transform leaves in them lasts until the plan's
-    next one, so a plan serves one thread at a time.  ``synthesize`` checks
-    the work array's shape against the grid and flag of each call."""
+    composition evaluates into (real on the real path).  A solve builds one
+    and every step transforms in its arrays; what a transform leaves in them
+    lasts until the plan's next one, so a plan serves one thread at a time.
+    ``synthesize`` checks the work array's shape against the grid and flag
+    of each call."""
 
     __slots__ = ("work", "values")
 
@@ -679,32 +679,21 @@ def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None)
 # products and composition
 
 
-def product(u: FourierField, v: FourierField, real: bool,
-            plan: TransformPlan | None = None) -> FourierField:
+def product(u: FourierField, v: FourierField, real: bool) -> FourierField:
     """Componentwise pointwise product, computed alias-free.
 
     Uses 3/2-rule zero padding, which is exact for a quadratic product: the
     returned coefficients are the true convolution truncated to the lattice.
     ``real`` takes the real transforms and needs both factors Hermitian;
-    ``v is u`` transforms once.  The transforms run in ``plan``'s arrays
-    (one for the quadratic dealiasing grid), or in a plan of this call's.
+    ``v is u`` transforms once.
     """
     u._check(v)
-    lat = u.lattice
-    grid = dealias_grid(lat, degree=2)
-    # the complex path's pu is the plan's work array, so a second factor
-    # pads into its values array; the real path's irfft returns new arrays
-    two = not real and v is not u
-    if plan is None:
-        plan = TransformPlan(lat, grid, real, values=two)
-    pu = synthesize(u, grid, real=real, out=plan.work)
-    pv = pu if v is u else synthesize(v, grid, real=real,
-                                      out=plan.values if two else plan.work)
-    # a per-call plan's arrays are not held through the forward transform
-    del plan
-    # in place: pu is the plan's array or this call's own, and one padded
-    # grid less is live
-    return analyze(np.multiply(pu, pv, out=pu), lat, overwrite=not real)
+    grid = dealias_grid(u.lattice, degree=2)
+    pu = synthesize(u, grid, real=real)
+    pv = pu if v is u else synthesize(v, grid, real=real)
+    # in place: pu is this call's own array, so the product and, on the
+    # complex path, every forward pass overwrite it
+    return analyze(np.multiply(pu, pv, out=pu), u.lattice, overwrite=not real)
 
 
 @dataclass(frozen=True)

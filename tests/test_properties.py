@@ -1,6 +1,7 @@
 """Property tests over random inputs (derandomized profile in conftest)."""
 
 import importlib
+import math
 import sys
 
 import numpy as np
@@ -305,12 +306,15 @@ def test_compose_through_a_plan_is_the_free_compose(lat, real, data):
 
 @settings(max_examples=40)
 @given(lat=plan_lattices(), real=st.booleans(), square=st.booleans(), data=st.data())
-def test_product_through_a_plan_is_the_free_product(lat, real, square, data):
-    plan = spectral.TransformPlan(lat, dealias_grid(lat, 2), real)
-    for _ in range(2):
-        u = plan_field(lat, data, real)
-        v = u if square else plan_field(lat, data, real)
-        assert same_bits(rs.product(u, v, real, plan), rs.product(u, v, real))
+def test_product_in_place_is_the_out_of_place_product(lat, real, square, data):
+    """product overwrites its own padded array through the forward
+    transform; the bits are those of a fresh product array analyzed."""
+    grid = dealias_grid(lat, 2)
+    u = plan_field(lat, data, real)
+    v = u if square else plan_field(lat, data, real)
+    pv = rs.synthesize(v, grid, real=real)
+    fresh = rs.analyze(rs.synthesize(u, grid, real=real) * pv, lat)
+    assert same_bits(rs.product(u, v, real), fresh)
 
 
 @settings(max_examples=40)
@@ -413,3 +417,37 @@ def test_draws_do_not_depend_on_the_modules_loaded(tmp_path, monkeypatch):
         assert draws() == before
     finally:
         sys.modules.pop("constants_pool", None)
+
+
+@settings(max_examples=80)
+@given(d=st.integers(1, 2), K=st.integers(1, 6), n=st.integers(1, 2),
+       rho=st.floats(0.0, 50.0), m=st.floats(0.0, 4.0), data=st.data())
+def test_norm_matches_an_mpmath_sum(d, K, n, rho, m, data):
+    """norm against sqrt(sum |u_k|^2 e^{2 rho |k|_1} (|k|^2 + 1)^m) summed in
+    40 digits.  Each weighted term |u_k| w_k^(1/2) is drawn between 0.1
+    and 10 (or is zero), so every term counts and the magnitudes span the
+    weights' range, down to 1e-260: a coefficient whose square underflows
+    may not be lost."""
+    import mpmath
+
+    lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, math.sqrt(2.0))[:d], n=n)
+    shape = lat.field_shape
+    # every element drawn on its own (no fill value), so the terms differ
+    terms = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0),
+                             fill=st.nothing()))
+    phases = data.draw(arrays(float, shape, elements=st.floats(0.0, 2 * math.pi),
+                              fill=st.nothing()))
+    zero = data.draw(arrays(bool, shape, elements=st.booleans(), fill=st.nothing()))
+    log10_root_weight = (rho * lat.k_l1() + 0.5 * m * np.log1p(lat.k_sq())) / math.log(10)
+    exponents = terms - log10_root_weight[..., None]
+    coeffs = np.where(zero, 0.0, 10.0 ** exponents * np.exp(1j * phases))
+    f = rs.FourierField(lat, coeffs)
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for index in np.ndindex(lat.mode_shape):
+            k = [i - cut for i, cut in zip(index, lat.cutoffs)]
+            weight = mpmath.exp(2 * mpmath.mpf(rho) * sum(abs(c) for c in k)) \
+                * (mpmath.mpf(sum(c * c for c in k)) + 1) ** mpmath.mpf(m)
+            total += weight * sum(abs(mpmath.mpc(c)) ** 2 for c in coeffs[index])
+        exact = float(mpmath.sqrt(total))
+    assert rs.norm(f, rs.NormSpec(rho, m)) == pytest.approx(exact, rel=1e-12, abs=0.0)

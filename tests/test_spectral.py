@@ -806,41 +806,3 @@ class TestHsNorm:
         l2 = math.sqrt(float(np.sum(np.abs(u.coeffs) ** 2)))
         assert_allclose(hs_norm(u, 0.0), l2, rtol=1e-14)
 
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
-
-
-@settings(max_examples=80)
-@given(d=st.integers(1, 2), K=st.integers(1, 6), n=st.integers(1, 2),
-       rho=st.floats(0.0, 50.0), m=st.floats(0.0, 4.0), data=st.data())
-def test_norm_matches_an_mpmath_sum(d, K, n, rho, m, data):
-    """norm against sqrt(sum |u_k|^2 e^{2 rho |k|_1} (|k|^2 + 1)^m) summed in
-    40 digits.  Each weighted term |u_k| w_k^(1/2) is drawn between 0.1
-    and 10 (or is zero), so every term counts and the magnitudes span the
-    weights' range, down to 1e-260: a coefficient whose square underflows
-    may not be lost."""
-    import mpmath
-
-    lat = rs.SpectralLattice(d=d, K=K, omega=(1.0, math.sqrt(2.0))[:d], n=n)
-    shape = lat.field_shape
-    # every element drawn on its own (no fill value), so the terms differ
-    terms = data.draw(arrays(float, shape, elements=st.floats(-1.0, 1.0),
-                             fill=st.nothing()))
-    phases = data.draw(arrays(float, shape, elements=st.floats(0.0, 2 * math.pi),
-                              fill=st.nothing()))
-    zero = data.draw(arrays(bool, shape, elements=st.booleans(), fill=st.nothing()))
-    log10_root_weight = (rho * lat.k_l1() + 0.5 * m * np.log1p(lat.k_sq())) / math.log(10)
-    exponents = terms - log10_root_weight[..., None]
-    coeffs = np.where(zero, 0.0, 10.0 ** exponents * np.exp(1j * phases))
-    f = rs.FourierField(lat, coeffs)
-    with mpmath.workdps(40):
-        total = mpmath.mpf(0)
-        for index in np.ndindex(lat.mode_shape):
-            k = [i - cut for i, cut in zip(index, lat.cutoffs)]
-            weight = mpmath.exp(2 * mpmath.mpf(rho) * sum(abs(c) for c in k)) \
-                * (mpmath.mpf(sum(c * c for c in k)) + 1) ** mpmath.mpf(m)
-            total += weight * sum(abs(mpmath.mpc(c)) ** 2 for c in coeffs[index])
-        exact = float(mpmath.sqrt(total))
-    assert rs.norm(f, rs.NormSpec(rho, m)) == pytest.approx(exact, rel=1e-12, abs=0.0)
