@@ -41,6 +41,7 @@ from .spectral import (
     SpectralLattice,
     compose,
     directional_derivative,
+    directional_multiplier,
     norm,
 )
 
@@ -180,14 +181,25 @@ def residual(U: FourierField, eps: complex, prob: OdeProblem,
     ``mode_matrices``: the residual checks the inverse, so it must not be
     built from the same operator.  g(U) is composed in ``plan``, a solve's
     ``composition_plan``, or in a plan of its own.
+
+    The terms go into two lattice arrays, in place: the bits of
+    ``eps d2 + d1 + eps (AU + gU) - eps f`` over fresh fields, the same
+    operations in the same order.
     """
-    lin = prob.linear
-    d1 = FourierField(U.lattice, directional_derivative(U, 1).coeffs * lin.q_diagonal)
-    d2 = FourierField(U.lattice, directional_derivative(U, 2).coeffs * lin.p_diagonal)
-    AU = FourierField(U.lattice, np.einsum("ij,...j->...i", lin.array, U.coeffs))
-    gU = compose(U, prob.g_hat, is_real_eps(eps), plan)
-    res = eps * d2 + d1 + eps * (AU + gU) - eps * prob.forcing
-    return norm(res, normspec)
+    lin, lat, c = prob.linear, U.lattice, U.coeffs
+    res = np.multiply(c, directional_multiplier(lat, 2))
+    np.multiply(res, lin.p_diagonal, out=res)
+    np.multiply(res, eps, out=res)
+    term = np.multiply(c, directional_multiplier(lat, 1))
+    np.multiply(term, lin.q_diagonal, out=term)
+    np.add(res, term, out=res)
+    np.einsum("ij,...j->...i", lin.array, c, out=term)
+    np.add(term, compose(U, prob.g_hat, is_real_eps(eps), plan).coeffs, out=term)
+    np.multiply(term, eps, out=term)
+    np.add(res, term, out=res)
+    np.multiply(prob.forcing.coeffs, eps, out=term)
+    np.subtract(res, term, out=res)
+    return norm(FourierField(lat, res), normspec)
 
 
 def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,

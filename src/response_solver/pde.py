@@ -36,10 +36,9 @@ from .spectral import (
     FourierField,
     NormSpec,
     SpectralLattice,
-    directional_derivative,
+    directional_multiplier,
     norm,
     product,
-    spatial_derivative,
     spatial_multiplier,
 )
 
@@ -233,9 +232,12 @@ def boussinesq_nonlinearity(U: FourierField, real: bool) -> FourierField:
     """h(U) = (U^2)_xx with exact quadratic dealiasing (``product``'s ``real``).
 
     The second x-derivative annihilates the spatial mean created by the
-    square, so the j = 0 slab of the output is exactly zero.
+    square, so the j = 0 slab of the output is exactly zero.  It multiplies
+    in the product's own array: the bits of ``spatial_derivative``.
     """
-    return spatial_derivative(product(U, U, real), 2)
+    out = product(U, U, real)
+    np.multiply(out.coeffs, spatial_multiplier(U.lattice, 2), out=out.coeffs)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +252,32 @@ def pde_residual(U: FourierField, eps: complex, prob: PdeProblem,
     The equation is written out here from derivatives, on purpose apart from
     the symbol ``l_eps``: ``manufactured_forcing`` builds f through
     ``apply_n_forward``, so a residual routed through the symbol would vanish
-    on manufactured solutions by construction.
+    on manufactured solutions by construction.  ``eps h(U)`` comes first,
+    in the padded product's own output, so no lattice array is held through
+    the product; the linear part then goes into two more lattice arrays, in
+    place.  These are the bits of ``eps d2 + d1 - eps beta x4 - eps x2 -
+    eps f - eps h(U)`` over fresh fields, the same operations on each
+    coefficient in the same order.
     """
-    d1 = directional_derivative(U, 1)
-    d2 = directional_derivative(U, 2)
-    x2 = spatial_derivative(U, 2)
-    x4 = spatial_derivative(U, 4)
-    res = eps * d2 + d1 - eps * prob.beta * x4 - eps * x2 - eps * prob.forcing
-    # four fields less held through the padded product
-    del d1, d2, x2, x4
+    lat, c = U.lattice, U.coeffs
     if prob.nonlinear:
-        res = res - eps * boussinesq_nonlinearity(U, is_real_eps(eps))
-    return norm(res, normspec)
+        h = boussinesq_nonlinearity(U, is_real_eps(eps)).coeffs
+        np.multiply(h, eps, out=h)
+    res = np.multiply(c, directional_multiplier(lat, 2))
+    np.multiply(res, eps, out=res)
+    term = np.multiply(c, directional_multiplier(lat, 1))
+    np.add(res, term, out=res)
+    np.multiply(c, spatial_multiplier(lat, 4), out=term)
+    np.multiply(term, eps * prob.beta, out=term)
+    np.subtract(res, term, out=res)
+    np.multiply(c, spatial_multiplier(lat, 2), out=term)
+    np.multiply(term, eps, out=term)
+    np.subtract(res, term, out=res)
+    np.multiply(prob.forcing.coeffs, eps, out=term)
+    np.subtract(res, term, out=res)
+    if prob.nonlinear:
+        np.subtract(res, h, out=res)
+    return norm(FourierField(lat, res), normspec)
 
 
 def pde_solve_fixed_point(eps: complex, prob: PdeProblem, cfg: SolverConfig

@@ -354,9 +354,12 @@ def log_weights(lat: SpectralLattice, spec: NormSpec) -> np.ndarray:
 
 
 # a field whose largest magnitude lies in [_SQUARE_TINY, _SQUARE_SAFE) has
-# its sum of squares in the normal double range
+# its sum of squares in the normal double range; an L2 sum of squares at or
+# above _SUM_TINY has lost no term to underflow that roundoff of the sum
+# would not lose
 _SQUARE_TINY = 1e-150
 _SQUARE_SAFE = 1e150
+_SUM_TINY = _SQUARE_TINY ** 2
 _LOG_MAX = math.log(np.finfo(float).max)
 _LN2 = math.log(2.0)
 
@@ -376,7 +379,25 @@ def norm(f: FourierField, spec: NormSpec) -> float:
     keeps the squares: such a term is below roundoff of the sum.
     Raises NormOverflowError when the result leaves the double range and
     FloatingPointError on NaN coefficients.
+
+    L2 first sums the squares of the coefficients' real and imaginary parts
+    in one einsum pass and returns the root of a sum in [_SUM_TINY, inf).
+    Every other sum (NaN, inf, overflow, underflow, zero) takes the scaled
+    log-space sum described above, as every weighted spec does.  The pass
+    is numpy's own loop, not BLAS, so its bits follow neither the array's
+    address nor a BLAS thread count.
     """
+    if spec == L2:
+        parts = np.ravel(f.coeffs).view(np.float64)
+        total = float(np.einsum("i,i->", parts, parts))
+        if _SUM_TINY <= total < math.inf:
+            return math.sqrt(total)
+    return _log_space_norm(f, spec)
+
+
+def _log_space_norm(f: FourierField, spec: NormSpec) -> float:
+    """``norm`` summed in log space, the path of every weighted spec and of
+    an L2 sum of squares outside [_SUM_TINY, inf)."""
     mags = np.abs(f.coeffs)
     top = float(mags.max())
     if math.isnan(top):
@@ -942,8 +963,12 @@ def compose(u: FourierField, g: NonlinearitySpec, real: bool,
 
 def directional_derivative(u: FourierField, order: int = 1) -> FourierField:
     """(omega . d/dtheta)^order: multiply mode k by (i k.omega)^order."""
-    mult = (1j * u.lattice.k_dot_omega()) ** order
-    return FourierField(u.lattice, u.coeffs * mult[..., None])
+    return FourierField(u.lattice, u.coeffs * directional_multiplier(u.lattice, order))
+
+
+def directional_multiplier(lat: SpectralLattice, order: int) -> np.ndarray:
+    """(i k.omega)^order, shaped to broadcast against ``lat.field_shape``."""
+    return ((1j * lat.k_dot_omega()) ** order)[..., None]
 
 
 def spatial_derivative(u: FourierField, order: int) -> FourierField:

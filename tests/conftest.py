@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,3 +146,15 @@ def diverging_cubic_problem(path):
     doc["forcing"][0]["amplitude"] = 200.0
     path.write_text(json.dumps(doc))
     return path
+
+
+def peak_rise(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` holds at its peak beyond what was held
+    before the call, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -8,12 +8,13 @@ single mode's coefficient, a Cauchy decay fit and the plain Horner
 evaluation of a polynomial nonlinearity.  Beside them stand
 the plain forms of kernels the library runs in fewer passes: the
 full-lattice Hermitian scan and k.omega multipliers, the meshgrid lattice
-arrays and point evaluation, the log-space norm with fresh arrays, the
-out-of-place Horner and the ``np.ix_`` scatter and gather between lattice
-and FFT bins.  Last come the builders only tests need: a ``LinearPart``
-assembled from Jordan blocks and a basis, the Hermitian part of a field
-and a random Hermitian field.  None of them is called by the library, so
-they live beside the tests.
+arrays and point evaluation, the norm with fresh arrays (L2's one-pass sum
+of squares, else log space), both equations' residual fields built from
+fresh fields, the out-of-place Horner and the ``np.ix_`` scatter and
+gather between lattice and FFT bins.  Last come the builders only tests
+need: a ``LinearPart`` assembled from Jordan blocks and a basis, the
+Hermitian part of a field and a random Hermitian field.  None of them is
+called by the library, so they live beside the tests.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from response_solver.spectral import (
     NormOverflowError,
     NormSpec,
     SpectralLattice,
+    compose,
     lattice_index,
     log_weights,
+    spatial_derivative,
 )
 
 
@@ -136,6 +139,29 @@ def pde_picard_step(U: FourierField, eps: complex, prob: PdeProblem) -> FourierF
     if prob.nonlinear:
         rhs = rhs + boussinesq_nonlinearity(U, is_real_eps(eps))
     return apply_n_inverse(eps, prob, rhs)
+
+
+def ode_residual_field(U: FourierField, eps: complex, prob) -> FourierField:
+    """eps P (w.d)^2 U + Q (w.d) U + eps (A U + g(U)) - eps f over fresh
+    fields: ``ode.residual`` takes the norm of these bits."""
+    lin = prob.linear
+    d1 = FourierField(U.lattice, directional_derivative(U, 1).coeffs * lin.q_diagonal)
+    d2 = FourierField(U.lattice, directional_derivative(U, 2).coeffs * lin.p_diagonal)
+    AU = FourierField(U.lattice, np.einsum("ij,...j->...i", lin.array, U.coeffs))
+    gU = compose(U, prob.g_hat, is_real_eps(eps))
+    return eps * d2 + d1 + eps * (AU + gU) - eps * prob.forcing
+
+
+def pde_residual_field(U: FourierField, eps: complex, prob: PdeProblem) -> FourierField:
+    """eps (w.d)^2 U + (w.d) U - eps beta U_xxxx - eps U_xx - eps f
+    - eps (U^2)_xx over fresh fields: ``pde.pde_residual`` takes the norm
+    of these bits."""
+    d1, d2 = directional_derivative(U, 1), directional_derivative(U, 2)
+    x2, x4 = spatial_derivative(U, 2), spatial_derivative(U, 4)
+    res = eps * d2 + d1 - eps * prob.beta * x4 - eps * x2 - eps * prob.forcing
+    if prob.nonlinear:
+        res = res - eps * boussinesq_nonlinearity(U, is_real_eps(eps))
+    return res
 
 
 def n_inverse_multiplier(eps: complex, lat: SpectralLattice,
@@ -256,12 +282,20 @@ def hermitian_defect(f: FourierField) -> float:
 
 
 def norm(f: FourierField, spec: NormSpec) -> float:
-    """The log-space weighted norm, one fresh array per pass and the log
-    weights gathered for every spec.  A field whose largest magnitude is
+    """The weighted norm, one fresh array per pass.  L2 first takes the
+    root of the one-pass sum of squares of the real and imaginary parts, in
+    their memory order, when that sum lies in [_SQUARE_TINY**2, inf).
+    Otherwise the norm is summed in log space with the log weights gathered
+    for every spec.  A field whose largest magnitude is
     outside [_SQUARE_TINY, _SQUARE_SAFE) is scaled by the power of two that
     brings it into [0.5, 1), and the result back; a weighted field with a
     nonzero magnitude, so scaled, below _SQUARE_TINY enters as per-mode
     logs, not squares."""
+    if spec == L2:
+        parts = np.stack([f.coeffs.real, f.coeffs.imag], axis=-1).ravel()
+        total = float(np.einsum("i,i->", parts, parts))
+        if _SQUARE_TINY ** 2 <= total < math.inf:
+            return math.sqrt(total)
     mags = np.abs(f.coeffs)
     if np.any(np.isnan(mags)):
         raise FloatingPointError("norm of a field with NaN coefficients")

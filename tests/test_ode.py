@@ -15,8 +15,10 @@ from response_solver.multipliers import EpsilonDomain, operator_norms
 from response_solver.ode import geometric_fit_r2, sweep_sigma_ladder
 from response_solver.verification import newton_oracle_ode, restrict_field
 
-from conftest import PROBLEMS, cos_forcing, diverging_cubic_problem, manufactured_pde
-from reference import cauchy_decay_fit, pde_picard_step, random_real
+from conftest import (
+    PROBLEMS, cos_forcing, diverging_cubic_problem, manufactured_pde, peak_rise,
+)
+from reference import cauchy_decay_fit, ode_residual_field, pde_picard_step, random_real
 
 
 def exact_linear_solution(lat, eps):
@@ -358,6 +360,8 @@ class TestRandomizedContraction:
 
 
 class TestResidual:
+    """``residual`` writes the equation into two lattice arrays, in place."""
+
     def test_exact_solution_zero_residual(self, linear_problem):
         eps = 0.05
         U = exact_linear_solution(linear_problem.lattice, eps)
@@ -375,6 +379,35 @@ class TestResidual:
             0.05, cubic_problem, rs.SolverConfig(tol=1e-10, ball_radius=1.0)
         )
         assert rs.residual(U, 0.05, cubic_problem) <= 1e-8
+
+    @pytest.mark.parametrize("name, eps", [("cubic_ode.json", 0.05),
+                                           ("cubic_ode.json", 0.05 + 0.005j),
+                                           ("jordan_ode.json", 0.05),
+                                           ("jordan_ode.json", -0.03 + 0.01j),
+                                           ("linear_ode.json", 0.1 + 0.02j),
+                                           ("lowreg_ode.json", 0.05)])
+    def test_residual_is_the_fresh_field_expression(self, monkeypatch, rng, name, eps):
+        """The field whose norm the residual takes has the bits of the
+        equation written over fresh fields."""
+        prob = parse_problem(PROBLEMS / name)
+        U = random_real(prob.lattice, rng, amplitude=0.01)
+        fields = []
+        monkeypatch.setattr(ode_mod, "norm", lambda f, spec: fields.append(f) or 0.0)
+        ode_mod.residual(U, eps, prob)
+        want = ode_residual_field(U, eps, prob)
+        assert fields[0].coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_residual_holds_two_lattice_arrays_and_the_composition(self):
+        """At d = 3, K = 12 (0.25 MB a field) a complex-eps residual in its
+        solve's plan holds its two arrays and the composed field at its
+        peak: under 1.0 MB, where the equation over fresh fields held 1.75."""
+        prob, eps = d3_cubic(12), 0.05 + 0.005j
+        assert 16 * math.prod(prob.lattice.field_shape) == 250_000
+        cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
+        step, eq_residual, first, _ = prob.fixed_point_map(eps, cfg, rs.SolveReport(eps=eps))
+        U = step(first)
+        eq_residual(U)
+        assert peak_rise(eq_residual, U) < 1_000_000
 
 
 class TestSweep:

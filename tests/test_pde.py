@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import response_solver as rs
-from response_solver.multipliers import imaginary_root_blowup
+from response_solver import pde as pde_mod
+from response_solver.multipliers import imaginary_root_blowup, is_real_eps
 from response_solver.pde import (
     BetaRejectedError,
     PdeProblem,
@@ -17,8 +18,8 @@ from response_solver.pde import (
 )
 from response_solver.verification import newton_oracle_pde, restrict_field
 
-from conftest import manufactured_pde
-from reference import mode_coefficient, random_real
+from conftest import manufactured_pde, peak_rise
+from reference import mode_coefficient, pde_residual_field, random_real
 
 
 def certification_lattice(J):
@@ -169,6 +170,34 @@ class TestFixedPoint:
         U0 = rs.FourierField.zeros(prob.lattice)
         assert_allclose(rs.pde_residual(U0, eps, prob),
                         eps * rs.norm(prob.forcing, rs.NormSpec()), rtol=1e-13)
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.002j, -0.01 + 0.03j])
+    def test_residual_is_the_fresh_field_expression(self, monkeypatch, rng, nonlinear, eps):
+        """The field whose norm the residual takes has the bits of the
+        equation written over fresh fields, off the k2 = 0 sublattice too."""
+        prob, _, _ = manufactured_pde(K=6, nonlinear=nonlinear, second=0.006)
+        U = random_real(prob.lattice, rng, amplitude=1e-3)
+        fields = []
+        monkeypatch.setattr(pde_mod, "norm", lambda f, spec: fields.append(f) or 0.0)
+        pde_mod.pde_residual(U, eps, prob)
+        want = pde_residual_field(U, eps, prob)
+        assert fields[0].coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.02, 0.02 + 0.002j])
+    def test_residual_holds_no_lattice_array_through_the_product(self, eps):
+        """At K = J = 8 the residual's peak is the padded product's own: it
+        holds no lattice array through it, and builds the linear part in two
+        arrays (the ufuncs' broadcast buffers add a fraction of one).  The
+        equation over fresh fields peaked at seven fields."""
+        prob, W, _ = manufactured_pde(K=8)
+        field = 16 * math.prod(prob.lattice.field_shape)
+        rs.pde_residual(W, eps, prob)
+        rise = peak_rise(rs.pde_residual, W, eps, prob)
+        assert rise <= peak_rise(rs.product, W, W, is_real_eps(eps)) + field / 4
+        linear = PdeProblem(lattice=prob.lattice, beta=prob.beta, forcing=prob.forcing,
+                            nonlinear=False)
+        assert peak_rise(rs.pde_residual, W, eps, linear) < 3.5 * field
 
     def test_refinement_stability_on_doubling(self):
         prob8, W8, eps = manufactured_pde(K=8)

@@ -451,3 +451,116 @@ def test_norm_matches_an_mpmath_sum(d, K, n, rho, m, data):
             total += weight * sum(abs(mpmath.mpc(c)) ** 2 for c in coeffs[index])
         exact = float(mpmath.sqrt(total))
     assert rs.norm(f, rs.NormSpec(rho, m)) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+# -- the L2 norm's one-pass sum ------------------------------------------------
+
+def norm_lattices():
+    """d = 1, 2, 3 tori, n = 1, 2, with and without a spatial axis."""
+    return st.builds(
+        lambda d, K, n, J: rs.SpectralLattice(d=d, K=K, omega=(1.0, math.sqrt(2.0), math.pi)[:d],
+                                              n=n, has_space=J > 0, J=J),
+        st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.integers(0, 2))
+
+
+# log10 of the sum of squares: around the edges of the window [1e-300, inf)
+# of the one-pass sum, and far past them; a sum of 1e-300 or 1e300 puts the
+# largest magnitude near the square-safe window's 1e-150 or 1e150
+SUM_EXPONENTS = (-660.0, -616.0, -330.0, -310.0, -300.0001, -300.0, -299.9999, -299.0,
+                 -280.0, 0.0, 298.0, 300.0, 302.0, 308.25, 308.2547, 308.26, 309.0, 400.0)
+
+
+def scaled_coefficients(lat, data):
+    """Coefficients at random phases and magnitudes spread over three
+    decades, a drawn share of them zero, scaled so that their sum of squares
+    is near 10^s, s drawn across the windows; now and then one NaN or
+    infinite entry.  A drawn seed fills the arrays, which keeps the draws
+    fast on the largest lattices."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = lat.field_shape
+    zero = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.25, 0.9] * 3 + [1.0]))
+    coeffs = np.where(zero, 0.0, 10.0 ** rng.uniform(-3.0, 0.0, shape)
+                      * np.exp(1j * rng.uniform(0.0, 2 * math.pi, shape)))
+    total = float(np.sum(np.abs(coeffs) ** 2))
+    if total > 0.0:
+        s = data.draw(st.sampled_from(SUM_EXPONENTS) | st.floats(-660.0, 400.0))
+        # in two factors, each within the double range
+        factor = 10.0 ** ((s - math.log10(total)) / 4)
+        coeffs = coeffs * factor * factor
+    special = data.draw(st.sampled_from([None] * 12 + [math.nan, math.inf, complex(-math.inf, 1.0),
+                                                       complex(math.inf, math.nan)]))
+    if special is not None:
+        coeffs.flat[data.draw(st.integers(0, coeffs.size - 1))] = special
+    return coeffs
+
+
+def norm_outcome(fn, f):
+    """fn(f, L2), or the type of the exception it raised."""
+    try:
+        return fn(f, L2)
+    except (FloatingPointError, OverflowError) as exc:
+        return type(exc)
+
+
+def log_sum_of_squares(coeffs):
+    """log of sum |u_k|^2 for finite coefficients, the parts scaled by a
+    power of two so that no square leaves the double range that matters,
+    and summed exactly (-inf for an all-zero field)."""
+    parts = np.abs(np.ravel(coeffs).view(np.float64))
+    top = float(parts.max())
+    if top == 0.0:
+        return -math.inf
+    shift = math.frexp(top)[1]
+    scaled = np.ldexp(parts, -shift)
+    return math.log(math.fsum((scaled * scaled).tolist())) + 2 * shift * math.log(2.0)
+
+
+@settings(max_examples=300)
+@given(lat=norm_lattices(), data=st.data())
+def test_l2_one_pass_sum_agrees_with_the_log_path(lat, data):
+    """L2 and the log-space path give the same norm to 5e-14 and raise the
+    same exception types.  A field whose sum of squares lies outside
+    [1e-300, inf) falls back, so keeps the log path's bits, and one well
+    inside the window takes the one-pass sum."""
+    f = rs.FourierField(lat, scaled_coefficients(lat, data))
+    log_path = spectral._log_space_norm
+    fell_back = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_log_space_norm",
+                   lambda *args: fell_back.append(True) or log_path(*args))
+        got = norm_outcome(rs.norm, f)
+    want = norm_outcome(log_path, f)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+    if fell_back:
+        assert got is want if isinstance(want, type) else got.hex() == want.hex()
+    if np.all(np.isfinite(f.coeffs)):
+        log_total = log_sum_of_squares(f.coeffs)
+        margin = 1e-9
+        if math.log(1e-300) + margin < log_total < math.log(np.finfo(float).max) - margin:
+            assert not fell_back
+        elif not math.log(1e-300) - margin <= log_total \
+                < math.log(np.finfo(float).max) + margin:
+            assert fell_back
+    else:
+        assert fell_back
+
+
+@settings(max_examples=60)
+@given(lat=norm_lattices(), data=st.data())
+def test_l2_norm_bits_do_not_depend_on_the_field_address(lat, data):
+    """The same field placed at every 8-byte offset of a larger buffer,
+    so at every address modulo 64, gives the same norm bits."""
+    coeffs = scaled_coefficients(lat, data)
+    buffer = np.zeros(coeffs.nbytes + 64, dtype=np.uint8)
+    outcomes, addresses = set(), set()
+    for offset in range(0, 64, 8):
+        placed = buffer[offset:offset + coeffs.nbytes].view(complex).reshape(coeffs.shape)
+        placed[...] = coeffs
+        addresses.add(placed.ctypes.data % 64)
+        got = norm_outcome(rs.norm, rs.FourierField(lat, placed))
+        outcomes.add(got if isinstance(got, type) else got.hex())
+    assert len(addresses) == 8
+    assert len(outcomes) == 1
