@@ -26,7 +26,8 @@ lattice's bins: they are still +0.0, and pocketfft maps a zero line to
 +0.0 (checked once per length: on a length where it leaves a -0.0, as some
 of its Bluestein lengths do, that pass and the later ones skip nothing).  A
 forward pass skips the lines whose transformed axes sit outside the kept
-bins: nothing reads them.  The 1/N lands where pocketfft puts it: on
+bins: nothing reads them; the real forward pass writes only the last axis's
+kept bins 0..cut.  The 1/N lands where pocketfft puts it: on
 the complex inverse after the axis-0 pass (ifftn times N is the synthesized
 sum), on the real forward on the kept bins right after the real pass; both
 times it multiplies the real and imaginary parts by 1/N rounded from long
@@ -464,9 +465,18 @@ def default_grid(lat: SpectralLattice, oversample: float = 1.0) -> tuple[int, ..
     return _grid_shape(sizes)
 
 
-def dealias_grid(lat: SpectralLattice, degree: int = 2) -> tuple[int, ...]:
-    """Grid large enough that a degree-p product is alias-free on the lattice."""
-    return _grid_shape([(degree + 1) * cut + 1 for cut in lat.cutoffs])
+def dealias_grid(lat: SpectralLattice, degree: int, real: bool) -> tuple[int, ...]:
+    """Grid large enough that a degree-p product is alias-free on the lattice:
+    at least (p+1) cut + 1 points per axis, each the next length pocketfft
+    transforms fast.  With ``real`` the last axis, which a real FFT
+    transforms, takes the next length with no factor but 2, 3 and 5: the
+    real FFT has no radix-7 or radix-11 pass, so 97 points go to 100 there
+    and not to 98."""
+    sizes = [(degree + 1) * cut + 1 for cut in lat.cutoffs]
+    grid = _grid_shape(sizes)
+    if real:
+        grid = grid[:-1] + (sfft.next_fast_len(sizes[-1], real=True),)
+    return grid
 
 
 class TransformPlan:
@@ -660,9 +670,9 @@ def analyze(values: np.ndarray, lat: SpectralLattice, overwrite: bool = False
     coeffs = np.empty(lat.field_shape, dtype=complex)
     # the first pass runs on every line and writes the one padded spectrum
     if real:
-        spec = sfft.rfft(values, axis=len(grid) - 1, workers=FFT_WORKERS)
-        # rfftn's 1/N, where pocketfft applies it, on the bins kept
-        _normalise(spec[..., :lat.cutoffs[-1] + 1, :], grid)
+        spec = _kept_real_pass(values, grid, lat.cutoffs[-1])
+        # rfftn's 1/N, where pocketfft applies it
+        _normalise(spec, grid)
     elif overwrite:
         spec = values
     else:
@@ -682,6 +692,28 @@ def analyze(values: np.ndarray, lat: SpectralLattice, overwrite: bool = False
     mirror = coeffs[(slice(None, None, -1),) * (lat.n_axes - 1) + (slice(-1, cut, -1),)]
     np.conjugate(mirror, out=coeffs[..., :cut, :])
     return FourierField(lat, coeffs)
+
+
+# the real forward pass runs in axis-0 slabs of at most this many bytes of
+# half spectrum, each held only until its kept bins are copied out
+_REAL_PASS_SLAB_BYTES = 1 << 20
+
+
+def _kept_real_pass(values: np.ndarray, grid: tuple[int, ...], cut: int) -> np.ndarray:
+    """rfftn's first pass, the real FFT along the last axis, holding only
+    its bins 0..cut, the ones the lattice keeps: the grid with its last axis
+    cut to cut + 1 bins.  Beyond one axis it runs in axis-0 slabs; every line
+    is still transformed whole, so the kept bins are the one-call pass's."""
+    last = len(grid) - 1
+    if last == 0:
+        return sfft.rfft(values, axis=0, workers=FFT_WORKERS)[:cut + 1]
+    spec = np.empty(grid[:-1] + (cut + 1, values.shape[-1]), dtype=complex)
+    row = 16 * (grid[-1] // 2 + 1) * math.prod(grid[1:-1]) * values.shape[-1]
+    rows = max(1, _REAL_PASS_SLAB_BYTES // row)
+    for lo in range(0, grid[0], rows):
+        spec[lo:lo + rows] = sfft.rfft(values[lo:lo + rows], axis=last,
+                                       workers=FFT_WORKERS)[..., :cut + 1, :]
+    return spec
 
 
 def evaluate_at(f: FourierField, theta: Sequence[float], x: float | None = None) -> np.ndarray:
@@ -709,7 +741,7 @@ def product(u: FourierField, v: FourierField, real: bool) -> FourierField:
     ``v is u`` transforms once.
     """
     u._check(v)
-    grid = dealias_grid(u.lattice, degree=2)
+    grid = dealias_grid(u.lattice, 2, real)
     pu = synthesize(u, grid, real=real)
     pv = pu if v is u else synthesize(v, grid, real=real)
     # in place: pu is this call's own array, so the product and, on the
@@ -915,9 +947,10 @@ class NonlinearitySpec:
 COMPOSITION_OVERSAMPLE = 4.0
 
 
-def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec) -> tuple[int, ...]:
+def _composition_grid(lat: SpectralLattice, g: NonlinearitySpec, real: bool
+                      ) -> tuple[int, ...]:
     if g.kind == "polynomial":
-        return dealias_grid(lat, degree=max(g.degree, 1))
+        return dealias_grid(lat, max(g.degree, 1), real)
     return default_grid(lat, oversample=COMPOSITION_OVERSAMPLE)
 
 
@@ -928,7 +961,7 @@ def composition_plan(lat: SpectralLattice, g: NonlinearitySpec, real: bool
     for the zero kind, which composes without a transform."""
     if g.kind == "zero":
         return None
-    return TransformPlan(lat, _composition_grid(lat, g), real, g.kind == "polynomial")
+    return TransformPlan(lat, _composition_grid(lat, g, real), real, g.kind == "polynomial")
 
 
 def compose(u: FourierField, g: NonlinearitySpec, real: bool,
@@ -950,7 +983,7 @@ def compose(u: FourierField, g: NonlinearitySpec, real: bool,
         raise ValueError("piecewise-linear composition needs a real-symmetric field")
     if plan is None:
         plan = composition_plan(lat, g, real)
-    x = synthesize(u, _composition_grid(lat, g), real=real, out=plan.work)
+    x = synthesize(u, _composition_grid(lat, g, real), real=real, out=plan.work)
     gv = g.horner(x, plan.values) if g.kind == "polynomial" else np.asarray(g(x))
     if not np.all(np.isfinite(gv)):
         raise FloatingPointError("nonlinearity returned non-finite grid values")
@@ -997,7 +1030,7 @@ def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec, real: bo
     if g.kind == "zero":
         return 0.0
     base = compose(u, g, real)
-    grid = tuple(2 * s for s in _composition_grid(u.lattice, g))
+    grid = tuple(2 * s for s in _composition_grid(u.lattice, g, real))
     vals = synthesize(u, grid, real=real)
     refined = analyze(np.asarray(g(vals)), u.lattice)
     return float(np.max(np.abs(base.coeffs - refined.coeffs)))

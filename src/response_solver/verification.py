@@ -100,8 +100,8 @@ def _ode_system(eps: complex, prob: OdeProblem, K_small: int):
     inverse = ScaledInverse(eps, prob.linear, small)     # eps L^-1; its operator is L
     L_blocks = inverse.operator.reshape(-1, n, n)
     deriv = _polynomial_derivative(prob.g_hat)
-    grid = _composition_grid(small, prob.g_hat)
     real = is_real_eps(eps)
+    grid = _composition_grid(small, prob.g_hat, real)
 
     def gather(U_flat: np.ndarray) -> FourierField:
         return FourierField(small, U_flat.reshape(small.field_shape))
@@ -116,6 +116,8 @@ def _ode_system(eps: complex, prob: OdeProblem, K_small: int):
     def jvp(U_flat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         # Dg-hat(U) v on compose's own grid, which is the exact derivative of
         # compose; Dg-hat(U) truncated to the lattice first would not be.
+        # v, a Krylov vector, is not Hermitian: its synthesize is complex,
+        # which is exact on the real path's grid too.
         U = gather(U_flat)
         dg = deriv(synthesize(U, grid, real=real))
         return lambda v: forward(v) + eps * analyze(

@@ -275,7 +275,7 @@ class TestCompositionPlan:
         from response_solver.spectral import _composition_grid
 
         prob, eps = d3_cubic(12), 0.05 + 0.005j
-        grid_bytes = 16 * math.prod(_composition_grid(prob.lattice, prob.g_hat))
+        grid_bytes = 16 * math.prod(_composition_grid(prob.lattice, prob.g_hat, False))
         assert grid_bytes > 6 * 16 * math.prod(prob.lattice.field_shape)
         cfg = rs.SolverConfig(tol=1e-12, ball_radius=1.0)
         step, eq_residual, first, _ = prob.fixed_point_map(eps, cfg, rs.SolveReport(eps=eps))
@@ -587,6 +587,36 @@ class TestAnalyticityProbe:
                                axes=(0, 0)) / P
             expect = rs.norm(rs.FourierField(lat, h_m), cfg.norm)
             assert abs(probe.harmonic_norms[m] - expect) <= 1e-11
+
+    @pytest.mark.parametrize("radius", [0.01, 0.05])
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_linear_harmonics_are_the_taylor_coefficients(self, m, radius):
+        """For g = 0 and f = cos(m theta), U_k(eps) = eps f_k / l_k(eps)
+        with l_k = alpha eps + i a, alpha = 1 - a^2, a = +-m.  About the
+        centre c, with D = alpha c + i a, its Taylor coefficients are
+        c f_k / D and, for j >= 1, -(i a f_k / (alpha D)) (-alpha / D)^j:
+        they shrink by radius / |c - i m / (m^2 - 1)| per harmonic, the
+        circle's radius over the distance to the nearest zero of l.  32
+        points put the next alias 32 harmonics down, far below roundoff."""
+        lat = rs.SpectralLattice(d=1, K=16, omega=(1.0,))
+        prob = rs.OdeProblem(lattice=lat, linear=rs.LinearPart.scalar(1.0),
+                             g_hat=rs.NonlinearitySpec.zero(),
+                             forcing=cos_forcing(lat, 1.0, k=(m,)))
+        cfg, centre, points = rs.SolverConfig(tol=1e-13), 0.075, 32
+        probe = rs.analyticity_probe(centre, radius, prob, cfg, points=points)
+        f = prob.forcing.coeffs[[16 - m, 16 + m]]
+        a = np.array([-m, m], dtype=float)[:, None]
+        alpha = 1.0 - a * a
+        D = alpha * centre + 1j * a
+        taylor = [centre * f / D] + [-(1j * a * f / (alpha * D)) * (-alpha / D) ** j
+                                     for j in range(1, points // 2 + 1)]
+        want = [math.sqrt(np.sum(np.abs(c * radius ** j) ** 2))
+                for j, c in enumerate(taylor)]
+        # to 1e-10 relative, or to the solves' roundoff, 1e-15 of harmonic 0
+        for got, expect in zip(probe.harmonic_norms, want, strict=True):
+            assert abs(got - expect) <= 1e-10 * expect + 1e-15 * want[0]
+        ratio = radius / abs(centre - 1j * m / (m * m - 1))
+        assert abs(probe.geometric_ratio - ratio) <= 1e-9 * ratio
 
     def test_harmonics_decay_geometrically(self, cubic_problem):
         sigma = 0.05

@@ -250,6 +250,23 @@ class TestQuasiPeriodic:
         assert np.max(np.abs((U - got).coeffs)) <= 1e-12
         assert np.max(np.abs((W - got).coeffs)) <= 1e-10
 
+    @pytest.mark.parametrize("eps", [0.02, 0.02 * np.exp(0.3j)], ids=["real", "cone"])
+    def test_solved_on_the_real_grid_off_the_sublattice(self, eps):
+        """At K = J = 11 the real path's product grid is (35, 35, 36), not
+        the complex path's (35, 35, 35).  Picard and Newton agree at a real
+        and at a complex-cone eps; the forcing is W's at eps 0.02, so there
+        the solve recovers W."""
+        prob, W, _ = manufactured_pde(K=11, second=0.006)
+        assert rs.spectral.dealias_grid(prob.lattice, 2, True) == (35, 35, 36)
+        U, rep = rs.solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-13))
+        assert rep.status == "converged"
+        if is_real_eps(eps):
+            assert np.max(np.abs((U - W).coeffs)) <= 1e-9 * W.max_abs()
+        off_axis = np.delete(np.arange(2 * 11 + 1), 11)     # k2 != 0
+        assert np.max(np.abs(U.coeffs[:, off_axis])) >= 1e-3
+        got = newton_oracle_pde(eps, prob, K_small=11)
+        assert np.max(np.abs((U - got).coeffs)) <= 1e-12 * U.max_abs()
+
 
 class TestEpsilonAnalyticity:
     def test_shared_circle_probe_on_pde(self):

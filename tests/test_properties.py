@@ -216,7 +216,7 @@ def test_real_product_matches_the_complex_path(lat, square, data):
     u = hermitian(lat, data)
     v = u if square else hermitian(lat, data)
     got = rs.product(u, v, True)
-    oracle = complex_oracle((u, v), dealias_grid(lat, 2))
+    oracle = complex_oracle((u, v), dealias_grid(lat, 2, False))
     np.testing.assert_allclose(got.coeffs, oracle.coeffs, rtol=0,
                                atol=1e-14 * scale(u, v))
 
@@ -226,7 +226,7 @@ def test_real_product_matches_the_complex_path(lat, square, data):
 def test_real_cubic_compose_matches_the_complex_path(lat, c, data):
     u = hermitian(lat, data)
     g = rs.NonlinearitySpec.cubic(c, lat.n)
-    oracle = complex_oracle((u,), dealias_grid(lat, 3), g)
+    oracle = complex_oracle((u,), dealias_grid(lat, 3, False), g)
     np.testing.assert_allclose(rs.compose(u, g, True).coeffs, oracle.coeffs, rtol=0,
                                atol=1e-14 * (1 + abs(c)) * scale(u, u, u))
 
@@ -254,10 +254,10 @@ def test_anti_hermitian_part_keeps_the_complex_path(lat, data):
     u = base + 1e-14 * anti
     assert u.is_hermitian() and u.hermitian_defect() > 0.0
     assert np.array_equal(rs.product(u, u, False).coeffs,
-                          complex_oracle((u, u), dealias_grid(lat, 2)).coeffs)
+                          complex_oracle((u, u), dealias_grid(lat, 2, False)).coeffs)
     g = rs.NonlinearitySpec.cubic(0.5, lat.n)
     assert np.array_equal(rs.compose(u, g, False).coeffs,
-                          complex_oracle((u,), dealias_grid(lat, 3), g).coeffs)
+                          complex_oracle((u,), dealias_grid(lat, 3, False), g).coeffs)
 
 
 def plan_lattices():
@@ -309,7 +309,7 @@ def test_compose_through_a_plan_is_the_free_compose(lat, real, data):
 def test_product_in_place_is_the_out_of_place_product(lat, real, square, data):
     """product overwrites its own padded array through the forward
     transform; the bits are those of a fresh product array analyzed."""
-    grid = dealias_grid(lat, 2)
+    grid = dealias_grid(lat, 2, real)
     u = plan_field(lat, data, real)
     v = u if square else plan_field(lat, data, real)
     pv = rs.synthesize(v, grid, real=real)

@@ -286,7 +286,9 @@ class TestTransformBits:
     }
     GRIDS = {
         "default": default_grid,
-        "dealias": dealias_grid,
+        "dealias": lambda lat: dealias_grid(lat, 2, False),
+        # the real path's grid: its last axis 5-smooth
+        "dealias-real": lambda lat: dealias_grid(lat, 2, True),
         # the lattice's own size per axis: the two bin blocks of an axis meet
         "tight": lambda lat: tuple(2 * cut + 1 for cut in lat.cutoffs),
         "oversampled": oversampled_grid,
@@ -343,6 +345,70 @@ class TestTransformBits:
                 expected = sfft.ifftn(padded(u, grid), axes=axes) * np.prod(grid)
             assert same_bits(rs.synthesize(u, grid, real=real), expected)
 
+    @pytest.mark.parametrize("grid, rows", [((13,), 13), ((13, 10), 3), ((7, 6, 12), 2),
+                                            ((3, 8), 5), ((9, 7, 11, 10), 4)],
+                             ids=["13", "13x10-rows3", "7x6x12-rows2", "3x8-rows5",
+                                  "9x7x11x10-rows4"])
+    def test_real_analyze_in_slabs(self, grid, rows, rng, monkeypatch):
+        """The real forward pass runs in axis-0 slabs of ``rows`` lines,
+        which need not divide the axis or fit in it (a 1-axis grid runs in
+        one call), and keeps only the bins 0..cut: they hold rfftn's bits."""
+        lat = rs.SpectralLattice(d=len(grid), K=(min(grid) - 1) // 2,
+                                 omega=(1.0, math.sqrt(2), math.pi, math.e)[:len(grid)], n=2)
+        cut = lat.cutoffs[-1]
+        row = 16 * (grid[-1] // 2 + 1) * math.prod(grid[1:-1]) * lat.n
+        monkeypatch.setattr(rs.spectral, "_REAL_PASS_SLAB_BYTES", rows * row + row - 1)
+        axes = tuple(range(lat.n_axes))
+        values = rng.standard_normal(grid + (lat.n,))
+        for workers, vals in itertools.product([1, 2], (values, with_signed_zeros(values, rng))):
+            monkeypatch.setattr(rs.spectral, "FFT_WORKERS", workers)
+            monkeypatch.setattr(rs.spectral, "sfft", recorder := RecordingFFT())
+            coeffs = rs.analyze(vals, lat).coeffs
+            monkeypatch.setattr(rs.spectral, "sfft", sfft)
+            slabs = [points for name, _, points in recorder.calls if name == "rfft"]
+            per_row = math.prod(grid[1:]) * lat.n
+            assert slabs == ([vals.size] if len(grid) == 1 else
+                             [min(rows, grid[0] - lo) * per_row for lo in range(0, grid[0], rows)])
+            spec = sfft.rfftn(vals, axes=axes, norm="forward", workers=workers)
+            assert same_bits(coeffs[..., cut:, :], spec[fft_bins(lat, grid, half=True)])
+
+
+class TestGridRule:
+    """The product and polynomial composition grids: (p + 1) cut + 1 points
+    per axis, each raised to pocketfft's next fast length; on the real path
+    the last axis, which the real FFT transforms, to the next 5-smooth one.
+    The non-polynomial kinds' grid, ``default_grid``, has no real rule."""
+
+    LATTICES = {
+        "K=J=32": rs.SpectralLattice(d=2, K=32, omega=(1.0, math.sqrt(2)), has_space=True,
+                                     J=32),
+        "K=J=48": rs.SpectralLattice(d=2, K=48, omega=(1.0, math.sqrt(2)), has_space=True,
+                                     J=48),
+        "d3K12": rs.SpectralLattice(d=3, K=12, omega=(1.0, math.sqrt(2), math.sqrt(3))),
+        "d2K32": rs.SpectralLattice(d=2, K=32, omega=(1.0, math.sqrt(2))),
+        "d1K16": rs.SpectralLattice(d=1, K=16, omega=(1.0,)),
+        "K=J=8": rs.SpectralLattice(d=2, K=8, omega=(1.0, math.sqrt(2)), has_space=True, J=8),
+    }
+
+    @pytest.mark.parametrize("name, degree, complex_grid, real_grid, oversampled", [
+        ("K=J=32", 2, (98, 98, 98), (98, 98, 100), (264, 264, 264)),
+        ("K=J=48", 2, (147, 147, 147), (147, 147, 150), (392, 392, 392)),
+        ("d3K12", 3, (49, 49, 49), (49, 49, 50), (100, 100, 100)),
+        ("d2K32", 3, (132, 132), (132, 135), (264, 264)),
+        ("d1K16", 3, (66,), (72,), (132,)),
+        ("K=J=8", 2, (25, 25, 25), (25, 25, 25), (70, 70, 70)),
+    ])
+    def test_grid_table(self, name, degree, complex_grid, real_grid, oversampled):
+        lat = self.LATTICES[name]
+        assert dealias_grid(lat, degree, False) == complex_grid
+        assert dealias_grid(lat, degree, True) == real_grid
+        poly = rs.NonlinearitySpec.polynomial([[0.0] * degree + [1.0]])
+        piecewise = rs.NonlinearitySpec.piecewise([0.0], [-0.05, 0.05])
+        for real, grid in [(False, complex_grid), (True, real_grid)]:
+            assert _composition_grid(lat, poly, real) == grid
+            assert _composition_grid(lat, piecewise, real) == oversampled
+        assert default_grid(lat, oversample=COMPOSITION_OVERSAMPLE) == oversampled
+
 
 class RecordingFFT:
     """``scipy.fft`` as ``spectral`` calls it, noting each one-axis
@@ -387,7 +453,7 @@ class TestPrunedPasses:
     def test_cubic_composition_d3_k12(self, monkeypatch, rng):
         lat = rs.SpectralLattice(d=3, K=12, omega=(1.0, math.sqrt(2), math.sqrt(3)))
         g = rs.NonlinearitySpec.cubic(1.0)
-        assert _composition_grid(lat, g) == (49, 49, 49)
+        assert _composition_grid(lat, g, False) == (49, 49, 49)
         u = rs.FourierField(lat, rng.standard_normal(lat.field_shape)
                             + 1j * rng.standard_normal(lat.field_shape))
         rs.compose(u, g, False)     # the per-length checks run once, unrecorded
@@ -399,16 +465,16 @@ class TestPrunedPasses:
 
     def test_real_product_k_j_32(self, monkeypatch, rng):
         lat = rs.SpectralLattice(d=2, K=32, omega=(1.0, math.sqrt(2)), has_space=True, J=32)
-        assert dealias_grid(lat) == (98, 98, 98)
+        assert dealias_grid(lat, 2, True) == (98, 98, 100)
         u = random_real(lat, rng)
         rs.product(u, u, True)      # the per-length checks run once, unrecorded
         monkeypatch.setattr(rs.spectral, "sfft", recorder := RecordingFFT())
         rs.product(u, u, True)
         # 65 lattice bins per axis, 33 of them on the real FFT's half axis
-        # of 50 bins
+        # of 51 bins; the forward spectrum holds only those 33
         assert recorder.passes() == [
-            ("ifft", 0, 98 * 65 * 33), ("ifft", 1, 98 * 98 * 33), ("irfft", 2, 98 * 98 * 50),
-            ("rfft", 2, 98 ** 3), ("fft", 0, 98 * 98 * 33), ("fft", 1, 65 * 98 * 33)]
+            ("ifft", 0, 98 * 65 * 33), ("ifft", 1, 98 * 98 * 33), ("irfft", 2, 98 * 98 * 51),
+            ("rfft", 2, 98 * 98 * 100), ("fft", 0, 98 * 98 * 33), ("fft", 1, 65 * 98 * 33)]
 
 
 class TestScipyInPlace:
@@ -428,7 +494,7 @@ class TestScipyInPlace:
     def test_passes_copy_back_a_transform_not_done_in_place(self, monkeypatch, rng, real):
         lat = rs.SpectralLattice(d=2, K=3, omega=(1.0, math.sqrt(2)), has_space=True, J=2)
         u = transform_fields(lat, rng, real)[0]
-        grid = dealias_grid(lat)
+        grid = dealias_grid(lat, 2, real)
         values = rs.synthesize(u, grid, real=real)
         coeffs = rs.analyze(values, lat).coeffs
         monkeypatch.setattr(rs.spectral, "sfft", RecordingFFT(copies=True))
@@ -592,7 +658,7 @@ class TestCompose:
             lip_hat=0.3, smallness="global",
         )
         c = rs.compose(u, g, True)
-        grid = _composition_grid(lat, g)
+        grid = _composition_grid(lat, g, True)
         assert grid == (36,)
         vals = rs.synthesize(u, grid)[..., 0].real
         direct = np.where(vals > 0, 0.05 * vals, -0.3 * vals)
@@ -720,7 +786,7 @@ class TestPdeFieldStructure:
         assert np.max(np.abs(d.space_average_slice())) <= 1e-14
 
     def test_dealias_grid_shapes(self, pde_lattice):
-        grid = dealias_grid(pde_lattice, degree=2)
+        grid = dealias_grid(pde_lattice, 2, True)
         assert all(g >= 3 * 8 + 1 for g in grid)
 
 

@@ -158,6 +158,36 @@ class TestNewtonOracle:
         assert errors[0] <= 1e-6 * np.max(np.abs(Jv))
         assert 3.0 <= errors[0] / errors[1] <= 5.0
 
+    def test_ode_jvp_runs_on_the_grid_of_compose(self, rng, monkeypatch):
+        """At real eps the oracle's F composes on the real path's grid,
+        whose last axis is 5-smooth (36 points for a cubic at K = 8, where
+        the complex path takes 33); the Jacobian-vector product synthesizes
+        on that same grid, so it stays the exact derivative of F."""
+        from response_solver import spectral, verification
+
+        prob = parse_problem(PROBLEMS / "cubic_ode.json")
+        small, F, jvp, _, _ = _ode_system(0.05, prob, K_small=8)
+        plan = spectral.composition_plan(small, prob.g_hat, True)
+        assert plan.work.shape == (19, 1)           # 36 // 2 + 1 real bins
+        grids = {"F": [], "jvp": []}
+
+        def recording(name, fn):
+            def synthesize(f, grid, *args, **kwargs):
+                grids[name].append(tuple(grid))
+                return fn(f, grid, *args, **kwargs)
+            return synthesize
+
+        monkeypatch.setattr(spectral, "synthesize", recording("F", spectral.synthesize))
+        monkeypatch.setattr(verification, "synthesize",
+                            recording("jvp", verification.synthesize))
+        x = random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        v = random_real(small, rng, amplitude=1.0).coeffs.ravel()
+        Jv = jvp(x)(v)
+        t = 1e-5
+        central = (F(x + t * v) - F(x - t * v)) / (2 * t)
+        assert set(grids["F"]) == set(grids["jvp"]) == {(36,)}
+        assert np.max(np.abs(central - Jv)) <= 1e-8 * np.max(np.abs(Jv))
+
     def test_multicomponent_jordan_agreement(self):
         from pathlib import Path
 
