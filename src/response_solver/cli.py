@@ -10,7 +10,10 @@ failure, 4 input error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
+import difflib
+import functools
 import hashlib
 import itertools
 import json
@@ -84,13 +87,70 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# problem files
+# document schemas
+#
+# Each document level has one table: key -> (converter,) for a required key,
+# (converter, default) for an optional one.  A converter takes the JSON value
+# and returns it typed, raising ValueError or TypeError on a value outside
+# its type or range.  A nested table converts a nested object, and a
+# one-item list [c] a JSON list whose every item c converts.  A default is
+# converted as a value is, except None, which stands for "absent" (as a JSON
+# null there does).
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise InputError(f"{path}: missing field {key!r}")
-    return doc[key]
+class _Choice(dict):
+    """Tables, one per branch of a document; ``pick(doc)`` names the branch."""
+
+    def __init__(self, pick: Callable[[dict], object], **tables):
+        super().__init__(tables)
+        self.pick = pick
+
+
+def _parse(doc, table: dict, path: str) -> dict:
+    """``doc`` converted key by key against ``table``.
+
+    A document that is not an object, an unknown key (with the closest
+    known one), a missing required key or a value that does not convert is
+    an input error that names ``path.key``.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected an object, got {doc!r}")
+    if isinstance(table, _Choice):
+        _known_keys(doc, set().union(*table.values()), path)
+        branch = table.pick(doc)
+        if not isinstance(branch, str) or branch not in table:
+            raise InputError(f"{path}.kind: expected one of {sorted(table)}, got {branch!r}")
+        table = table[branch]
+    _known_keys(doc, table, path)
+    fields = {}
+    for key, (convert, *default) in table.items():
+        if key not in doc and not default:
+            raise InputError(f"{path}: missing field {key!r}")
+        value = doc.get(key, *default)
+        fields[key] = None if value is None and default == [None] \
+            else _convert(convert, value, f"{path}.{key}")
+    return fields
+
+
+def _known_keys(doc: dict, known, path: str) -> None:
+    for key in doc:
+        if key not in known:
+            close = difflib.get_close_matches(key, sorted(known), n=1, cutoff=0.5)
+            hint = f"did you mean {close[0]!r}? " if close else ""
+            raise InputError(f"{path}.{key}: unknown key; {hint}known keys: {sorted(known)}")
+
+
+def _convert(convert, value, path: str):
+    if isinstance(convert, dict):
+        return _parse(value, convert, path)
+    if isinstance(convert, list):
+        if not isinstance(value, list):
+            raise InputError(f"{path}: expected a list, got {value!r}")
+        return [_convert(convert[0], item, f"{path}[{i}]") for i, item in enumerate(value)]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {value!r} is not valid ({exc})") from exc
 
 
 def _count(value) -> int:
@@ -102,109 +162,132 @@ def _count(value) -> int:
 
 
 def _finite(value, kind: Callable = float):
-    """``kind(value)``, a float, complex or array whose every number is
-    finite; NaN or an infinity raises ValueError, as a value that does not
-    convert does."""
+    """``kind(value)``, a finite float or complex; NaN or an infinity raises
+    ValueError, as a value that does not convert does, and a bool, which is
+    not read as 0 or 1, raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a bool")
     number = kind(value)
-    if not np.all(np.isfinite(number)):
+    if not cmath.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
-
-
-def _finite_complex(value) -> complex:
-    return _finite(value, complex)
-
-
-def _finite_array(value) -> np.ndarray:
-    return _finite(value, lambda v: np.asarray(v, dtype=float))
 
 
 def _floats(values) -> list[float]:
     return [_finite(v) for v in values]
 
 
+def _where(holds: Callable[[object], bool], need: str,
+           convert: Callable = lambda value: value) -> Callable:
+    """A converter: ``convert(value)``, which must satisfy ``holds``."""
+    def checked(value):
+        typed = convert(value)
+        if not holds(typed):
+            raise ValueError(need)
+        return typed
+    return checked
+
+
+def _at_least(least: int) -> Callable:
+    return _where(lambda count: count >= least, f"at least {least} needed", _count)
+
+
+def _one_of(*names) -> Callable:
+    return _where(lambda value: value in names, f"expected one of {list(names)}")
+
+
+def _instance(kind: type, what: str) -> Callable:
+    return _where(lambda value: isinstance(value, kind), f"expected {what}")
+
+
+_finite_complex = functools.partial(_finite, kind=complex)
+_positive = _where(lambda x: x > 0.0, "need > 0", _finite)
+_non_negative = _where(lambda x: x >= 0.0, "need >= 0", _finite)
+
+
 def _ball_radius(value) -> float:
-    """A finite radius, or inf for no ball."""
-    radius = float(value)
-    return radius if radius == math.inf else _finite(radius)
+    """A radius > 0, or inf for no ball."""
+    return math.inf if float(value) == math.inf else _positive(value)
 
 
-_REQUIRED = object()
-
-
-def _param(doc: dict, key: str, convert: Callable = _finite, default=_REQUIRED,
-           path: str = "params"):
-    """``convert(doc[key])``, or of ``default`` when the key is absent; a
-    missing required key, or a value that does not convert, is an input
-    error that names ``path.key``."""
-    value = _require(doc, key, path) if default is _REQUIRED else doc.get(key, default)
+def _frequency(value) -> float:
+    if isinstance(value, str) and value in SYMBOLIC_OMEGA:
+        return SYMBOLIC_OMEGA[value]
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}.{key}: {value!r} is not valid ({exc})") from exc
+        return _finite(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"neither symbolic {sorted(SYMBOLIC_OMEGA)} "
+                         "nor a finite decimal") from None
 
 
-def _parse_omega(raw, path: str) -> tuple[float, ...]:
-    out = []
-    for i, entry in enumerate(raw):
-        if isinstance(entry, str) and entry in SYMBOLIC_OMEGA:
-            out.append(SYMBOLIC_OMEGA[entry])
-            continue
-        try:
-            out.append(_finite(entry))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}.omega[{i}]: {entry!r} is neither symbolic "
-                             f"{sorted(SYMBOLIC_OMEGA)} nor a finite decimal") from exc
-    return tuple(out)
+_JORDAN_BLOCK = {"lambda": (_finite,), "size": (_at_least(1),), "p": (_finite, 1.0),
+                 "q": (_finite, 1.0)}
 
 
-def _parse_nonlinearity(doc: dict, path: str) -> NonlinearitySpec:
-    kind = doc.get("kind", "zero")
-    if kind == "zero":
-        return NonlinearitySpec.zero()
-    if kind == "polynomial":
-        return NonlinearitySpec.polynomial(
-            _param(doc, "coeffs", lambda rows: [_floats(r) for r in rows], path=path),
-            smallness=doc.get("smallness", "local"),
-        )
-    if kind == "piecewise_linear":
-        return NonlinearitySpec.piecewise(_param(doc, "breakpoints", _floats, path=path),
-                                          _param(doc, "slopes", _floats, path=path))
-    raise InputError(f"{path}.kind: unknown nonlinearity {kind!r}")
+def _jordan(blocks) -> tuple[JordanBlock, ...]:
+    parsed = (_parse(b, _JORDAN_BLOCK, f"[{i}]") for i, b in enumerate(blocks))
+    return tuple(JordanBlock(b["lambda"], b["size"], b["p"], b["q"]) for b in parsed)
 
 
-def _parse_forcing(terms: list, lat: SpectralLattice, path: str) -> FourierField:
+_NONLINEARITY_KIND = (str, "zero")
+_NONLINEARITY = _Choice(
+    lambda doc: doc.get("kind", "zero"),
+    zero={"kind": _NONLINEARITY_KIND},
+    polynomial={"kind": _NONLINEARITY_KIND,
+                "coeffs": (lambda rows: [_floats(r) for r in rows],),
+                "smallness": (_one_of("local", "global"), "local")},
+    piecewise_linear={"kind": _NONLINEARITY_KIND, "breakpoints": (_floats,),
+                      "slopes": (_floats,)},
+)
+_NONLINEARITY_SPECS = {"zero": NonlinearitySpec.zero, "polynomial": NonlinearitySpec.polynomial,
+                       "piecewise_linear": NonlinearitySpec.piecewise}
+_ODE_TERM = {"k": ([_count],), "component": (_count, 0), "amplitude": (_finite,),
+             "waveform": (_one_of("cos", "sin"), "cos")}
+_PDE_TERM = {**_ODE_TERM,
+             "j": (_where(lambda j: j != 0, "spatial forcing terms need j != 0", _count),)}
+_PROBLEM_COMMON = {"kind": (str,), "d": (_at_least(1),), "K": (_at_least(1),),
+                   "omega": ([_frequency],)}
+_PROBLEM = _Choice(
+    lambda doc: doc.get("kind"),
+    ode={**_PROBLEM_COMMON, "n": (_at_least(1), 1), "A": (_floats,),
+         "jordan": (_jordan, None), "phi": (_floats, None),
+         "nonlinearity": (_NONLINEARITY, {}), "forcing": ([_ODE_TERM],)},
+    pde={**_PROBLEM_COMMON, "J": (_at_least(1),), "beta": (_finite,),
+         "nonlinear": (_instance(bool, "true or false"), True),
+         "forcing": ([_PDE_TERM],)},
+)
+
+
+# ---------------------------------------------------------------------------
+# problem files
+
+
+def _square(values: list[float], n: int, where: str) -> tuple:
+    """Row-major entries as the rows of an n x n matrix."""
+    if len(values) != n * n:
+        raise InputError(f"{where}: expected {n * n} row-major entries, got {len(values)}")
+    return tuple(tuple(values[row:row + n]) for row in range(0, n * n, n))
+
+
+def _place_forcing(terms: list[dict], lat: SpectralLattice, path: str) -> FourierField:
     """Cosine/sine terms (k[, j], component, amplitude) placed symmetrically."""
     out = FourierField.zeros(lat)
     for i, term in enumerate(terms):
         tpath = f"{path}[{i}]"
-        k = tuple(_count(c) for c in _require(term, "k", tpath))
-        if len(k) != lat.d:
+        mode = tuple(term["k"])
+        if len(mode) != lat.d:
             raise InputError(f"{tpath}.k: expected {lat.d} entries")
         if lat.has_space:
-            j = _count(_require(term, "j", tpath))
-            if j == 0:
-                raise InputError(f"{tpath}.j: spatial forcing terms need j != 0")
-            mode = k + (j,)
-        else:
-            mode = k
+            mode += (term["j"],)
         if all(c == 0 for c in mode):
             raise InputError(f"{tpath}: zero-mean forcing forbids the k = 0 term")
-        comp = _count(term.get("component", 0))
+        comp = term["component"]
         if not 0 <= comp < lat.n:
             raise InputError(f"{tpath}.component: out of range")
-        amp = _param(term, "amplitude", path=tpath)
-        kind = term.get("waveform", "cos")
+        cos = term["waveform"] == "cos"
         vec = np.zeros(lat.n, dtype=complex)
-        if kind == "cos":
-            vec[comp] = amp / 2.0
-            delta = {mode: vec, tuple(-c for c in mode): vec.copy()}
-        elif kind == "sin":
-            vec[comp] = amp / (2.0j)
-            delta = {mode: vec, tuple(-c for c in mode): -vec}
-        else:
-            raise InputError(f"{tpath}.waveform: expected 'cos' or 'sin'")
-        for m, v in delta.items():
+        vec[comp] = term["amplitude"] / (2.0 if cos else 2.0j)
+        for m, v in ((mode, vec), (tuple(-c for c in mode), vec.copy() if cos else -vec)):
             out = out + FourierField.from_modes(lat, {m: v})
     return out
 
@@ -227,102 +310,27 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
     the problem classes run).
     """
     path = Path(path)
-    doc = _load_json(path, "problem")
+    doc = _parse(_load_json(path, "problem"), _PROBLEM, str(path))
     try:
-        kind = _require(doc, "kind", str(path))
-        if kind not in ("ode", "pde"):
-            raise InputError(f"{path}.kind: expected 'ode' or 'pde', got {kind!r}")
-        d = _count(_require(doc, "d", str(path)))
-        K = _count(_require(doc, "K", str(path)))
-        omega = _parse_omega(_require(doc, "omega", str(path)), str(path))
-        if kind == "ode":
-            n = _count(doc.get("n", 1))
+        d, K, omega = doc["d"], doc["K"], tuple(doc["omega"])
+        if doc["kind"] == "ode":
+            n = doc["n"]
             lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
-            raw_a = _param(doc, "A", _finite_array, path=str(path))
-            if raw_a.size != n * n:
-                raise InputError(f"{path}.A: expected {n * n} row-major entries, "
-                                 f"got {raw_a.size}")
-            A = raw_a.reshape(n, n)
-            jordan = None
-            phi = None
-            if "jordan" in doc:
-                try:
-                    jordan = tuple(
-                        JordanBlock(_finite(b["lambda"]), _count(b["size"]),
-                                    _finite(b.get("p", 1.0)), _finite(b.get("q", 1.0)))
-                        for b in doc["jordan"]
-                    )
-                except (KeyError, ValueError, TypeError) as exc:
-                    raise InputError(f"{path}.jordan: {exc}") from exc
-            if "phi" in doc:
-                raw_phi = _param(doc, "phi", _finite_array, path=str(path))
-                if raw_phi.size != n * n:
-                    raise InputError(f"{path}.phi: expected {n * n} row-major entries")
-                phi = tuple(map(tuple, raw_phi.reshape(n, n)))
-            linear = LinearPart(tuple(map(tuple, A.tolist())), jordan, phi)
-            g_hat = _parse_nonlinearity(doc.get("nonlinearity", {"kind": "zero"}),
-                                        f"{path}.nonlinearity")
-            forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
-                                     f"{path}.forcing")
+            phi = doc["phi"]
+            linear = LinearPart(_square(doc["A"], n, f"{path}.A"), doc["jordan"],
+                                None if phi is None else _square(phi, n, f"{path}.phi"))
+            spec = doc["nonlinearity"]
+            g_hat = _NONLINEARITY_SPECS[spec.pop("kind")](**spec)
+            forcing = _place_forcing(doc["forcing"], lat, f"{path}.forcing")
             return OdeProblem(lattice=lat, linear=linear, g_hat=g_hat, forcing=forcing)
-        J = _count(_require(doc, "J", str(path)))
-        beta = _param(doc, "beta", path=str(path))
-        lat = SpectralLattice(d=d, K=K, omega=omega, n=1, has_space=True, J=J)
-        forcing = _parse_forcing(_require(doc, "forcing", str(path)), lat,
-                                 f"{path}.forcing")
-        return PdeProblem(lattice=lat, beta=beta, forcing=forcing,
-                          nonlinear=bool(doc.get("nonlinear", True)))
+        lat = SpectralLattice(d=d, K=K, omega=omega, n=1, has_space=True, J=doc["J"])
+        forcing = _place_forcing(doc["forcing"], lat, f"{path}.forcing")
+        return PdeProblem(lattice=lat, beta=doc["beta"], forcing=forcing,
+                          nonlinear=doc["nonlinear"])
     except InputError:
         raise
     except (ValueError, TypeError, AttributeError, ArithmeticError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def epsilon_domain_from(doc: dict, path: str) -> EpsilonDomain:
-    kind = _require(doc, "kind", path)
-    sigma = _param(doc, "sigma", path=path)
-    mu = _param(doc, "mu", path=path) if kind == "complex_cone" else 0.0
-    try:
-        return EpsilonDomain(kind, sigma, mu)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _positive(value) -> float:
-    number = _finite(value)
-    if not number > 0.0:
-        raise ValueError(f"{value!r} is not > 0")
-    return number
-
-
-def _eps_ladder(values) -> list[float]:
-    """At least three distinct eps > 0: a difference quotient needs two,
-    and its growth per decade two quotients."""
-    ladder = _floats(values)
-    if len(ladder) < 3 or len(set(ladder)) < len(ladder) or not all(e > 0.0 for e in ladder):
-        raise ValueError("need at least three distinct values, each > 0")
-    return ladder
-
-
-def _sigmas(values) -> list[float]:
-    sigmas = _floats(values)
-    if not sigmas or not all(s > 0.0 for s in sigmas):
-        raise ValueError("need at least one sigma, each > 0")
-    return sigmas
-
-
-def _s_grid(values) -> list[float]:
-    s_grid = _floats(values)
-    if not all(0.0 <= s < 1.0 for s in s_grid):
-        raise ValueError("each s must lie in [0, 1)")
-    return s_grid
-
-
-def _sample_count(params: dict, key: str, default: int = 8, least: int = 1) -> int:
-    count = _param(params, key, _count, default)
-    if count < least:
-        raise InputError(f"params.{key}: {count} samples; at least {least} needed")
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -343,52 +351,19 @@ class RunConfig:
     @staticmethod
     def load(path: str | Path, overrides: dict | None = None) -> "RunConfig":
         """The run config at ``path``; ``overrides`` are fields that replace
-        the document's before it is parsed, as the command-line flags do."""
+        the document's before it is parsed, as the command-line flags do.
+        ``params`` is parsed by ``run``, against its command's table."""
         path = Path(path)
         doc = _load_json(path, "config")
-        try:
+        if isinstance(doc, dict):
             doc = {**doc, **(overrides or {})}
-            command = _require(doc, "command", str(path))
-            if command not in COMMANDS:
-                raise InputError(f"{path}.command: unknown command {command!r}")
-            fault = doc.get("inject_fault")
-            if fault is not None and fault not in FAULT_NAMES:
-                raise InputError(f"{path}.inject_fault: unknown fault {fault!r}; "
-                                 f"known: {FAULT_NAMES}")
-            params = doc.get("params", {})
-            if not isinstance(params, dict):
-                raise InputError(f"{path}.params: expected an object, got {params!r}")
-            solver_doc = doc.get("solver", {})
-            nd = solver_doc.get("norm", {"rho": 0.0, "m": 0.0})
-            where = f"{path}.solver"
-            solver = SolverConfig(
-                tol=_param(solver_doc, "tol", default=1e-10, path=where),
-                max_iter=_param(solver_doc, "max_iter", _count, 200, where),
-                ball_radius=_param(solver_doc, "ball_radius", _ball_radius, math.inf, where),
-                norm=NormSpec(_param(nd, "rho", default=0.0, path=f"{where}.norm"),
-                              _param(nd, "m", default=0.0, path=f"{where}.norm")),
-            )
-            problem = doc.get("problem")
-            if problem is not None:
-                problem = str((path.parent / problem).resolve()
-                              if not os.path.isabs(problem) else problem)
-            jobs = _param(doc, "jobs", _count, 1, str(path))
-            if jobs < 1:
-                raise InputError(f"{path}.jobs: {jobs} workers; at least 1 needed")
-            return RunConfig(
-                command=command,
-                problem=problem,
-                solver=solver,
-                output_dir=str(doc.get("output_dir", "runs/out")),
-                seed=_param(doc, "seed", _count, 0, str(path)),
-                jobs=jobs,
-                inject_fault=fault,
-                params=params,
-            )
-        except InputError:
-            raise
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise InputError(f"{path}: {exc}") from exc
+        fields = _parse(doc, _CONFIG, str(path))
+        problem = fields["problem"]
+        if problem is not None and not os.path.isabs(problem):
+            problem = str((path.parent / problem).resolve())
+        solver = fields["solver"]
+        solver["norm"] = NormSpec(**solver["norm"])
+        return RunConfig(**{**fields, "problem": problem, "solver": SolverConfig(**solver)})
 
 
 # ---------------------------------------------------------------------------
@@ -521,35 +496,29 @@ def _parallel_map(jobs: int):
         yield pool.map
 
 
-def _cmd_solve(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
-    is_ode = isinstance(prob, OdeProblem)
-    eps = _param(cfg.params, "epsilon", _finite_complex, 0.05 if is_ode else 0.02)
-    U, rep = solve_fixed_point(eps, prob, cfg.solver)
+def _cmd_solve(cfg: RunConfig, prob, params: dict, out: Path) -> tuple[int, dict]:
+    U, rep = solve_fixed_point(params["epsilon"], prob, cfg.solver)
     result = {
-        "report": rep.to_dict(),
+        "report": dataclasses.asdict(rep),
         "solution": _field_summary(U, cfg.solver.norm),
     }
-    if is_ode:
+    if isinstance(prob, OdeProblem):
         result["ratio_fit_r2"] = geometric_fit_r2(rep.increments)
     write_spectrum_csv(U, cfg.solver.norm, out)
     code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
     return code, result
 
 
-def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
-    params = cfg.params
+def _cmd_sweep(cfg: RunConfig, prob, params: dict, out: Path) -> tuple[int, dict]:
     if "sigmas" in params:
-        entries = sweep_sigma_ladder(
-            prob, cfg.solver, _param(params, "sigmas", _sigmas),
-            samples_per_sigma=_sample_count(params, "samples_per_sigma", 3),
-            keep_solutions=False,
-        )
+        entries = sweep_sigma_ladder(prob, cfg.solver, params["sigmas"],
+                                     samples_per_sigma=params["samples_per_sigma"],
+                                     keep_solutions=False)
     else:
-        dom = epsilon_domain_from(_require(params, "domain", "params"), "params.domain")
         with _parallel_map(cfg.jobs) as map_fn:
-            entries = sweep_epsilon(dom, prob, cfg.solver,
-                                    count=_sample_count(params, "count"),
-                                    keep_solutions=False, map_fn=map_fn)
+            entries = sweep_epsilon(EpsilonDomain(**params["domain"]), prob, cfg.solver,
+                                    count=params["count"], keep_solutions=False,
+                                    map_fn=map_fn)
     rows = [
         {
             "eps": [e.eps.real, e.eps.imag],
@@ -564,27 +533,22 @@ def _cmd_sweep(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
     return EXIT_OK, result
 
 
-def _cmd_probe_analytic(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
-    params = cfg.params
-    sigma = _param(params, "sigma", default=0.05)
-    mu = _param(params, "mu", default=5.0)
-    dom = EpsilonDomain.cone(sigma, mu)
-    center = _param(params, "center", _finite_complex, 1.5 * sigma)
-    radius = _param(params, "radius", _positive, 0.2 * sigma)
-    points = _sample_count(params, "points", 16, least=2)
+def _cmd_probe_analytic(cfg: RunConfig, prob, params: dict, out: Path) -> tuple[int, dict]:
+    sigma = params["sigma"]
+    dom = EpsilonDomain.cone(sigma, params["mu"])
+    center = complex(1.5 * sigma) if params["center"] is None else params["center"]
+    radius = 0.2 * sigma if params["radius"] is None else params["radius"]
     with _parallel_map(cfg.jobs) as map_fn:
-        probe = analyticity_probe(center, radius, prob, cfg.solver, points=points,
+        probe = analyticity_probe(center, radius, prob, cfg.solver, points=params["points"],
                                   domain=dom, map_fn=map_fn)
     return EXIT_OK, dataclasses.asdict(probe)
 
 
-def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict]:
-    params = cfg.params
-    eps = _param(params, "epsilon", _finite_complex, 0.05)
-    s_grid = _param(params, "s_grid", _s_grid, [0.0, 0.25, 0.5, 0.75])
-    res = low_regularity_solve(eps, prob, cfg.solver, s_grid)
+def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, params: dict,
+                 out: Path) -> tuple[int, dict]:
+    res = low_regularity_solve(params["epsilon"], prob, cfg.solver, params["s_grid"])
     result = {
-        "report": res.report.to_dict(),
+        "report": dataclasses.asdict(res.report),
         "l2_ratio": res.l2_ratio,
         "rates": {
             str(s): {
@@ -597,29 +561,21 @@ def _cmd_low_reg(cfg: RunConfig, prob: OdeProblem, out: Path) -> tuple[int, dict
     return (EXIT_OK if res.report.status == "converged" else EXIT_NOCONV), result
 
 
-def _cmd_verify(cfg: RunConfig, prob, out: Path) -> tuple[int, dict]:
-    params = cfg.params
-    dom = epsilon_domain_from(
-        params.get("domain", {"kind": "real_annulus", "sigma": 0.01}), "params.domain"
-    )
+def _cmd_verify(cfg: RunConfig, prob, params: dict, out: Path) -> tuple[int, dict]:
     if isinstance(prob, OdeProblem) and prob.linear.jordan is None:
         raise InputError(f"{cfg.problem}.jordan: verify needs the Jordan data "
                          "of a non-diagonal A")
-    cert = certify_bounds(prob, dom, samples=_sample_count(params, "samples"),
-                          fault=cfg.inject_fault)
+    cert = certify_bounds(prob, EpsilonDomain(**params["domain"]),
+                          samples=params["samples"], fault=cfg.inject_fault)
     result = {**dataclasses.asdict(cert), "fault": cfg.inject_fault}
     return (EXIT_OK if cert.passed else EXIT_CERT), result
 
 
-def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dict]:
-    params = cfg.params
-    spec = LiouvilleSpec(
-        levels=_param(params, "levels", _count, 2),
-        growth=_param(params, "growth", _positive, 1.0),
-        first_quotient=_param(params, "first_quotient", _count, 3),
-    )
-    K = _param(params, "K", _count, 16)
-    ladder = _param(params, "eps_ladder", _eps_ladder, np.geomspace(1e-2, 1e-6, 13).tolist())
+def _cmd_demo_liouville(cfg: RunConfig, prob: None, params: dict,
+                        out: Path) -> tuple[int, dict]:
+    spec = LiouvilleSpec(levels=params["levels"], growth=params["growth"],
+                         first_quotient=params["first_quotient"])
+    K, ladder = params["K"], params["eps_ladder"]
     freq = build_liouville(spec)
     usable = [w for w in freq.witnesses if max(abs(w.k[0]), abs(w.k[1])) <= K]
     liou_prob = make_witness_problem(freq.omega, [w.k for w in usable], K)
@@ -658,16 +614,56 @@ def _cmd_demo_liouville(cfg: RunConfig, prob: None, out: Path) -> tuple[int, dic
     return EXIT_OK, result
 
 
-# command -> (handler, accepted problem classes); () means no problem file
+_DOMAIN = _Choice(
+    lambda doc: doc.get("kind"),
+    complex_cone={"kind": (str,), "sigma": (_positive,), "mu": (_positive,)},
+    real_annulus={"kind": (str,), "sigma": (_positive,)},
+)
+# each command's params table; the handler reads the converted values
+_SWEEP = _Choice(
+    lambda doc: "sigmas" if "sigmas" in doc else "domain",
+    sigmas={"sigmas": (_where(lambda s: s and min(s) > 0.0,
+                              "need at least one sigma, each > 0", _floats),),
+            "samples_per_sigma": (_at_least(1), 3)},
+    domain={"domain": (_DOMAIN,), "count": (_at_least(1), 8)},
+)
+_PROBE = {"sigma": (_where(lambda x: x > 0.0, "sigma > 0 required", _finite), 0.05),
+          "mu": (_where(lambda x: x > 0.0, "complex cone needs aperture mu > 0", _finite), 5.0),
+          "center": (_finite_complex, None),
+          "radius": (_positive, None), "points": (_at_least(2), 16)}
+_LOW_REG = {"epsilon": (_finite_complex, 0.05),
+            "s_grid": (_where(lambda s: all(0.0 <= x < 1.0 for x in s),
+                              "each s must lie in [0, 1)", _floats), [0.0, 0.25, 0.5, 0.75])}
+_VERIFY = {"domain": (_DOMAIN, {"kind": "real_annulus", "sigma": 0.01}),
+           "samples": (_at_least(1), 8)}
+# a difference quotient needs two eps, and its growth per decade two quotients
+_LIOUVILLE = {"levels": (_where(lambda n: 0 <= n <= 4, "levels must be in 0..4", _count), 2),
+              "growth": (_positive, 1.0),
+              "first_quotient": (_at_least(1), 3), "K": (_at_least(1), 16),
+              "eps_ladder": (_where(
+                  lambda e: len(e) >= 3 and len(set(e)) == len(e) and min(e) > 0.0,
+                  "need at least three distinct values, each > 0", _floats),
+                  np.geomspace(1e-2, 1e-6, 13).tolist())}
+
+# command -> (handler, accepted problem classes, params table); () means no
+# problem file
 COMMANDS = {
-    "solve-ode": (_cmd_solve, (OdeProblem,)),
-    "solve-pde": (_cmd_solve, (PdeProblem,)),
-    "sweep": (_cmd_sweep, (OdeProblem, PdeProblem)),
-    "probe-analytic": (_cmd_probe_analytic, (OdeProblem, PdeProblem)),
-    "low-reg": (_cmd_low_reg, (OdeProblem,)),
-    "verify": (_cmd_verify, (OdeProblem, PdeProblem)),
-    "demo-liouville": (_cmd_demo_liouville, ()),
+    "solve-ode": (_cmd_solve, (OdeProblem,), {"epsilon": (_finite_complex, 0.05)}),
+    "solve-pde": (_cmd_solve, (PdeProblem,), {"epsilon": (_finite_complex, 0.02)}),
+    "sweep": (_cmd_sweep, (OdeProblem, PdeProblem), _SWEEP),
+    "probe-analytic": (_cmd_probe_analytic, (OdeProblem, PdeProblem), _PROBE),
+    "low-reg": (_cmd_low_reg, (OdeProblem,), _LOW_REG),
+    "verify": (_cmd_verify, (OdeProblem, PdeProblem), _VERIFY),
+    "demo-liouville": (_cmd_demo_liouville, (), _LIOUVILLE),
 }
+
+_SOLVER = {"tol": (_positive, 1e-10), "max_iter": (_at_least(1), 200),
+           "ball_radius": (_ball_radius, math.inf),
+           "norm": ({"rho": (_non_negative, 0.0), "m": (_non_negative, 0.0)}, {})}
+_CONFIG = {"command": (_one_of(*COMMANDS),), "problem": (_instance(str, "a path"), None),
+           "solver": (_SOLVER, {}), "params": (_instance(dict, "an object"), {}),
+           "output_dir": (_instance(str, "a path"), "runs/out"), "seed": (_count, 0),
+           "jobs": (_at_least(1), 1), "inject_fault": (_one_of(*FAULT_NAMES), None)}
 
 _KIND_NAMES = {OdeProblem: "an ODE", PdeProblem: "a PDE"}
 
@@ -679,7 +675,7 @@ def run(cfg: RunConfig) -> int:
 
     try:
         prob = None
-        handler, kinds = COMMANDS[cfg.command]
+        handler, kinds, params = COMMANDS[cfg.command]
         if kinds:
             if cfg.problem is None:
                 raise InputError(f"command {cfg.command} needs a problem file")
@@ -687,7 +683,7 @@ def run(cfg: RunConfig) -> int:
             if not isinstance(prob, kinds):
                 raise InputError(f"{cfg.command} needs "
                                  f"{' or '.join(_KIND_NAMES[k] for k in kinds)} problem")
-        code, result = handler(cfg, prob, out)
+        code, result = handler(cfg, prob, _parse(cfg.params, params, "params"), out)
     except Exception as exc:
         # an InputError, or a ValueError from the library's argument checks,
         # which run before any solve; LinAlgError is one too, but a solver's

@@ -145,20 +145,6 @@ class SolveReport:
     kappa: float = math.nan          # 1 + sup_k |L(k.omega)| used in the stop test
     diagnostics: dict = dc_field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps": [self.eps.real, self.eps.imag],
-            "status": self.status,
-            "iterations": self.iterations,
-            "ratios": [float(r) for r in self.ratios],
-            "increments": [float(x) for x in self.increments],
-            "fp_residual": float(self.fp_residual),
-            "residual": float(self.residual),
-            "sol_norm": float(self.sol_norm),
-            "kappa": float(self.kappa),
-            "diagnostics": self.diagnostics,
-        }
-
 
 # ---------------------------------------------------------------------------
 # the contraction map

@@ -875,3 +875,107 @@ class TestRun:
         p.write_text(text)
         assert cli.main(["--config", str(p)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"input error: {p}")
+
+
+class TestSchema:
+    """Each document is parsed once against its table: an unknown key, and a
+    key that the document's branch never reads, exit 4 and name the key."""
+
+    def test_misspelled_param_names_the_closest_key(self, tmp_path):
+        doc = json.loads((CONFIGS / "probe_cubic.json").read_text())
+        doc.update(problem=str(PROBLEMS / "cubic_ode.json"), output_dir=str(tmp_path / "out"))
+        doc["params"]["point"] = 8
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["--config", str(cfg)]) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())["error"]
+        assert err.startswith("params.point: unknown key; did you mean 'points'?")
+
+    def test_misspelled_solver_key_names_the_closest_key(self, tmp_path, capsys):
+        doc = json.loads((CONFIGS / "probe_cubic.json").read_text())
+        doc["solver"]["tolerance"] = 1e-3
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"input error: {cfg}.solver.tolerance: unknown key; did you mean 'tol'?")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params, key", [
+        ({"sigmas": [0.1], "domain": {"kind": "real_annulus", "sigma": 0.02}}, "domain"),
+        ({"sigmas": [0.1], "count": 2}, "count"),
+        ({"domain": {"kind": "real_annulus", "sigma": 0.02}, "samples_per_sigma": 2},
+         "samples_per_sigma"),
+        ({"domain": {"kind": "real_annulus", "sigma": 0.02, "mu": 5.0}}, "domain.mu"),
+    ], ids=["sigmas-domain", "sigmas-count", "domain-samples_per_sigma", "annulus-mu"])
+    def test_param_its_branch_never_reads_exits_4(self, tmp_path, params, key):
+        cfg = RunConfig.load(write_json(tmp_path / "cfg.json", config_doc(
+            "sweep", str(PROBLEMS / "cubic_ode.json"), tmp_path / "out", **params)))
+        assert run(cfg) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())["error"]
+        assert err.startswith(f"params.{key}: unknown key")
+
+    _PDE = {"kind": "pde", "d": 1, "K": 4, "J": 4, "omega": ["1"], "beta": 2.0,
+            "forcing": [{"k": [1], "j": 1, "amplitude": 0.01, "waveform": "cos"}]}
+
+    @pytest.mark.parametrize("doc, key", [
+        (minimal_ode_doc(nonlinearity={"kind": "piecewise_linear", "breakpoints": [0.0],
+                                       "slopes": [-0.05, 0.05], "smallness": "local"}),
+         "nonlinearity.smallness"),
+        (minimal_ode_doc(nonlinearity={"kind": "piecewise_linear", "breakpoints": [0.0],
+                                       "slopes": [-0.05, 0.05], "coeffs": [[0, 1]]}),
+         "nonlinearity.coeffs"),
+        (minimal_ode_doc(J=4), "J"), (minimal_ode_doc(beta="x"), "beta"),
+        (minimal_ode_doc(nonlinear=False), "nonlinear"),
+        (minimal_ode_doc(forcing=[{"k": [1], "j": 1, "amplitude": 1.0}]), "forcing[0].j"),
+        ({**_PDE, "n": 1}, "n"), ({**_PDE, "A": [1.0]}, "A"),
+        ({**_PDE, "jordan": [{"lambda": 1.0, "size": 1}]}, "jordan"),
+        ({**_PDE, "phi": [1.0]}, "phi"), ({**_PDE, "nonlinearity": {"kind": "zero"}},
+                                          "nonlinearity"),
+    ], ids=["piecewise-smallness", "piecewise-coeffs", "ode-J", "ode-beta", "ode-nonlinear",
+            "ode-forcing-j", "pde-n", "pde-A", "pde-jordan", "pde-phi", "pde-nonlinearity"])
+    def test_problem_key_its_kind_never_reads_exits_4(self, tmp_path, doc, key):
+        prob = write_json(tmp_path / "p.json", doc)
+        command = "solve-pde" if doc["kind"] == "pde" else "solve-ode"
+        cfg = write_json(tmp_path / "cfg.json", config_doc(command, str(prob), tmp_path / "out"))
+        assert cli.main(["--config", str(cfg)]) == EXIT_INPUT
+        err = json.loads((tmp_path / "out" / "result.json").read_text())["error"]
+        assert err.startswith(f"{prob}.{key}: unknown key")
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+    def test_nonlinear_takes_only_json_booleans(self, tmp_path, value):
+        """``"nonlinear": "false"`` is not read as a true string: only JSON
+        true and false are booleans."""
+        prob = write_json(tmp_path / "p.json", {**self._PDE, "nonlinear": value})
+        with pytest.raises(InputError, match=f"^{prob}.nonlinear: "):
+            parse_problem(prob)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_nonlinear_reads_json_booleans(self, tmp_path, value):
+        prob = write_json(tmp_path / "p.json", {**self._PDE, "nonlinear": value})
+        assert parse_problem(prob).nonlinear is value
+
+    def test_every_schema_key_is_documented(self):
+        """Every key a table accepts, and every kind a table chooses by, is
+        named in the README's CLI section (problem schema, run config and
+        params)."""
+        readme = (REPO / "README.md").read_text()
+        text = readme[readme.index("## CLI"):readme.index("## Numerical contracts")]
+        names = set()
+
+        def collect(table):
+            if isinstance(table, cli._Choice):
+                names.update(table)
+                for branch in table.values():
+                    collect(branch)
+                return
+            for key, (convert, *_) in table.items():
+                names.add(key)
+                if isinstance(convert, list):
+                    convert = convert[0]
+                if isinstance(convert, dict):
+                    collect(convert)
+
+        for table in (cli._PROBLEM, cli._JORDAN_BLOCK, cli._CONFIG,
+                      *(params for _, _, params in cli.COMMANDS.values())):
+            collect(table)
+        missing = sorted(n for n in names if f"`{n}`" not in text and f'"{n}"' not in text)
+        assert not missing, f"not in the README's CLI section: {missing}"

@@ -1,7 +1,7 @@
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -510,8 +510,7 @@ class TestSweep:
                                              points=8, map_fn=map_fn)
                 runs[name] = (sweep, probe)
         (sweep, probe), (pooled_sweep, pooled_probe) = runs["serial"], runs["pooled"]
-        assert [e.report.to_dict() for e in sweep] == \
-            [e.report.to_dict() for e in pooled_sweep]
+        assert [asdict(e.report) for e in sweep] == [asdict(e.report) for e in pooled_sweep]
         for a, b in zip(sweep, pooled_sweep):
             assert a.solution.coeffs.tobytes() == b.solution.coeffs.tobytes()
         assert probe == pooled_probe
@@ -730,7 +729,8 @@ class TestContractExits:
         V, rep_pde = rs.pde_solve_fixed_point(eps, prob, cfg)
         assert np.array_equal(U.coeffs, V.coeffs)
         # through JSON, so that the nan fields of a resonant report compare
-        assert json.dumps(rep.to_dict()) == json.dumps(rep_pde.to_dict())
+        assert json.dumps(cli._sanitize(asdict(rep))) == \
+            json.dumps(cli._sanitize(asdict(rep_pde)))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_keeps_the_trace(self, tmp_path):
@@ -978,12 +978,12 @@ class TestGeneralizedPQ:
 
 
 class TestSolveReportSerialization:
-    def test_to_dict_round_trips_json(self, cubic_problem):
-        import json
-
-        _, rep = rs.solve_fixed_point(0.05, cubic_problem,
+    def test_report_round_trips_json(self, cubic_problem):
+        """The CLI writes a report as ``asdict`` through ``_sanitize``, which
+        writes a complex eps as [re, im]."""
+        _, rep = rs.solve_fixed_point(0.05 + 0j, cubic_problem,
                                       rs.SolverConfig(tol=1e-10, ball_radius=1.0))
-        text = json.dumps(rep.to_dict())
-        parsed = json.loads(text)
+        parsed = json.loads(json.dumps(cli._sanitize(asdict(rep))))
+        assert parsed["eps"] == [0.05, 0.0]
         assert parsed["status"] == "converged"
         assert parsed["iterations"] == rep.iterations

@@ -1,6 +1,8 @@
 """Property tests over random inputs (derandomized profile in conftest)."""
 
+import copy
 import importlib
+import json
 import math
 import sys
 
@@ -22,7 +24,7 @@ from response_solver.multipliers import (  # noqa: E402
 )
 from response_solver.ode import contract  # noqa: E402
 from response_solver.pde import PdeProblem, pde_certification_scan  # noqa: E402
-from response_solver import spectral  # noqa: E402
+from response_solver import cli, spectral  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
 from conftest import PROBLEMS, cos_forcing  # noqa: E402
@@ -564,3 +566,152 @@ def test_l2_norm_bits_do_not_depend_on_the_field_address(lat, data):
         outcomes.add(got if isinstance(got, type) else got.hex())
     assert len(addresses) == 8
     assert len(outcomes) == 1
+
+
+# ---------------------------------------------------------------------------
+# one-field mutations of the shipped ODE problems and run configs, generated
+# from the CLI's schema tables; there are few enough (about 780, 1 s) to run
+# every one rather than draw a sample
+
+
+def _table_paths(doc, table, path=()):
+    """The path of every field of ``doc`` that ``table`` reads, nested and
+    list-item fields included, down to the first item of a list of numbers."""
+    if isinstance(table, cli._Choice):
+        table = table[table.pick(doc)]
+    for key, (convert, *_) in table.items():
+        if key not in doc:
+            continue
+        if convert is cli._jordan:
+            convert = [cli._JORDAN_BLOCK]
+        value, where = doc[key], path + (key,)
+        yield where
+        if isinstance(convert, dict):
+            yield from _table_paths(value, convert, where)
+        elif isinstance(convert, list) and isinstance(convert[0], dict):
+            yield from _table_paths(value[0], convert[0], where + (0,))
+        while isinstance(value, list) and value and not isinstance(value[0], dict):
+            value, where = value[0], where + (0,)
+            yield where
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _named(path) -> str:
+    return ".".join(k for k in path if isinstance(k, str))
+
+
+# the ranges the README states for the numbers of these documents, by field
+_README_RANGES = {
+    **dict.fromkeys(["d", "K", "n", "jordan.size", "solver.max_iter", "jobs",
+                     "params.samples", "params.count", "params.samples_per_sigma",
+                     "params.first_quotient", "params.K"], lambda x: x >= 1),
+    **dict.fromkeys(["solver.tol", "solver.ball_radius", "params.radius", "params.growth",
+                     "params.sigma", "params.mu", "params.domain.sigma",
+                     "params.domain.mu", "params.sigmas", "params.eps_ladder"],
+                    lambda x: x > 0),
+    "solver.norm.rho": lambda x: x >= 0, "solver.norm.m": lambda x: x >= 0,
+    "params.s_grid": lambda s: 0 <= s < 1, "params.levels": lambda x: 0 <= x <= 4,
+    "jordan.lambda": lambda x: x != 0, "forcing.component": lambda c: c >= 0,
+}
+# a value past a stated upper bound, where there is one
+_OUT_OF_RANGE = {"params.s_grid": 1.0, "params.levels": 5, "params.mu": 1e9,
+                 "forcing.component": 2}
+
+
+def _mutations(path, value):
+    """(name, new value, whether the README calls it invalid) for one field."""
+    field = _named(path)
+    yield "wrong type", [] if isinstance(value, str) else "x", True
+    yield "bool", True, True
+    if isinstance(value, str) and field != "output_dir":
+        yield "unknown name", "bogus", True
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return
+    allowed = _README_RANGES.get(field, lambda x: True)
+    if isinstance(value, int):
+        yield "non-integral", 2.5, True
+    yield "zero", 0 * value, not allowed(0 * value)
+    yield "negative", -1 if isinstance(value, int) else -1.0, not allowed(-1)
+    yield "nan", math.nan, True
+    yield "inf", math.inf, field != "solver.ball_radius"
+    if field in _OUT_OF_RANGE:
+        yield "out of range", _OUT_OF_RANGE[field], True
+
+
+def _mutation_cases():
+    """(label, config, problem, path into config or problem, mutation)."""
+    configs = PROBLEMS.parent / "configs"
+    runs = [("solve_cubic", "cubic_ode", "config"), ("sweep_cubic", "cubic_ode", "config"),
+            ("probe_cubic", "cubic_ode", "config"), ("lowreg", "lowreg_ode", "config"),
+            ("verify_ode", "cubic_ode", "config"), ("demo_liouville", None, "config"),
+            ("solve_cubic", "cubic_ode", "problem"), ("solve_cubic", "jordan_ode", "problem"),
+            ("solve_cubic", "linear_ode", "problem"), ("lowreg", "lowreg_ode", "problem")]
+    for config, problem, which in runs:
+        cfg = json.loads((configs / f"{config}.json").read_text())
+        prob = problem and json.loads((PROBLEMS / f"{problem}.json").read_text())
+        if prob and problem != "lowreg_ode":
+            prob["K"] = 4       # every forcing term fits; lowreg's reaches k = 16
+        if which == "config":
+            paths = [p for p in _table_paths(cfg, cli._CONFIG) if p[0] != "params"]
+            paths += [("params",) + p for p in _table_paths(
+                cfg["params"], cli.COMMANDS[cfg["command"]][2])]
+        else:
+            paths = list(_table_paths(prob, cli._PROBLEM))
+        for path in paths:
+            doc = cfg if which == "config" else prob
+            label = f"{config}/{problem}: {which} {'.'.join(map(str, path))}"
+            if isinstance(path[-1], str):
+                yield f"{label} misspelled", cfg, prob, which, path, None
+            for name, value, invalid in _mutations(path, _at(doc, path)):
+                yield f"{label} {name}", cfg, prob, which, path, (value, invalid)
+
+
+_STATUSES = {"max_iter", "left_ball", "resonant", "diverged"}
+
+
+def test_one_field_mutations_exit_as_documented(tmp_path, capsys):
+    """Every one-field mutation of a shipped ODE problem or run config that
+    the README calls invalid (a misspelled key, a wrong type, a bool, a
+    fraction for a count, NaN, an infinity, a value outside a stated range)
+    exits 4; any other exits 0, 2 or 3, and an exit 2 carries a solver
+    status.  A misspelled key's message names it and the key it misspells."""
+
+    wrong = []
+    for i, (label, cfg, prob, which, path, mutation) in enumerate(_mutation_cases()):
+        work = tmp_path / str(i)
+        work.mkdir()
+        cfg = {**copy.deepcopy(cfg), "output_dir": str(work / "out")}
+        prob = copy.deepcopy(prob)
+        if prob is not None:
+            cfg["problem"] = str(work / "p.json")
+        parent = _at(cfg if which == "config" else prob, path[:-1])
+        if mutation is None:
+            key = path[-1]
+            misspelled = key + key[-1]
+            parent[misspelled] = parent.pop(key)
+        else:
+            parent[path[-1]] = mutation[0]
+        if prob is not None:
+            (work / "p.json").write_text(json.dumps(prob))
+        (work / "c.json").write_text(json.dumps(cfg))
+        code = cli.main(["--config", str(work / "c.json")])
+        result_file = work / "out" / "result.json"
+        result = json.loads(result_file.read_text()) if result_file.exists() else {}
+        stderr = capsys.readouterr().err
+        message = result.get("error") or stderr
+        invalid = mutation is None or mutation[1]
+        if invalid and code != cli.EXIT_INPUT:
+            wrong.append(f"{label}: exit {code}, not 4")
+        elif code not in (0, 2, 3, 4):
+            wrong.append(f"{label}: exit {code}")
+        elif code == cli.EXIT_NOCONV and result.get("report", {}).get("status") not in _STATUSES:
+            wrong.append(f"{label}: exit 2 without a solver status ({message})")
+        elif mutation is None \
+                and f".{misspelled}: unknown key; did you mean {key!r}?" not in message:
+            wrong.append(f"{label}: {message}")
+    assert not wrong, "\n".join(wrong)
