@@ -154,19 +154,20 @@ def _convert(convert, value, path: str):
 
 
 def _count(value) -> int:
-    """``int(value)`` for a whole number; a bool or a fraction raises
-    ValueError rather than being read as 1 or truncated."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    """``int(value)`` for a whole number; a bool, a string or a fraction
+    raises ValueError rather than being read as 1, decoded or truncated."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{value!r} is not an integer count")
     return int(value)
 
 
 def _finite(value, kind: Callable = float):
     """``kind(value)``, a finite float or complex; NaN or an infinity raises
-    ValueError, as a value that does not convert does, and a bool, which is
-    not read as 0 or 1, raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError("expected a number, not a bool")
+    ValueError, as a value that does not convert does.  A bool, which is not
+    read as 0 or 1, raises TypeError, and so does a string, except where
+    ``kind`` is complex: a complex number is written as one ("0.05+0.01j")."""
+    if isinstance(value, bool) or isinstance(value, str) and kind is not complex:
+        raise TypeError(f"expected a number, not a {type(value).__name__}")
     number = kind(value)
     if not cmath.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
@@ -207,14 +208,15 @@ _non_negative = _where(lambda x: x >= 0.0, "need >= 0", _finite)
 
 def _ball_radius(value) -> float:
     """A radius > 0, or inf for no ball."""
-    return math.inf if float(value) == math.inf else _positive(value)
+    return math.inf if value == math.inf else _positive(value)
 
 
 def _frequency(value) -> float:
+    """A number, a decimal string or one of the symbolic names."""
     if isinstance(value, str) and value in SYMBOLIC_OMEGA:
         return SYMBOLIC_OMEGA[value]
     try:
-        return _finite(value)
+        return _finite(float(value) if isinstance(value, str) else value)
     except (TypeError, ValueError):
         raise ValueError(f"neither symbolic {sorted(SYMBOLIC_OMEGA)} "
                          "nor a finite decimal") from None
@@ -222,11 +224,6 @@ def _frequency(value) -> float:
 
 _JORDAN_BLOCK = {"lambda": (_finite,), "size": (_at_least(1),), "p": (_finite, 1.0),
                  "q": (_finite, 1.0)}
-
-
-def _jordan(blocks) -> tuple[JordanBlock, ...]:
-    parsed = (_parse(b, _JORDAN_BLOCK, f"[{i}]") for i, b in enumerate(blocks))
-    return tuple(JordanBlock(b["lambda"], b["size"], b["p"], b["q"]) for b in parsed)
 
 
 _NONLINEARITY_KIND = (str, "zero")
@@ -250,7 +247,7 @@ _PROBLEM_COMMON = {"kind": (str,), "d": (_at_least(1),), "K": (_at_least(1),),
 _PROBLEM = _Choice(
     lambda doc: doc.get("kind"),
     ode={**_PROBLEM_COMMON, "n": (_at_least(1), 1), "A": (_floats,),
-         "jordan": (_jordan, None), "phi": (_floats, None),
+         "jordan": ([_JORDAN_BLOCK], None), "phi": (_floats, None),
          "nonlinearity": (_NONLINEARITY, {}), "forcing": ([_ODE_TERM],)},
     pde={**_PROBLEM_COMMON, "J": (_at_least(1),), "beta": (_finite,),
          "nonlinear": (_instance(bool, "true or false"), True),
@@ -316,8 +313,11 @@ def parse_problem(path: str | Path) -> OdeProblem | PdeProblem:
         if doc["kind"] == "ode":
             n = doc["n"]
             lat = SpectralLattice(d=d, K=K, omega=omega, n=n)
-            phi = doc["phi"]
-            linear = LinearPart(_square(doc["A"], n, f"{path}.A"), doc["jordan"],
+            phi, jordan = doc["phi"], doc["jordan"]
+            if jordan is not None:
+                jordan = tuple(JordanBlock(b["lambda"], b["size"], b["p"], b["q"])
+                               for b in jordan)
+            linear = LinearPart(_square(doc["A"], n, f"{path}.A"), jordan,
                                 None if phi is None else _square(phi, n, f"{path}.phi"))
             spec = doc["nonlinearity"]
             g_hat = _NONLINEARITY_SPECS[spec.pop("kind")](**spec)
@@ -720,6 +720,15 @@ def _metadata(cfg: RunConfig) -> dict:
     }
 
 
+def _flag_count(text: str) -> int | str:
+    """A count flag's text as an int; text that is not a whole number stays
+    a string, which the config table rejects under the field's name."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _Parser(
         prog="response-solver",
@@ -727,8 +736,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--config", required=True, help="run configuration JSON")
     # each flag replaces its config field, and is parsed with it
-    parser.add_argument("--jobs", help="worker pool size")
-    parser.add_argument("--seed", help="seed recorded in result.json")
+    parser.add_argument("--jobs", type=_flag_count, help="worker pool size")
+    parser.add_argument("--seed", type=_flag_count, help="seed recorded in result.json")
     parser.add_argument("--out", dest="output_dir", help="output directory")
     parser.add_argument("--inject-fault",
                         help=f"test hook: double a certified multiplier {FAULT_NAMES}")

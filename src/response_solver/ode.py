@@ -8,8 +8,9 @@ this map contracts and the fixed point is the response solution.
 gives, for ``OdeProblem`` and ``pde.PdeProblem`` alike; the epsilon sweeps
 and the analyticity probe on complex-epsilon circles solve each eps cold on
 it, so any map over their eps gives the same results, and only the sigma
-ladder chains warm starts.  The low-regularity (L^2 / H^s) iteration and
-the time-domain cross check against a stiff integrator are oscillator-only.
+ladder chains warm starts.  The low-regularity H^s rates, which observe
+the same iteration in the L^2 norm, and the time-domain cross check against
+a stiff integrator are oscillator-only.
 """
 
 from __future__ import annotations
@@ -151,10 +152,11 @@ class SolveReport:
 
 
 def picard_step(U: FourierField, eps: complex, prob: OdeProblem) -> FourierField:
-    """One application of T(U) = eps L^-1 [f - g_hat(U)].
+    """One application of T(U) = eps L^-1 [f - g_hat(U)], on its own.
 
-    ``OdeProblem.fixed_point_map``'s step gives the same bits from the
-    solve's one ``ScaledInverse``."""
+    No solver calls it: every solve, low-regularity included, steps through
+    ``OdeProblem.fixed_point_map``'s step, which gives the same bits from
+    the solve's one ``ScaledInverse``."""
     rhs = prob.forcing - compose(U, prob.g_hat, is_real_eps(eps))
     return apply_scaled_inverse(eps, prob.linear, rhs)
 
@@ -189,20 +191,36 @@ def residual(U: FourierField, eps: complex, prob: OdeProblem,
 
 
 def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
-                      u0: FourierField | None = None) -> tuple[FourierField, SolveReport]:
-    """Iterate a problem's contraction map to its fixed point.
+                      u0: FourierField | None = None,
+                      observe: Callable[[SolveReport, FourierField, FourierField], None]
+                      | None = None) -> tuple[FourierField, SolveReport]:
+    """Iterate a problem's contraction map U <- step(U) to its fixed point;
+    every solver runs this loop.
 
     ``prob`` (an ``OdeProblem`` or a ``pde.PdeProblem``) gives the map (step,
     equation residual, first iterate and ball rule) through
     ``fixed_point_map``, which also sets ``report.kappa`` and its own
-    diagnostics.  A resonant eps ends the solve ``resonant``; otherwise
-    ``contract`` iterates from u0 (zero by default) to ||dU|| <= tol and
-    residual <= kappa tol.  A cold solve of a problem whose
-    ``first_is_step_from_zero`` holds starts from the map's first iterate
-    as its iteration 1, so it does not compute step(0) again, and takes
-    that iterate's norm once for the half-ball check, its increment and its
-    norm.  At real eps both maps take the real transforms, so a given u0 is
-    taken as Hermitian, as every iterate from zero is.
+    diagnostics.  The iteration starts from u0 (zero by default).  A cold
+    solve of a problem whose ``first_is_step_from_zero`` holds takes the
+    map's first iterate as its iteration 1, so it does not compute step(0)
+    again, and takes that iterate's norm once for the half-ball check, its
+    increment and its norm.  At real eps both maps take the real
+    transforms, so a given u0 is taken as Hermitian, as every iterate from
+    zero is.
+
+    Every increment ||step(U) - U|| (in cfg.norm) and the ratio of
+    consecutive increments go into the report.  Exits, by ``report.status``:
+
+    - ``converged``: increment <= tol and equation residual <= kappa tol;
+    - ``left_ball``: the ball rule holds and the iterate left ball_radius;
+    - ``resonant``: the map or a step met a singular mode matrix;
+    - ``diverged``: a step or a norm overflowed, or an increment was not
+      finite; U is the last finite iterate;
+    - ``max_iter``: none of the above within cfg.max_iter steps.
+
+    ``observe(report, U, delta)`` sees every accepted iterate, number
+    ``report.iterations``, with its increment field delta = U - U_prev; it
+    may record per-step data or raise to abort.
     """
     report = SolveReport(eps=eps)
     try:
@@ -218,46 +236,12 @@ def solve_fixed_point(eps: complex, prob, cfg: SolverConfig,
             first_norm <= cfg.ball_radius / 2
         )
     cold = u0 is None and prob.first_is_step_from_zero
-    # the start field is handed over, not held by a name here through the
-    # iteration
-    start = [first if cold else FourierField.zeros(prob.lattice) if u0 is None
-             else u0.copy()]
-    del first
-    return contract(step, eq_residual, start.pop(), cfg, report, enforce_ball,
-                    first=cold, first_norm=first_norm)
-
-
-def contract(step: Callable[[FourierField], FourierField],
-             eq_residual: Callable[[FourierField], float],
-             U: FourierField, cfg: SolverConfig, report: SolveReport,
-             enforce_ball: bool,
-             observe: Callable[[int, FourierField, FourierField], None] | None = None,
-             first: bool = False, first_norm: float | None = None,
-             ) -> tuple[FourierField, SolveReport]:
-    """Picard iteration U <- step(U) from U, shared by every solver.
-
-    Records every increment ||step(U) - U|| (in cfg.norm) and the ratio of
-    consecutive increments in ``report``.  With ``first``, U is a cold
-    start's iteration 1 already, step(0) itself: its increment from zero is
-    its norm, ``first_norm`` when the caller has taken it.  Exits, by
-    ``report.status``:
-
-    - ``converged``: increment <= tol and eq_residual <= kappa tol, with
-      ``report.kappa`` set by the caller (kappa = inf stops on the
-      increment alone);
-    - ``left_ball``: ``enforce_ball`` and the iterate left ball_radius;
-    - ``resonant``: a step met a singular mode matrix;
-    - ``diverged``: a step or a norm overflowed, or an increment was not
-      finite; U is the last finite iterate;
-    - ``max_iter``: none of the above within cfg.max_iter steps.
-
-    ``observe(it, U, delta)`` sees every accepted iterate with its increment
-    field delta = U - U_prev; it may record per-step data or raise to abort.
-    """
+    U = first if cold else FourierField.zeros(prob.lattice) if u0 is None else u0.copy()
+    del first   # U alone holds the start through the iteration
     prev_inc = None
     try:
         for it in range(1, cfg.max_iter + 1):
-            if first and it == 1:
+            if cold and it == 1:
                 U_next = delta = U
                 inc = sol_norm = norm(U, cfg.norm) if first_norm is None else first_norm
             else:
@@ -277,7 +261,7 @@ def contract(step: Callable[[FourierField], FourierField],
             U = U_next
             report.iterations = it
             if observe is not None:
-                observe(it, U, delta)
+                observe(report, U, delta)
             del delta   # one field less held through the next step
             if enforce_ball and sol_norm > cfg.ball_radius:
                 report.status = "left_ball"
@@ -298,7 +282,7 @@ def contract(step: Callable[[FourierField], FourierField],
     except (ResonanceError, FloatingPointError, NormOverflowError) as exc:
         report.status = "resonant" if isinstance(exc, ResonanceError) else "diverged"
         report.diagnostics["error"] = str(exc)
-        if first and not report.iterations:     # iterate 1 failed: the last
+        if cold and not report.iterations:      # iterate 1 failed: the last
             U = FourierField.zeros(U.lattice)   # finite iterate is the zero start
     return U, report
 
@@ -470,45 +454,35 @@ def low_regularity_solve(eps: complex, prob: OdeProblem, cfg: SolverConfig,
     """Contraction in L^2 with per-step H^s increment tracking.
 
     Requires a globally Lipschitz nonlinear part with measured contraction
-    product below one.  For each s the geometric decay exponent of
+    product C_emp M below one; a product at or above one raises ValueError
+    at the first iterate: before any step where the spec shows g(0) = 0,
+    since that iterate is the map's eps L^-1 f, and after step(0) for a
+    callable.  For each s the geometric decay exponent of
     ||T^{n+1}u - T^n u||_{H^s} is fitted and compared with the prediction
-    (1 - s) log(measured L^2 ratio).  The iteration is ``contract`` in the
-    L^2 norm with kappa = inf, so it stops on the L^2 increment alone and
-    ends with the solvers' statuses; an observer records the H^s norms.
+    (1 - s) log(measured L^2 ratio).  The iteration is ``solve_fixed_point``
+    in the L^2 norm with no ball, so it ends with the solvers' statuses and
+    stop rule; an observer records the H^s norms.  The residual test there
+    never binds: U_n = eps L^-1 [f - G(U_{n-1})] gives residual(U_n) =
+    |eps| ||G(U_n) - G(U_{n-1})|| <= |eps| M ||dU||, and C_emp M < 1 makes
+    |eps| M < min |L| < kappa, so the L^2 increment alone stops it.
     """
     for s in s_grid:
         if not 0.0 <= s < 1.0:
             raise ValueError("s_grid must lie in [0, 1)")
-    if prob.g_hat.lip_hat is None:
+    lip = prob.g_hat.lip_hat
+    if lip is None:
         raise ValueError("low-regularity mode needs a declared global Lipschitz bound")
-    report = SolveReport(eps=eps, kappa=math.inf)
     per_s: dict[float, list[float]] = {float(s): [] for s in s_grid}
 
-    def observe(it: int, V: FourierField, delta: FourierField) -> None:
+    def observe(report: SolveReport, V: FourierField, delta: FourierField) -> None:
+        product = report.diagnostics["c_emp"] * lip
+        if report.iterations == 1 and product >= 1.0:   # before a second step
+            raise ValueError(f"not a contraction: C_emp * M = {product:.3f} >= 1")
         for s, seq in per_s.items():
             seq.append(spectral.hs_norm(delta, s))
 
-    U = FourierField.zeros(prob.lattice)
-    try:
-        inverse = ScaledInverse(eps, prob.linear, prob.lattice)
-    except ResonanceError as exc:   # ends the run as a step meeting it would
-        report.status = "resonant"
-        report.diagnostics["error"] = str(exc)
-    else:
-        c_emp = inverse.scaled_inverse_sup
-        if c_emp * prob.g_hat.lip_hat >= 1.0:
-            raise ValueError(
-                f"not a contraction: C_emp * M = {c_emp * prob.g_hat.lip_hat:.3f} >= 1"
-            )
-        report.diagnostics["c_emp"] = c_emp
-        report.diagnostics["lip_hat"] = prob.g_hat.lip_hat
-        real = is_real_eps(eps)
-        plan = spectral.composition_plan(prob.lattice, prob.g_hat, real)
-        U, report = contract(
-            lambda V: inverse(prob.forcing - compose(V, prob.g_hat, real, plan)),
-            lambda V: residual(V, eps, prob, L2, plan), U,
-            replace(cfg, norm=L2), report, False, observe)
-
+    U, report = solve_fixed_point(eps, prob, replace(cfg, norm=L2, ball_radius=math.inf),
+                                  observe=observe)
     fitted, predicted = {}, {}
     window = _fit_window(report.increments)
     slope_l2 = _log_linear_fit(report.increments, window)[0]

@@ -1025,11 +1025,15 @@ def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec, real: bo
     """Residual aliasing of a pseudo-spectral composition.
 
     Compares ``compose(u, g, real)`` against the same computation on a
-    doubled grid; exact (polynomial) dealiasing returns roundoff.
+    doubled grid; exact (polynomial) dealiasing returns roundoff, and a g
+    that is not finite on either grid returns nan.
     """
     if g.kind == "zero":
         return 0.0
-    base = compose(u, g, real)
+    try:
+        base = compose(u, g, real)
+    except FloatingPointError:
+        return math.nan
     grid = tuple(2 * s for s in _composition_grid(u.lattice, g, real))
     vals = synthesize(u, grid, real=real)
     refined = analyze(np.asarray(g(vals)), u.lattice)

@@ -245,12 +245,12 @@ _PROBLEM_CONFIG = {"cubic_ode.json": "solve_cubic", "jordan_ode.json": "solve_cu
 _NUMBER_FIELDS = [
     ("cubic_ode.json", ("omega", 0), "omega[0]"),
     ("cubic_ode.json", ("A", 0), "A"),
-    ("cubic_ode.json", ("jordan", 0, "lambda"), "jordan"),
+    ("cubic_ode.json", ("jordan", 0, "lambda"), "jordan[0].lambda"),
     ("cubic_ode.json", ("nonlinearity", "coeffs", 0, 3), "nonlinearity.coeffs"),
     ("cubic_ode.json", ("forcing", 0, "amplitude"), "forcing[0].amplitude"),
     ("jordan_ode.json", ("phi", 1), "phi"),
-    ("jordan_ode.json", ("jordan", 0, "p"), "jordan"),
-    ("jordan_ode.json", ("jordan", 0, "q"), "jordan"),
+    ("jordan_ode.json", ("jordan", 0, "p"), "jordan[0].p"),
+    ("jordan_ode.json", ("jordan", 0, "q"), "jordan[0].q"),
     ("lowreg_ode.json", ("nonlinearity", "breakpoints", 0), "nonlinearity.breakpoints"),
     ("lowreg_ode.json", ("nonlinearity", "slopes", 1), "nonlinearity.slopes"),
     ("boussinesq_pde.json", ("omega", 1), "omega[1]"),
@@ -842,12 +842,15 @@ class TestRun:
         {"jordan": [3]},
         {"K": 3.5}, {"K": True}, {"n": 1.5}, {"d": True},
         {"forcing": [{"k": [1.5], "component": 0, "amplitude": 1.0}]},
+        {"K": "4"}, {"forcing": [{"k": [1], "component": 0, "amplitude": "0.2"}]},
     ], ids=["d", "K", "omega", "n", "forcing-k", "jordan",
-            "K-fraction", "K-bool", "n-fraction", "d-bool", "forcing-k-fraction"])
+            "K-fraction", "K-bool", "n-fraction", "d-bool", "forcing-k-fraction",
+            "K-string", "amplitude-string"])
     def test_malformed_problem_exits_4(self, tmp_path, overrides):
         """A problem field of the wrong type is an input error that names
         the problem file, not a solver failure.  A count must be a whole
-        number: int() would run "K": 3.5 as K = 3 and "K": true as K = 1."""
+        number: int() would run "K": 3.5 as K = 3 and "K": true as K = 1.
+        A number written as a string is not read as that number."""
         prob = write_json(tmp_path / "p.json", minimal_ode_doc(**overrides))
         cfg = write_json(tmp_path / "cfg.json",
                          config_doc("solve-ode", str(prob), tmp_path / "out", epsilon=0.05))
@@ -859,8 +862,9 @@ class TestRun:
     @pytest.mark.parametrize("change", [
         {"solver": {"tol": "x"}}, {"solver": {"tol": -1}}, {"jobs": "two"},
         {"solver": {"norm": {"rho": -1}}}, {"solver": [1]}, {"inject_fault": "bogus"},
-        {"params": [1]},
-    ], ids=["tol-text", "tol-negative", "jobs", "rho", "solver-list", "fault", "params"])
+        {"params": [1]}, {"solver": {"tol": "1e-3"}}, {"seed": " 7 "},
+    ], ids=["tol-text", "tol-negative", "jobs", "rho", "solver-list", "fault", "params",
+            "tol-string", "seed-string"])
     def test_malformed_config_exits_4(self, tmp_path, capsys, change):
         """A run config that does not load is an input error: exit 4 with
         the message on stderr, no traceback."""

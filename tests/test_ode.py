@@ -744,6 +744,30 @@ class TestContractExits:
         assert rep.diagnostics["error"]
 
 
+    @pytest.mark.parametrize("eps", [0.05, 0.05 + 0.01j], ids=["real", "complex"])
+    def test_nan_nonlinearity_diverges_after_its_first_iterate(self, lat1d, eps):
+        """A g that is NaN off zero ends the solve diverged with its trace
+        at either eps; at real eps the first iterate's aliasing estimate
+        records the failure as nan instead of raising it."""
+        def g(x):
+            return np.full_like(x, np.nan) if np.any(x != 0) else np.zeros_like(x)
+
+        prob = rs.OdeProblem(
+            lattice=lat1d, linear=rs.LinearPart.scalar(1.0),
+            g_hat=rs.NonlinearitySpec(kind="callable", fn=g, lip_hat=0.05,
+                                      smallness="global"),
+            forcing=cos_forcing(lat1d, 0.5),
+        )
+        U, rep = rs.solve_fixed_point(eps, prob, rs.SolverConfig(tol=1e-12))
+        assert rep.status == "diverged" and rep.diagnostics["error"]
+        assert rep.iterations == len(rep.increments) == 1
+        assert np.all(np.isfinite(U.coeffs)) and U.max_abs() > 0
+        if isinstance(eps, float):
+            assert math.isnan(rep.diagnostics["aliasing_estimate"])
+        else:
+            assert "aliasing_estimate" not in rep.diagnostics
+
+
 class TestLowRegularity:
     def test_iteration_budget_exhausted_is_not_converged(self):
         prob = parse_problem(PROBLEMS / "lowreg_ode.json")
@@ -758,7 +782,9 @@ class TestLowRegularity:
                                       rs.SolverConfig(tol=1e-12, max_iter=60),
                                       [0.0, 0.5])
         assert res.report.status == "converged"
-        assert res.report.kappa == math.inf
+        # the solvers' kappa: low-reg runs solve_fixed_point
+        _, solved = rs.solve_fixed_point(0.05, lowreg_problem, rs.SolverConfig(tol=1e-12))
+        assert res.report.kappa == solved.kappa and math.isfinite(solved.kappa)
         for seq in res.increments.values():
             assert len(seq) == res.report.iterations
 
@@ -780,6 +806,30 @@ class TestLowRegularity:
         assert res.report.iterations == len(res.report.increments) == 1
         for seq in res.increments.values():
             assert len(seq) == 1 and math.isfinite(seq[0])
+
+    @pytest.mark.parametrize("which", ["shipped", "linear", "callable"])
+    def test_stops_on_the_first_small_l2_increment(self, request, lat1d, which):
+        """The solvers' residual test never binds: U_n = eps L^-1 [f - G(U_{n-1})]
+        gives residual(U_n) <= |eps| M ||dU|| < kappa ||dU||, so the solve
+        stops at the first L^2 increment <= tol."""
+        if which == "shipped":
+            prob = parse_problem(PROBLEMS / "lowreg_ode.json")
+        elif which == "linear":
+            prob = request.getfixturevalue("linear_problem")
+        else:
+            prob = rs.OdeProblem(
+                lattice=lat1d, linear=rs.LinearPart.scalar(1.0),
+                g_hat=rs.NonlinearitySpec(kind="callable", fn=lambda x: 0.05 * np.sin(x),
+                                          lip_hat=0.05, smallness="global"),
+                forcing=cos_forcing(lat1d, 0.5),
+            )
+        tol = 1e-12
+        res = rs.low_regularity_solve(0.05, prob, rs.SolverConfig(tol=tol, max_iter=80),
+                                      [0.0, 0.5])
+        increments = res.report.increments
+        assert res.report.status == "converged"
+        assert res.report.iterations == 1 + next(
+            i for i, inc in enumerate(increments) if inc <= tol)
 
     def test_resonant_eps_ends_resonant(self, cubic_problem):
         _, prob, eps = _ode_resonant(cubic_problem)
@@ -829,13 +879,21 @@ class TestLowRegularity:
                     * (2 * r) ** s * first_l2 ** (1 - s)
                 assert val <= bound
 
-    def test_rejects_supercritical_lipschitz(self, lat1d):
+    def test_rejects_supercritical_lipschitz(self, lat1d, monkeypatch):
+        """The first iterate of a g with g(0) = 0 is the map's eps L^-1 f, so
+        the contraction check runs before the step or the residual
+        composes g once."""
         prob = rs.OdeProblem(
             lattice=lat1d, linear=rs.LinearPart.scalar(1.0),
             g_hat=rs.NonlinearitySpec.piecewise([0.0], [-2.0, 2.0]),
             forcing=cos_forcing(lat1d, 0.5),
         )
-        with pytest.raises(ValueError):
+
+        def no_step(*args):
+            raise AssertionError("a Picard step ran")
+
+        monkeypatch.setattr(ode_mod, "compose", no_step)
+        with pytest.raises(ValueError, match=r"^not a contraction: C_emp \* M = .* >= 1$"):
             rs.low_regularity_solve(0.05, prob, rs.SolverConfig(tol=1e-10), [0.0])
 
 

@@ -22,7 +22,6 @@ from response_solver.multipliers import (  # noqa: E402
     mode_matrices,
     operator_norms,
 )
-from response_solver.ode import contract  # noqa: E402
 from response_solver.pde import PdeProblem, pde_certification_scan  # noqa: E402
 from response_solver import cli, spectral  # noqa: E402
 from response_solver.spectral import L2, dealias_grid  # noqa: E402
@@ -362,18 +361,15 @@ def test_boussinesq_iterates_keep_their_invariants_exactly(lat, eps, data):
     forcing = 1e-3 * hermitian(lat, data).project_zero_space_average()
     prob = PdeProblem(lattice=lat, beta=2.0, forcing=forcing)
     cfg = rs.SolverConfig(tol=1e-15, max_iter=6, ball_radius=1.0)
-    report = rs.SolveReport(eps=eps)
-    step, eq_residual, _, enforce_ball = prob.fixed_point_map(eps, cfg, report)
     seen = []
 
-    def observe(it, U, delta):
+    def observe(report, U, delta):
         assert np.all(U.space_average_slice() == 0.0)
         if is_real_eps(eps):
             assert U.hermitian_defect() == 0.0
-        seen.append(it)
+        seen.append(report.iterations)
 
-    contract(step, eq_residual, rs.FourierField.zeros(lat), cfg, report, enforce_ball,
-             observe)
+    _, report = rs.solve_fixed_point(eps, prob, cfg, observe=observe)
     assert seen == list(range(1, report.iterations + 1)) and seen
 
 
@@ -582,8 +578,6 @@ def _table_paths(doc, table, path=()):
     for key, (convert, *_) in table.items():
         if key not in doc:
             continue
-        if convert is cli._jordan:
-            convert = [cli._JORDAN_BLOCK]
         value, where = doc[key], path + (key,)
         yield where
         if isinstance(convert, dict):
@@ -632,6 +626,8 @@ def _mutations(path, value):
         yield "unknown name", "bogus", True
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return
+    # only an epsilon takes a number written as a string (a complex one)
+    yield "as a string", str(value), field != "params.epsilon"
     allowed = _README_RANGES.get(field, lambda x: True)
     if isinstance(value, int):
         yield "non-integral", 2.5, True
@@ -677,8 +673,8 @@ _STATUSES = {"max_iter", "left_ball", "resonant", "diverged"}
 def test_one_field_mutations_exit_as_documented(tmp_path, capsys):
     """Every one-field mutation of a shipped ODE problem or run config that
     the README calls invalid (a misspelled key, a wrong type, a bool, a
-    fraction for a count, NaN, an infinity, a value outside a stated range)
-    exits 4; any other exits 0, 2 or 3, and an exit 2 carries a solver
+    number written as a string, a fraction for a count, NaN, an infinity, a
+    value outside a stated range) exits 4; any other exits 0, 2 or 3, and an exit 2 carries a solver
     status.  A misspelled key's message names it and the key it misspells."""
 
     wrong = []
