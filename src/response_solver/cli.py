@@ -15,7 +15,6 @@ import dataclasses
 import difflib
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import math
@@ -49,6 +48,7 @@ from .spectral import (
     SpectralLattice,
     log_weights,
     norm,
+    roundoff_floor,
     truncation_tail_norm,
 )
 from .verification import (
@@ -422,26 +422,38 @@ def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
 
 
 def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
-                       stem: str = "spectrum") -> None:
-    """Index-sorted and magnitude-sorted coefficient tables.
+                       stem: str = "spectrum") -> dict:
+    """Index-sorted and magnitude-sorted tables of the coefficients above
+    the field's roundoff floor; returns that floor and the rows kept and
+    omitted, as ``{"roundoff_floor", "rows", "rows_omitted"}``.
 
-    One row per mode: the mode numbers, re/im of the first component, the
-    mode's magnitude over all components and its norm weight.  Rows come out
-    in C order, which is index order; the magnitude table is a stable sort,
-    so equal magnitudes (the +-k pairs of Hermitian fields) keep index order.
-    Values print as ``csv`` would print them: the shortest round-trip
-    ``repr`` of each float, CRLF rows.  Each distinct value is formatted
-    once: the mode numbers per axis, the floats per distinct magnitude (the
-    sign is a prefix) and the weights per distinct clipped log-weight.  Each
-    row is joined once and the lines are written in both orders.
+    One row per mode whose magnitude is not at or below
+    ``roundoff_floor(field)``, so a NaN magnitude is always kept, and a
+    floor that is not finite keeps every row: the mode numbers, re/im of
+    the first component, the mode's magnitude over all components and its
+    norm weight.  Rows come out in C order, which is index order; the
+    magnitude table is a stable sort, so equal magnitudes (the +-k pairs of
+    Hermitian fields) keep index order.  Values print as ``csv`` would
+    print them: the shortest round-trip ``repr`` of each float, CRLF rows.
+    Each distinct value of the kept rows is formatted once: the mode
+    numbers per axis, the floats per distinct magnitude (the sign is a
+    prefix) and the weights per distinct clipped log-weight.  Each row is
+    joined once and the lines are written in both orders.
     """
     lat = field.lattice
-    first = field.coeffs[..., 0].ravel()
-    mags = _row_magnitudes(field.coeffs.reshape(-1, field.coeffs.shape[-1]))
-    axes = ([str(k) for k in lat.axis_modes(i).tolist()] for i in range(lat.n_axes))
-    modes = map(",".join, itertools.product(*axes))
+    all_mags = _row_magnitudes(field.coeffs.reshape(-1, field.coeffs.shape[-1]))
+    floor = roundoff_floor(field)
+    keep = (np.flatnonzero(~(all_mags <= floor)) if math.isfinite(floor)
+            else np.arange(all_mags.size))
+    index = np.unravel_index(keep, lat.mode_shape)
+    first = field.coeffs[index + (0,)]
+    mags = all_mags[keep]
+    # each kept row's index along an axis picks its mode number's text
+    labels = (np.array([str(k) for k in lat.axis_modes(axis).tolist()], dtype=object)[i]
+              .tolist() for axis, i in enumerate(index))
+    modes = map(",".join, zip(*labels))
     # math.exp per value: numpy's exp is not guaranteed to round the same way
-    logw, inverse = np.unique(np.minimum(log_weights(lat, spec), 700.0).ravel(),
+    logw, inverse = np.unique(np.minimum(log_weights(lat, spec)[index], 700.0),
                               return_inverse=True)
     weights = np.array([repr(math.exp(w)) for w in logw.tolist()], dtype=object)
     columns = zip(modes, _repr_column(first.real), _repr_column(first.imag),
@@ -455,6 +467,8 @@ def write_spectrum_csv(field: FourierField, spec: NormSpec, out_dir: Path,
         with open(out_dir / f"{stem}_{suffix}.csv", "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
             fh.writelines(rows)
+    return {"roundoff_floor": floor, "rows": int(keep.size),
+            "rows_omitted": int(all_mags.size - keep.size)}
 
 
 def emit(out_dir: str | Path, result: dict, metadata: dict) -> None:
@@ -504,7 +518,7 @@ def _cmd_solve(cfg: RunConfig, prob, params: dict, out: Path) -> tuple[int, dict
     }
     if isinstance(prob, OdeProblem):
         result["ratio_fit_r2"] = geometric_fit_r2(rep.increments)
-    write_spectrum_csv(U, cfg.solver.norm, out)
+    result["spectrum"] = write_spectrum_csv(U, cfg.solver.norm, out)
     code = EXIT_OK if rep.status == "converged" else EXIT_NOCONV
     return code, result
 

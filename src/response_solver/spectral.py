@@ -1040,6 +1040,17 @@ def composition_aliasing_estimate(u: FourierField, g: NonlinearitySpec, real: bo
     return float(np.max(np.abs(base.coeffs - refined.coeffs)))
 
 
+def roundoff_floor(f: FourierField) -> float:
+    """eps * sum |c| over every coefficient and component (eps times the l1
+    norm): the size below which a coefficient of a solve is roundoff.
+
+    A sum that overflows, or a field holding inf or NaN, gives a floor that
+    is not finite.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.finfo(float).eps * np.sum(np.abs(f.coeffs)))
+
+
 def truncation_tail_norm(f: FourierField, spec: NormSpec) -> float:
     """Weighted norm of the outermost shells: a finite-cutoff diagnostic."""
     lat = f.lattice

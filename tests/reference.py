@@ -13,13 +13,18 @@ of squares, else log space), both equations' residual fields built from
 fresh fields, the out-of-place Horner and the ``np.ix_`` scatter and
 gather between lattice and FFT bins.  Last come the builders only tests
 need: a ``LinearPart`` assembled from Jordan blocks and a basis, the
-Hermitian part of a field and a random Hermitian field.  None of them is
-called by the library, so they live beside the tests.
+Hermitian part of a field and a random Hermitian field.  The spectrum
+CSV tables close the file: each row built, magnitude taken and roundoff
+floor compared one mode at a time.  None of them is called by the
+library, so they live beside the tests.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -421,3 +426,67 @@ def piecewise_reference(g: NonlinearitySpec, x: np.ndarray) -> np.ndarray:
         return knots[a] + slopes[seg] * (z - breaks[a])
 
     return raw(x) - raw(np.zeros(1))[0]
+
+
+# ---------------------------------------------------------------------------
+# cli
+
+
+def reference_roundoff_floor(u: FourierField) -> float:
+    """eps * the exactly rounded sum of |c| over every coefficient and
+    component; inf when that sum leaves the float range."""
+    try:
+        return sys.float_info.epsilon * math.fsum(abs(c) for c in u.coeffs.ravel().tolist())
+    except OverflowError:
+        return math.inf
+
+
+def _reference_magnitude(row: list[complex], squares: float) -> float:
+    """sqrt(squares), the plain sqrt(sum |c|^2), unless the sum of squares
+    overflowed or fell below the smallest normal float with a nonzero |c|:
+    then the magnitude is taken with the largest (finite) |c| factored out."""
+    a = [abs(c) for c in row]
+    s = max(a)
+    if math.isfinite(s) and (math.isinf(squares)
+                             or 0.0 < s and squares < np.finfo(float).tiny):
+        return s * math.sqrt(sum((v / s) ** 2 for v in a))
+    return math.sqrt(squares)
+
+
+def reference_row_magnitudes(u: FourierField) -> np.ndarray:
+    """Each mode's magnitude over its components, one mode at a time."""
+    with np.errstate(over="ignore"):
+        squares = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
+    mags = np.empty(u.lattice.mode_shape)
+    for idx in np.ndindex(u.lattice.mode_shape):
+        mags[idx] = _reference_magnitude(u.coeffs[idx].tolist(), float(squares[idx]))
+    return mags
+
+
+def reference_spectrum_tables(u: FourierField, spec: NormSpec) -> dict:
+    """Both spectrum CSV texts, built one row at a time and sorted.  A row
+    whose magnitude is at or below ``reference_roundoff_floor`` is left out,
+    unless that floor is not finite."""
+    lat = u.lattice
+    logw = log_weights(lat, spec)
+    mags = reference_row_magnitudes(u)
+    floor = reference_roundoff_floor(u)
+    rows = []
+    for idx in np.ndindex(lat.mode_shape):
+        if math.isfinite(floor) and mags[idx] <= floor:
+            continue
+        c = u.coeffs[idx + (0,)]
+        rows.append([i - cut for i, cut in zip(idx, lat.cutoffs)]
+                    + [float(c.real), float(c.imag), float(mags[idx]),
+                       math.exp(min(logw[idx], 700.0))])
+    header = [f"k{i + 1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
+        + ["re", "im", "abs", "weight_rho_m"]
+    tables = {}
+    for suffix, key in (("by_index", lambda r: r[:lat.n_axes]),
+                        ("by_magnitude", lambda r: -r[lat.n_axes + 2])):
+        text = io.StringIO()
+        w = csv.writer(text)
+        w.writerow(header)
+        w.writerows(sorted(rows, key=key))
+        tables[suffix] = text.getvalue()
+    return tables

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import math
 from pathlib import Path
@@ -18,12 +17,12 @@ from response_solver.cli import (
     parse_problem,
     run,
 )
-from response_solver.ode import OdeProblem
+from response_solver.ode import OdeProblem, solve_fixed_point
 from response_solver.pde import PdeProblem
-from response_solver.spectral import FourierField, NormSpec, SpectralLattice, log_weights
+from response_solver.spectral import FourierField, NormSpec, SpectralLattice, roundoff_floor
 
 from conftest import diverging_cubic_problem
-from reference import random_real
+from reference import random_real, reference_roundoff_floor, reference_spectrum_tables
 
 REPO = Path(__file__).resolve().parent.parent
 PROBLEMS = REPO / "problems"
@@ -153,44 +152,6 @@ def config_doc(command, problem, out, **params):
         "output_dir": str(out),
         "seed": 11,
     }
-
-
-def _reference_magnitude(row: list[complex], squares: float) -> float:
-    """sqrt(squares), the plain sqrt(sum |c|^2), unless the sum of squares
-    overflowed or fell below the smallest normal float with a nonzero |c|:
-    then the magnitude is taken with the largest (finite) |c| factored out."""
-    a = [abs(c) for c in row]
-    s = max(a)
-    if math.isfinite(s) and (math.isinf(squares)
-                             or 0.0 < s and squares < np.finfo(float).tiny):
-        return s * math.sqrt(sum((v / s) ** 2 for v in a))
-    return math.sqrt(squares)
-
-
-def reference_spectrum_tables(u: FourierField, spec: NormSpec) -> dict:
-    """Both spectrum CSV texts, built one row at a time and sorted."""
-    lat = u.lattice
-    logw = log_weights(lat, spec)
-    with np.errstate(over="ignore"):
-        squares = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
-    rows = []
-    for idx in np.ndindex(lat.mode_shape):
-        c = u.coeffs[idx + (0,)]
-        rows.append([i - cut for i, cut in zip(idx, lat.cutoffs)]
-                    + [float(c.real), float(c.imag),
-                       _reference_magnitude(u.coeffs[idx].tolist(), float(squares[idx])),
-                       math.exp(min(logw[idx], 700.0))])
-    header = [f"k{i + 1}" for i in range(lat.d)] + (["j"] if lat.has_space else []) \
-        + ["re", "im", "abs", "weight_rho_m"]
-    tables = {}
-    for suffix, key in (("by_index", lambda r: r[:lat.n_axes]),
-                        ("by_magnitude", lambda r: -r[lat.n_axes + 2])):
-        text = io.StringIO()
-        w = csv.writer(text)
-        w.writerow(header)
-        w.writerows(sorted(rows, key=key))
-        tables[suffix] = text.getvalue()
-    return tables
 
 
 def _signed_field(lat: SpectralLattice, re, im) -> FourierField:
@@ -349,11 +310,17 @@ class TestRun:
         with open(tmp_path / "out" / "spectrum_by_index.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k1", "re", "im", "abs", "weight_rho_m"]
-        assert len(rows) == 1 + 33
+        # the 6 odd modes |k| <= 5 lie above the floor; the other 27 of the
+        # 33 are roundoff and left out
+        assert [r[0] for r in rows[1:]] == ["-5", "-3", "-1", "1", "3", "5"]
         with open(tmp_path / "out" / "spectrum_by_magnitude.csv") as fh:
             rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["-1", "1", "-3", "3", "-5", "5"]
         mags = [float(r[3]) for r in rows[1:]]
         assert mags == sorted(mags, reverse=True)
+        spectrum = json.loads((tmp_path / "out" / "result.json").read_text())["spectrum"]
+        assert spectrum["rows"] == 6 and spectrum["rows_omitted"] == 27
+        assert min(mags) > spectrum["roundoff_floor"] > 0.0
 
     @pytest.mark.parametrize("spec", [NormSpec(0.3, 1.5), NormSpec(150.0, 0.0)],
                              ids=["rho0.3-m1.5", "weights-clipped"])
@@ -389,16 +356,60 @@ class TestRun:
 
     @pytest.mark.filterwarnings("error")
     def test_spectrum_csv_abs_keeps_extreme_magnitudes(self, tmp_path):
-        # sqrt(sum |c|^2) is inf for 1e300 and 0.0 for 5e-324 and 1e-170
-        u = _signed_field(SpectralLattice(d=1, K=1, omega=(1.0,)),
-                          [1e300, 5e-324, 1e-170], [0.0, 0.0, 0.0])
-        cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, "s")
-        for suffix, order in (("by_index", [1e300, 5e-324, 1e-170]),
-                              ("by_magnitude", [1e300, 1e-170, 5e-324])):
+        # sqrt(sum |c|^2) is inf for 1e300 and 1e299 and 0.0 for the others;
+        # each pair is its field's only nonzero rows, above that field's floor
+        for case, (big, small) in enumerate([(1e300, 1e299), (3e-170, 1e-170),
+                                             (1e-323, 5e-324)]):
+            u = _signed_field(SpectralLattice(d=1, K=1, omega=(1.0,)),
+                              [big, 0.0, small], [0.0, 0.0, 0.0])
+            spectrum = cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, f"s{case}")
+            assert spectrum["rows"] == 2 and spectrum["rows_omitted"] == 1
+            for suffix in ("by_index", "by_magnitude"):
+                with open(tmp_path / f"s{case}_{suffix}.csv", newline="") as fh:
+                    rows = list(csv.reader(fh))[1:]
+                assert [r[0] for r in rows] == ["-1", "1"]
+                assert [r[3] for r in rows] == [repr(big), repr(small)]
+                assert [r[1] for r in rows] == [repr(big), repr(small)]
+
+    def test_spectrum_csv_of_a_zero_field_is_its_header(self, tmp_path):
+        lat = SpectralLattice(d=1, K=2, omega=(1.0,), has_space=True, J=1)
+        spectrum = cli.write_spectrum_csv(FourierField.zeros(lat), NormSpec(0.3, 1.5),
+                                          tmp_path, "s")
+        assert spectrum == {"roundoff_floor": 0.0, "rows": 0, "rows_omitted": 15}
+        for suffix in ("by_index", "by_magnitude"):
             with open(tmp_path / f"s_{suffix}.csv", newline="") as fh:
+                assert fh.read() == "k1,j,re,im,abs,weight_rho_m\r\n"
+
+    def test_spectrum_csv_with_a_nan_keeps_every_row(self, tmp_path):
+        lat = SpectralLattice(d=1, K=2, omega=(1.0,))
+        u = _signed_field(lat, [0.0, 0.0, math.nan, 0.0, 1.0], [0.0] * 5)
+        spectrum = cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, "s")
+        assert math.isnan(spectrum["roundoff_floor"])
+        assert (spectrum["rows"], spectrum["rows_omitted"]) == (5, 0)
+        with open(tmp_path / "s_by_index.csv", newline="") as fh:
+            text = fh.read()
+        assert text == reference_spectrum_tables(u, NormSpec(0.3, 1.5))["by_index"]
+        assert len(text.splitlines()) == 1 + 5
+
+    def test_solve_pde_tables_hold_the_rows_above_the_floor(self, tmp_path):
+        cfg = RunConfig.load(CONFIGS / "solve_pde.json")
+        prob = parse_problem(cfg.problem)
+        U, _ = solve_fixed_point(cfg.params["epsilon"], prob, cfg.solver)
+        spectrum = cli.write_spectrum_csv(U, cfg.solver.norm, tmp_path)
+        floor = spectrum["roundoff_floor"]
+        assert floor == roundoff_floor(U)
+        assert floor == pytest.approx(reference_roundoff_floor(U), rel=1e-15)
+        mags = np.sqrt(np.sum(np.abs(U.coeffs) ** 2, axis=-1))
+        above = {tuple(int(i) - cut for i, cut in zip(idx, U.lattice.cutoffs))
+                 for idx in zip(*np.nonzero(mags > floor))}
+        assert (spectrum["rows"], spectrum["rows_omitted"]) == (len(above), mags.size - len(above))
+        assert len(above) == 22
+        for suffix in ("by_index", "by_magnitude"):
+            with open(tmp_path / f"spectrum_{suffix}.csv", newline="") as fh:
                 rows = list(csv.reader(fh))[1:]
-            assert [float(r[3]) for r in rows] == order
-            assert [float(r[1]) for r in rows] == order
+            assert len(rows) == len(above)
+            assert {tuple(int(k) for k in r[:U.lattice.n_axes]) for r in rows} == above
+            assert all(float(r[-2]) > floor for r in rows)
 
     def test_spectrum_csv_prints_negative_nan_as_nan(self, tmp_path):
         lat = SpectralLattice(d=1, K=2, omega=(1.0,))

@@ -4,7 +4,8 @@ The cross-check's LSODA (scipy.integrate, which pulls in scipy.sparse.linalg
 and scipy.optimize), the Newton oracle's GMRES and the Liouville builder's
 mpmath load inside the one function that uses each.  This pytest process
 has imported all of them already, so every case runs in a fresh
-interpreter with ``src`` on its path.
+interpreter with ``src`` on its path.  Every package an import adds is
+set-up time of every run.
 """
 
 import json
@@ -29,6 +30,30 @@ def loaded_after(code: str) -> set[str]:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def packages_after(code: str) -> set[str]:
+    """The top-level names in sys.modules after running code in a fresh
+    interpreter, less the standard library's and those a bare interpreter
+    has loaded already (its site hooks)."""
+    probe = (f"{code}\nimport json, sys\n"
+             "print(json.dumps(sorted({m.partition('.')[0] for m in sys.modules})))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=REPO,
+                          env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1])) - set(sys.stdlib_module_names)
+
+
+def test_import_adds_no_package_beyond_numpy_and_scipy():
+    # scipy.fft's bundled array_api_compat runs ``from numpy import *``, which
+    # loads numpy.f2py and with it whatever f2py finds installed (such as
+    # charset_normalizer): those count as what numpy and scipy bring
+    bare = packages_after("")
+    dependencies = packages_after("import numpy, scipy.fft") - bare
+    assert {"numpy", "scipy"} <= dependencies
+    assert packages_after("import response_solver") - bare \
+        == dependencies | {"response_solver"}
 
 
 def test_import_and_solve_commands_load_no_side_path(tmp_path):

@@ -1,10 +1,13 @@
 """Property tests over random inputs (derandomized profile in conftest)."""
 
 import copy
+import csv
 import importlib
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from response_solver.spectral import L2, dealias_grid  # noqa: E402
 
 from conftest import PROBLEMS, cos_forcing  # noqa: E402
 from reference import (  # noqa: E402
-    from_jordan, hermitian_part, mode_solve, pde_picard_step, reflected_conj,
+    from_jordan, hermitian_part, mode_solve, pde_picard_step, reference_row_magnitudes,
+    reflected_conj,
 )
 
 
@@ -259,6 +263,33 @@ def test_anti_hermitian_part_keeps_the_complex_path(lat, data):
     g = rs.NonlinearitySpec.cubic(0.5, lat.n)
     assert np.array_equal(rs.compose(u, g, False).coeffs,
                           complex_oracle((u,), dealias_grid(lat, 3, False), g).coeffs)
+
+
+# -- spectrum CSVs: the rows above the roundoff floor --------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(lat=lattices(), data=st.data())
+def test_spectrum_tables_hold_the_rows_above_the_floor(lat, data):
+    # magnitudes spread over 24 decades, so some rows fall below the floor
+    decades = data.draw(arrays(int, lat.mode_shape, elements=st.integers(-24, 0)))
+    u = rs.FourierField(lat, data.draw(coefficients(lat, 1.0))
+                        * 10.0 ** decades[..., None])
+    with tempfile.TemporaryDirectory() as out:
+        spectrum = cli.write_spectrum_csv(u, rs.NormSpec(0.3, 1.5), Path(out), "s")
+        tables = {}
+        for suffix in ("by_index", "by_magnitude"):
+            with open(Path(out) / f"s_{suffix}.csv", newline="") as fh:
+                tables[suffix] = list(csv.reader(fh))[1:]
+    floor = spectrum["roundoff_floor"]
+    assert floor == spectral.roundoff_floor(u)
+    assert sorted(tables["by_index"]) == sorted(tables["by_magnitude"])
+    mags = reference_row_magnitudes(u)
+    above = {tuple(int(i) - cut for i, cut in zip(idx, lat.cutoffs))
+             for idx in np.ndindex(lat.mode_shape) if mags[idx] > floor}
+    assert {tuple(int(k) for k in row[:lat.n_axes]) for row in tables["by_index"]} == above
+    assert spectrum["rows"] == len(tables["by_index"])
+    assert spectrum["rows"] + spectrum["rows_omitted"] == math.prod(lat.mode_shape)
+
 
 
 def plan_lattices():

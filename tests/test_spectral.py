@@ -861,6 +861,22 @@ class TestAliasingDiagnostics:
         tail = rs.spectral.truncation_tail_norm(u, spec)
         assert 0.0 <= tail < rs.norm(u, spec)
 
+    @pytest.mark.parametrize("lat", [
+        rs.SpectralLattice(d=1, K=16, omega=(1.0,)),
+        rs.SpectralLattice(d=2, K=6, omega=(1.0, math.sqrt(2.0)), n=2),
+        rs.SpectralLattice(d=2, K=8, omega=(1.0, math.sqrt(2.0)), has_space=True, J=8),
+    ], ids=["d1", "d2-n2", "d2-space"])
+    def test_roundoff_floor_is_eps_times_the_l1_sum(self, lat, rng):
+        u = random_real(lat, rng, decay=0.5)
+        floor = rs.spectral.roundoff_floor(u)
+        assert floor == pytest.approx(reference.reference_roundoff_floor(u), rel=1e-15)
+        assert floor > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_roundoff_floor_of_an_overflowing_sum_is_inf(self, lat1d):
+        u = rs.FourierField(lat1d, np.full(lat1d.field_shape, 1e307 + 0j))
+        assert rs.spectral.roundoff_floor(u) == math.inf
+
 
 class TestHsNorm:
     def test_matches_integer_normspec(self, lat2d, rng):
