@@ -357,19 +357,19 @@ class TestRun:
     @pytest.mark.filterwarnings("error")
     def test_spectrum_csv_abs_keeps_extreme_magnitudes(self, tmp_path):
         # sqrt(sum |c|^2) is inf for 1e300 and 1e299 and 0.0 for the others;
-        # each pair is its field's only nonzero rows, above that field's floor
-        for case, (big, small) in enumerate([(1e300, 1e299), (3e-170, 1e-170),
-                                             (1e-323, 5e-324)]):
+        # each pair is its field's only nonzero rows, above that field's
+        # floor, and only the true magnitudes sort the larger one first
+        for case, (small, big) in enumerate([(1e299, 1e300), (1e-170, 3e-170),
+                                             (5e-324, 1e-323)]):
             u = _signed_field(SpectralLattice(d=1, K=1, omega=(1.0,)),
-                              [big, 0.0, small], [0.0, 0.0, 0.0])
+                              [small, 0.0, big], [0.0, 0.0, 0.0])
             spectrum = cli.write_spectrum_csv(u, NormSpec(0.3, 1.5), tmp_path, f"s{case}")
             assert spectrum["rows"] == 2 and spectrum["rows_omitted"] == 1
-            for suffix in ("by_index", "by_magnitude"):
+            for suffix, order in (("by_index", [small, big]), ("by_magnitude", [big, small])):
                 with open(tmp_path / f"s{case}_{suffix}.csv", newline="") as fh:
                     rows = list(csv.reader(fh))[1:]
-                assert [r[0] for r in rows] == ["-1", "1"]
-                assert [r[3] for r in rows] == [repr(big), repr(small)]
-                assert [r[1] for r in rows] == [repr(big), repr(small)]
+                assert [r[3] for r in rows] == [repr(v) for v in order]
+                assert [r[1] for r in rows] == [repr(v) for v in order]
 
     def test_spectrum_csv_of_a_zero_field_is_its_header(self, tmp_path):
         lat = SpectralLattice(d=1, K=2, omega=(1.0,), has_space=True, J=1)

@@ -291,7 +291,6 @@ def test_spectrum_tables_hold_the_rows_above_the_floor(lat, data):
     assert spectrum["rows"] + spectrum["rows_omitted"] == math.prod(lat.mode_shape)
 
 
-
 def plan_lattices():
     """d = 1, 2, 3 tori, n = 1, 2, small enough for 3-D grids."""
     return st.builds(
